@@ -5,6 +5,7 @@ from .numerics import (
     ContractViolation,
     SeededRng,
     matmul,
+    matmul_backend,
     relu,
     row_l2_norm,
     softmax_rows,

@@ -28,7 +28,7 @@ from .fileio import (
     write_tokens_csv,
 )
 from .flops import IMPLEMENTATIONS, flops_estimate
-from .numerics import ConfigError, ContractViolation, SeededRng
+from .numerics import ConfigError, ContractViolation, SeededRng, matmul_backend, require_finite
 from .oracle import OracleCapError
 
 __all__ = ["main"]
@@ -121,6 +121,8 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     n_list = _seq_list(args.seq_len)
+    # stderr, so the stdout and CSV contracts stay free of run details
+    print(f"matmul backend: {matmul_backend()}", file=sys.stderr)
     records = bench_run(cfg, args.impl, n_list, args.iters)
     for r in records:
         print(
@@ -161,6 +163,7 @@ def _cmd_forward(args) -> int:
     for b, block in enumerate(stack.blocks):
         block_out, diag = multihead_forward(out, block)
         out = out + block_out
+        require_finite(out, f"block {b} output")
         mq, mk, mm = diag.lambda_means()
         print(
             f"block {b}: proj_q_top={diag.routes_proj_q.most_frequent()} "

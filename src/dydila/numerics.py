@@ -8,9 +8,26 @@ which is what a naive triple loop does and what vendor BLAS does not.
 
 Matrices are plain ``numpy.ndarray`` in float32 or float64.  Mixing the two
 in one call is an error rather than a silent promotion.
+
+:func:`matmul` runs a small C kernel whose source lives in this module, so
+the module that owns the order contract also owns the code that keeps it.
+The kernel is compiled at the first :func:`matmul` call (never at import)
+with ``cc -O3 -ffp-contract=off`` (no FMA contraction) and cached under
+``${XDG_CACHE_HOME:-~/.cache}/dydila``, keyed by the sha256 of the source,
+the flags and the compiler version.  When no compiler is present or the
+build or load fails, one ``RuntimeWarning`` is issued and :func:`matmul`
+uses a numpy loop with the same per-element order; that loop is also the
+in-process reference the tests compare the kernel with.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +40,7 @@ __all__ = [
     "as_matrix",
     "require_finite",
     "matmul",
+    "matmul_backend",
     "relu",
     "row_l2_norm",
     "softmax_rows",
@@ -41,12 +59,78 @@ class ConfigError(ValueError):
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 _NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
-# Row-block sizing for matmul: target ~1 MiB of accumulator per block, and
-# keep blocks small enough that strided column reads of the left operand
-# stay cache-resident once the inner dimension gets long.
+# Row-block sizing for the numpy fallback of matmul: target ~1 MiB of
+# accumulator per block, and keep blocks small enough that strided column
+# reads of the left operand stay cache-resident once the inner dimension
+# gets long.  The compiled kernel ignores these.
 _BLOCK_TARGET_BYTES = 1 << 20
 _STRIDED_INNER_LIMIT = 2048
 _STRIDED_BLOCK_CAP = 256
+
+# The compiled matmul kernel, one copy per element type.  Four output rows
+# share each row of b, and the loop over j vectorises across output columns.
+# k runs in chunks of about 256 KiB of b (at least 256 rows, so a wide out
+# is not re-read every few k), so a chunk stays in cache while every row
+# block passes over it; between chunks the partial sums wait in out,
+# stored exactly.  So every out[i, j] still starts from 0 and adds
+# a[i, k] * b[k, j] in ascending k, each product rounded before the add
+# (-ffp-contract=off).  a is read through its element strides, so transposed
+# views need no copy; b and out are C-contiguous.  target_clones picks the
+# widest vector unit at load time, which keeps the cached object portable.
+_KERNEL = r"""
+__attribute__((target_clones("avx512f", "avx2", "default")))
+void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
+               const $T *restrict b, $T *restrict out,
+               ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m)
+{
+    ptrdiff_t kc = (256 * 1024) / (m * (ptrdiff_t)sizeof($T));
+    if (kc < 256)
+        kc = 256;
+    for (ptrdiff_t k0 = 0; k0 < inner; k0 += kc) {
+        const ptrdiff_t k1 = inner - k0 < kc ? inner : k0 + kc;
+        ptrdiff_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            const $T *a0 = a + i * sa0, *a1 = a0 + sa0, *a2 = a1 + sa0, *a3 = a2 + sa0;
+            $T *o0 = out + i * m, *o1 = o0 + m, *o2 = o1 + m, *o3 = o2 + m;
+            if (k0 == 0)
+                for (ptrdiff_t j = 0; j < m; j++)
+                    o0[j] = o1[j] = o2[j] = o3[j] = 0;
+            for (ptrdiff_t k = k0; k < k1; k++) {
+                const $T *bk = b + k * m;
+                const $T x0 = a0[k * sa1], x1 = a1[k * sa1], x2 = a2[k * sa1], x3 = a3[k * sa1];
+                for (ptrdiff_t j = 0; j < m; j++) {
+                    o0[j] = o0[j] + x0 * bk[j];
+                    o1[j] = o1[j] + x1 * bk[j];
+                    o2[j] = o2[j] + x2 * bk[j];
+                    o3[j] = o3[j] + x3 * bk[j];
+                }
+            }
+        }
+        for (; i < n; i++) {
+            const $T *a0 = a + i * sa0;
+            $T *o0 = out + i * m;
+            if (k0 == 0)
+                for (ptrdiff_t j = 0; j < m; j++)
+                    o0[j] = 0;
+            for (ptrdiff_t k = k0; k < k1; k++) {
+                const $T *bk = b + k * m;
+                const $T x0 = a0[k * sa1];
+                for (ptrdiff_t j = 0; j < m; j++)
+                    o0[j] = o0[j] + x0 * bk[j];
+            }
+        }
+    }
+}
+"""
+_C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
+_C_SOURCE = "#include <stddef.h>\n" + "".join(_KERNEL.replace("$T", t) for t in _C_TYPES.values())
+_CC = "cc"
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_DIGEST_BYTES = 32
+
+# dtype -> compiled kernel once resolved; empty when the fallback is in use.
+_c_kernels = None
+_c_unavailable = ""  # why the compiled kernel is not in use
 
 
 def resolve_dtype(precision):
@@ -109,18 +193,112 @@ def as_matrix(data, precision="f64") -> np.ndarray:
 def require_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))
-        raise ContractViolation(f"{what} contains non-finite element at index {tuple(bad[0])}")
+        index = tuple(int(i) for i in bad[0])
+        raise ContractViolation(f"{what} contains non-finite element at index {index}")
+
+
+def _sealed(path: Path) -> bool:
+    """True when `path` ends with the sha256 of the bytes before it.
+
+    The digest is appended after the build, where the loader ignores it, so
+    a cached object that was truncated or overwritten is rebuilt instead of
+    loaded: loading a truncated shared object can kill the process.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return False
+    body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+    return len(data) > _DIGEST_BYTES and hashlib.sha256(body).digest() == digest
+
+
+def _run_cc(*args, stdin: str = "") -> str:
+    """Run the C compiler and return its stdout; a failure raises OSError."""
+    import subprocess  # deferred to the first matmul, so importing dydila costs nothing new
+
+    proc = subprocess.run([_CC, *args], input=stdin, capture_output=True, text=True,
+                          errors="replace")
+    if proc.returncode:
+        raise OSError(f"{_CC} exited {proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout
+
+
+def _build(path: Path) -> None:
+    """Compile the kernel to a temp file beside `path`, seal it, move it in.
+
+    ``os.replace`` swaps the directory entry atomically, so a process that
+    already loaded an older copy keeps its mapping and concurrent builders
+    never see a half-written file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        _run_cc(*_CFLAGS, "-x", "c", "-", "-o", tmp, stdin=_C_SOURCE)
+        body = Path(tmp).read_bytes()
+        with open(tmp, "ab") as f:
+            f.write(hashlib.sha256(body).digest())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _cache_path() -> Path:
+    """Where the build of this source, with these flags and this compiler, lives."""
+    version = _run_cc("--version")
+    key = hashlib.sha256("\0".join((_C_SOURCE, *_CFLAGS, version)).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "dydila"
+    return cache / f"{key}.so"
+
+
+def _load_kernels() -> dict:
+    """Build (or reuse the cached build of) the kernel and bind it per dtype."""
+    path = _cache_path()
+    if not _sealed(path):
+        _build(path)
+    lib = ctypes.CDLL(str(path))
+    p, s = ctypes.c_void_p, ctypes.c_ssize_t
+    kernels = {}
+    for dtype, ctype in _C_TYPES.items():
+        fn = getattr(lib, f"matmul_{ctype}")
+        fn.argtypes = (p, s, s, p, p, s, s, s)
+        fn.restype = None
+        kernels[dtype] = fn
+    return kernels
+
+
+def _kernels() -> dict:
+    """The compiled kernels, resolved once per process; empty on fallback."""
+    global _c_kernels, _c_unavailable
+    if _c_kernels is None:
+        try:
+            _c_kernels = _load_kernels()
+        except OSError as e:
+            _c_unavailable = f"{type(e).__name__}: {e}"
+            _c_kernels = {}
+            warnings.warn(f"compiled matmul unavailable, using the numpy loop: {_c_unavailable}",
+                          RuntimeWarning, stacklevel=3)
+    return _c_kernels
+
+
+def matmul_backend() -> str:
+    """The backend :func:`matmul` uses in this process: ``"c"`` or ``"numpy"``.
+
+    The first call builds or loads the compiled kernel, like the first
+    :func:`matmul` call does.
+    """
+    return "c" if _kernels() else "numpy"
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with per-element left-to-right accumulation.
 
-    ``out[i, j] = ((a[i,0]*b[0,j] + a[i,1]*b[1,j]) + ...)`` in ascending k,
-    exactly the order of the reference triple loop, so results are
-    reproducible to the bit across runs, row subsets and block sizes.
-    Internally the output rows are processed in blocks with one fused
-    multiply buffer per block; blocking over rows does not touch the
-    per-element order.
+    ``out[i, j] = ((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...`` in ascending
+    k, each product rounded before it is added (no FMA), exactly the order of
+    the reference triple loop, so results are reproducible to the bit across
+    runs, row subsets, operand layouts and both backends.  The compiled
+    kernel runs when it built; otherwise the numpy fallback does.
     """
     _check_2d(a, "matmul left operand")
     _check_2d(b, "matmul right operand")
@@ -130,12 +308,31 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     n, inner = a.shape
     m = b.shape[1]
-    out = np.zeros((n, m), dtype=a.dtype)
     if inner == 0 or n == 0 or m == 0:
-        return out
-    if not b.flags.c_contiguous:
-        b = np.ascontiguousarray(b)
+        return np.zeros((n, m), dtype=a.dtype)
+    # Aligned arrays have strides that are whole elements, which is what the
+    # kernel indexes by; b and out must be C-contiguous rows.
+    b = np.require(b, requirements="CA")
+    kernel = _kernels().get(a.dtype)
+    if kernel is None:
+        return _matmul_numpy(a, b)
+    a = np.require(a, requirements="A")
+    out = np.empty((n, m), dtype=a.dtype)
+    size = a.itemsize
+    kernel(a.ctypes.data, a.strides[0] // size, a.strides[1] // size, b.ctypes.data,
+           out.ctypes.data, n, inner, m)
+    return out
 
+
+def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The fallback of :func:`matmul`: numpy calls per k over row blocks.
+
+    The output rows are processed in blocks with one multiply buffer per
+    block; blocking over rows does not touch the per-element order.
+    """
+    n, inner = a.shape
+    m = b.shape[1]
+    out = np.zeros((n, m), dtype=a.dtype)
     ib = _BLOCK_TARGET_BYTES // max(1, a.dtype.itemsize * m)
     if inner >= _STRIDED_INNER_LIMIT and not a.flags.f_contiguous:
         ib = min(ib, _STRIDED_BLOCK_CAP)

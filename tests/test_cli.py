@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dydila.config import RunConfig, load_config
+from dydila.numerics import matmul_backend
 from dydila.fileio import read_csv, read_pgm, write_tokens_csv
 
 from conftest import cli_env, mat
@@ -128,6 +129,18 @@ class TestForward:
         # explicit input must change the output hash vs the seeded default
         assert a.stdout.splitlines()[-1] != b.stdout.splitlines()[-1]
 
+    def test_non_finite_block_output_exits_2(self, tmp_path):
+        # unnormalized at depth 9 this config overflows to NaN at block 6
+        cfg = tmp_path / "unstable.json"
+        cfg.write_text(json.dumps({"preset": "custom", "dim": 16, "blocks": 9,
+                                   "normalize": False}), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        proc = run_cli("forward", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "error: block 6 output contains non-finite element" in proc.stderr
+        assert "output sha256" not in proc.stdout
+        assert not out.exists()
+
     def test_input_width_mismatch_is_config_error(self, tmp_path, tiny_config):
         path = tmp_path / "in.csv"
         write_tokens_csv(path, mat(2, 6, 5))
@@ -215,6 +228,13 @@ class TestBench:
         header, rows = read_csv(out)
         assert header == ["impl", "N", "d", "heads", "mean_s", "std_s", "flops"]
         assert [r[1] for r in rows] == ["8", "16"]
+
+    def test_reports_matmul_backend_on_stderr(self, tiny_config):
+        proc = run_cli("bench", "--config", tiny_config, "--impl", "linear",
+                       "--seq-len", "8", "--iters", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert f"matmul backend: {matmul_backend()}" in proc.stderr.splitlines()
+        assert "backend" not in proc.stdout
 
     def test_bad_seq_len_is_config_error(self, tiny_config):
         proc = run_cli("bench", "--config", tiny_config, "--impl", "linear",

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,15 +13,65 @@ from dydila.numerics import (
     as_matrix,
     matmul,
     relu,
+    resolve_dtype,
     row_l2_norm,
     softmax_rows,
 )
 from dydila.oracle import naive_matmul
 
-from conftest import assert_close, mat
+from conftest import assert_close, cli_env, mat
+
+# The NaN that 0 * inf yields on this platform.  IEEE 754 leaves open which
+# NaN an operation returns when two different NaNs meet (numpy's own loop
+# differs from column to column), so the non-finite tests use only this one.
+with np.errstate(invalid="ignore"):
+    _NAN = np.float64(0.0) * np.float64(np.inf)
+
+
+def _layouts(a, b):
+    """(name, a, b) with the values of a and b in the operand layouts matmul
+    meets: C- and F-ordered a (the latter is how a k.T view arrives), a
+    transposed view with no unit stride, and a non-contiguous b."""
+    a_strided = np.empty((a.shape[1], 2 * a.shape[0]), dtype=a.dtype)[:, ::2].T
+    a_strided[...] = a
+    b_strided = np.empty((b.shape[0], 2 * b.shape[1]), dtype=b.dtype)[:, ::2]
+    b_strided[...] = b
+    return [
+        ("c_order", a, b),
+        ("f_order", np.asfortranarray(a), b),
+        ("strided_transposed_view", a_strided, b),
+        ("strided_b", a, b_strided),
+    ]
+
+
+def _with_nonfinite(seed, arr):
+    """Copy of `arr` with a few entries set to +-inf, the 0*inf NaN and +-0."""
+    out = arr.copy()
+    rng = np.random.default_rng(seed)
+    values = np.array([np.inf, -np.inf, _NAN, 0.0, -0.0], dtype=arr.dtype)
+    idx = rng.choice(out.size, size=min(out.size, 3), replace=False)
+    out.flat[idx] = rng.choice(values, size=idx.size)
+    return out
+
+
+def _needs_compiler():
+    if numerics.matmul_backend() != "c":
+        pytest.skip(f"compiled matmul did not build: {numerics._c_unavailable}")
+
+
+def _bits(arr):
+    return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
 
 
 class TestMatmul:
+    """matmul on the numpy fallback; TestMatmulCompiled reruns every test
+    here on the compiled kernel."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+        assert numerics.matmul_backend() == "numpy"
+
     def test_hand_example(self):
         a = as_matrix([[1.0, 2.0], [3.0, 4.0]])
         b = as_matrix([[5.0, 6.0], [7.0, 8.0]])
@@ -36,6 +90,35 @@ class TestMatmul:
         assert np.array_equal(matmul(a, b), naive_matmul(a, b)), (
             "blocked matmul must reproduce ascending-k accumulation bit for bit"
         )
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_layouts_bit_exact_vs_triple_loop(self, n):
+        # n = 1..9 covers every remainder of the kernel's four-row blocks
+        for name, a, b in _layouts(mat(n, n, 11), mat(n + 1, 11, 7)):
+            assert np.array_equal(matmul(a, b), naive_matmul(a, b)), name
+
+    def test_sum_starts_from_positive_zero(self):
+        # 0 + (-0) is +0: a sum seeded with its first product would keep -0
+        a = as_matrix([[-0.0, -0.0], [1.0, -0.0]])
+        b = as_matrix([[1.0], [1.0]])
+        assert np.array_equal(_bits(matmul(a, b)), _bits(naive_matmul(a, b)))
+        assert not np.signbit(matmul(a, b)).any()
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_zero_size(self, shape, precision):
+        n, inner, m = shape
+        out = matmul(mat(0, n, inner, precision), mat(1, inner, m, precision))
+        assert out.shape == (n, m) and out.dtype == resolve_dtype(precision)
+        assert not np.any(out)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonfinite_bits_match_triple_loop(self, seed):
+        with np.errstate(invalid="ignore"):
+            a = _with_nonfinite(seed, mat(seed, 9, 6))
+            b = _with_nonfinite(seed + 50, mat(seed + 1, 6, 10))
+            for name, a, b in _layouts(a, b):
+                assert np.array_equal(_bits(matmul(a, b)), _bits(naive_matmul(a, b))), name
 
     def test_block_size_invariance(self, monkeypatch):
         # row blocking is a performance knob: any block size gives identical bits
@@ -74,6 +157,108 @@ class TestMatmul:
     def test_f32_stays_f32(self):
         out = matmul(mat(0, 4, 4, "f32"), mat(1, 4, 4, "f32"))
         assert out.dtype == np.float32
+
+
+class TestMatmulCompiled(TestMatmul):
+    """Every TestMatmul case again on the compiled kernel, plus f32 bit
+    equality with the numpy loop, which the f64 triple loop cannot check."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self):
+        _needs_compiler()
+
+    # The kernel has no row blocks; the fallback's block size is tested above.
+    test_block_size_invariance = None
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_f32_matches_numpy_loop(self, n):
+        a, b = mat(n, n, 37, "f32"), mat(n + 1, 37, 9, "f32")
+        cases = [(a, b, ""), (_with_nonfinite(n, a), _with_nonfinite(n + 50, b), " non-finite")]
+        with np.errstate(invalid="ignore"):
+            for a, b, tag in cases:
+                want = numerics._matmul_numpy(a, b)
+                for name, a_l, b_l in _layouts(a, b):
+                    assert np.array_equal(_bits(matmul(a_l, b_l)), _bits(want)), name + tag
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_k_chunks_match_numpy_loop(self, precision):
+        # the kernel splits k into chunks of max(256, ~256 KiB of b) rows, so
+        # inner = 600 runs over three chunks; the k.T @ v shape of the
+        # attention core is a strided view with inner >> n, m
+        cases = [(mat(6, 7, 600, precision), mat(7, 600, 1000, precision)),
+                 (mat(4, 300, 9, precision).T, mat(5, 300, 6, precision))]
+        for a, b in cases:
+            assert np.array_equal(matmul(a, b), numerics._matmul_numpy(a, b))
+
+
+def _fresh_backend(monkeypatch, cache_dir):
+    """Make the next matmul resolve its backend again, building into cache_dir."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_dir))
+    monkeypatch.setattr(numerics, "_c_kernels", None)
+    monkeypatch.setattr(numerics, "_c_unavailable", "")
+
+
+class TestCompiledBuild:
+    @pytest.mark.parametrize("compiler", ["missing", "failing"])
+    def test_no_build_falls_back_with_one_warning(self, monkeypatch, tmp_path, compiler):
+        _fresh_backend(monkeypatch, tmp_path)
+        cc = tmp_path / "cc"
+        if compiler == "failing":
+            cc.write_text('#!/bin/sh\n[ "$1" = --version ] && echo fake-cc && exit 0\n'
+                          'echo "fake-cc: cannot compile" >&2\nexit 1\n')
+            cc.chmod(0o755)
+        monkeypatch.setattr(numerics, "_CC", str(cc))
+        a, b = mat(0, 5, 6), mat(1, 6, 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first, second = matmul(a, b), matmul(a, b)
+            backend = numerics.matmul_backend()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "numpy loop" in str(caught[0].message)
+        if compiler == "failing":
+            assert "cannot compile" in str(caught[0].message)
+            assert list(tmp_path.joinpath("dydila").iterdir()) == []
+        assert backend == "numpy"
+        assert np.array_equal(first, naive_matmul(a, b)) and np.array_equal(second, first)
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "digest_only"])
+    def test_damaged_cache_is_rebuilt(self, monkeypatch, tmp_path, damage):
+        _needs_compiler()
+        _fresh_backend(monkeypatch, tmp_path)
+        path = numerics._cache_path()
+        numerics._build(path)
+        data = path.read_bytes()
+        path.write_bytes({"garbage": b"\x7fELF not a shared object",
+                          "truncated": data[: len(data) // 2],
+                          "digest_only": data[-numerics._DIGEST_BYTES:]}[damage])
+        assert not numerics._sealed(path)
+        a, b = mat(2, 9, 5), mat(3, 5, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+        assert numerics.matmul_backend() == "c"
+        assert numerics._sealed(path)
+        assert [p.name for p in tmp_path.joinpath("dydila").iterdir()] == [path.name]
+
+    def test_concurrent_cold_builds(self, tmp_path):
+        _needs_compiler()
+        script = (
+            "from dydila.numerics import SeededRng, matmul, matmul_backend\n"
+            "from dydila.oracle import naive_matmul\n"
+            "import numpy as np\n"
+            "rng = SeededRng(3)\n"
+            "a, b = rng.uniform((37, 29), -1, 1), rng.uniform((29, 41), -1, 1)\n"
+            "print(matmul_backend(), np.array_equal(matmul(a, b), naive_matmul(a, b)))\n"
+        )
+        env = {**cli_env(), "XDG_CACHE_HOME": str(tmp_path)}
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for _ in range(2)]
+        results = [p.communicate(timeout=300) for p in procs]
+        for p, (out, err) in zip(procs, results):
+            assert p.returncode == 0, err
+            assert out.split() == ["c", "True"], out + err
+        assert len(list(tmp_path.joinpath("dydila").iterdir())) == 1
 
 
 class TestElementwise:
