@@ -69,55 +69,44 @@ _STRIDED_BLOCK_CAP = 256
 
 # The compiled matmul kernel, one copy per element type.  Four output rows
 # share each row of b, and the loop over j vectorises across output columns.
-# k runs in chunks of about 256 KiB of b (at least 256 rows, so a wide out
-# is not re-read every few k), so a chunk stays in cache while every row
-# block passes over it; between chunks the partial sums wait in out,
-# stored exactly.  So every out[i, j] still starts from 0 and adds
-# a[i, k] * b[k, j] in ascending k, each product rounded before the add
-# (-ffp-contract=off).  a is read through its element strides, so transposed
-# views need no copy; b and out are C-contiguous.  target_clones picks the
-# widest vector unit at load time, which keeps the cached object portable.
+# Every out[i, j] starts from 0 and adds a[i, k] * b[k, j] in ascending k,
+# each product rounded before the add (-ffp-contract=off).  a is read through
+# its element strides, so transposed views need no copy; b and out are
+# C-contiguous.  target_clones picks the widest vector unit at load time,
+# which keeps the cached object portable.
 _KERNEL = r"""
 __attribute__((target_clones("avx512f", "avx2", "default")))
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                const $T *restrict b, $T *restrict out,
                ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m)
 {
-    ptrdiff_t kc = (256 * 1024) / (m * (ptrdiff_t)sizeof($T));
-    if (kc < 256)
-        kc = 256;
-    for (ptrdiff_t k0 = 0; k0 < inner; k0 += kc) {
-        const ptrdiff_t k1 = inner - k0 < kc ? inner : k0 + kc;
-        ptrdiff_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            const $T *a0 = a + i * sa0, *a1 = a0 + sa0, *a2 = a1 + sa0, *a3 = a2 + sa0;
-            $T *o0 = out + i * m, *o1 = o0 + m, *o2 = o1 + m, *o3 = o2 + m;
-            if (k0 == 0)
-                for (ptrdiff_t j = 0; j < m; j++)
-                    o0[j] = o1[j] = o2[j] = o3[j] = 0;
-            for (ptrdiff_t k = k0; k < k1; k++) {
-                const $T *bk = b + k * m;
-                const $T x0 = a0[k * sa1], x1 = a1[k * sa1], x2 = a2[k * sa1], x3 = a3[k * sa1];
-                for (ptrdiff_t j = 0; j < m; j++) {
-                    o0[j] = o0[j] + x0 * bk[j];
-                    o1[j] = o1[j] + x1 * bk[j];
-                    o2[j] = o2[j] + x2 * bk[j];
-                    o3[j] = o3[j] + x3 * bk[j];
-                }
+    ptrdiff_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const $T *a0 = a + i * sa0, *a1 = a0 + sa0, *a2 = a1 + sa0, *a3 = a2 + sa0;
+        $T *o0 = out + i * m, *o1 = o0 + m, *o2 = o1 + m, *o3 = o2 + m;
+        for (ptrdiff_t j = 0; j < m; j++)
+            o0[j] = o1[j] = o2[j] = o3[j] = 0;
+        for (ptrdiff_t k = 0; k < inner; k++) {
+            const $T *bk = b + k * m;
+            const $T x0 = a0[k * sa1], x1 = a1[k * sa1], x2 = a2[k * sa1], x3 = a3[k * sa1];
+            for (ptrdiff_t j = 0; j < m; j++) {
+                o0[j] = o0[j] + x0 * bk[j];
+                o1[j] = o1[j] + x1 * bk[j];
+                o2[j] = o2[j] + x2 * bk[j];
+                o3[j] = o3[j] + x3 * bk[j];
             }
         }
-        for (; i < n; i++) {
-            const $T *a0 = a + i * sa0;
-            $T *o0 = out + i * m;
-            if (k0 == 0)
-                for (ptrdiff_t j = 0; j < m; j++)
-                    o0[j] = 0;
-            for (ptrdiff_t k = k0; k < k1; k++) {
-                const $T *bk = b + k * m;
-                const $T x0 = a0[k * sa1];
-                for (ptrdiff_t j = 0; j < m; j++)
-                    o0[j] = o0[j] + x0 * bk[j];
-            }
+    }
+    for (; i < n; i++) {
+        const $T *a0 = a + i * sa0;
+        $T *o0 = out + i * m;
+        for (ptrdiff_t j = 0; j < m; j++)
+            o0[j] = 0;
+        for (ptrdiff_t k = 0; k < inner; k++) {
+            const $T *bk = b + k * m;
+            const $T x0 = a0[k * sa1];
+            for (ptrdiff_t j = 0; j < m; j++)
+                o0[j] = o0[j] + x0 * bk[j];
         }
     }
 }
@@ -245,7 +234,12 @@ def _build(path: Path) -> None:
 
 
 def _cache_path() -> Path:
-    """Where the build of this source, with these flags and this compiler, lives."""
+    """Where the build of this source, with these flags and this compiler, lives.
+
+    Asking ``cc --version`` costs about 10 ms per process, well inside the
+    run-to-run spread of a first pass, and means a cached build is used only
+    while the compiler is on PATH.
+    """
     version = _run_cc("--version")
     key = hashlib.sha256("\0".join((_C_SOURCE, *_CFLAGS, version)).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "dydila"

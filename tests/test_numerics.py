@@ -181,10 +181,9 @@ class TestMatmulCompiled(TestMatmul):
                     assert np.array_equal(_bits(matmul(a_l, b_l)), _bits(want)), name + tag
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
-    def test_k_chunks_match_numpy_loop(self, precision):
-        # the kernel splits k into chunks of max(256, ~256 KiB of b) rows, so
-        # inner = 600 runs over three chunks; the k.T @ v shape of the
-        # attention core is a strided view with inner >> n, m
+    def test_long_inner_matches_numpy_loop(self, precision):
+        # a long inner dimension, and the k.T @ v shape of the attention
+        # core: a strided view with inner >> n, m
         cases = [(mat(6, 7, 600, precision), mat(7, 600, 1000, precision)),
                  (mat(4, 300, 9, precision).T, mat(5, 300, 6, precision))]
         for a, b in cases:
