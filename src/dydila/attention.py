@@ -21,14 +21,23 @@ import numpy as np
 
 from .differential import (
     DifferentialBank,
-    _routed_lambdas,
-    concat_streams,
+    _differenced,
+    _mapwise_lambdas,
+    _tokenwise_lambdas,
+    _normalizer,
     mapwise_forward,
     tdo_forward,
-    _floor_denominator,
 )
 from .kernels import KernelBank, dmk_forward, focused_rows
-from .numerics import ConfigError, ContractViolation, _check_2d, matmul, relu, softmax_rows
+from .numerics import (
+    ConfigError,
+    ContractViolation,
+    _check_2d,
+    matmul,
+    relu,
+    require_finite,
+    softmax_rows,
+)
 from .projection import ProjectorBank, dpm_forward, project_shared
 from .routing import RouteAssignment
 
@@ -284,9 +293,7 @@ def linear_attention(
     """
     _check_shared_shapes(q, k, v)
     phi_q, phi_k = _feature_map(q, kernel, gamma), _feature_map(k, kernel, gamma)
-    num = matmul(phi_q, matmul(phi_k.T, v))
-    den = matmul(phi_q, np.sum(phi_k, axis=0)[:, None])
-    return num / _floor_denominator(den)
+    return matmul(phi_q, matmul(phi_k.T, v)) / _normalizer(phi_q, phi_k)
 
 
 def _feature_map(z: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
@@ -312,32 +319,33 @@ def _head_slice(m: np.ndarray, head: int, d_h: int) -> np.ndarray:
     return m[:, head * d_h : (head + 1) * d_h]
 
 
-def _head_forward(q, k, qp, kp, v_h, hp: HeadParams, variant: str, normalize: bool):
-    """TDO path of one head; returns (out, HeadDiagnostics)."""
-    q_t, r_q = dmk_forward(q, hp.kernel_q)
-    k_t, r_k = dmk_forward(k, hp.kernel_k)
-    qp_t, r_qp = dmk_forward(qp, hp.kernel_qp)
-    kp_t, r_kp = dmk_forward(kp, hp.kernel_kp)
+def _kernel_streams(q, k, qp, kp, params: DydilaParams, head: int):
+    """One head's kernel-mapped ``(q_t, k_t, qp_t, kp_t)`` and their four routes."""
+    hp, d_h = params.head_params[head], params.head_dim
+    streams = zip((q, k, qp, kp), (hp.kernel_q, hp.kernel_k, hp.kernel_qp, hp.kernel_kp))
+    mapped = [dmk_forward(_head_slice(m, head, d_h), bank) for m, bank in streams]
+    return tuple(t for t, _ in mapped), tuple(r for _, r in mapped)
 
-    q_pairs = concat_streams(q_t, qp_t)
-    k_pairs = concat_streams(k_t, kp_t)
-    if variant == "token-wise":
+
+def _head_forward(q, k, v, qp, kp, params: DydilaParams, head: int):
+    """TDO path of one head on the full-width projections; returns (out, HeadDiagnostics)."""
+    (q_t, k_t, qp_t, kp_t), kernel_routes = _kernel_streams(q, k, qp, kp, params, head)
+    diff = params.head_params[head].diff
+    v_h = _head_slice(v, head, params.head_dim)
+    # Both variants also route the other variant's lambdas, for the diagnostics.
+    if params.variant == "token-wise":
         out, (lam_q, lam_k, rl_q, rl_k) = tdo_forward(
-            q_t, qp_t, k_t, kp_t, v_h, hp.diff, normalize=normalize, with_routes=True
+            q_t, qp_t, k_t, kp_t, v_h, diff, normalize=params.normalize, with_routes=True
         )
-        lam_map, rl_map = _routed_lambdas(q_pairs, hp.diff.lambda_map_router, hp.diff.lambdas)
+        lam_map, rl_map = _mapwise_lambdas(q_t, qp_t, diff)
     else:
         out, (lam_map, rl_map) = mapwise_forward(
-            q_t, qp_t, k_t, kp_t, v_h, hp.diff, with_routes=True
+            q_t, qp_t, k_t, kp_t, v_h, diff, with_routes=True
         )
-        lam_q, rl_q = _routed_lambdas(q_pairs, hp.diff.router_q, hp.diff.lambdas)
-        lam_k, rl_k = _routed_lambdas(k_pairs, hp.diff.router_k, hp.diff.lambdas)
+        lam_q, lam_k, rl_q, rl_k = _tokenwise_lambdas(q_t, qp_t, k_t, kp_t, diff)
 
-    diag = HeadDiagnostics(
-        routes_kernel_q=r_q,
-        routes_kernel_k=r_k,
-        routes_kernel_qp=r_qp,
-        routes_kernel_kp=r_kp,
+    return out, HeadDiagnostics(
+        *kernel_routes,
         lambda_q=lam_q,
         lambda_k=lam_k,
         lambda_map=lam_map,
@@ -345,7 +353,6 @@ def _head_forward(q, k, qp, kp, v_h, hp: HeadParams, variant: str, normalize: bo
         routes_lambda_k=rl_k,
         routes_lambda_map=rl_map,
     )
-    return out, diag
 
 
 def multihead_forward(x: np.ndarray, params: DydilaParams):
@@ -369,17 +376,8 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
 
     d_h = params.head_dim
     out = np.empty((n, d), dtype=x.dtype)
-    for h_idx, hp in enumerate(params.head_params):
-        head_out, head_diag = _head_forward(
-            _head_slice(q, h_idx, d_h),
-            _head_slice(k, h_idx, d_h),
-            _head_slice(qp, h_idx, d_h),
-            _head_slice(kp, h_idx, d_h),
-            _head_slice(v, h_idx, d_h),
-            hp,
-            params.variant,
-            params.normalize,
-        )
+    for h_idx in range(params.heads):
+        head_out, head_diag = _head_forward(q, k, v, qp, kp, params, h_idx)
         out[:, h_idx * d_h : (h_idx + 1) * d_h] = head_out
         diag.heads.append(head_diag)
 
@@ -396,13 +394,17 @@ def dydila_forward(x: np.ndarray, params: DydilaParams):
 
 
 def stack_forward(x: np.ndarray, stack: AttentionStack):
-    """Residual stack: x <- x + block(x) per block; returns (out, [diagnostics])."""
+    """Residual stack: x <- x + block(x) per block; returns (out, [diagnostics]).
+
+    Raises ContractViolation naming the first block whose output is not finite.
+    """
     _check_2d(x, "stack input")
     diags = []
     out = x
-    for block in stack.blocks:
+    for b, block in enumerate(stack.blocks):
         block_out, diag = multihead_forward(out, block)
         out = out + block_out
+        require_finite(out, f"block {b} output")
         diags.append(diag)
     return out, diags
 
@@ -427,49 +429,30 @@ def extract_attention_row(
     if not (0 <= head < params.heads):
         raise ContractViolation(f"head {head} out of range for {params.heads} heads")
 
+    sel = slice(query_index, query_index + 1)
     if impl in ("softmax", "linear", "focused"):
         q, k, _ = project_shared(x, params.proj)
         if impl == "softmax":
             d = q.shape[1]
-            logits = matmul(q[query_index : query_index + 1], k.T)
-            logits = logits * np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
+            logits = matmul(q[sel], k.T) * np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
             return softmax_rows(logits)[0]
         gamma = params.head_params[head].kernel_q.gammas[0] if impl == "focused" else None
         kernel = "focused" if impl == "focused" else "relu"
         phi_q, phi_k = _feature_map(q, kernel, gamma), _feature_map(k, kernel, gamma)
-        row = matmul(phi_q[query_index : query_index + 1], phi_k.T)
-        den = matmul(
-            phi_q[query_index : query_index + 1], np.sum(phi_k, axis=0)[:, None]
-        )
-        return (row / _floor_denominator(den))[0]
+        return (matmul(phi_q[sel], phi_k.T) / _normalizer(phi_q[sel], phi_k))[0]
 
     if impl not in ("dydila", "mapwise"):
         raise ConfigError(f"unknown impl {impl!r}")
 
     q, k, _, qp, kp, _, _ = dpm_forward(x, params.proj)
-    d_h = params.head_dim
-    hp = params.head_params[head]
-    q_t, _ = dmk_forward(_head_slice(q, head, d_h), hp.kernel_q)
-    k_t, _ = dmk_forward(_head_slice(k, head, d_h), hp.kernel_k)
-    qp_t, _ = dmk_forward(_head_slice(qp, head, d_h), hp.kernel_qp)
-    kp_t, _ = dmk_forward(_head_slice(kp, head, d_h), hp.kernel_kp)
-
+    (q_t, k_t, qp_t, kp_t), _ = _kernel_streams(q, k, qp, kp, params, head)
+    diff = params.head_params[head].diff
     if impl == "mapwise":
-        lam_map, _ = _routed_lambdas(
-            concat_streams(q_t, qp_t), hp.diff.lambda_map_router, hp.diff.lambdas
-        )
-        shared = matmul(q_t[query_index : query_index + 1], k_t.T)
-        routed = matmul(qp_t[query_index : query_index + 1], kp_t.T)
-        return (shared - lam_map[query_index] * routed)[0]
+        lam_map, _ = _mapwise_lambdas(q_t, qp_t, diff)
+        return (matmul(q_t[sel], k_t.T) - lam_map[query_index] * matmul(qp_t[sel], kp_t.T))[0]
 
-    lam_q, _ = _routed_lambdas(concat_streams(q_t, qp_t), hp.diff.router_q, hp.diff.lambdas)
-    lam_k, _ = _routed_lambdas(concat_streams(k_t, kp_t), hp.diff.router_k, hp.diff.lambdas)
-    q_diff = q_t - lam_q[:, None] * qp_t
-    k_diff = k_t - lam_k[:, None] * kp_t
-    row = matmul(q_diff[query_index : query_index + 1], k_diff.T)
+    q_diff, k_diff, _ = _differenced(q_t, qp_t, k_t, kp_t, diff)
+    row = matmul(q_diff[sel], k_diff.T)
     if params.normalize:
-        den = matmul(
-            q_diff[query_index : query_index + 1], np.sum(k_diff, axis=0)[:, None]
-        )
-        row = row / _floor_denominator(den)
+        row = row / _normalizer(q_diff[sel], k_diff)
     return row[0]

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from .attention import linear_attention, multihead_forward, softmax_attention
 from .config import RunConfig, init_params
-from .flops import flops_estimate
-from .numerics import ConfigError, SeededRng, matmul
+from .flops import IMPLEMENTATIONS, flops_estimate
+from .numerics import ConfigError, SeededRng
 from .fileio import write_csv
+from .projection import project_shared
 
 __all__ = ["BenchRecord", "BenchResourceError", "grid_for", "build_forward", "bench_run",
            "write_bench_csv"]
@@ -55,42 +56,30 @@ def grid_for(n: int) -> tuple:
 
 
 def build_forward(cfg: RunConfig, impl: str, n: int):
-    """Returns a zero-argument forward callable with all state prebuilt."""
+    """Returns a zero-argument forward callable with all state prebuilt.
+
+    Every impl draws one block on the most-square grid for n, then the
+    tokens, from one seeded stream; the baselines attend over that block's
+    shared projections.
+    """
+    if impl not in IMPLEMENTATIONS:
+        raise ConfigError(f"unknown impl {impl!r}")
+    h, w = grid_for(n)
+    block_cfg = cfg.with_overrides(
+        blocks=1,
+        grid_h=h,
+        grid_w=w,
+        variant="map-wise" if impl == "mapwise" else "token-wise",
+    )
     rng = SeededRng(cfg.seed)
-    d, prec = cfg.dim, cfg.precision
-    if impl in ("softmax", "linear", "focused"):
-        w_q = rng.init_weight(d, d, prec)
-        w_k = rng.init_weight(d, d, prec)
-        w_v = rng.init_weight(d, d, prec)
-        x = rng.tokens(n, d, prec)
-        if impl == "softmax":
-            def forward():
-                return softmax_attention(matmul(x, w_q), matmul(x, w_k), matmul(x, w_v))
-        elif impl == "linear":
-            def forward():
-                return linear_attention(matmul(x, w_q), matmul(x, w_k), matmul(x, w_v))
-        else:
-            gamma = float(cfg.gamma_init)
-            def forward():
-                return linear_attention(
-                    matmul(x, w_q), matmul(x, w_k), matmul(x, w_v),
-                    kernel="focused", gamma=gamma,
-                )
-        return forward
+    params = init_params(block_cfg, rng).blocks[0]
+    x = rng.tokens(n, cfg.dim, cfg.precision)
     if impl in ("dydila", "mapwise"):
-        h, w = grid_for(n)
-        block_cfg = cfg.with_overrides(
-            blocks=1,
-            grid_h=h,
-            grid_w=w,
-            variant="token-wise" if impl == "dydila" else "map-wise",
-        )
-        params = init_params(block_cfg, rng).blocks[0]
-        x = rng.tokens(n, d, prec)
-        def forward():
-            return multihead_forward(x, params)[0]
-        return forward
-    raise ConfigError(f"unknown impl {impl!r}")
+        return lambda: multihead_forward(x, params)[0]
+    if impl == "softmax":
+        return lambda: softmax_attention(*project_shared(x, params.proj))
+    kernel, gamma = ("focused", float(cfg.gamma_init)) if impl == "focused" else ("relu", None)
+    return lambda: linear_attention(*project_shared(x, params.proj), kernel=kernel, gamma=gamma)
 
 
 def bench_run(cfg: RunConfig, impl: str, n_list, iters: int) -> list:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .attention import extract_attention_row, multihead_forward
+from .attention import AttentionStack, extract_attention_row, stack_forward
 from .bench import BenchResourceError, bench_run, grid_for, write_bench_csv, BENCH_CSV_HEADER
 from .checks import format_results, run_checks
 from .config import RunConfig, init_params, load_config, save_config
@@ -158,12 +158,8 @@ def _cmd_flops(args) -> int:
 
 def _cmd_forward(args) -> int:
     cfg, stack, x = _build_inputs(_load_cfg(args), args)
-    out = x
-    route_rows = []
-    for b, block in enumerate(stack.blocks):
-        block_out, diag = multihead_forward(out, block)
-        out = out + block_out
-        require_finite(out, f"block {b} output")
+    out, diags = stack_forward(x, stack)
+    for b, diag in enumerate(diags):
         mq, mk, mm = diag.lambda_means()
         print(
             f"block {b}: proj_q_top={diag.routes_proj_q.most_frequent()} "
@@ -171,18 +167,17 @@ def _cmd_forward(args) -> int:
             f"mean_lambda_q={fmt_float(mq)} mean_lambda_k={fmt_float(mk)} "
             f"mean_lambda_map={fmt_float(mm)}"
         )
-        if args.routes_out:
-            route_rows.extend(
-                (b, i, int(cq), int(ck))
-                for i, (cq, ck) in enumerate(
-                    zip(diag.routes_proj_q.indices, diag.routes_proj_k.indices)
-                )
-            )
     print(f"output sha256 {hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()}")
     if args.out:
         write_tokens_csv(args.out, out)
         print(f"wrote {args.out}")
     if args.routes_out:
+        route_rows = (
+            (b, i, int(cq), int(ck))
+            for b, diag in enumerate(diags)
+            for i, (cq, ck) in enumerate(zip(diag.routes_proj_q.indices,
+                                             diag.routes_proj_k.indices))
+        )
         write_csv(args.routes_out,
                   ["block_index", "token_index", "proj_q_choice", "proj_k_choice"], route_rows)
         print(f"wrote {args.routes_out}")
@@ -196,12 +191,11 @@ def _cmd_dump_attn(args) -> int:
     cfg, stack, x = _build_inputs(_load_cfg(args), args)
     if not (0 <= args.block < stack.depth):
         raise ConfigError(f"--block {args.block} out of range for depth {stack.depth}")
-    cur = x
-    for block in stack.blocks[: args.block]:
-        block_out, _ = multihead_forward(cur, block)
-        cur = cur + block_out
-    row = extract_attention_row(cur, stack.blocks[args.block], args.query_index,
+    if args.block:
+        x, _ = stack_forward(x, AttentionStack(stack.blocks[: args.block]))
+    row = extract_attention_row(x, stack.blocks[args.block], args.query_index,
                                 impl=args.impl, head=args.head)
+    require_finite(row, f"block {args.block} attention row")
     csv_path, pgm_path = args.out + ".csv", args.out + ".pgm"
     write_csv(csv_path, ["token_index", "weight"], ((i, float(wt)) for i, wt in enumerate(row)))
     write_pgm(pgm_path, np.asarray(row, dtype=np.float64).reshape(cfg.grid_h, cfg.grid_w))
@@ -210,14 +204,9 @@ def _cmd_dump_attn(args) -> int:
 
 
 def _cmd_stats_lambda(args) -> int:
-    cfg, stack, x = _build_inputs(_load_cfg(args), args)
-    rows = []
-    out = x
-    for b, block in enumerate(stack.blocks):
-        block_out, diag = multihead_forward(out, block)
-        out = out + block_out
-        mq, mk, mm = diag.lambda_means()
-        rows.append((b, mq, mk, mm))
+    _, stack, x = _build_inputs(_load_cfg(args), args)
+    _, diags = stack_forward(x, stack)
+    rows = [(b, *diag.lambda_means()) for b, diag in enumerate(diags)]
     _emit_csv(args.out,
               ["block_index", "mean_lambda_q", "mean_lambda_k", "mean_lambda_map"], rows)
     return 0

@@ -92,6 +92,25 @@ def _routed_lambdas(pairs: np.ndarray, router: Router, lambdas: tuple):
     return table[routes.indices], routes
 
 
+def _tokenwise_lambdas(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
+    """Per-token ``(lambda_q, lambda_k, routes_q, routes_k)``, each routed from its stream pair."""
+    lam_q, routes_q = _routed_lambdas(concat_streams(q_t, q_routed), bank.router_q, bank.lambdas)
+    lam_k, routes_k = _routed_lambdas(concat_streams(k_t, k_routed), bank.router_k, bank.lambdas)
+    return lam_q, lam_k, routes_q, routes_k
+
+
+def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
+    """Token-wise ``(q_diff, k_diff, (lambda_q, lambda_k, routes_q, routes_k))``."""
+    lam_routes = _tokenwise_lambdas(q_t, q_routed, k_t, k_routed, bank)
+    lam_q, lam_k = lam_routes[:2]
+    return q_t - lam_q[:, None] * q_routed, k_t - lam_k[:, None] * k_routed, lam_routes
+
+
+def _mapwise_lambdas(q_t, q_routed, bank: DifferentialBank):
+    """Per-token map-wise ``(lambda_map, routes)``, routed from the query-stream pair."""
+    return _routed_lambdas(concat_streams(q_t, q_routed), bank.lambda_map_router, bank.lambdas)
+
+
 def select_lambdas(q_pairs: np.ndarray, k_pairs: np.ndarray, bank: DifferentialBank):
     """Per-token lambda vectors for the query and key sides.
 
@@ -128,6 +147,11 @@ def _floor_denominator(den: np.ndarray) -> np.ndarray:
     return sign * np.maximum(np.abs(den), np.asarray(DENOM_FLOOR, dtype=den.dtype))
 
 
+def _normalizer(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Floored keys-first row sums ``q @ sum(k)``: each row's normalizing denominator."""
+    return _floor_denominator(matmul(q, np.sum(k, axis=0)[:, None]))
+
+
 def tdo_forward(
     q_t: np.ndarray,
     q_routed: np.ndarray,
@@ -146,17 +170,11 @@ def tdo_forward(
     ``(lambda_q, lambda_k, routes_q, routes_k)`` diagnostics.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    lam_q, routes_q = _routed_lambdas(concat_streams(q_t, q_routed), bank.router_q, bank.lambdas)
-    lam_k, routes_k = _routed_lambdas(concat_streams(k_t, k_routed), bank.router_k, bank.lambdas)
-    q_diff = q_t - lam_q[:, None] * q_routed
-    k_diff = k_t - lam_k[:, None] * k_routed
+    q_diff, k_diff, lam_routes = _differenced(q_t, q_routed, k_t, k_routed, bank)
     out = matmul(q_diff, matmul(k_diff.T, v))
     if normalize:
-        den = matmul(q_diff, np.sum(k_diff, axis=0)[:, None])
-        out = out / _floor_denominator(den)
-    if with_routes:
-        return out, (lam_q, lam_k, routes_q, routes_k)
-    return out
+        out = out / _normalizer(q_diff, k_diff)
+    return (out, lam_routes) if with_routes else out
 
 
 def expand_tokenwise(
@@ -207,12 +225,8 @@ def mapwise_forward(
     token's lam_map is routed from its concatenated query-stream pair.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    lam_map, routes_map = _routed_lambdas(
-        concat_streams(q_t, q_routed), bank.lambda_map_router, bank.lambdas
-    )
+    lam_map, routes_map = _mapwise_lambdas(q_t, q_routed, bank)
     shared = matmul(q_t, matmul(k_t.T, v))
     routed = matmul(q_routed, matmul(k_routed.T, v))
     out = shared - lam_map[:, None] * routed
-    if with_routes:
-        return out, (lam_map, routes_map)
-    return out
+    return (out, (lam_map, routes_map)) if with_routes else out

@@ -16,7 +16,6 @@ import numpy as np
 
 from .attention import AttentionStack
 from .numerics import ConfigError, ContractViolation, require_finite, resolve_dtype
-from .routing import RouteAssignment
 
 __all__ = [
     "fmt_float",
@@ -24,14 +23,11 @@ __all__ = [
     "read_csv",
     "write_tokens_csv",
     "load_tokens_csv",
-    "write_routes_csv",
     "write_pgm",
     "read_pgm",
     "stack_entries",
     "save_weights_blob",
     "load_weights_blob",
-    "save_weights_json",
-    "load_weights_json",
     "stack_from_weights",
 ]
 
@@ -94,11 +90,6 @@ def load_tokens_csv(path, precision="f64") -> np.ndarray:
         raise ContractViolation(f"{path} holds no token rows")
     require_finite(arr, f"tokens from {path}")
     return arr
-
-
-def write_routes_csv(path, assignment: RouteAssignment) -> None:
-    rows = ((i, int(c)) for i, c in enumerate(assignment.indices))
-    write_csv(path, ["token_index", "choice_index"], rows)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -217,31 +208,6 @@ def load_weights_blob(manifest_path) -> dict:
         start = entry["byte_offset"]
         arr = np.frombuffer(blob, dtype=dt, count=count, offset=start)
         weights[entry["name"]] = arr.reshape(shape).astype(dt.newbyteorder("="))
-    return weights
-
-
-def save_weights_json(stack: AttentionStack, path) -> None:
-    """Inline nested-list weights; only sensible at desk scale."""
-    entries = {
-        name: {"dtype": _dtype_name(arr), "shape": list(arr.shape), "data": arr.tolist()}
-        for name, arr in stack_entries(stack)
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"entries": entries}, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def load_weights_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    weights = {}
-    for name, entry in data["entries"].items():
-        arr = np.array(entry["data"], dtype=resolve_dtype(entry["dtype"]))
-        if list(arr.shape) != entry["shape"]:
-            raise ContractViolation(
-                f"weight {name}: data shape {list(arr.shape)} != declared {entry['shape']}"
-            )
-        weights[name] = arr
     return weights
 
 

@@ -347,14 +347,19 @@ class TestExtractAttentionRow:
             row = extract_attention_row(x, params, i, impl=impl)
             assert_close(row @ v, want[i], 1e-10, f"{impl} row {i}")
 
-    def test_dydila_row_reproduces_head_output(self):
-        params = make_block(602, 8, (4, 6), dwc=False)
+    @pytest.mark.parametrize("heads,normalize,head", [
+        (1, False, 0), (1, True, 0),
+        (2, False, 0), (2, False, 1), (2, True, 0), (2, True, 1),
+    ])
+    def test_dydila_row_reproduces_head_output(self, heads, normalize, head):
+        params = make_block(602, 8, (4, 6), heads=heads, dwc=False, normalize=normalize)
         x = mat(41, 24, 8)
         out, _ = multihead_forward(x, params)
-        v = matmul(x, params.proj.w_v0)
-        for i in (0, 11):
-            row = extract_attention_row(x, params, i, impl="dydila")
-            assert_close(row @ v, out[i], 1e-12, f"dydila row {i}")
+        cols = slice(head * 8 // heads, (head + 1) * 8 // heads)
+        v = matmul(x, params.proj.w_v0)[:, cols]
+        for i in (0, 11, 23):
+            row = extract_attention_row(x, params, i, impl="dydila", head=head)
+            assert_close(row @ v, out[i, cols], 1e-12, f"dydila head {head} row {i}")
 
     def test_mapwise_row_reproduces_head_output(self):
         params = make_block(603, 8, (4, 6), dwc=False, variant="map-wise")

@@ -33,6 +33,15 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def unstable_config(tmp_path):
+    """Unnormalized at depth 9, this config overflows to NaN at block 6."""
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({"preset": "custom", "dim": 16, "blocks": 9,
+                                "normalize": False}), encoding="utf-8")
+    return str(path)
+
+
 class TestInit:
     def test_writes_default_config(self, tmp_path):
         out = tmp_path / "cfg.json"
@@ -129,13 +138,9 @@ class TestForward:
         # explicit input must change the output hash vs the seeded default
         assert a.stdout.splitlines()[-1] != b.stdout.splitlines()[-1]
 
-    def test_non_finite_block_output_exits_2(self, tmp_path):
-        # unnormalized at depth 9 this config overflows to NaN at block 6
-        cfg = tmp_path / "unstable.json"
-        cfg.write_text(json.dumps({"preset": "custom", "dim": 16, "blocks": 9,
-                                   "normalize": False}), encoding="utf-8")
+    def test_non_finite_block_output_exits_2(self, tmp_path, unstable_config):
         out = tmp_path / "out.csv"
-        proc = run_cli("forward", "--config", str(cfg), "--out", str(out))
+        proc = run_cli("forward", "--config", unstable_config, "--out", str(out))
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "error: block 6 output contains non-finite element" in proc.stderr
         assert "output sha256" not in proc.stdout
@@ -170,6 +175,26 @@ class TestDumpAttn:
                        "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
 
+    def test_non_finite_block_input_exits_2(self, tmp_path, unstable_config):
+        base = tmp_path / "attn"
+        proc = run_cli("dump-attn", "--config", unstable_config, "--block", "7",
+                       "--out", str(base))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "error: block 6 output contains non-finite element" in proc.stderr
+        assert not (tmp_path / "attn.csv").exists()
+        assert not (tmp_path / "attn.pgm").exists()
+
+    def test_non_finite_row_exits_2(self, tmp_path):
+        # blocks 0-4 stay finite, but block 5's attention row overflows to NaN
+        cfg = tmp_path / "mapwise.json"
+        cfg.write_text(json.dumps({"preset": "small", "variant": "map-wise"}), encoding="utf-8")
+        base = tmp_path / "attn"
+        proc = run_cli("dump-attn", "--config", str(cfg), "--block", "5", "--out", str(base))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "error: block 5 attention row contains non-finite element" in proc.stderr
+        assert not (tmp_path / "attn.csv").exists()
+        assert not (tmp_path / "attn.pgm").exists()
+
 
 class TestStatsLambda:
     def test_increasing_schedule_means_are_exact(self, tmp_path, tiny_config):
@@ -194,6 +219,13 @@ class TestStatsLambda:
         proc = run_cli("stats-lambda", "--config", tiny_config)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "block_index,mean_lambda_q,mean_lambda_k,mean_lambda_map"
+
+    def test_non_finite_block_output_exits_2(self, tmp_path, unstable_config):
+        out = tmp_path / "stats.csv"
+        proc = run_cli("stats-lambda", "--config", unstable_config, "--out", str(out))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "error: block 6 output contains non-finite element" in proc.stderr
+        assert not out.exists()
 
 
 class TestFlops:

@@ -9,20 +9,16 @@ from dydila.fileio import (
     fmt_float,
     load_tokens_csv,
     load_weights_blob,
-    load_weights_json,
     read_csv,
     read_pgm,
     save_weights_blob,
-    save_weights_json,
     stack_entries,
     stack_from_weights,
     write_csv,
     write_pgm,
-    write_routes_csv,
     write_tokens_csv,
 )
 from dydila.numerics import ConfigError, ContractViolation
-from dydila.routing import RouteAssignment
 
 from conftest import mat
 
@@ -98,13 +94,6 @@ class TestCsv:
         path.write_text("c0\ninf\n", encoding="utf-8")
         with pytest.raises(ContractViolation):
             load_tokens_csv(path)
-
-    def test_routes_csv(self, tmp_path):
-        path = tmp_path / "routes.csv"
-        write_routes_csv(path, RouteAssignment(indices=np.array([2, 0, 1]), logits=np.zeros((3, 3))))
-        header, rows = read_csv(path)
-        assert header == ["token_index", "choice_index"]
-        assert rows == [["0", "2"], ["1", "0"], ["2", "1"]]
 
 
 class TestPgm:
@@ -189,35 +178,12 @@ class TestWeightsBlob:
         assert weights["block0/proj/w_k0"].dtype == np.float32
 
 
-class TestWeightsJson:
-    def test_roundtrip_bitwise(self, tmp_path):
-        stack = init_params(_tiny_cfg())
-        path = tmp_path / "w.json"
-        save_weights_json(stack, path)
-        weights = load_weights_json(path)
-        for name, arr in stack_entries(stack):
-            assert np.array_equal(weights[name], np.asarray(arr)), name
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "w.json"
-        payload = {"entries": {"x": {"dtype": "f64", "shape": [2, 3], "data": [[1.0, 2.0]]}}}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ContractViolation, match="declared"):
-            load_weights_json(path)
-
-
 class TestStackRebuild:
-    @pytest.mark.parametrize("loader", ["blob", "json"])
-    def test_rebuilt_stack_runs_bit_identical(self, tmp_path, loader):
+    def test_rebuilt_stack_runs_bit_identical(self, tmp_path):
         cfg = _tiny_cfg()
         stack = init_params(cfg)
-        if loader == "blob":
-            save_weights_blob(stack, tmp_path / "w")
-            weights = load_weights_blob(tmp_path / "w.json")
-        else:
-            save_weights_json(stack, tmp_path / "w.json")
-            weights = load_weights_json(tmp_path / "w.json")
-        rebuilt = stack_from_weights(cfg, weights)
+        save_weights_blob(stack, tmp_path / "w")
+        rebuilt = stack_from_weights(cfg, load_weights_blob(tmp_path / "w.json"))
         x = mat(7, 6, 6)
         out_a, _ = multihead_forward(x, stack.blocks[0])
         out_b, _ = multihead_forward(x, rebuilt.blocks[0])
