@@ -22,7 +22,6 @@ from dydila.attention import (
     multihead_forward,
     reparam_merge,
 )
-from dydila.bench import bench_run
 from dydila.config import RunConfig
 from dydila.differential import concat_streams, expand_tokenwise, select_lambdas, tdo_forward
 from dydila.fileio import read_csv, read_pgm
@@ -254,19 +253,40 @@ def test_c07_permutation_equivariance(capsys):
     assert worst <= tol
 
 
+# c08 times each implementation in a fresh interpreter.  In the test process,
+# the tests before it leave glibc's mmap and trim thresholds raised, and then
+# only the N=16384 pass gets its temporaries from fresh pages, so the ratios
+# there follow the heap state the earlier tests leave, not the algorithm.
+_C08_CHILD = """
+import json, sys
+from dydila.bench import bench_run
+from dydila.config import RunConfig
+cfg, impl, n_list, iters = json.loads(sys.argv[1])
+recs = bench_run(RunConfig.from_dict(cfg), impl, n_list, iters=iters)
+print(json.dumps([[r.n, r.median_s] for r in recs]))
+"""
+
+
+def _bench_medians(cfg: dict, impl: str, n_list, iters: int) -> dict:
+    """bench_run's median seconds per n, measured in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _C08_CHILD, json.dumps([cfg, impl, n_list, iters])],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return dict(json.loads(proc.stdout))
+
+
 @pytest.mark.slow
 def test_c08_complexity_scaling(capsys):
     budget = 300.0
     linear_band, softmax_band, min_gap = (2.5, 6.0), (9.0, 24.0), 3.0
-    cfg = RunConfig.from_dict(
-        {"preset": "custom", "dim": 64, "heads": 1, "precision": "f32"}
-    )
+    cfg = {"preset": "custom", "dim": 64, "heads": 1, "precision": "f32"}
     n_small, n_large = 4096, 16384
     t0 = time.perf_counter()
     medians = {}
     for impl in ("linear", "focused", "dydila", "softmax"):
-        recs = bench_run(cfg, impl, [n_small, n_large], iters=3)
-        medians[impl] = {r.n: r.median_s for r in recs}
+        medians[impl] = _bench_medians(cfg, impl, [n_small, n_large], iters=3)
     elapsed = time.perf_counter() - t0
 
     ratios = {impl: medians[impl][n_large] / medians[impl][n_small] for impl in medians}
