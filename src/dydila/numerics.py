@@ -69,50 +69,75 @@ _STRIDED_BLOCK_CAP = 256
 
 # The compiled matmul kernel, one copy per element type.  Four output rows
 # share each row of b, and the loop over j vectorises across output columns.
-# Every out[i, j] starts from 0 and adds a[i, k] * b[k, j] in ascending k,
-# each product rounded before the add (-ffp-contract=off).  a is read through
-# its element strides, so transposed views need no copy; b and out are
-# C-contiguous.  target_clones picks the widest vector unit at load time,
-# which keeps the cached object portable.
+# The columns run in panels of 4 KiB per output row.  The four rows of a panel
+# accumulate in a 64-byte-aligned local array, 16 KiB in all, which stays in
+# L1 with the slice of the b row it reads however wide out is, and is copied
+# to out once: out comes from np.empty, aligned to 16 bytes only, and vector
+# stores into it would split cache lines on every k.  Every out[i, j] starts
+# from 0 and adds a[i, k] * b[k, j] in ascending k, each product rounded
+# before the add (-ffp-contract=off); the panels only split j.  a is read
+# through its element strides, so transposed views need no copy; b and out
+# are C-contiguous.  target_clones picks the widest vector unit at load time,
+# which keeps the cached object portable; it needs x86-64 and glibc's ifunc,
+# so other hosts build one plain copy.
 _KERNEL = r"""
-__attribute__((target_clones("avx512f", "avx2", "default")))
+CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                const $T *restrict b, $T *restrict out,
                ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m)
 {
-    ptrdiff_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const $T *a0 = a + i * sa0, *a1 = a0 + sa0, *a2 = a1 + sa0, *a3 = a2 + sa0;
-        $T *o0 = out + i * m, *o1 = o0 + m, *o2 = o1 + m, *o3 = o2 + m;
-        for (ptrdiff_t j = 0; j < m; j++)
-            o0[j] = o1[j] = o2[j] = o3[j] = 0;
-        for (ptrdiff_t k = 0; k < inner; k++) {
-            const $T *bk = b + k * m;
-            const $T x0 = a0[k * sa1], x1 = a1[k * sa1], x2 = a2[k * sa1], x3 = a3[k * sa1];
-            for (ptrdiff_t j = 0; j < m; j++) {
-                o0[j] = o0[j] + x0 * bk[j];
-                o1[j] = o1[j] + x1 * bk[j];
-                o2[j] = o2[j] + x2 * bk[j];
-                o3[j] = o3[j] + x3 * bk[j];
+    enum { panel = 4096 / sizeof($T) };
+    $T acc[4][panel] __attribute__((aligned(64)));
+    for (ptrdiff_t j0 = 0; j0 < m; j0 += panel) {
+        const ptrdiff_t w = m - j0 < panel ? m - j0 : panel;
+        const $T *bp = b + j0;
+        $T *op = out + j0;
+        ptrdiff_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            const $T *a0 = a + i * sa0, *a1 = a0 + sa0, *a2 = a1 + sa0, *a3 = a2 + sa0;
+            $T *o0 = acc[0], *o1 = acc[1], *o2 = acc[2], *o3 = acc[3];
+            for (ptrdiff_t j = 0; j < w; j++)
+                o0[j] = o1[j] = o2[j] = o3[j] = 0;
+            for (ptrdiff_t k = 0; k < inner; k++) {
+                const $T *bk = bp + k * m;
+                const $T x0 = a0[k * sa1], x1 = a1[k * sa1], x2 = a2[k * sa1], x3 = a3[k * sa1];
+                for (ptrdiff_t j = 0; j < w; j++) {
+                    o0[j] = o0[j] + x0 * bk[j];
+                    o1[j] = o1[j] + x1 * bk[j];
+                    o2[j] = o2[j] + x2 * bk[j];
+                    o3[j] = o3[j] + x3 * bk[j];
+                }
             }
+            for (int r = 0; r < 4; r++)
+                for (ptrdiff_t j = 0; j < w; j++)
+                    op[(i + r) * m + j] = acc[r][j];
         }
-    }
-    for (; i < n; i++) {
-        const $T *a0 = a + i * sa0;
-        $T *o0 = out + i * m;
-        for (ptrdiff_t j = 0; j < m; j++)
-            o0[j] = 0;
-        for (ptrdiff_t k = 0; k < inner; k++) {
-            const $T *bk = b + k * m;
-            const $T x0 = a0[k * sa1];
-            for (ptrdiff_t j = 0; j < m; j++)
-                o0[j] = o0[j] + x0 * bk[j];
+        for (; i < n; i++) {
+            const $T *a0 = a + i * sa0;
+            $T *o0 = op + i * m;
+            for (ptrdiff_t j = 0; j < w; j++)
+                o0[j] = 0;
+            for (ptrdiff_t k = 0; k < inner; k++) {
+                const $T *bk = bp + k * m;
+                const $T x0 = a0[k * sa1];
+                for (ptrdiff_t j = 0; j < w; j++)
+                    o0[j] = o0[j] + x0 * bk[j];
+            }
         }
     }
 }
 """
 _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
-_C_SOURCE = "#include <stddef.h>\n" + "".join(_KERNEL.replace("$T", t) for t in _C_TYPES.values())
+# __GLIBC__ comes from a libc header, hence <limits.h>.
+_C_PRELUDE = r"""#include <limits.h>
+#include <stddef.h>
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+"""
+_C_SOURCE = _C_PRELUDE + "".join(_KERNEL.replace("$T", t) for t in _C_TYPES.values())
 _CC = "cc"
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _DIGEST_BYTES = 32

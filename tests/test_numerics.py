@@ -1,3 +1,4 @@
+import platform
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ from dydila.numerics import (
     row_l2_norm,
     softmax_rows,
 )
-from dydila.oracle import naive_matmul
+from dydila.oracle import ORACLE_CAP, naive_matmul
 
 from conftest import assert_close, cli_env, mat
 
@@ -61,6 +62,13 @@ def _needs_compiler():
 
 def _bits(arr):
     return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
+
+
+def _naive_wide(a, b):
+    """naive_matmul for any number of columns: the oracle caps each dimension,
+    and each output column depends only on its own column of b."""
+    return np.hstack([naive_matmul(a, b[:, j:j + ORACLE_CAP])
+                      for j in range(0, b.shape[1], ORACLE_CAP)])
 
 
 class TestMatmul:
@@ -189,6 +197,46 @@ class TestMatmulCompiled(TestMatmul):
         for a, b in cases:
             assert np.array_equal(matmul(a, b), numerics._matmul_numpy(a, b))
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_output_at_any_offset_in_a_cache_line(self, precision):
+        # np.empty aligns to 16 bytes only (a large output starts 16 bytes
+        # past a page), so the kernel must give the same bits wherever out
+        # starts; m spans two column panels
+        dtype = resolve_dtype(precision)
+        n, inner, m = 9, 7, 4096 // dtype.itemsize + 5
+        a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
+        want = numerics._matmul_numpy(a, b)
+        got = matmul(a, b)
+        assert got.shape == (n, m) and got.dtype == dtype
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(_bits(got), _bits(want))
+        kernel, nbytes = numerics._kernels()[dtype], n * m * dtype.itemsize
+        for offset in range(0, 64, dtype.itemsize):
+            buf = np.full(nbytes + 128, 0xFF, dtype=np.uint8)
+            start = -buf.ctypes.data % 64 + offset
+            out = buf[start:start + nbytes].view(dtype).reshape(n, m)
+            kernel(a.ctypes.data, inner, 1, b.ctypes.data, out.ctypes.data, n, inner, m)
+            assert np.array_equal(_bits(out), _bits(want)), offset
+            assert (buf[:start] == 0xFF).all() and (buf[start + nbytes:] == 0xFF).all()
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("n", [1, 4, 5, 9])
+    def test_column_panel_boundaries(self, precision, n):
+        # the kernel splits output columns into panels of 4 KiB per row;
+        # non-finite entries of b sit in the second panel only
+        p = 4096 // resolve_dtype(precision).itemsize
+        for m in (p - 1, p, p + 1, 2 * p + 3):
+            a, b = mat(n, n, 5, precision), mat(m, 5, m, precision)
+            if m > p:
+                b[[1, 4], p] = np.inf, -np.inf
+                b[2, min(m, 2 * p) - 1] = _NAN
+            with np.errstate(invalid="ignore"):
+                want = _naive_wide(a, b) if precision == "f64" else numerics._matmul_numpy(a, b)
+                for name, a_l, b_l in _layouts(a, b):
+                    got = matmul(a_l, b_l)
+                    assert np.array_equal(_bits(got), _bits(want)), (m, name)
+            assert np.isfinite(want[:, :p]).all() and np.isfinite(want[:, 2 * p:]).all()
+
 
 def _fresh_backend(monkeypatch, cache_dir):
     """Make the next matmul resolve its backend again, building into cache_dir."""
@@ -238,6 +286,28 @@ class TestCompiledBuild:
         assert numerics.matmul_backend() == "c"
         assert numerics._sealed(path)
         assert [p.name for p in tmp_path.joinpath("dydila").iterdir()] == [path.name]
+
+    def test_build_without_target_clones(self, monkeypatch, tmp_path):
+        # the build of a host that is not x86-64 glibc: one plain copy per dtype
+        _needs_compiler()
+        _fresh_backend(monkeypatch, tmp_path)
+        condition = "#if defined(__x86_64__) && defined(__GLIBC__)"
+        assert numerics._C_SOURCE.count(condition) == 1
+        monkeypatch.setattr(numerics, "_C_SOURCE", numerics._C_SOURCE.replace(condition, "#if 0"))
+        assert numerics.matmul_backend() == "c"
+        assert b"matmul_double.default" not in numerics._cache_path().read_bytes()
+        for n, inner, m in [(1, 4, 3), (9, 7, 11), (5, 3, 513)]:
+            a, b = mat(n, n, inner), mat(m, inner, m)
+            assert np.array_equal(_bits(matmul(a, b)), _bits(_naive_wide(a, b)))
+
+    @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                        reason="target_clones is built only on x86-64 glibc hosts")
+    def test_x86_64_glibc_build_has_clones(self):
+        _needs_compiler()
+        built = numerics._cache_path().read_bytes()
+        for name in ("matmul_double", "matmul_float"):
+            for target in ("avx512f", "avx2", "default"):
+                assert f"{name}.{target}".encode() in built
 
     def test_concurrent_cold_builds(self, tmp_path):
         _needs_compiler()
