@@ -11,6 +11,7 @@ kernel (one weight edit at the center tap) for inference.
 
 Multi-head runs the TDO path on channel slices with per-head kernel and
 differential banks; the depthwise convolution always sees the full-width V.
+A head's diagnostics record only the lambdas its variant routed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .differential import (
     DifferentialBank,
     _differenced,
     _mapwise_lambdas,
-    _tokenwise_lambdas,
     _normalizer,
     mapwise_forward,
     tdo_forward,
@@ -243,18 +243,13 @@ class AttentionStack:
 
 @dataclass
 class HeadDiagnostics:
-    """Routing record of one head for one forward pass."""
+    """Routing record of one head; ``lambdas`` is as its variant's forward returns it."""
 
     routes_kernel_q: RouteAssignment
     routes_kernel_k: RouteAssignment
     routes_kernel_qp: RouteAssignment
     routes_kernel_kp: RouteAssignment
-    lambda_q: np.ndarray
-    lambda_k: np.ndarray
-    lambda_map: np.ndarray
-    routes_lambda_q: RouteAssignment
-    routes_lambda_k: RouteAssignment
-    routes_lambda_map: RouteAssignment
+    lambdas: dict
 
 
 @dataclass
@@ -265,13 +260,13 @@ class BlockDiagnostics:
     routes_proj_k: RouteAssignment
     heads: list = field(default_factory=list)
 
-    def lambda_means(self) -> tuple:
-        """(mean lambda_q, mean lambda_k, mean lambda_map) over heads and tokens."""
-        means = []
-        for name in ("lambda_q", "lambda_k", "lambda_map"):
-            vals = np.concatenate([getattr(h, name) for h in self.heads]).astype(np.float64)
-            means.append(float(np.mean(vals)))
-        return tuple(means)
+    def lambda_means(self) -> dict:
+        """Name -> mean of each routed lambda over heads and tokens."""
+        means = {}
+        for name in self.heads[0].lambdas:
+            vals = np.concatenate([h.lambdas[name][0] for h in self.heads]).astype(np.float64)
+            means[name] = float(np.mean(vals))
+        return means
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -332,27 +327,11 @@ def _head_forward(q, k, v, qp, kp, params: DydilaParams, head: int):
     (q_t, k_t, qp_t, kp_t), kernel_routes = _kernel_streams(q, k, qp, kp, params, head)
     diff = params.head_params[head].diff
     v_h = _head_slice(v, head, params.head_dim)
-    # Both variants also route the other variant's lambdas, for the diagnostics.
     if params.variant == "token-wise":
-        out, (lam_q, lam_k, rl_q, rl_k) = tdo_forward(
-            q_t, qp_t, k_t, kp_t, v_h, diff, normalize=params.normalize, with_routes=True
-        )
-        lam_map, rl_map = _mapwise_lambdas(q_t, qp_t, diff)
+        out, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v_h, diff, normalize=params.normalize)
     else:
-        out, (lam_map, rl_map) = mapwise_forward(
-            q_t, qp_t, k_t, kp_t, v_h, diff, with_routes=True
-        )
-        lam_q, lam_k, rl_q, rl_k = _tokenwise_lambdas(q_t, qp_t, k_t, kp_t, diff)
-
-    return out, HeadDiagnostics(
-        *kernel_routes,
-        lambda_q=lam_q,
-        lambda_k=lam_k,
-        lambda_map=lam_map,
-        routes_lambda_q=rl_q,
-        routes_lambda_k=rl_k,
-        routes_lambda_map=rl_map,
-    )
+        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v_h, diff)
+    return out, HeadDiagnostics(*kernel_routes, lambdas=lambdas)
 
 
 def multihead_forward(x: np.ndarray, params: DydilaParams):

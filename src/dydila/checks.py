@@ -3,8 +3,9 @@
 Each check pits a production path against an independent oracle (or an
 algebraic identity) at the tolerance for the configured precision, at desk
 scale: the config's model dim is capped at 32 and depth at 2 so a preset
-config still checks in well under a second.  Output contains no timings, so
-two runs of the same config print identical bytes.
+config still checks in well under a second (one last check runs the
+configured depth, at desk width).  Output contains no timings, so two runs of
+the same config print identical bytes.
 
 The float32 tolerances are deliberately coarse (calibrated empirically,
 roughly 1e-4 relative); float64 tolerances match the acceptance thresholds.
@@ -15,7 +16,7 @@ exists to prove the suite can fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .attention import (
     stack_forward,
 )
 from .config import RunConfig, init_params
-from .differential import expand_tokenwise, select_lambdas, tdo_forward, concat_streams
+from .differential import expand_tokenwise, tdo_forward
 from .kernels import focused_rows, relu
-from .numerics import SeededRng, matmul, resolve_dtype, row_l2_norm, softmax_rows
+from .numerics import ContractViolation, SeededRng, matmul, resolve_dtype, row_l2_norm, softmax_rows
 from .oracle import (
     compare,
     explicit_linear_attention,
@@ -92,21 +93,36 @@ class CheckResult:
     detail: str
 
 
-def _desk_config(cfg: RunConfig) -> RunConfig:
+def _desk_config(cfg: RunConfig, blocks: int) -> RunConfig:
     d = min(cfg.dim, _DESK_DIM)
     heads = cfg.heads if (cfg.heads <= 4 and d % cfg.heads == 0) else 1
     sched = cfg.lambda_schedule
     if isinstance(sched, tuple):
-        sched = sched[: min(cfg.blocks, 2)]
+        sched = sched[:blocks]
     return cfg.with_overrides(
         dim=d,
         heads=heads,
-        blocks=min(cfg.blocks, 2),
+        blocks=blocks,
         grid_h=8,
         grid_w=8,
         lambda_schedule=sched,
         inject_fault=False,  # the hook is applied explicitly below
     )
+
+
+def _desk_stack(cfg: RunConfig, rng: SeededRng) -> AttentionStack:
+    """``init_params`` repeats one gamma and lambda per bank; spread them so misrouting shows."""
+    gammas = tuple((cfg.gamma_init * np.linspace(0.5, 1.5, cfg.n_kernel_factors)).tolist())
+    blocks = []
+    for block in init_params(cfg, rng).blocks:
+        heads = []
+        for hp in block.head_params:
+            lambdas = tuple(hp.diff.lambdas[0] + 0.05 * i for i in range(hp.diff.n_factors))
+            banks = {name: replace(getattr(hp, name), gammas=gammas)
+                     for name in ("kernel_q", "kernel_k", "kernel_qp", "kernel_kp")}
+            heads.append(replace(hp, **banks, diff=replace(hp.diff, lambdas=lambdas)))
+        blocks.append(replace(block, head_params=tuple(heads)))
+    return AttentionStack(blocks=tuple(blocks))
 
 
 def _result(name: str, report) -> CheckResult:
@@ -120,11 +136,12 @@ def _exact(name: str, ok: bool, detail: str) -> CheckResult:
 def run_checks(cfg: RunConfig) -> list:
     """Run the whole suite for one config; returns CheckResults in order."""
     inject = cfg.inject_fault
-    cfg = _desk_config(cfg)
+    deep_cfg = _desk_config(cfg, cfg.blocks)
+    cfg = _desk_config(cfg, min(cfg.blocks, 2))
     tol = TOLERANCES[cfg.precision]
     dt = resolve_dtype(cfg.precision)
     rng = SeededRng(cfg.seed)
-    stack = init_params(cfg, rng)
+    stack = _desk_stack(cfg, rng)
     block = stack.blocks[0]
     n, d = _DESK_TOKENS, cfg.dim
     x = rng.tokens(n, d, cfg.precision)
@@ -233,16 +250,14 @@ def run_checks(cfg: RunConfig) -> list:
     k_t = rng.tokens(48, d_h, cfg.precision)
     kp_t = rng.tokens(48, d_h, cfg.precision)
     v_t = rng.tokens(48, d_h, cfg.precision)
-    lam_q, lam_k = select_lambdas(
-        concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), hp.diff
-    )
-    q_prod = q_t
-    detail_suffix = ""
+    clean, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v_t, hp.diff)
+    lam_q, lam_k = lambdas["q"][0], lambdas["k"][0]
+    got_tdo, detail_suffix = clean, ""
     if inject:
         q_prod = q_t.copy()
         q_prod[0, 0] += np.asarray(1e-3, dtype=dt)
+        got_tdo, _ = tdo_forward(q_prod, qp_t, k_t, kp_t, v_t, hp.diff)
         detail_suffix = " [fault injected]"
-    got_tdo = tdo_forward(q_prod, qp_t, k_t, kp_t, v_t, hp.diff)
     want_tdo = explicit_tdo(q_t, qp_t, k_t, kp_t, v_t, lam_q, lam_k)
     rep = compare(want_tdo, got_tdo, tol["tdo_reorder"])
     results.append(_exact("tdo_reorder_vs_explicit", rep.passed, str(rep) + detail_suffix))
@@ -251,8 +266,7 @@ def run_checks(cfg: RunConfig) -> list:
     results.append(
         _result(
             "tdo_expansion_identity",
-            compare(tdo_forward(q_t, qp_t, k_t, kp_t, v_t, hp.diff),
-                    t1 - t2 - t3 + t4, tol["expansion"]),
+            compare(clean, t1 - t2 - t3 + t4, tol["expansion"]),
         )
     )
 
@@ -281,7 +295,7 @@ def run_checks(cfg: RunConfig) -> list:
     # --- residual stack and determinism ----------------------------------
     out1, _ = stack_forward(x, stack)
     out2, _ = stack_forward(x, stack)
-    stack_b = init_params(cfg, SeededRng(cfg.seed))
+    stack_b = _desk_stack(cfg, SeededRng(cfg.seed))
     # same seed must rebuild the same weights
     rebuilt = all(
         np.array_equal(pa.proj.w_q0, pb.proj.w_q0)
@@ -294,6 +308,7 @@ def run_checks(cfg: RunConfig) -> list:
             "forward and re-init byte-stable",
         )
     )
+    results.append(_depth_check(deep_cfg))
     return results
 
 
@@ -340,9 +355,20 @@ def _degeneracy_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
                   f"lambda=0, gamma=1, single banks -> relu linear numerator; {rep}")
 
 
+def _depth_check(cfg: RunConfig) -> CheckResult:
+    """Runs what ``forward`` runs at desk width: ``init_params`` weights, then tokens."""
+    rng = SeededRng(cfg.seed)
+    stack = init_params(cfg, rng)
+    try:
+        stack_forward(rng.tokens(_DESK_TOKENS, cfg.dim, cfg.precision), stack)
+    except ContractViolation as e:
+        return _exact("configured_depth_finite", False, str(e))
+    return _exact("configured_depth_finite", True, f"{cfg.blocks} blocks, output finite")
+
+
 def _permutation_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
     perm_cfg = cfg.with_overrides(dwc_enabled=False, dwc_use_merged=False, blocks=1)
-    params = init_params(perm_cfg, SeededRng(perm_cfg.seed)).blocks[0]
+    params = _desk_stack(perm_cfg, SeededRng(perm_cfg.seed)).blocks[0]
     x = rng.tokens(_DESK_TOKENS, perm_cfg.dim, perm_cfg.precision)
     perm = np.random.Generator(np.random.PCG64(cfg.seed + 1)).permutation(x.shape[0])
     out, diag = multihead_forward(x, params)

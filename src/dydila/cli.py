@@ -160,12 +160,10 @@ def _cmd_forward(args) -> int:
     cfg, stack, x = _build_inputs(_load_cfg(args), args)
     out, diags = stack_forward(x, stack)
     for b, diag in enumerate(diags):
-        mq, mk, mm = diag.lambda_means()
+        means = " ".join(f"mean_lambda_{k}={fmt_float(m)}" for k, m in diag.lambda_means().items())
         print(
             f"block {b}: proj_q_top={diag.routes_proj_q.most_frequent()} "
-            f"proj_k_top={diag.routes_proj_k.most_frequent()} "
-            f"mean_lambda_q={fmt_float(mq)} mean_lambda_k={fmt_float(mk)} "
-            f"mean_lambda_map={fmt_float(mm)}"
+            f"proj_k_top={diag.routes_proj_k.most_frequent()} {means}"
         )
     print(f"output sha256 {hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()}")
     if args.out:
@@ -206,9 +204,9 @@ def _cmd_dump_attn(args) -> int:
 def _cmd_stats_lambda(args) -> int:
     _, stack, x = _build_inputs(_load_cfg(args), args)
     _, diags = stack_forward(x, stack)
-    rows = [(b, *diag.lambda_means()) for b, diag in enumerate(diags)]
-    _emit_csv(args.out,
-              ["block_index", "mean_lambda_q", "mean_lambda_k", "mean_lambda_map"], rows)
+    means = [diag.lambda_means() for diag in diags]
+    rows = [(b, *m.values()) for b, m in enumerate(means)]
+    _emit_csv(args.out, ["block_index", *(f"mean_lambda_{k}" for k in means[0])], rows)
     return 0
 
 

@@ -9,7 +9,7 @@ on both the query and key sides, then runs the linear-attention reordering
 Each token's lambda comes from routing the concatenation of its two stream
 rows (width 2d) to one of n_d candidate scalars.  The map-wise variant
 instead differences the two attention outputs with a single routed lambda
-per token.
+per token.  Each variant routes only the lambdas its output uses.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ConfigError, ContractViolation, _check_2d, matmul
-from .routing import RouteAssignment, Router, route_argmax
+from .routing import Router, route_argmax
 
 __all__ = [
     "DifferentialBank",
@@ -92,18 +92,12 @@ def _routed_lambdas(pairs: np.ndarray, router: Router, lambdas: tuple):
     return table[routes.indices], routes
 
 
-def _tokenwise_lambdas(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
-    """Per-token ``(lambda_q, lambda_k, routes_q, routes_k)``, each routed from its stream pair."""
+def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
+    """Token-wise ``(q_diff, k_diff, lambdas)``, each lambda routed from its stream pair."""
     lam_q, routes_q = _routed_lambdas(concat_streams(q_t, q_routed), bank.router_q, bank.lambdas)
     lam_k, routes_k = _routed_lambdas(concat_streams(k_t, k_routed), bank.router_k, bank.lambdas)
-    return lam_q, lam_k, routes_q, routes_k
-
-
-def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
-    """Token-wise ``(q_diff, k_diff, (lambda_q, lambda_k, routes_q, routes_k))``."""
-    lam_routes = _tokenwise_lambdas(q_t, q_routed, k_t, k_routed, bank)
-    lam_q, lam_k = lam_routes[:2]
-    return q_t - lam_q[:, None] * q_routed, k_t - lam_k[:, None] * k_routed, lam_routes
+    lambdas = {"q": (lam_q, routes_q), "k": (lam_k, routes_k)}
+    return q_t - lam_q[:, None] * q_routed, k_t - lam_k[:, None] * k_routed, lambdas
 
 
 def _mapwise_lambdas(q_t, q_routed, bank: DifferentialBank):
@@ -160,21 +154,20 @@ def tdo_forward(
     v: np.ndarray,
     bank: DifferentialBank,
     normalize: bool = False,
-    with_routes: bool = False,
 ):
     """Token-wise differential attention, keys-first (never builds n x n).
 
-    With ``normalize=True`` each output row is divided by the matching
-    differential row-sum similarity, floored at ``DENOM_FLOOR`` in
-    magnitude.  ``with_routes=True`` additionally returns the
-    ``(lambda_q, lambda_k, routes_q, routes_k)`` diagnostics.
+    Returns ``(out, lambdas)``, where ``lambdas`` maps "q" and "k" to the
+    routed ``(per-token values, RouteAssignment)``.  With ``normalize=True``
+    each output row is divided by the matching differential row-sum
+    similarity, floored at ``DENOM_FLOOR`` in magnitude.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    q_diff, k_diff, lam_routes = _differenced(q_t, q_routed, k_t, k_routed, bank)
+    q_diff, k_diff, lambdas = _differenced(q_t, q_routed, k_t, k_routed, bank)
     out = matmul(q_diff, matmul(k_diff.T, v))
     if normalize:
         out = out / _normalizer(q_diff, k_diff)
-    return (out, lam_routes) if with_routes else out
+    return out, lambdas
 
 
 def expand_tokenwise(
@@ -217,16 +210,16 @@ def mapwise_forward(
     k_routed: np.ndarray,
     v: np.ndarray,
     bank: DifferentialBank,
-    with_routes: bool = False,
 ):
     """Map-wise variant: difference the two attention outputs directly.
 
     ``out = q_t (k_t^T v) - lam_map ⊙ q_routed (k_routed^T v)`` where each
     token's lam_map is routed from its concatenated query-stream pair.
+    Returns ``(out, {"map": (lam_map, RouteAssignment)})``.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
     lam_map, routes_map = _mapwise_lambdas(q_t, q_routed, bank)
     shared = matmul(q_t, matmul(k_t.T, v))
     routed = matmul(q_routed, matmul(k_routed.T, v))
     out = shared - lam_map[:, None] * routed
-    return (out, (lam_map, routes_map)) if with_routes else out
+    return out, {"map": (lam_map, routes_map)}

@@ -60,13 +60,14 @@ def flops_estimate(
         parts["projection_routing"] = 4 * n * d * n_projectors
         parts["kernel_map"] = 4 * _FOCUSED_MAP_COST * n * d
         parts["kernel_routing"] = 8 * n * d * n_kernel_factors
-        parts["lambda_routing"] = 12 * n * d * n_lambda_factors
         if impl == "dydila":
+            parts["lambda_routing"] = 8 * n * d * n_lambda_factors  # lambda_q and lambda_k
             parts["diff_combine"] = 4 * n * d
             parts["attention_core"] = 4 * n * d * d // heads
             if normalize:
                 parts["normalizer"] = 4 * n * d
         else:  # mapwise differences two full attention outputs
+            parts["lambda_routing"] = 4 * n * d * n_lambda_factors  # lambda_map only
             parts["diff_combine"] = 2 * n * d
             parts["attention_core"] = 8 * n * d * d // heads
         if dwc:

@@ -92,7 +92,7 @@ def test_c02_tdo_reordering_soundness(capsys):
         )
         rep = compare(
             explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k),
-            tdo_forward(q_t, qp_t, k_t, kp_t, v, bank),
+            tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)[0],
             tol,
         )
         worst = max(worst, rep.max_rel_error)
@@ -118,7 +118,7 @@ def test_c03_four_term_expansion_identity(capsys):
             concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank
         )
         t1, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
-        rep = compare(tdo_forward(q_t, qp_t, k_t, kp_t, v, bank), t1 - t2 - t3 + t4, tol)
+        rep = compare(tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)[0], t1 - t2 - t3 + t4, tol)
         worst = max(worst, rep.max_rel_error)
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < budget
@@ -169,7 +169,7 @@ def test_c05_degeneration_lattice(capsys):
     bank0 = make_diff_bank(1043, d, (0.0,))
     errs["lambda0->numerator"] = compare(
         matmul(q_t, matmul(k_t.T, v)),
-        tdo_forward(q_t, qp_t, k_t, kp_t, v, bank0),
+        tdo_forward(q_t, qp_t, k_t, kp_t, v, bank0)[0],
         tol,
     ).max_rel_error
 
@@ -219,35 +219,36 @@ def test_c06_dwc_reparameterization(capsys):
 
 
 def test_c07_permutation_equivariance(capsys):
+    # Each variant routes only its own lambdas, so both run to cover every route.
     tol, n_perms, n = 1e-12, 10, 64
     d = 16
-    params = make_block(600, d, (8, 8), dwc=False)
     x = mat(601, n, d)
-    out, diag = multihead_forward(x, params)
-    gen = np.random.Generator(np.random.PCG64(602))
     worst = 0.0
     routes_exact = True
-    head = diag.heads[0]
-    for _ in range(n_perms):
-        perm = gen.permutation(n)
-        out_p, diag_p = multihead_forward(x[perm], params)
-        head_p = diag_p.heads[0]
-        for a, b in (
-            (diag.routes_proj_q, diag_p.routes_proj_q),
-            (diag.routes_proj_k, diag_p.routes_proj_k),
-            (head.routes_kernel_q, head_p.routes_kernel_q),
-            (head.routes_kernel_k, head_p.routes_kernel_k),
-            (head.routes_kernel_qp, head_p.routes_kernel_qp),
-            (head.routes_kernel_kp, head_p.routes_kernel_kp),
-            (head.routes_lambda_q, head_p.routes_lambda_q),
-            (head.routes_lambda_k, head_p.routes_lambda_k),
-            (head.routes_lambda_map, head_p.routes_lambda_map),
-        ):
-            routes_exact = routes_exact and bool(np.array_equal(a.indices[perm], b.indices))
-        worst = max(worst, compare(out[perm], out_p, tol).max_rel_error)
+    for variant in ("token-wise", "map-wise"):
+        params = make_block(600, d, (8, 8), dwc=False, variant=variant)
+        out, diag = multihead_forward(x, params)
+        gen = np.random.Generator(np.random.PCG64(602))
+        head = diag.heads[0]
+        for _ in range(n_perms):
+            perm = gen.permutation(n)
+            out_p, diag_p = multihead_forward(x[perm], params)
+            head_p = diag_p.heads[0]
+            pairs = [
+                (diag.routes_proj_q, diag_p.routes_proj_q),
+                (diag.routes_proj_k, diag_p.routes_proj_k),
+                (head.routes_kernel_q, head_p.routes_kernel_q),
+                (head.routes_kernel_k, head_p.routes_kernel_k),
+                (head.routes_kernel_qp, head_p.routes_kernel_qp),
+                (head.routes_kernel_kp, head_p.routes_kernel_kp),
+            ]
+            pairs += [(head.lambdas[name][1], head_p.lambdas[name][1]) for name in head.lambdas]
+            for a, b in pairs:
+                routes_exact = routes_exact and bool(np.array_equal(a.indices[perm], b.indices))
+            worst = max(worst, compare(out[perm], out_p, tol).max_rel_error)
     ok = routes_exact and worst <= tol
     _report(capsys, "c07 permutation equivariance", ok,
-            f"routes exact over {n_perms} permutations: {routes_exact}, "
+            f"routes exact over {n_perms} permutations per variant: {routes_exact}, "
             f"max value rel {worst:.2e} (tol {tol:.0e})")
     assert routes_exact
     assert worst <= tol

@@ -207,14 +207,18 @@ class TestDydilaForward:
                      f"{variant} normalize={normalize}")
 
     def test_diagnostics_routes_cover_all_tokens(self):
-        params = make_block(201, 8, (4, 6))
+        # a head records exactly the lambdas its variant routes
         x = mat(33, 24, 8)
-        _, diag = dydila_forward(x, params)
-        assert diag.routes_proj_q.indices.shape == (24,)
-        head = diag.heads[0]
-        for name in ("lambda_q", "lambda_k", "lambda_map"):
-            assert getattr(head, name).shape == (24,)
-        assert head.routes_kernel_q.indices.shape == (24,)
+        for variant, names in (("token-wise", ["q", "k"]), ("map-wise", ["map"])):
+            params = make_block(201, 8, (4, 6), variant=variant)
+            _, diag = dydila_forward(x, params)
+            assert diag.routes_proj_q.indices.shape == (24,)
+            head = diag.heads[0]
+            assert list(head.lambdas) == names
+            for values, routes in head.lambdas.values():
+                assert values.shape == (24,) and routes.indices.shape == (24,)
+            assert list(diag.lambda_means()) == names
+            assert head.routes_kernel_q.indices.shape == (24,)
 
     def test_rejects_multihead_params(self):
         params = make_block(202, 8, (4, 6), heads=2)
@@ -257,7 +261,7 @@ class TestMultihead:
             k_t, _ = dmk_forward(k[:, sl], hp.kernel_k)
             qp_t, _ = dmk_forward(qp[:, sl], hp.kernel_qp)
             kp_t, _ = dmk_forward(kp[:, sl], hp.kernel_kp)
-            pieces.append(tdo_forward(q_t, qp_t, k_t, kp_t, v[:, sl], hp.diff))
+            pieces.append(tdo_forward(q_t, qp_t, k_t, kp_t, v[:, sl], hp.diff)[0])
         want = np.hstack(pieces) + dwc_forward(v, (4, 6), params.dwc)
         assert np.array_equal(out, want)
 

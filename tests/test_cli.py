@@ -34,6 +34,16 @@ def tiny_config(tmp_path):
 
 
 @pytest.fixture()
+def mapwise_config(tmp_path, tiny_config):
+    """The tiny config with the map-wise variant."""
+    data = json.loads(open(tiny_config, encoding="utf-8").read())
+    data["variant"] = "map-wise"
+    path = tmp_path / "mapwise.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
 def unstable_config(tmp_path):
     """Unnormalized at depth 9, this config overflows to NaN at block 6."""
     path = tmp_path / "unstable.json"
@@ -91,6 +101,15 @@ class TestCheck:
         proc = run_cli("check", "--config", tiny_config, "--precision", "f32")
         assert proc.returncode == 0, proc.stdout
 
+    def test_configured_depth_must_stay_finite(self, unstable_config):
+        # the other checks run at most 2 blocks; this config overflows at block 6
+        proc = run_cli("check", "--config", unstable_config)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        failed = [line for line in proc.stdout.splitlines() if " FAIL " in line]
+        assert len(failed) == 1
+        assert "configured_depth_finite" in failed[0]
+        assert "block 6 output contains non-finite element" in failed[0]
+
 
 class TestForward:
     def test_prints_block_lines_and_hash(self, tiny_config):
@@ -98,6 +117,16 @@ class TestForward:
         assert proc.returncode == 0, proc.stderr
         assert "block 0:" in proc.stdout and "block 1:" in proc.stdout
         assert "output sha256 " in proc.stdout
+        first = proc.stdout.splitlines()[0]
+        assert "mean_lambda_q=" in first and "mean_lambda_k=" in first
+        assert "mean_lambda_map" not in first
+
+    def test_block_lines_print_only_the_variants_lambdas(self, mapwise_config):
+        proc = run_cli("forward", "--config", mapwise_config)
+        assert proc.returncode == 0, proc.stderr
+        first = proc.stdout.splitlines()[0]
+        assert first.startswith("block 0:") and first.endswith("mean_lambda_map=0.01")
+        assert "mean_lambda_q" not in proc.stdout and "mean_lambda_k" not in proc.stdout
 
     def test_byte_reproducible(self, tiny_config):
         a = run_cli("forward", "--config", tiny_config)
@@ -206,7 +235,7 @@ class TestStatsLambda:
         proc = run_cli("stats-lambda", "--config", str(path), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         header, rows = read_csv(out)
-        assert header == ["block_index", "mean_lambda_q", "mean_lambda_k", "mean_lambda_map"]
+        assert header == ["block_index", "mean_lambda_q", "mean_lambda_k"]
         # every factor in a block is initialized to the schedule value, so
         # routing cannot move the mean off the endpoint (mean rounding aside)
         assert [r[0] for r in rows] == ["0", "1"]
@@ -218,7 +247,12 @@ class TestStatsLambda:
     def test_prints_when_no_out(self, tiny_config):
         proc = run_cli("stats-lambda", "--config", tiny_config)
         assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "block_index,mean_lambda_q,mean_lambda_k,mean_lambda_map"
+        assert proc.stdout.splitlines()[0] == "block_index,mean_lambda_q,mean_lambda_k"
+
+    def test_mapwise_prints_only_lambda_map(self, mapwise_config):
+        proc = run_cli("stats-lambda", "--config", mapwise_config)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["block_index,mean_lambda_map", "0,0.01", "1,0.01"]
 
     def test_non_finite_block_output_exits_2(self, tmp_path, unstable_config):
         out = tmp_path / "stats.csv"

@@ -55,13 +55,13 @@ class TestTdoForward:
     def test_zero_lambda_is_plain_numerator(self):
         q_t, qp_t, k_t, kp_t, v = _streams(1, 16, 6)
         bank = make_diff_bank(2, 6, [0.0])
-        out = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        out, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
         assert np.array_equal(out, matmul(q_t, matmul(k_t.T, v)))
 
     def test_identical_streams_lambda_one_cancel(self):
         q_t, _, k_t, _, v = _streams(3, 16, 6)
         bank = make_diff_bank(4, 6, [1.0])
-        out = tdo_forward(q_t, q_t, k_t, k_t, v, bank)
+        out, _ = tdo_forward(q_t, q_t, k_t, k_t, v, bank)
         assert np.array_equal(out, np.zeros_like(out))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -70,14 +70,17 @@ class TestTdoForward:
         bank = make_diff_bank(seed + 90, 8, [0.0, 0.01, 0.05, 0.1, 1.0])
         lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
         want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
-        assert_close(tdo_forward(q_t, qp_t, k_t, kp_t, v, bank), want, 1e-10, "tdo reordering")
+        got, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        assert_close(got, want, 1e-10, "tdo reordering")
+        assert list(lambdas) == ["q", "k"]
+        assert np.array_equal(lambdas["q"][0], lam_q) and np.array_equal(lambdas["k"][0], lam_k)
 
     def test_normalized_matches_explicit_map(self):
         q_t, qp_t, k_t, kp_t, v = _streams(20, 20, 6)
         bank = make_diff_bank(21, 6, [0.01, 0.1])
         lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
         want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k, normalize=True)
-        got = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
+        got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
         assert_close(got, want, 1e-10, "normalized tdo")
 
     def test_lambda_continuity(self):
@@ -87,7 +90,7 @@ class TestTdoForward:
         out = {}
         for shift in (0.0, eps):
             bank = make_diff_bank(31, 8, [0.01 + shift, 0.07 + shift])
-            out[shift] = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+            out[shift], _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
         scale = max(1.0, float(np.abs(out[0.0]).max()))
         assert np.max(np.abs(out[eps] - out[0.0])) <= 1e3 * eps * scale
 
@@ -107,7 +110,7 @@ class TestExpansion:
         bank = make_diff_bank(seed + 140, 6, [0.0, 0.02, 0.1])
         lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
         t1, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
-        got = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
         assert_close(got, t1 - t2 - t3 + t4, 1e-12, "bilinear expansion")
 
     def test_lambda_vector_validation(self):
@@ -120,14 +123,16 @@ class TestMapwise:
     def test_zero_lambda_is_shared_attention(self):
         q_t, qp_t, k_t, kp_t, v = _streams(60, 16, 6)
         bank = make_diff_bank(61, 6, [0.0])
-        out = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        out, _ = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
         assert np.array_equal(out, matmul(q_t, matmul(k_t.T, v)))
 
     def test_matches_explicit_map(self):
         for seed in range(4):
             q_t, qp_t, k_t, kp_t, v = _streams(seed + 70, 20, 6)
             bank = make_diff_bank(seed + 170, 6, [0.01, 0.05, 0.1])
-            out, (lam_map, _) = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, with_routes=True)
+            out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+            assert list(lambdas) == ["map"]
+            lam_map = lambdas["map"][0]
             want = explicit_mapwise(q_t, qp_t, k_t, kp_t, v, lam_map)
             assert_close(out, want, 1e-10, "mapwise vs explicit")
 
@@ -136,8 +141,9 @@ class TestMapwise:
         q_t, qp_t, k_t, kp_t, v = _streams(80, 20, 6)
         bank = make_diff_bank(81, 6, [0.03, 0.09])
         lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
-        tdo = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
-        mapw, (lam_map, _) = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, with_routes=True)
+        tdo, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        mapw, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        lam_map = lambdas["map"][0]
         _, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
         routed_full = matmul(qp_t, matmul(kp_t.T, v))
         want = -t2 - t3 + t4 + lam_map[:, None] * routed_full
@@ -155,7 +161,7 @@ class TestDenominatorFloor:
     def test_zero_numerator_rows_stay_zero_when_normalized(self):
         q_t, _, k_t, _, v = _streams(90, 12, 4)
         bank = make_diff_bank(91, 4, [1.0])
-        out = tdo_forward(q_t, q_t, k_t, k_t, v, bank, normalize=True)
+        out, _ = tdo_forward(q_t, q_t, k_t, k_t, v, bank, normalize=True)
         assert np.array_equal(out, np.zeros_like(out))
 
 

@@ -59,8 +59,11 @@ class TestTotals:
         assert parts["routed_projection"] == 4 * n * d * d
         assert parts["projection_routing"] == 4 * n * d * n_p
         assert parts["kernel_routing"] == 8 * n * d * n_f
-        assert parts["lambda_routing"] == 12 * n * d * n_d
+        assert parts["lambda_routing"] == 8 * n * d * n_d
         assert parts["dwc"] == 19 * n * d
+        mapwise = flops_estimate("mapwise", n, d, n_projectors=n_p,
+                                 n_kernel_factors=n_f, n_lambda_factors=n_d)
+        assert mapwise["lambda_routing"] == 4 * n * d * n_d
 
     def test_dwc_and_normalize_toggles(self):
         base = flops_estimate("dydila", 64, 16, dwc=False)
