@@ -34,8 +34,16 @@ from .attention import (
 )
 from .config import RunConfig, init_params
 from .differential import expand_tokenwise, tdo_forward
-from .kernels import focused_rows, relu
-from .numerics import ContractViolation, SeededRng, matmul, resolve_dtype, row_l2_norm, softmax_rows
+from .kernels import focused_rows
+from .numerics import (
+    ContractViolation,
+    SeededRng,
+    matmul,
+    relu,
+    resolve_dtype,
+    row_l2_norm,
+    softmax_rows,
+)
 from .oracle import (
     compare,
     explicit_linear_attention,

@@ -7,7 +7,16 @@ gamma, then rescales so the Euclidean norm of the ReLU'd row is restored:
 
 gamma = 1 is exactly ReLU.  Larger gamma concentrates mass on the largest
 coordinates while the norm stays put.  A row whose ReLU is identically zero
-maps to the zero row (no 0/0).
+maps to the zero row (no 0/0); a row holding a NaN maps to a non-finite row.
+
+The arithmetic order is fixed, as ``matmul``'s is: per row, relu, row max,
+``pow(r / max, gamma)`` from libm on the nonzero entries, both norms as
+ascending-index sums of squares then ``sqrt``, and one multiply by their
+ratio.  A compiled kernel in ``dydila.numerics`` runs it (a numpy loop with
+the same bits when it did not build), and ``oracle.naive_focused_row``
+follows the same order, so in float64 the map equals the oracle bit for bit.
+float32 divides and sums in float32 and rounds each double ``pow`` to
+float32.
 
 Each row picks its gamma through a router (one gamma per routable factor),
 so sharpening strength is a per-token decision.
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConfigError, ContractViolation, _check_2d, relu, row_l2_norm
+from .numerics import ConfigError, ContractViolation, _check_2d, _focused_map
 from .routing import RouteAssignment, Router, route_argmax
 
 __all__ = ["KernelBank", "focused_kernel", "focused_rows", "dmk_forward"]
@@ -51,30 +60,15 @@ class KernelBank:
 def focused_rows(z: np.ndarray, gamma: float) -> np.ndarray:
     """Focused map applied to every row of a matrix with one shared gamma.
 
-    The power step first divides each live row by its max entry, which keeps
-    relu(z)^gamma inside [0, 1] for any gamma without changing the result
-    (the scale cancels in the normalize-then-rescale), so gamma = 8 on f32
-    cannot overflow.
+    The power step divides each live row by its max entry, which keeps
+    relu(z)^gamma inside [0, 1] for any gamma (the scale cancels in the
+    normalize-then-rescale), so gamma = 8 on f32 cannot overflow.  gamma = 1
+    returns ``relu(z)`` bit for bit.
     """
     _check_2d(z, "kernel input")
     if not (float(gamma) > 0.0):
         raise ConfigError(f"gamma must be > 0, got {gamma!r}")
-    g = float(gamma)
-    r = relu(z)
-    if g == 1.0:
-        # the map is the identity on relu(z); keep it bit-exact
-        return r
-    n1 = row_l2_norm(r)
-    alive = n1 > 0
-    out = np.zeros_like(r)
-    if not np.any(alive):
-        return out
-    ra = r[alive]
-    peak = np.max(ra, axis=1, keepdims=True)  # > 0 on live rows
-    rg = (ra / peak) ** g
-    ng = row_l2_norm(rg)
-    out[alive] = rg * (n1[alive] / ng)[:, None]
-    return out
+    return _focused_map(z, np.full(z.shape[0], float(gamma)))
 
 
 def focused_kernel(row: np.ndarray, gamma: float) -> np.ndarray:
@@ -87,14 +81,11 @@ def focused_kernel(row: np.ndarray, gamma: float) -> np.ndarray:
 def dmk_forward(z: np.ndarray, bank: KernelBank):
     """Dynamic measure kernel: route each row to a gamma, apply the focused map.
 
-    Returns ``(out, routes)``.  Rows are grouped by chosen gamma and mapped
-    per group; since the map is row-local the grouping is only a batching
-    detail.
+    Returns ``(out, routes)``.  The whole matrix is mapped in one pass with
+    each row's routed gamma; the map is row-local, so row i of the output is
+    ``focused_rows(z[i:i+1], gamma_i)``.  ``z`` may be a strided view, such as
+    one head's columns.
     """
     routes = route_argmax(z, bank.router)
-    out = np.zeros_like(z)
-    for f, gamma in enumerate(bank.gammas):
-        rows = np.flatnonzero(routes.indices == f)
-        if rows.size:
-            out[rows] = focused_rows(z[rows], gamma)
-    return out, routes
+    gamma = np.asarray(bank.gammas, dtype=np.float64)[routes.indices]
+    return _focused_map(z, gamma), routes

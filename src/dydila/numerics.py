@@ -6,24 +6,29 @@ that follow the same order) agree bit for bit.  The one that matters most is
 :func:`matmul`: ``out[i, j]`` is accumulated strictly in ascending ``k``,
 which is what a naive triple loop does and what vendor BLAS does not.
 
+The focused feature map behind ``dydila.kernels`` (:func:`_focused_map`) has
+such an order too: per row, relu, row max, divide by it, libm ``pow``, an
+ascending-index sum of squares and ``sqrt`` for both norms, rescale.
+
 Matrices are plain ``numpy.ndarray`` in float32 or float64.  Mixing the two
 in one call is an error rather than a silent promotion.
 
-:func:`matmul` runs a small C kernel whose source lives in this module, so
-the module that owns the order contract also owns the code that keeps it.
-The kernel is compiled at the first :func:`matmul` call (never at import)
-with ``cc -O3 -ffp-contract=off`` (no FMA contraction) and cached under
-``${XDG_CACHE_HOME:-~/.cache}/dydila``, keyed by the sha256 of the source,
-the flags and the compiler version.  When no compiler is present or the
-build or load fails, one ``RuntimeWarning`` is issued and :func:`matmul`
-uses a numpy loop with the same per-element order; that loop is also the
-in-process reference the tests compare the kernel with.
+Both run small C kernels whose source lives in this module, so the module
+that owns the order contracts also owns the code that keeps them.  The
+kernels are compiled into one shared object at the first call of either
+(never at import) with ``cc -O3 -ffp-contract=off`` (no FMA contraction)
+and cached under ``${XDG_CACHE_HOME:-~/.cache}/dydila``, keyed by the
+sha256 of the source, the flags and the compiler version.  When no compiler
+is present or the build or load fails, one ``RuntimeWarning`` is issued and
+both use numpy loops with the same per-element order; those loops are also
+the in-process references the tests compare the kernels with.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import tempfile
 import warnings
@@ -80,7 +85,7 @@ _STRIDED_BLOCK_CAP = 256
 # are C-contiguous.  target_clones picks the widest vector unit at load time,
 # which keeps the cached object portable; it needs x86-64 and glibc's ifunc,
 # so other hosts build one plain copy.
-_KERNEL = r"""
+_MATMUL_KERNEL = r"""
 CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                const $T *restrict b, $T *restrict out,
@@ -127,9 +132,67 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
     }
 }
 """
+
+# The compiled focused map, one copy per element type; _focused_numpy is its
+# reference.  One pass per row: relu (NaN kept, -0 made +0, as np.maximum
+# does), the row max (NaN-propagating, as np.max) and the ascending-index sum
+# of squares of relu, all in $T.  A row whose gamma is 1 keeps relu; a row
+# whose relu norm n1 is 0 becomes +0 (a NaN row is not dead).  Otherwise
+# each nonzero entry becomes libm pow(r / peak, gamma), the division in $T
+# and pow in double rounded to $T; zeros stay +0.  The powered row's norm ng
+# is summed the same way, and every entry is multiplied by n1 / ng.  Dividing
+# by the row max keeps the powers in [0, 1], so no gamma overflows f32.  z is
+# read through its element strides, so head slices need no copy; out is
+# C-contiguous.  The ordered sums and the calls to pow keep the first two
+# loops scalar; only the rescale vectorises.
+_FOCUSED_KERNEL = r"""
+CLONES
+void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
+                const double *restrict gamma, $T *restrict out,
+                ptrdiff_t n, ptrdiff_t d)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const $T *zi = z + i * sz0;
+        $T *o = out + i * d;
+        $T peak = 0, s1 = 0, sg = 0;
+        for (ptrdiff_t j = 0; j < d; j++) {
+            const $T x = zi[j * sz1];
+            $T r = x > 0 ? x : 0;
+            if (x != x)
+                r = peak = x;
+            o[j] = r;
+            peak = r > peak ? r : peak;
+            s1 = s1 + r * r;
+        }
+        const double g = gamma[i];
+        const $T n1 = ($T)sqrt(s1);
+        if (g == 1)
+            continue;
+        if (n1 == 0) {
+            for (ptrdiff_t j = 0; j < d; j++)
+                o[j] = 0;
+            continue;
+        }
+        for (ptrdiff_t j = 0; j < d; j++) {
+            const $T r = o[j];
+            const $T t = r != 0 ? ($T)pow((double)(r / peak), g) : 0;
+            o[j] = t;
+            sg = sg + t * t;
+        }
+        const $T scale = n1 / ($T)sqrt(sg);
+        for (ptrdiff_t j = 0; j < d; j++)
+            o[j] = o[j] * scale;
+    }
+}
+"""
 _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
+# Argument types of each kernel, bound for every entry of _C_TYPES.
+_P, _S = ctypes.c_void_p, ctypes.c_ssize_t
+_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _P, _S, _S, _S),
+                 "focused": (_P, _S, _S, _P, _P, _S, _S)}
 # __GLIBC__ comes from a libc header, hence <limits.h>.
 _C_PRELUDE = r"""#include <limits.h>
+#include <math.h>
 #include <stddef.h>
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -137,14 +200,18 @@ _C_PRELUDE = r"""#include <limits.h>
 #define CLONES
 #endif
 """
-_C_SOURCE = _C_PRELUDE + "".join(_KERNEL.replace("$T", t) for t in _C_TYPES.values())
+_C_SOURCE = _C_PRELUDE + "".join(kernel.replace("$T", t)
+                                   for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL)
+                                   for t in _C_TYPES.values())
 _CC = "cc"
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_LDLIBS = ("-lm",)  # after the source, so --as-needed linkers keep it
 _DIGEST_BYTES = 32
 
-# dtype -> compiled kernel once resolved; empty when the fallback is in use.
+# (kernel name, dtype) -> compiled kernel once resolved; empty when the
+# fallback is in use.
 _c_kernels = None
-_c_unavailable = ""  # why the compiled kernel is not in use
+_c_unavailable = ""  # why the compiled kernels are not in use
 
 
 def resolve_dtype(precision):
@@ -248,7 +315,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        _run_cc(*_CFLAGS, "-x", "c", "-", "-o", tmp, stdin=_C_SOURCE)
+        _run_cc(*_CFLAGS, "-x", "c", "-", "-o", tmp, *_LDLIBS, stdin=_C_SOURCE)
         body = Path(tmp).read_bytes()
         with open(tmp, "ab") as f:
             f.write(hashlib.sha256(body).digest())
@@ -266,24 +333,24 @@ def _cache_path() -> Path:
     while the compiler is on PATH.
     """
     version = _run_cc("--version")
-    key = hashlib.sha256("\0".join((_C_SOURCE, *_CFLAGS, version)).encode()).hexdigest()
+    key = hashlib.sha256("\0".join((_C_SOURCE, *_CFLAGS, *_LDLIBS, version)).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "dydila"
     return cache / f"{key}.so"
 
 
 def _load_kernels() -> dict:
-    """Build (or reuse the cached build of) the kernel and bind it per dtype."""
+    """Build (or reuse the cached build of) the kernels and bind them per dtype."""
     path = _cache_path()
     if not _sealed(path):
         _build(path)
     lib = ctypes.CDLL(str(path))
-    p, s = ctypes.c_void_p, ctypes.c_ssize_t
     kernels = {}
-    for dtype, ctype in _C_TYPES.items():
-        fn = getattr(lib, f"matmul_{ctype}")
-        fn.argtypes = (p, s, s, p, p, s, s, s)
-        fn.restype = None
-        kernels[dtype] = fn
+    for name, argtypes in _C_SIGNATURES.items():
+        for dtype, ctype in _C_TYPES.items():
+            fn = getattr(lib, f"{name}_{ctype}")
+            fn.argtypes = argtypes
+            fn.restype = None
+            kernels[name, dtype] = fn
     return kernels
 
 
@@ -296,15 +363,16 @@ def _kernels() -> dict:
         except OSError as e:
             _c_unavailable = f"{type(e).__name__}: {e}"
             _c_kernels = {}
-            warnings.warn(f"compiled matmul unavailable, using the numpy loop: {_c_unavailable}",
+            warnings.warn(f"compiled kernels unavailable, using the numpy loops: {_c_unavailable}",
                           RuntimeWarning, stacklevel=3)
     return _c_kernels
 
 
 def matmul_backend() -> str:
-    """The backend :func:`matmul` uses in this process: ``"c"`` or ``"numpy"``.
+    """The backend :func:`matmul` and the focused map use in this process:
+    ``"c"`` or ``"numpy"``.
 
-    The first call builds or loads the compiled kernel, like the first
+    The first call builds or loads the compiled kernels, like the first
     :func:`matmul` call does.
     """
     return "c" if _kernels() else "numpy"
@@ -332,7 +400,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Aligned arrays have strides that are whole elements, which is what the
     # kernel indexes by; b and out must be C-contiguous rows.
     b = np.require(b, requirements="CA")
-    kernel = _kernels().get(a.dtype)
+    kernel = _kernels().get(("matmul", a.dtype))
     if kernel is None:
         return _matmul_numpy(a, b)
     a = np.require(a, requirements="A")
@@ -366,6 +434,62 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for k in range(inner):
             np.multiply(ab[:, k : k + 1], b[k], out=t)
             np.add(ob, t, out=ob)
+    return out
+
+
+def _focused_map(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Focused map of every row of `z`, row i with exponent ``gamma[i]``.
+
+    `z` must be a validated 2-D float matrix and `gamma` must hold one value
+    > 0 per row of `z`.  The order is the one described above
+    ``_FOCUSED_KERNEL``; the compiled kernel runs when it built, otherwise
+    :func:`_focused_numpy`, with the same bits.
+    """
+    n, d = z.shape
+    gamma = np.require(gamma, dtype=np.float64, requirements="CA")
+    if gamma.shape != (n,):
+        raise ContractViolation(f"{gamma.shape} gammas for {n} rows")
+    if n == 0 or d == 0:
+        return np.zeros((n, d), dtype=z.dtype)
+    kernel = _kernels().get(("focused", z.dtype))
+    if kernel is None:
+        return _focused_numpy(z, gamma)
+    z = np.require(z, requirements="A")
+    out = np.empty((n, d), dtype=z.dtype)
+    size = z.itemsize
+    kernel(z.ctypes.data, z.strides[0] // size, z.strides[1] // size, gamma.ctypes.data,
+           out.ctypes.data, n, d)
+    return out
+
+
+_pow = np.frompyfunc(math.pow, 2, 1)  # libm pow per element, as the kernel calls it
+
+
+def _sum_squares(m: np.ndarray) -> np.ndarray:
+    """Per-row sum of squares added in ascending column order, from +0."""
+    acc = np.zeros(m.shape[0], dtype=m.dtype)
+    for j in range(m.shape[1]):
+        col = m[:, j]
+        acc = acc + col * col
+    return acc
+
+
+def _focused_numpy(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The fallback of :func:`_focused_map`: numpy over rows, ``math.pow`` per entry."""
+    out = np.maximum(z, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        n1 = np.sqrt(_sum_squares(out))
+        powered = gamma != 1
+        out[powered & (n1 == 0)] = 0
+        live = powered & (n1 != 0)
+        if not live.any():
+            return out
+        r = out[live]
+        x = r / np.max(r, axis=1, keepdims=True)
+        nonzero = r != 0
+        t = np.zeros_like(x)
+        t[nonzero] = _pow(x[nonzero], np.broadcast_to(gamma[live, None], x.shape)[nonzero])
+        out[live] = t * (n1[live] / np.sqrt(_sum_squares(t)))[:, None]
     return out
 
 

@@ -9,6 +9,7 @@ explicit-map oracles refuse token counts above :data:`ORACLE_CAP`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,18 +134,37 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def naive_focused_row(row: np.ndarray, gamma: float) -> np.ndarray:
-    """Textbook focused map of one row: relu^gamma renormalized to the relu norm.
+    """Focused map of one row: relu^gamma renormalized to the relu norm.
 
-    Deliberately has no max-rescaling trick, so it is arithmetically
-    independent of the production kernel.
+    A per-element Python loop in float64, in the order the production map
+    promises (so in float64 the two agree bit for bit): relu keeping NaN;
+    gamma = 1 returns relu.  Otherwise n1 = sqrt of the ascending sum of
+    squares; n1 == 0 gives the zero row.  Each nonzero entry becomes
+    ``math.pow(r / peak, gamma)``, with peak the row max (NaN if the row
+    holds one); ng is summed like n1, and every entry is multiplied by
+    n1 / ng.
     """
-    r = np.maximum(np.asarray(row, dtype=np.float64), 0.0)
-    n1 = float(np.sqrt(np.sum(r * r)))
+    r = [x if x > 0.0 or x != x else 0.0 for x in map(float, row)]
+    g = float(gamma)
+    if g == 1.0:
+        return np.array(r, dtype=np.float64)
+    n1 = math.sqrt(_sum_of_squares(r))
     if n1 == 0.0:
-        return np.zeros_like(r)
-    rg = r ** float(gamma)
-    ng = float(np.sqrt(np.sum(rg * rg)))
-    return rg * (n1 / ng)
+        return np.zeros(len(r), dtype=np.float64)
+    peak = 0.0
+    for x in r:
+        if x > peak or x != x:
+            peak = x
+    t = [math.pow(x / peak, g) if x != 0.0 else 0.0 for x in r]
+    scale = n1 / math.sqrt(_sum_of_squares(t))
+    return np.array([x * scale for x in t], dtype=np.float64)
+
+
+def _sum_of_squares(values) -> float:
+    s = 0.0
+    for x in values:
+        s += x * x
+    return s
 
 
 def explicit_routes(tokens: np.ndarray, router: Router) -> np.ndarray:

@@ -5,8 +5,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dydila
+import dydila.numerics as numerics
 from dydila.attention import DwcParams, DydilaParams, HeadParams
 from dydila.differential import DifferentialBank
 from dydila.kernels import KernelBank
@@ -28,6 +30,17 @@ def assert_close(actual, expected, tol, msg=""):
         f"{msg} max_abs={max_abs:.3e} rel={rel:.3e} > tol={tol:.1e} "
         f"at {np.unravel_index(int(np.argmax(diff)), diff.shape)}"
     )
+
+
+def needs_compiler():
+    """Skip the calling test when the compiled kernels did not build."""
+    if numerics.matmul_backend() != "c":
+        pytest.skip(f"compiled kernels did not build: {numerics._c_unavailable}")
+
+
+def bits(arr):
+    """The raw bits of a float array, for bitwise comparisons."""
+    return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
 
 
 def cli_env():

@@ -15,6 +15,7 @@ from dydila.attention import (
     softmax_attention,
     stack_forward,
 )
+from dydila.checks import TOLERANCES
 from dydila.differential import DifferentialBank
 from dydila.kernels import KernelBank
 from dydila.numerics import ContractViolation, ConfigError, matmul, relu, softmax_rows
@@ -399,3 +400,32 @@ class TestPermutationEquivariance:
             assert np.array_equal(diag.heads[0].routes_kernel_q.indices[perm],
                                   diag_p.heads[0].routes_kernel_q.indices)
             assert_close(out_p, out[perm], 1e-12, "permuted block")
+
+
+# Edge shapes of one block: (d, grid, make_block overrides).
+_EDGE_CASES = {
+    "n1": (8, (1, 1), {"heads": 2}),
+    "grid_1xn": (8, (1, 7), {}),
+    "grid_nx1": (8, (7, 1), {}),
+    "d_h1_heads_d": (4, (3, 3), {"heads": 4}),
+    "one_member_banks": (8, (3, 4), {"n_p": 1, "gammas": (3.0,), "lambdas": (0.1,)}),
+    "f32_gamma8": (8, (4, 4), {"heads": 2, "gammas": (8.0,), "precision": "f32"}),
+}
+
+
+class TestEdgeShapesVsOracle:
+    """One block on edge shapes against pipeline_oracle, at the README's
+    composed-pipeline tolerance for the block's precision."""
+
+    @pytest.mark.parametrize("variant", ["token-wise", "map-wise"])
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_block_matches_oracle(self, case, variant):
+        d, grid, overrides = _EDGE_CASES[case]
+        precision = overrides.get("precision", "f64")
+        params = make_block(900 + sorted(_EDGE_CASES).index(case), d, grid, variant=variant,
+                            normalize=True, **overrides)
+        x = mat(901, grid[0] * grid[1], d, precision)
+        out, _ = multihead_forward(x, params)
+        assert out.dtype == x.dtype and np.all(np.isfinite(out))
+        assert_close(out, pipeline_oracle(x, params), TOLERANCES[precision]["composed"],
+                     f"{case} {variant}")

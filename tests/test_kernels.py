@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
 
+import dydila.numerics as numerics
 from dydila.kernels import KernelBank, dmk_forward, focused_kernel, focused_rows
 from dydila.numerics import ContractViolation, ConfigError, relu, row_l2_norm
 from dydila.oracle import naive_focused_row, per_token_kernel
 from dydila.routing import Router
 
-from conftest import assert_close, make_kernel_bank, mat
+from conftest import assert_close, bits, make_kernel_bank, mat, needs_compiler
+
+_GAMMAS = (0.5, 1.0, 1.7, 3.0, 8.0)
+_F32_TOL = 1e-5  # README tolerance table: focused map vs oracle, f32
+
+
+def _oracle_rows(z, gamma):
+    """naive_focused_row over the rows of z, row i with gamma[i]."""
+    return np.stack([naive_focused_row(z[i], gamma[i]) for i in range(z.shape[0])])
+
+
+def _awkward(seed, n, d, precision="f64"):
+    """Seeded rows with dead rows, zero and -0 entries, one row of equal
+    entries and one of huge magnitudes, and a gamma per row from _GAMMAS."""
+    z = mat(seed, n, d, precision)
+    z[1] = -np.abs(z[1])
+    z[2] = 0.0
+    z[3, ::2] = -0.0
+    z[4] = 0.25
+    z[5] *= 1e30 if precision == "f64" else 1e15
+    gamma = np.resize(np.array(_GAMMAS), n)
+    np.random.default_rng(seed).shuffle(gamma)
+    return z, gamma
 
 
 class TestFocusedKernel:
@@ -44,7 +67,7 @@ class TestFocusedKernel:
         z = mat(3, 40, 12)
         for gamma in (0.5, 2.0, 3.0, 8.0):
             want = np.stack([naive_focused_row(z[i], gamma) for i in range(40)])
-            assert_close(focused_rows(z, gamma), want, 1e-13, f"gamma={gamma}")
+            assert np.array_equal(bits(focused_rows(z, gamma)), bits(want)), gamma
 
     def test_sharpening_monotone_in_gamma(self):
         # larger gamma puts strictly more of the row mass on the peak entry
@@ -98,7 +121,7 @@ class TestDmkForward:
         out, routes = dmk_forward(z, bank)
         want, idx = per_token_kernel(z, bank)
         assert np.array_equal(routes.indices, idx)
-        assert_close(out, want, 1e-12, "routed kernel vs per-token oracle")
+        assert np.array_equal(bits(out), bits(want))
 
     def test_row_locality(self):
         z = mat(10, 20, 8)
@@ -115,3 +138,122 @@ class TestDmkForward:
             KernelBank(gammas=(1.0, -2.0), router=Router(np.zeros((4, 2))))
         with pytest.raises(ConfigError, match="choices"):
             KernelBank(gammas=(1.0, 2.0), router=Router(np.zeros((4, 3))))
+
+
+class TestFocusedMap:
+    """The focused map's order contract on the numpy fallback;
+    TestFocusedMapCompiled reruns every test here on the compiled kernel."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_exact_vs_oracle(self, seed):
+        z, gamma = _awkward(seed, 40, 13)
+        assert np.array_equal(bits(numerics._focused_map(z, gamma)), bits(_oracle_rows(z, gamma)))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_gamma_one_rows_are_relu(self, precision):
+        z, gamma = _awkward(3, 40, 13, precision)
+        out = numerics._focused_map(z, gamma)
+        ones = gamma == 1.0
+        assert ones.any() and np.array_equal(bits(out[ones]), bits(relu(z)[ones]))
+        assert np.array_equal(bits(focused_rows(z, 1.0)), bits(relu(z)))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_dmk_forward_equals_focused_rows_per_group(self, precision):
+        z = mat(4, 60, 8, precision)
+        bank = make_kernel_bank(5, 8, _GAMMAS, precision)
+        out, routes = dmk_forward(z, bank)
+        assert len(set(routes.indices.tolist())) > 2
+        for f, gamma in enumerate(bank.gammas):
+            rows = routes.indices == f
+            assert np.array_equal(bits(out[rows]), bits(focused_rows(z[rows], gamma))), gamma
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("heads", [2, 6])
+    def test_strided_head_slices(self, precision, heads):
+        z, gamma = _awkward(6, 30, 12, precision)
+        d_h = 12 // heads
+        for h in range(heads):
+            view = z[:, h * d_h:(h + 1) * d_h]
+            got = numerics._focused_map(view, gamma)
+            assert np.array_equal(bits(got), bits(numerics._focused_map(view.copy(), gamma)))
+            if precision == "f64":
+                assert np.array_equal(bits(got), bits(_oracle_rows(view, gamma)))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 5), (7, 1), (1, 1)])
+    def test_edge_shapes(self, precision, shape):
+        z = mat(7, *shape, precision)
+        gamma = np.resize(np.array(_GAMMAS), shape[0])
+        out = numerics._focused_map(z, gamma)
+        assert out.shape == shape and out.dtype == z.dtype
+        want = _oracle_rows(z, gamma) if shape[0] else np.zeros(shape)
+        if precision == "f64":
+            assert np.array_equal(bits(out), bits(want))
+        else:
+            assert_close(out, want, _F32_TOL, f"f32 {shape}")
+        if shape[1] == 1:
+            # one live entry powers to 1 and is rescaled to its own norm
+            assert np.array_equal(out, relu(z))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_f32_within_tolerance_of_oracle(self, seed):
+        z, gamma = _awkward(seed, 40, 13, "f32")
+        out, want = numerics._focused_map(z, gamma), _oracle_rows(z, gamma)
+        for i in range(40):
+            assert_close(out[i], want[i], _F32_TOL, f"row {i} gamma={gamma[i]}")
+
+    def test_f32_gamma_eight_stays_finite(self):
+        z = mat(8, 200, 16, "f32", low=-1e4, high=1e4)
+        z[::7] *= np.float32(1e-15)
+        out = focused_rows(z, 8.0)
+        assert np.all(np.isfinite(out))
+        want = _oracle_rows(z, np.full(200, 8.0))
+        for i in range(200):
+            assert_close(out[i], want[i], _F32_TOL, f"row {i}")
+
+    def test_one_gamma_per_row(self):
+        with pytest.raises(ContractViolation, match="gammas for 4 rows"):
+            numerics._focused_map(mat(10, 4, 3), np.full(3, 2.0))
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_nan_row_stays_non_finite(self, gamma):
+        # a NaN row is not a dead row: it must not come out as zeros
+        z = mat(9, 12, 6)
+        z[4, 2] = np.nan
+        z[7] = -np.abs(z[7])
+        z[7, 3] = np.nan  # NaN in a row whose other entries are all dead
+        clean = z.copy()
+        clean[[4, 7]] = 1.0
+        out = focused_rows(z, gamma)
+        others = np.ones(12, dtype=bool)
+        others[[4, 7]] = False
+        for row in (4, 7):
+            assert not np.isfinite(out[row]).all(), row
+            assert not np.isfinite(naive_focused_row(z[row], gamma)).all(), row
+        assert np.array_equal(bits(out[others]), bits(focused_rows(clean, gamma)[others]))
+        assert focused_rows(np.array([[1.0, np.nan, 2.0]]), gamma)[0, 1] != 0.0
+
+
+class TestFocusedMapCompiled(TestFocusedMap):
+    """Every TestFocusedMap case again on the compiled kernel, plus bit
+    equality with the numpy fallback, which covers f32."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self):
+        needs_compiler()
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_numpy_fallback(self, precision, seed):
+        z, gamma = _awkward(seed, 70, 33, precision)
+        wide = np.zeros((70, 99), dtype=z.dtype)
+        wide[:, 33:66] = z
+        for name, view in [("c_order", z), ("f_order", np.asfortranarray(z)),
+                           ("head_slice", wide[:, 33:66]),
+                           ("column_stride", np.repeat(z, 3, axis=1)[:, ::3])]:
+            got = numerics._focused_map(view, gamma)
+            assert np.array_equal(bits(got), bits(numerics._focused_numpy(view, gamma))), name

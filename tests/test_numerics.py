@@ -18,9 +18,10 @@ from dydila.numerics import (
     row_l2_norm,
     softmax_rows,
 )
-from dydila.oracle import ORACLE_CAP, naive_matmul
+from dydila.kernels import dmk_forward
+from dydila.oracle import ORACLE_CAP, naive_matmul, per_token_kernel
 
-from conftest import assert_close, cli_env, mat
+from conftest import assert_close, bits, cli_env, make_kernel_bank, mat, needs_compiler
 
 # The NaN that 0 * inf yields on this platform.  IEEE 754 leaves open which
 # NaN an operation returns when two different NaNs meet (numpy's own loop
@@ -53,15 +54,6 @@ def _with_nonfinite(seed, arr):
     idx = rng.choice(out.size, size=min(out.size, 3), replace=False)
     out.flat[idx] = rng.choice(values, size=idx.size)
     return out
-
-
-def _needs_compiler():
-    if numerics.matmul_backend() != "c":
-        pytest.skip(f"compiled matmul did not build: {numerics._c_unavailable}")
-
-
-def _bits(arr):
-    return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
 
 
 def _naive_wide(a, b):
@@ -109,7 +101,7 @@ class TestMatmul:
         # 0 + (-0) is +0: a sum seeded with its first product would keep -0
         a = as_matrix([[-0.0, -0.0], [1.0, -0.0]])
         b = as_matrix([[1.0], [1.0]])
-        assert np.array_equal(_bits(matmul(a, b)), _bits(naive_matmul(a, b)))
+        assert np.array_equal(bits(matmul(a, b)), bits(naive_matmul(a, b)))
         assert not np.signbit(matmul(a, b)).any()
 
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
@@ -126,7 +118,7 @@ class TestMatmul:
             a = _with_nonfinite(seed, mat(seed, 9, 6))
             b = _with_nonfinite(seed + 50, mat(seed + 1, 6, 10))
             for name, a, b in _layouts(a, b):
-                assert np.array_equal(_bits(matmul(a, b)), _bits(naive_matmul(a, b))), name
+                assert np.array_equal(bits(matmul(a, b)), bits(naive_matmul(a, b))), name
 
     def test_block_size_invariance(self, monkeypatch):
         # row blocking is a performance knob: any block size gives identical bits
@@ -173,7 +165,7 @@ class TestMatmulCompiled(TestMatmul):
 
     @pytest.fixture(autouse=True)
     def backend(self):
-        _needs_compiler()
+        needs_compiler()
 
     # The kernel has no row blocks; the fallback's block size is tested above.
     test_block_size_invariance = None
@@ -186,7 +178,7 @@ class TestMatmulCompiled(TestMatmul):
             for a, b, tag in cases:
                 want = numerics._matmul_numpy(a, b)
                 for name, a_l, b_l in _layouts(a, b):
-                    assert np.array_equal(_bits(matmul(a_l, b_l)), _bits(want)), name + tag
+                    assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), name + tag
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_long_inner_matches_numpy_loop(self, precision):
@@ -209,14 +201,14 @@ class TestMatmulCompiled(TestMatmul):
         got = matmul(a, b)
         assert got.shape == (n, m) and got.dtype == dtype
         assert got.flags.c_contiguous and got.flags.writeable
-        assert np.array_equal(_bits(got), _bits(want))
-        kernel, nbytes = numerics._kernels()[dtype], n * m * dtype.itemsize
+        assert np.array_equal(bits(got), bits(want))
+        kernel, nbytes = numerics._kernels()["matmul", dtype], n * m * dtype.itemsize
         for offset in range(0, 64, dtype.itemsize):
             buf = np.full(nbytes + 128, 0xFF, dtype=np.uint8)
             start = -buf.ctypes.data % 64 + offset
             out = buf[start:start + nbytes].view(dtype).reshape(n, m)
             kernel(a.ctypes.data, inner, 1, b.ctypes.data, out.ctypes.data, n, inner, m)
-            assert np.array_equal(_bits(out), _bits(want)), offset
+            assert np.array_equal(bits(out), bits(want)), offset
             assert (buf[:start] == 0xFF).all() and (buf[start + nbytes:] == 0xFF).all()
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -234,7 +226,7 @@ class TestMatmulCompiled(TestMatmul):
                 want = _naive_wide(a, b) if precision == "f64" else numerics._matmul_numpy(a, b)
                 for name, a_l, b_l in _layouts(a, b):
                     got = matmul(a_l, b_l)
-                    assert np.array_equal(_bits(got), _bits(want)), (m, name)
+                    assert np.array_equal(bits(got), bits(want)), (m, name)
             assert np.isfinite(want[:, :p]).all() and np.isfinite(want[:, 2 * p:]).all()
 
 
@@ -256,8 +248,10 @@ class TestCompiledBuild:
             cc.chmod(0o755)
         monkeypatch.setattr(numerics, "_CC", str(cc))
         a, b = mat(0, 5, 6), mat(1, 6, 3)
+        z, bank = mat(2, 9, 4), make_kernel_bank(3, 4, (0.5, 1.0, 3.0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            mapped, routes = dmk_forward(z, bank)
             first, second = matmul(a, b), matmul(a, b)
             backend = numerics.matmul_backend()
         assert [w.category for w in caught] == [RuntimeWarning]
@@ -267,10 +261,11 @@ class TestCompiledBuild:
             assert list(tmp_path.joinpath("dydila").iterdir()) == []
         assert backend == "numpy"
         assert np.array_equal(first, naive_matmul(a, b)) and np.array_equal(second, first)
+        assert np.array_equal(bits(mapped), bits(per_token_kernel(z, bank)[0]))
 
     @pytest.mark.parametrize("damage", ["garbage", "truncated", "digest_only"])
     def test_damaged_cache_is_rebuilt(self, monkeypatch, tmp_path, damage):
-        _needs_compiler()
+        needs_compiler()
         _fresh_backend(monkeypatch, tmp_path)
         path = numerics._cache_path()
         numerics._build(path)
@@ -280,37 +275,44 @@ class TestCompiledBuild:
                           "digest_only": data[-numerics._DIGEST_BYTES:]}[damage])
         assert not numerics._sealed(path)
         a, b = mat(2, 9, 5), mat(3, 5, 4)
+        z, bank = mat(4, 9, 4), make_kernel_bank(5, 4, (0.5, 1.0, 3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert np.array_equal(bits(dmk_forward(z, bank)[0]), bits(per_token_kernel(z, bank)[0]))
             assert np.array_equal(matmul(a, b), naive_matmul(a, b))
         assert numerics.matmul_backend() == "c"
         assert numerics._sealed(path)
         assert [p.name for p in tmp_path.joinpath("dydila").iterdir()] == [path.name]
+        built = path.read_bytes()
+        assert all(name in built for name in (b"matmul_double", b"focused_double"))
 
     def test_build_without_target_clones(self, monkeypatch, tmp_path):
         # the build of a host that is not x86-64 glibc: one plain copy per dtype
-        _needs_compiler()
+        needs_compiler()
         _fresh_backend(monkeypatch, tmp_path)
         condition = "#if defined(__x86_64__) && defined(__GLIBC__)"
         assert numerics._C_SOURCE.count(condition) == 1
         monkeypatch.setattr(numerics, "_C_SOURCE", numerics._C_SOURCE.replace(condition, "#if 0"))
         assert numerics.matmul_backend() == "c"
-        assert b"matmul_double.default" not in numerics._cache_path().read_bytes()
+        built = numerics._cache_path().read_bytes()
+        assert b"matmul_double.default" not in built and b"focused_double.default" not in built
         for n, inner, m in [(1, 4, 3), (9, 7, 11), (5, 3, 513)]:
             a, b = mat(n, n, inner), mat(m, inner, m)
-            assert np.array_equal(_bits(matmul(a, b)), _bits(_naive_wide(a, b)))
+            assert np.array_equal(bits(matmul(a, b)), bits(_naive_wide(a, b)))
+        z, bank = mat(6, 9, 4), make_kernel_bank(7, 4, (0.5, 1.0, 3.0))
+        assert np.array_equal(bits(dmk_forward(z, bank)[0]), bits(per_token_kernel(z, bank)[0]))
 
     @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
                         reason="target_clones is built only on x86-64 glibc hosts")
     def test_x86_64_glibc_build_has_clones(self):
-        _needs_compiler()
+        needs_compiler()
         built = numerics._cache_path().read_bytes()
-        for name in ("matmul_double", "matmul_float"):
+        for name in ("matmul_double", "matmul_float", "focused_double", "focused_float"):
             for target in ("avx512f", "avx2", "default"):
                 assert f"{name}.{target}".encode() in built
 
     def test_concurrent_cold_builds(self, tmp_path):
-        _needs_compiler()
+        needs_compiler()
         script = (
             "from dydila.numerics import SeededRng, matmul, matmul_backend\n"
             "from dydila.oracle import naive_matmul\n"
