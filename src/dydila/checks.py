@@ -208,13 +208,8 @@ def run_checks(cfg: RunConfig) -> list:
     )
 
     results.append(
-        _exact(
-            "kernel_gamma1_is_relu",
-            bool(np.array_equal(focused_rows(z, 1.0), relu(z)))
-            if cfg.precision == "f64"
-            else compare(relu(z), focused_rows(z, 1.0), tol["kernel_norm"]).passed,
-            "gamma=1 reduces to relu",
-        )
+        _exact("kernel_gamma1_is_relu", bool(np.array_equal(focused_rows(z, 1.0), relu(z))),
+               "gamma=1 reduces to relu")
     )
 
     # --- projection vs per-token oracle ---------------------------------

@@ -215,6 +215,17 @@ class TestFocusedMap:
         for i in range(200):
             assert_close(out[i], want[i], _F32_TOL, f"row {i}")
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("d", [1023, 1024, 1025, 2051])
+    def test_rows_wider_than_a_chunk(self, precision, d):
+        # the compiled kernel gathers nonzero positions per 1024 columns
+        z, gamma = _awkward(11, 6, d, precision)
+        got = numerics._focused_map(z, gamma)
+        if precision == "f64":
+            assert np.array_equal(bits(got), bits(_oracle_rows(z, gamma)))
+        else:
+            assert np.array_equal(bits(got), bits(numerics._focused_numpy(z, gamma)))
+
     def test_one_gamma_per_row(self):
         with pytest.raises(ContractViolation, match="gammas for 4 rows"):
             numerics._focused_map(mat(10, 4, 3), np.full(3, 2.0))

@@ -251,7 +251,7 @@ class TestCompiledBuild:
         z, bank = mat(2, 9, 4), make_kernel_bank(3, 4, (0.5, 1.0, 3.0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            mapped, routes = dmk_forward(z, bank)
+            mapped = dmk_forward(z, bank)[0]
             first, second = matmul(a, b), matmul(a, b)
             backend = numerics.matmul_backend()
         assert [w.category for w in caught] == [RuntimeWarning]
