@@ -1,6 +1,6 @@
 """Record one point of the benchmark trajectory as a BENCH_<k>.json file.
 
-    python3 scripts/bench_record.py --out BENCH_1.json [--checkout DIR] [--seconds 30]
+    python3 scripts/bench_record.py --out BENCH_1.json [--checkout DIR]
 
 For every workload that the checkout's BENCHMARK.json lists, this runs the
 benchmark command there with ``--trace 0`` for seeds 1-3 and ``--trace 1``
@@ -8,6 +8,8 @@ for seed 1, and keeps each run's result object and ``detail`` line. The
 file also holds the checkout's commit, the commands that were run, and
 ``dydila.matmul_backend()`` as the checkout's own dydila reports it, so a
 run that fell back to the numpy loops is told apart from a regression.
+Every run lasts BENCHMARK.json's ``run_seconds``, so all points of the
+trajectory are comparable.
 ``--checkout`` defaults to the repository holding this script; pointing it
 at a clone of an older commit records that commit with the same script.
 """
@@ -48,12 +50,11 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent),
                     help="root of the checkout to measure (default: this repository)")
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     args = ap.parse_args(argv)
 
     checkout = Path(args.checkout).resolve()
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
-    command, seconds = bench["command"], args.seconds or bench["run_seconds"]
+    command, seconds = bench["command"], bench["run_seconds"]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     record = {
         "commit": run(["git", "rev-parse", "HEAD"], checkout).strip(),

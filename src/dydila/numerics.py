@@ -143,18 +143,14 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
 # is summed the same way, and every entry is multiplied by n1 / ng.  Dividing
 # by the row max keeps the powers in [0, 1], so no gamma overflows f32.  z is
 # read through its element strides, so head slices need no copy; out is
-# C-contiguous.  pow dominates the time.  Its loop runs over the positions
-# of the nonzero entries, gathered without a branch per chunk of columns,
-# because a branch on the sign of each entry mispredicts on half of them;
-# the zeros it skips would add +0 to ng, which leaves ng's bits as they are.
+# C-contiguous.  The ordered sums and the calls to pow keep the first two
+# loops scalar; only the rescale vectorises.
 _FOCUSED_KERNEL = r"""
 CLONES
 void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                 const double *restrict gamma, $T *restrict out,
                 ptrdiff_t n, ptrdiff_t d)
 {
-    enum { chunk = 1024 };
-    ptrdiff_t live[chunk];
     for (ptrdiff_t i = 0; i < n; i++) {
         const $T *zi = z + i * sz0;
         $T *o = out + i * d;
@@ -177,19 +173,11 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                 o[j] = 0;
             continue;
         }
-        for (ptrdiff_t j0 = 0; j0 < d; j0 += chunk) {
-            const ptrdiff_t w = d - j0 < chunk ? d - j0 : chunk;
-            ptrdiff_t k = 0;
-            for (ptrdiff_t j = j0; j < j0 + w; j++) {
-                live[k] = j;
-                k += o[j] != 0;
-            }
-            for (ptrdiff_t m = 0; m < k; m++) {
-                const ptrdiff_t j = live[m];
-                const $T t = ($T)pow((double)(o[j] / peak), g);
-                o[j] = t;
-                sg = sg + t * t;
-            }
+        for (ptrdiff_t j = 0; j < d; j++) {
+            const $T r = o[j];
+            const $T t = r != 0 ? ($T)pow((double)(r / peak), g) : 0;
+            o[j] = t;
+            sg = sg + t * t;
         }
         const $T scale = n1 / ($T)sqrt(sg);
         for (ptrdiff_t j = 0; j < d; j++)

@@ -142,7 +142,9 @@ def naive_focused_row(row: np.ndarray, gamma: float) -> np.ndarray:
     squares; n1 == 0 gives the zero row.  Each nonzero entry becomes
     ``math.pow(r / peak, gamma)``, with peak the row max (NaN if the row
     holds one); ng is summed like n1, and every entry is multiplied by
-    n1 / ng.
+    n1 / ng.  Sharing that order makes it no independent check of the
+    formula; the tests also compare both with the textbook form
+    ``r**gamma * (||r|| / ||r**gamma||)``, which has no max rescale.
     """
     r = [x if x > 0.0 or x != x else 0.0 for x in map(float, row)]
     g = float(gamma)
