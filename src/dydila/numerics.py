@@ -72,61 +72,127 @@ _BLOCK_TARGET_BYTES = 1 << 20
 _STRIDED_INNER_LIMIT = 2048
 _STRIDED_BLOCK_CAP = 256
 
-# The compiled matmul kernel, one copy per element type.  Four output rows
-# share each row of b, and the loop over j vectorises across output columns.
-# The columns run in panels of 4 KiB per output row.  The four rows of a panel
-# accumulate in a 64-byte-aligned local array, 16 KiB in all, which stays in
-# L1 with the slice of the b row it reads however wide out is, and is copied
-# to out once: out comes from np.empty, aligned to 16 bytes only, and vector
-# stores into it would split cache lines on every k.  Every out[i, j] starts
-# from 0 and adds a[i, k] * b[k, j] in ascending k, each product rounded
-# before the add (-ffp-contract=off); the panels only split j.  a is read
-# through its element strides, so transposed views need no copy; b and out
-# are C-contiguous.  target_clones picks the widest vector unit at load time,
-# which keeps the cached object portable; it needs x86-64 and glibc's ifunc,
-# so other hosts build one plain copy.
+# Block sizes of the compiled matmul, in elements: MR-row register tiles,
+# KC inner indices, MC rows and NC columns per block (see _MATMUL_KERNEL).
+_MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
+
+# The compiled matmul kernel, one copy per element type, blocked as in Goto &
+# van de Geijn (2008); the block sizes are _MATMUL_BLOCKS, in elements.  The
+# loops run over blocks of NC output columns, then blocks of KC inner
+# indices, then blocks of MC output rows.  For each (KC, NC) block of b and
+# (MC, KC) block of a, both are packed: b into strips of KC x NR, a into
+# strips of MR x KC, each laid out in the order the tile reads it and padded
+# with zeros at the matrix edge.  Packing reads a and b through their element
+# strides, so transposed and strided views (k.T on either side) need no
+# copy.  Within a row block the loop over b strips is the outer one: a b
+# strip (32 KiB) stays in L1 while every a strip of the block (up to 512
+# KiB, in L2) passes it.  Each pass is one MR x NR tile of out, NR being two 64-byte
+# vectors (8 x 16 f64, 8 x 32 f32), accumulated in registers.  Tiles that
+# stick out of out run in a local copy, so out is written only inside the
+# matrix.  The tile is written with GCC vector types once per vector width:
+# 64 bytes with AVX-512, whose 32 registers hold all 16 accumulators; 32
+# bytes with AVX2, whose 16 registers hold one vector per row, so the tile
+# runs as four column passes; 16 bytes elsewhere (SSE2, NEON), in four passes
+# of two.  target_clones cannot pick it: a vector type wider than the target
+# turns into scalar moves through memory, 15-40x slower.  The packing
+# buffers are static and thread-local (ctypes releases the GIL while a
+# kernel runs), so a call allocates nothing.
+#
+# The order is the triple loop's.  The first k block starts every tile from
+# +0, never from its first product.  Each k block adds a[i, k] * b[k, j] in
+# ascending k, every product rounded before the add (-ffp-contract=off), and
+# stores the tile to out as $T; the next k block loads it back and goes on.
+# The accumulator is $T too, so the store and the reload round nothing, and
+# out[i, j] sees exactly the sums of one ascending loop over k.  Blocking
+# over rows and columns only changes which elements are computed together.
 _MATMUL_KERNEL = r"""
+enum { NR_$T = 2 * 64 / sizeof($T) };
+
+/* One MR x NR tile: out = (first ? +0 : out) + ap @ bp over kc inner indices,
+   in column passes of P vectors of V bytes per row. */
+#define TILE(V, P, ATTR)                                                       \
+static ATTR void tile##V##_$T(ptrdiff_t kc, const $T *restrict ap,              \
+                              const $T *restrict bp, $T *restrict c,            \
+                              ptrdiff_t ldc, int first)                         \
+{                                                                              \
+    typedef $T vec __attribute__((vector_size(V)));                            \
+    enum { W = V / sizeof($T), NR = NR_$T };                                   \
+    for (int h = 0; h < NR; h += P * W) {                                      \
+        vec acc[MR][P];                                                        \
+        for (int r = 0; r < MR; r++)                                           \
+            for (int s = 0; s < P; s++) {                                      \
+                acc[r][s] = (vec){0};                                          \
+                if (!first)                                                    \
+                    __builtin_memcpy(&acc[r][s], c + r * ldc + h + s * W, V);  \
+            }                                                                  \
+        for (ptrdiff_t k = 0; k < kc; k++) {                                   \
+            const $T *bk = bp + k * NR + h;                                    \
+            for (int r = 0; r < MR; r++) {                                     \
+                const $T x = ap[k * MR + r];                                   \
+                for (int s = 0; s < P; s++)                                    \
+                    acc[r][s] = acc[r][s] + x * *(const vec *)(bk + s * W);    \
+            }                                                                  \
+        }                                                                      \
+        for (int r = 0; r < MR; r++)                                           \
+            for (int s = 0; s < P; s++)                                        \
+                __builtin_memcpy(c + r * ldc + h + s * W, &acc[r][s], V);      \
+    }                                                                          \
+}
+TILE(64, 2, WIDE("avx512f"))
+TILE(32, 1, WIDE("avx2"))
+TILE(16, 2, )
+#undef TILE
+
 CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
-               const $T *restrict b, $T *restrict out,
-               ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m)
+               const $T *restrict b, ptrdiff_t sb0, ptrdiff_t sb1,
+               $T *restrict out, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m)
 {
-    enum { panel = 4096 / sizeof($T) };
-    $T acc[4][panel] __attribute__((aligned(64)));
-    for (ptrdiff_t j0 = 0; j0 < m; j0 += panel) {
-        const ptrdiff_t w = m - j0 < panel ? m - j0 : panel;
-        const $T *bp = b + j0;
-        $T *op = out + j0;
-        ptrdiff_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            const $T *a0 = a + i * sa0, *a1 = a0 + sa0, *a2 = a1 + sa0, *a3 = a2 + sa0;
-            $T *o0 = acc[0], *o1 = acc[1], *o2 = acc[2], *o3 = acc[3];
-            for (ptrdiff_t j = 0; j < w; j++)
-                o0[j] = o1[j] = o2[j] = o3[j] = 0;
-            for (ptrdiff_t k = 0; k < inner; k++) {
-                const $T *bk = bp + k * m;
-                const $T x0 = a0[k * sa1], x1 = a1[k * sa1], x2 = a2[k * sa1], x3 = a3[k * sa1];
-                for (ptrdiff_t j = 0; j < w; j++) {
-                    o0[j] = o0[j] + x0 * bk[j];
-                    o1[j] = o1[j] + x1 * bk[j];
-                    o2[j] = o2[j] + x2 * bk[j];
-                    o3[j] = o3[j] + x3 * bk[j];
-                }
+    enum { NR = NR_$T };
+    $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
+    $T edge[MR * NR] __attribute__((aligned(64))) = {0};
+    void (*const tile)(ptrdiff_t, const $T *, const $T *, $T *, ptrdiff_t, int) =
+        HAS("avx512f") ? tile64_$T : HAS("avx2") ? tile32_$T : tile16_$T;
+    for (ptrdiff_t jc = 0; jc < m; jc += NC) {
+        const ptrdiff_t nc = m - jc < NC ? m - jc : NC;
+        for (ptrdiff_t pc = 0; pc < inner; pc += KC) {
+            const ptrdiff_t kc = inner - pc < KC ? inner - pc : KC;
+            for (ptrdiff_t jr = 0; jr < nc; jr += NR) {
+                const ptrdiff_t nr = nc - jr < NR ? nc - jr : NR;
+                const $T *src = b + pc * sb0 + (jc + jr) * sb1;
+                $T *dst = bpack + jr * kc;
+                for (ptrdiff_t k = 0; k < kc; k++)
+                    for (ptrdiff_t j = 0; j < NR; j++)
+                        dst[k * NR + j] = j < nr ? src[k * sb0 + j * sb1] : 0;
             }
-            for (int r = 0; r < 4; r++)
-                for (ptrdiff_t j = 0; j < w; j++)
-                    op[(i + r) * m + j] = acc[r][j];
-        }
-        for (; i < n; i++) {
-            const $T *a0 = a + i * sa0;
-            $T *o0 = op + i * m;
-            for (ptrdiff_t j = 0; j < w; j++)
-                o0[j] = 0;
-            for (ptrdiff_t k = 0; k < inner; k++) {
-                const $T *bk = bp + k * m;
-                const $T x0 = a0[k * sa1];
-                for (ptrdiff_t j = 0; j < w; j++)
-                    o0[j] = o0[j] + x0 * bk[j];
+            for (ptrdiff_t ic = 0; ic < n; ic += MC) {
+                const ptrdiff_t mc = n - ic < MC ? n - ic : MC;
+                for (ptrdiff_t ir = 0; ir < mc; ir += MR) {
+                    const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
+                    const $T *src = a + (ic + ir) * sa0 + pc * sa1;
+                    $T *dst = apack + ir * kc;
+                    for (ptrdiff_t k = 0; k < kc; k++)
+                        for (ptrdiff_t r = 0; r < MR; r++)
+                            dst[k * MR + r] = r < mr ? src[r * sa0 + k * sa1] : 0;
+                }
+                for (ptrdiff_t jr = 0; jr < nc; jr += NR) {
+                    const ptrdiff_t nr = nc - jr < NR ? nc - jr : NR;
+                    for (ptrdiff_t ir = 0; ir < mc; ir += MR) {
+                        const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
+                        $T *c = out + (ic + ir) * m + jc + jr;
+                        if (mr == MR && nr == NR) {
+                            tile(kc, apack + ir * kc, bpack + jr * kc, c, m, pc == 0);
+                            continue;
+                        }
+                        for (ptrdiff_t r = 0; r < mr; r++)
+                            for (ptrdiff_t j = 0; j < nr; j++)
+                                edge[r * NR + j] = c[r * m + j];
+                        tile(kc, apack + ir * kc, bpack + jr * kc, edge, NR, pc == 0);
+                        for (ptrdiff_t r = 0; r < mr; r++)
+                            for (ptrdiff_t j = 0; j < nr; j++)
+                                c[r * m + j] = edge[r * NR + j];
+                    }
+                }
             }
         }
     }
@@ -188,7 +254,7 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
 _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 # Argument types of each kernel, bound for every entry of _C_TYPES.
 _P, _S = ctypes.c_void_p, ctypes.c_ssize_t
-_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _P, _S, _S, _S),
+_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S),
                  "focused": (_P, _S, _S, _P, _P, _S, _S)}
 # __GLIBC__ comes from a libc header, hence <limits.h>.
 _C_PRELUDE = r"""#include <limits.h>
@@ -196,11 +262,22 @@ _C_PRELUDE = r"""#include <limits.h>
 #include <stddef.h>
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define WIDE(isa) __attribute__((target(isa)))
+#define HAS(isa) __builtin_cpu_supports(isa)
 #else
 #define CLONES
+#define WIDE(isa)
+#define HAS(isa) 0
 #endif
+$BLOCKS
+/* Packing buffers for one (MC, KC) block of a and one (KC, NC) block of b. */
+static _Thread_local union { double d[MC * KC]; float f[MC * KC]; }
+    packed_a __attribute__((aligned(64)));
+static _Thread_local union { double d[KC * NC]; float f[KC * NC]; }
+    packed_b __attribute__((aligned(64)));
 """
-_C_SOURCE = _C_PRELUDE + "".join(kernel.replace("$T", t)
+_C_SOURCE = _C_PRELUDE.replace("$BLOCKS", "enum { %s };" % ", ".join(
+    f"{name} = {size}" for name, size in _MATMUL_BLOCKS.items())) + "".join(kernel.replace("$T", t)
                                    for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL)
                                    for t in _C_TYPES.values())
 _CC = "cc"
@@ -397,16 +474,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = b.shape[1]
     if inner == 0 or n == 0 or m == 0:
         return np.zeros((n, m), dtype=a.dtype)
-    # Aligned arrays have strides that are whole elements, which is what the
-    # kernel indexes by; b and out must be C-contiguous rows.
-    b = np.require(b, requirements="CA")
     kernel = _kernels().get(("matmul", a.dtype))
     if kernel is None:
-        return _matmul_numpy(a, b)
-    a = np.require(a, requirements="A")
+        return _matmul_numpy(a, np.require(b, requirements="CA"))
+    # Aligned arrays have strides that are whole elements, which is what the
+    # kernel indexes a and b by; out is C-contiguous.
+    a, b = np.require(a, requirements="A"), np.require(b, requirements="A")
     out = np.empty((n, m), dtype=a.dtype)
     size = a.itemsize
-    kernel(a.ctypes.data, a.strides[0] // size, a.strides[1] // size, b.ctypes.data,
+    kernel(a.ctypes.data, a.strides[0] // size, a.strides[1] // size,
+           b.ctypes.data, b.strides[0] // size, b.strides[1] // size,
            out.ctypes.data, n, inner, m)
     return out
 

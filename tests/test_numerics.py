@@ -1,12 +1,15 @@
 import platform
 import subprocess
 import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import dydila.numerics as numerics
+import dydila.oracle as oracle
 from dydila.numerics import (
     ContractViolation,
     ConfigError,
@@ -32,17 +35,21 @@ with np.errstate(invalid="ignore"):
 
 def _layouts(a, b):
     """(name, a, b) with the values of a and b in the operand layouts matmul
-    meets: C- and F-ordered a (the latter is how a k.T view arrives), a
-    transposed view with no unit stride, and a non-contiguous b."""
+    meets: C- and F-ordered a and b (F order is how a k.T view arrives),
+    transposed views with no unit stride, and a non-contiguous b."""
     a_strided = np.empty((a.shape[1], 2 * a.shape[0]), dtype=a.dtype)[:, ::2].T
     a_strided[...] = a
     b_strided = np.empty((b.shape[0], 2 * b.shape[1]), dtype=b.dtype)[:, ::2]
     b_strided[...] = b
+    b_strided_t = np.empty((b.shape[1], 2 * b.shape[0]), dtype=b.dtype)[:, ::2].T
+    b_strided_t[...] = b
     return [
         ("c_order", a, b),
         ("f_order", np.asfortranarray(a), b),
         ("strided_transposed_view", a_strided, b),
         ("strided_b", a, b_strided),
+        ("f_order_b", a, np.asfortranarray(b)),
+        ("strided_transposed_b", a_strided, b_strided_t),
     ]
 
 
@@ -54,6 +61,24 @@ def _with_nonfinite(seed, arr):
     idx = rng.choice(out.size, size=min(out.size, 3), replace=False)
     out.flat[idx] = rng.choice(values, size=idx.size)
     return out
+
+
+_BLOCKS = numerics._MATMUL_BLOCKS
+
+
+def _nr(precision):
+    """Columns in a tile of the compiled matmul: two 64-byte vectors."""
+    return 2 * 64 // resolve_dtype(precision).itemsize
+
+
+def _want(a, b):
+    """The reference bits of matmul(a, b): for f64 the triple loop, its size
+    cap lifted to the operands; for f32 the numpy loop, since the triple loop
+    sums in f64."""
+    if a.dtype == np.float32:
+        return numerics._matmul_numpy(a, b)
+    with mock.patch.object(oracle, "ORACLE_CAP", max(ORACLE_CAP, *a.shape, b.shape[1])):
+        return naive_matmul(a, b)
 
 
 def _naive_wide(a, b):
@@ -93,7 +118,7 @@ class TestMatmul:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_layouts_bit_exact_vs_triple_loop(self, n):
-        # n = 1..9 covers every remainder of the kernel's four-row blocks
+        # n = 1..9 covers every remainder of the kernel's eight-row tiles
         for name, a, b in _layouts(mat(n, n, 11), mat(n + 1, 11, 7)):
             assert np.array_equal(matmul(a, b), naive_matmul(a, b)), name
 
@@ -167,7 +192,8 @@ class TestMatmulCompiled(TestMatmul):
     def backend(self):
         needs_compiler()
 
-    # The kernel has no row blocks; the fallback's block size is tested above.
+    # The kernel's block sizes are constants of its source; the fallback's
+    # block size is tested above.
     test_block_size_invariance = None
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -193,7 +219,7 @@ class TestMatmulCompiled(TestMatmul):
     def test_output_at_any_offset_in_a_cache_line(self, precision):
         # np.empty aligns to 16 bytes only (a large output starts 16 bytes
         # past a page), so the kernel must give the same bits wherever out
-        # starts; m spans two column panels
+        # starts; m spans two column blocks and ends inside a tile
         dtype = resolve_dtype(precision)
         n, inner, m = 9, 7, 4096 // dtype.itemsize + 5
         a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
@@ -207,27 +233,107 @@ class TestMatmulCompiled(TestMatmul):
             buf = np.full(nbytes + 128, 0xFF, dtype=np.uint8)
             start = -buf.ctypes.data % 64 + offset
             out = buf[start:start + nbytes].view(dtype).reshape(n, m)
-            kernel(a.ctypes.data, inner, 1, b.ctypes.data, out.ctypes.data, n, inner, m)
+            kernel(a.ctypes.data, inner, 1, b.ctypes.data, m, 1, out.ctypes.data, n, inner, m)
             assert np.array_equal(bits(out), bits(want)), offset
             assert (buf[:start] == 0xFF).all() and (buf[start + nbytes:] == 0xFF).all()
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("n", [1, 4, 5, 9])
     def test_column_panel_boundaries(self, precision, n):
-        # the kernel splits output columns into panels of 4 KiB per row;
+        # the kernel packs b in column blocks (panels) of NC columns;
         # non-finite entries of b sit in the second panel only
-        p = 4096 // resolve_dtype(precision).itemsize
+        p = _BLOCKS["NC"]
         for m in (p - 1, p, p + 1, 2 * p + 3):
             a, b = mat(n, n, 5, precision), mat(m, 5, m, precision)
             if m > p:
                 b[[1, 4], p] = np.inf, -np.inf
                 b[2, min(m, 2 * p) - 1] = _NAN
             with np.errstate(invalid="ignore"):
-                want = _naive_wide(a, b) if precision == "f64" else numerics._matmul_numpy(a, b)
+                want = _want(a, b)
                 for name, a_l, b_l in _layouts(a, b):
                     got = matmul(a_l, b_l)
                     assert np.array_equal(bits(got), bits(want)), (m, name)
             assert np.isfinite(want[:, :p]).all() and np.isfinite(want[:, 2 * p:]).all()
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_inner_block_edges(self, precision):
+        # every k block after the first resumes from the partial sum stored
+        # in out; inner runs one short of, onto and past the block edges
+        kc = _BLOCKS["KC"]
+        for inner in (kc - 1, kc, kc + 1, 2 * kc + 3):
+            a, b = mat(inner, 9, inner, precision), mat(inner + 1, inner, 19, precision)
+            want = _want(a, b)
+            for name, a_l, b_l in _layouts(a, b):
+                assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (inner, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_row_and_column_edges(self, precision):
+        # n and m one short of and one past a tile (MR rows, NR columns) and
+        # past a row block (MC) and a column block (NC), none a multiple of any
+        mr, mc, nc, nr = _BLOCKS["MR"], _BLOCKS["MC"], _BLOCKS["NC"], _nr(precision)
+        for n, m in [(mr - 1, nr - 1), (mr + 1, nr + 1), (mc + mr + 1, 3), (2, nc + nr + 1)]:
+            a, b = mat(n, n, 3, precision), mat(m, 3, m, precision)
+            want = _want(a, b)
+            for name, a_l, b_l in _layouts(a, b):
+                assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (n, m, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_key_transpose_operand(self, precision):
+        # q @ k.T with k.T as it arrives: an F-ordered view, read in place
+        q, k = mat(1, 37, 300, precision), mat(2, 45, 300, precision)
+        assert k.T.flags.f_contiguous and not k.T.flags.c_contiguous
+        assert np.array_equal(bits(matmul(q, k.T)), bits(_want(q, np.ascontiguousarray(k.T))))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_nonfinite_in_a_later_inner_block(self, precision):
+        # inf and NaN enter only after the first k block, so the partial
+        # sums stored by the first block are finite and the reload carries
+        # them into the non-finite result
+        kc = _BLOCKS["KC"]
+        a, b = mat(3, 10, 2 * kc + 3, precision), mat(4, 2 * kc + 3, 21, precision)
+        a[2, kc + 1] = np.inf
+        b[kc + 5, 3], b[2 * kc, 7] = -np.inf, _NAN
+        with np.errstate(invalid="ignore"):
+            first_block = _want(a[:, :kc], b[:kc])
+            want = _want(a, b)
+            for name, a_l, b_l in _layouts(a, b):
+                assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), name
+        assert np.isfinite(first_block).all()
+        assert not np.isfinite(want[2]).any() and not np.isfinite(want[:, [3, 7]]).any()
+
+    @pytest.mark.parametrize("inner", [1, 2 * _BLOCKS["KC"] + 3])
+    def test_signed_zero_start(self, inner):
+        # a tile starts from +0, not from its first product: -0 products sum
+        # to +0, also when the sum is resumed after a k block
+        assert np.array_equal(bits(matmul(as_matrix([[-0.0]]), as_matrix([[1.0]]))),
+                              bits(np.zeros((1, 1))))
+        a, b = np.full((9, inner), -0.0), np.ones((inner, 17))
+        got = matmul(a, b)
+        assert not got.any() and not np.signbit(got).any()
+        got32 = matmul(a.astype(np.float32), b.astype(np.float32))
+        assert not got32.any() and not np.signbit(got32).any()
+
+    def test_threads_share_no_packing_buffers(self):
+        # ctypes releases the GIL, so calls from several threads run the
+        # kernel at once; each thread packs into its own buffers
+        cases = [(mat(1, 300, 600), mat(2, 600, 530)),
+                 (mat(3, 1100, 64, "f32").T, mat(4, 1100, 70, "f32")),
+                 (mat(5, 257, 300), mat(6, 300, 1030).T.copy().T),
+                 (mat(7, 70, 520, "f32"), mat(8, 520, 300, "f32"))]
+        want = [matmul(a, b) for a, b in cases]
+        results = [[] for _ in cases]
+
+        def run(i):
+            for _ in range(4):
+                results[i].append(matmul(*cases[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for i, (w, got) in enumerate(zip(want, results)):
+            assert len(got) == 4 and all(np.array_equal(bits(g), bits(w)) for g in got), i
 
 
 def _fresh_backend(monkeypatch, cache_dir):
