@@ -138,8 +138,8 @@ static ATTR void tile##V##_$T(ptrdiff_t kc, const $T *restrict ap,              
                 __builtin_memcpy(c + r * ldc + h + s * W, &acc[r][s], V);      \
     }                                                                          \
 }
-TILE(64, 2, WIDE("avx512f"))
-TILE(32, 1, WIDE("avx2"))
+TILE(64, 2, TARGET("avx512f"))
+TILE(32, 1, TARGET("avx2"))
 TILE(16, 2, )
 #undef TILE
 
@@ -152,7 +152,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
     $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
     $T edge[MR * NR] __attribute__((aligned(64))) = {0};
     void (*const tile)(ptrdiff_t, const $T *, const $T *, $T *, ptrdiff_t, int) =
-        HAS("avx512f") ? tile64_$T : HAS("avx2") ? tile32_$T : tile16_$T;
+        CPU_HAS("avx512f") ? tile64_$T : CPU_HAS("avx2") ? tile32_$T : tile16_$T;
     for (ptrdiff_t jc = 0; jc < m; jc += NC) {
         const ptrdiff_t nc = m - jc < NC ? m - jc : NC;
         for (ptrdiff_t pc = 0; pc < inner; pc += KC) {
@@ -262,12 +262,12 @@ _C_PRELUDE = r"""#include <limits.h>
 #include <stddef.h>
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#define WIDE(isa) __attribute__((target(isa)))
-#define HAS(isa) __builtin_cpu_supports(isa)
+#define TARGET(isa) __attribute__((target(isa)))
+#define CPU_HAS(isa) __builtin_cpu_supports(isa)
 #else
 #define CLONES
-#define WIDE(isa)
-#define HAS(isa) 0
+#define TARGET(isa)
+#define CPU_HAS(isa) 0
 #endif
 $BLOCKS
 /* Packing buffers for one (MC, KC) block of a and one (KC, NC) block of b. */

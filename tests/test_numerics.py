@@ -328,10 +328,16 @@ class TestMatmulCompiled(TestMatmul):
                 results[i].append(matmul(*cases[i]))
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         for i, (w, got) in enumerate(zip(want, results)):
             assert len(got) == 4 and all(np.array_equal(bits(g), bits(w)) for g in got), i
 
@@ -407,6 +413,28 @@ class TestCompiledBuild:
             assert np.array_equal(bits(matmul(a, b)), bits(_naive_wide(a, b)))
         z, bank = mat(6, 9, 4), make_kernel_bank(7, 4, (0.5, 1.0, 3.0))
         assert np.array_equal(bits(dmk_forward(z, bank)[0]), bits(per_token_kernel(z, bank)[0]))
+
+    @pytest.mark.parametrize("disabled", [("avx512f",), ("avx512f", "avx2")])
+    def test_narrower_tiles(self, monkeypatch, tmp_path, disabled):
+        # the tile width each call picks from the CPU: with AVX-512 (and
+        # AVX2) reported missing, the 32-byte (16-byte) tile must give the
+        # same bits at the block edges; on a host without those units this
+        # reruns the width it has
+        needs_compiler()
+        _fresh_backend(monkeypatch, tmp_path)
+        source = numerics._C_SOURCE
+        for isa in disabled:
+            assert source.count(f'CPU_HAS("{isa}")') == 2  # one dispatch per dtype
+            source = source.replace(f'CPU_HAS("{isa}")', "0")
+        monkeypatch.setattr(numerics, "_C_SOURCE", source)
+        assert numerics.matmul_backend() == "c"
+        kc, mr, nc = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"]
+        for precision in ("f32", "f64"):
+            for n, inner, m in [(mr + 1, kc + 1, _nr(precision) + 3), (2, 3, nc + 1)]:
+                a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
+                want = _want(a, b)
+                for name, a_l, b_l in _layouts(a, b):
+                    assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (precision, n, name)
 
     @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
                         reason="target_clones is built only on x86-64 glibc hosts")
