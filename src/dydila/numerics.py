@@ -86,17 +86,17 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
 # strides, so transposed and strided views (k.T on either side) need no
 # copy.  Within a row block the loop over b strips is the outer one: a b
 # strip (32 KiB) stays in L1 while every a strip of the block (up to 512
-# KiB, in L2) passes it.  Each pass is one MR x NR tile of out, NR being two 64-byte
-# vectors (8 x 16 f64, 8 x 32 f32), accumulated in registers.  Tiles that
-# stick out of out run in a local copy, so out is written only inside the
-# matrix.  The tile is written with GCC vector types once per vector width:
-# 64 bytes with AVX-512, whose 32 registers hold all 16 accumulators; 32
-# bytes with AVX2, whose 16 registers hold one vector per row, so the tile
-# runs as four column passes; 16 bytes elsewhere (SSE2, NEON), in four passes
-# of two.  target_clones cannot pick it: a vector type wider than the target
-# turns into scalar moves through memory, 15-40x slower.  The packing
-# buffers are static and thread-local (ctypes releases the GIL while a
-# kernel runs), so a call allocates nothing.
+# KiB, in L2) passes it.  Each a strip and b strip make one MR x NR tile of
+# out, NR being two 64-byte vectors (8 x 16 f64, 8 x 32 f32), accumulated in
+# registers.  Tiles that stick out of out run in a local copy, so out is
+# written only inside the matrix.  The tile is written with GCC vector types
+# once per vector width: 64 bytes with AVX-512, whose 32 registers hold all
+# 16 accumulators; 32 bytes with AVX2, whose 16 registers hold one vector
+# per row, so the tile runs as four column passes; 16 bytes elsewhere (SSE2,
+# NEON), in four passes of two.  target_clones cannot pick it: a vector type
+# wider than the target turns into scalar moves through memory, 15-40x
+# slower.  The packing buffers are static and thread-local (ctypes releases
+# the GIL while a kernel runs), so a call allocates nothing.
 #
 # The order is the triple loop's.  The first k block starts every tile from
 # +0, never from its first product.  Each k block adds a[i, k] * b[k, j] in
@@ -276,10 +276,10 @@ static _Thread_local union { double d[MC * KC]; float f[MC * KC]; }
 static _Thread_local union { double d[KC * NC]; float f[KC * NC]; }
     packed_b __attribute__((aligned(64)));
 """
-_C_SOURCE = _C_PRELUDE.replace("$BLOCKS", "enum { %s };" % ", ".join(
-    f"{name} = {size}" for name, size in _MATMUL_BLOCKS.items())) + "".join(kernel.replace("$T", t)
-                                   for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL)
-                                   for t in _C_TYPES.values())
+_C_BLOCKS = "enum { %s };" % ", ".join(f"{k} = {v}" for k, v in _MATMUL_BLOCKS.items())
+_C_SOURCE = _C_PRELUDE.replace("$BLOCKS", _C_BLOCKS) + "".join(
+    kernel.replace("$T", t) for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL)
+    for t in _C_TYPES.values())
 _CC = "cc"
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LDLIBS = ("-lm",)  # after the source, so --as-needed linkers keep it
