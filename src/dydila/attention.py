@@ -33,6 +33,7 @@ from .numerics import (
     ConfigError,
     ContractViolation,
     _check_2d,
+    _dwc,
     matmul,
     relu,
     require_finite,
@@ -133,16 +134,7 @@ def dwc_forward(
     else:
         kern = dwc.kernels
 
-    img = v.reshape(h, w, d)
-    padded = np.zeros((h + 2, w + 2, d), dtype=v.dtype)
-    padded[1:-1, 1:-1] = img
-    out = np.zeros_like(img)
-    for di in range(3):
-        for dj in range(3):
-            np.add(out, padded[di : di + h, dj : dj + w] * kern[:, di, dj], out=out)
-    if dwc.identity_branch and not use_merged:
-        out = out + img
-    return out.reshape(n, d)
+    return _dwc(v, grid, kern, dwc.identity_branch and not use_merged)
 
 
 @dataclass(frozen=True)
@@ -361,7 +353,7 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
         diag.heads.append(head_diag)
 
     if params.dwc is not None:
-        out = out + dwc_forward(v, params.grid, params.dwc, use_merged=params.dwc_use_merged)
+        out += dwc_forward(v, params.grid, params.dwc, use_merged=params.dwc_use_merged)
     return out, diag
 
 

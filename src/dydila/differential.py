@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ConfigError, ContractViolation, _check_2d, matmul
-from .routing import Router, route_argmax
+from .routing import Router, route_pair
 
 __all__ = [
     "DifferentialBank",
@@ -86,23 +86,25 @@ def concat_streams(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hstack((a, b))
 
 
-def _routed_lambdas(pairs: np.ndarray, router: Router, lambdas: tuple):
-    routes = route_argmax(pairs, router)
-    table = np.asarray(lambdas, dtype=pairs.dtype)
+def _routed_lambdas(a: np.ndarray, b: np.ndarray, router: Router, lambdas: tuple):
+    routes = route_pair(a, b, router)
+    table = np.asarray(lambdas, dtype=a.dtype)
     return table[routes.indices], routes
 
 
 def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
     """Token-wise ``(q_diff, k_diff, lambdas)``, each lambda routed from its stream pair."""
-    lam_q, routes_q = _routed_lambdas(concat_streams(q_t, q_routed), bank.router_q, bank.lambdas)
-    lam_k, routes_k = _routed_lambdas(concat_streams(k_t, k_routed), bank.router_k, bank.lambdas)
+    lam_q, routes_q = _routed_lambdas(q_t, q_routed, bank.router_q, bank.lambdas)
+    lam_k, routes_k = _routed_lambdas(k_t, k_routed, bank.router_k, bank.lambdas)
     lambdas = {"q": (lam_q, routes_q), "k": (lam_k, routes_k)}
-    return q_t - lam_q[:, None] * q_routed, k_t - lam_k[:, None] * k_routed, lambdas
+    q_diff = np.multiply(lam_q[:, None], q_routed)
+    k_diff = np.multiply(lam_k[:, None], k_routed)
+    return np.subtract(q_t, q_diff, out=q_diff), np.subtract(k_t, k_diff, out=k_diff), lambdas
 
 
 def _mapwise_lambdas(q_t, q_routed, bank: DifferentialBank):
     """Per-token map-wise ``(lambda_map, routes)``, routed from the query-stream pair."""
-    return _routed_lambdas(concat_streams(q_t, q_routed), bank.lambda_map_router, bank.lambdas)
+    return _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
 
 
 def select_lambdas(q_pairs: np.ndarray, k_pairs: np.ndarray, bank: DifferentialBank):
@@ -111,8 +113,11 @@ def select_lambdas(q_pairs: np.ndarray, k_pairs: np.ndarray, bank: DifferentialB
     `q_pairs`/`k_pairs` are the concatenated (n, 2d) stream rows.  Returns
     ``(lambda_q, lambda_k)`` as 1-D vectors in the input dtype.
     """
-    lam_q, _ = _routed_lambdas(q_pairs, bank.router_q, bank.lambdas)
-    lam_k, _ = _routed_lambdas(k_pairs, bank.router_k, bank.lambdas)
+    _check_2d(q_pairs, "q_pairs")
+    _check_2d(k_pairs, "k_pairs")
+    d = bank.dim
+    lam_q, _ = _routed_lambdas(q_pairs[:, :d], q_pairs[:, d:], bank.router_q, bank.lambdas)
+    lam_k, _ = _routed_lambdas(k_pairs[:, :d], k_pairs[:, d:], bank.router_k, bank.lambdas)
     return lam_q, lam_k
 
 
@@ -166,7 +171,7 @@ def tdo_forward(
     q_diff, k_diff, lambdas = _differenced(q_t, q_routed, k_t, k_routed, bank)
     out = matmul(q_diff, matmul(k_diff.T, v))
     if normalize:
-        out = out / _normalizer(q_diff, k_diff)
+        out /= _normalizer(q_diff, k_diff)
     return out, lambdas
 
 

@@ -8,19 +8,22 @@ which is what a naive triple loop does and what vendor BLAS does not.
 
 The focused feature map behind ``dydila.kernels`` (:func:`_focused_map`) has
 such an order too: per row, relu, row max, divide by it, libm ``pow``, an
-ascending-index sum of squares and ``sqrt`` for both norms, rescale.
+ascending-index sum of squares and ``sqrt`` for both norms, rescale.  So
+does the depthwise 3x3 convolution behind ``attention.dwc_forward``
+(:func:`_dwc`): per element, the nine taps in ascending (row, col) order
+from +0, then the identity branch.
 
 Matrices are plain ``numpy.ndarray`` in float32 or float64.  Mixing the two
 in one call is an error rather than a silent promotion.
 
-Both run small C kernels whose source lives in this module, so the module
-that owns the order contracts also owns the code that keeps them.  The
-kernels are compiled into one shared object at the first call of either
+All three run small C kernels whose source lives in this module, so the
+module that owns the order contracts also owns the code that keeps them.
+The kernels are compiled into one shared object at the first call of any
 (never at import) with ``cc -O3 -ffp-contract=off`` (no FMA contraction)
 and cached under ``${XDG_CACHE_HOME:-~/.cache}/dydila``, keyed by the
 sha256 of the source, the flags and the compiler version.  When no compiler
 is present or the build or load fails, one ``RuntimeWarning`` is issued and
-both use numpy loops with the same per-element order; those loops are also
+all use numpy loops with the same per-element order; those loops are also
 the in-process references the tests compare the kernels with.
 """
 
@@ -73,8 +76,9 @@ _STRIDED_INNER_LIMIT = 2048
 _STRIDED_BLOCK_CAP = 256
 
 # Block sizes of the compiled matmul, in elements: MR-row register tiles,
-# KC inner indices, MC rows and NC columns per block (see _MATMUL_KERNEL).
-_MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
+# KC inner indices, MC rows and NC columns per block, and MR_NARROW rows per
+# pass of the narrow product (see _MATMUL_KERNEL).
+_MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
 
 # The compiled matmul kernel, one copy per element type, blocked as in Goto &
 # van de Geijn (2008); the block sizes are _MATMUL_BLOCKS, in elements.  The
@@ -98,13 +102,22 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
 # slower.  The packing buffers are static and thread-local (ctypes releases
 # the GIL while a kernel runs), so a call allocates nothing.
 #
+# A narrow product (m <= NR: routing logits, the normalizer's one column)
+# skips the a packing and the row tiles.  Its one b strip is packed for as
+# many k as packed_b holds (KC * NC / NR), and NARROW reads MR_NARROW rows of
+# a in place through their strides, keeping each row's sums in vectors over
+# the columns, in column passes that stop at m.  The tile and NARROW share
+# the one width dispatch.
+#
 # The order is the triple loop's.  The first k block starts every tile from
-# +0, never from its first product.  Each k block adds a[i, k] * b[k, j] in
-# ascending k, every product rounded before the add (-ffp-contract=off), and
-# stores the tile to out as $T; the next k block loads it back and goes on.
-# The accumulator is $T too, so the store and the reload round nothing, and
-# out[i, j] sees exactly the sums of one ascending loop over k.  Blocking
-# over rows and columns only changes which elements are computed together.
+# +0, never from its first product, unless acc is set: then it starts from
+# out, so a second call resumes the sums of a first one (pair routing).
+# Each k block adds a[i, k] * b[k, j] in ascending k, every product rounded
+# before the add (-ffp-contract=off), and stores the tile to out as $T; the
+# next k block loads it back and goes on.  The accumulator is $T too, so
+# the store and the reload round nothing, and out[i, j] sees exactly the
+# sums of one ascending loop over k.  Blocking over rows and columns only
+# changes which elements are computed together.
 _MATMUL_KERNEL = r"""
 enum { NR_$T = 2 * 64 / sizeof($T) };
 
@@ -143,20 +156,76 @@ TILE(32, 1, TARGET("avx2"))
 TILE(16, 2, )
 #undef TILE
 
+/* The narrow product, m <= NR: out = (first ? +0 : out) + a @ bp over kc
+   inner indices, R rows of a at a time read in place through their strides,
+   in column passes of P vectors of V bytes that stop at m.  The rows' sums
+   go through c, NR wide, so out is touched only inside the matrix. */
+#define NARROW(V, P, ATTR)                                                     \
+static ATTR void narrow##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
+                                ptrdiff_t sa1, const $T *restrict bp,          \
+                                $T *restrict out, ptrdiff_t n, ptrdiff_t m,    \
+                                int first)                                     \
+{                                                                              \
+    typedef $T vec __attribute__((vector_size(V)));                            \
+    enum { W = V / sizeof($T), NR = NR_$T, R = MR_NARROW };                    \
+    $T c[R * NR] __attribute__((aligned(64)));                                 \
+    for (ptrdiff_t i = 0; i < n; i += R) {                                     \
+        const ptrdiff_t mr = n - i < R ? n - i : R;                            \
+        const $T *ar[R];                                                       \
+        for (int r = 0; r < R; r++) {                                          \
+            ar[r] = a + (i + (r < mr ? r : mr - 1)) * sa0;                     \
+            for (ptrdiff_t j = 0; j < NR; j++)                                 \
+                c[r * NR + j] =                                                \
+                    !first && r < mr && j < m ? out[(i + r) * m + j] : 0;      \
+        }                                                                      \
+        for (ptrdiff_t h = 0; h < m; h += P * W) {                             \
+            vec acc[R][P];                                                     \
+            for (int r = 0; r < R; r++)                                        \
+                for (int s = 0; s < P; s++)                                    \
+                    __builtin_memcpy(&acc[r][s], c + r * NR + h + s * W, V);   \
+            for (ptrdiff_t k = 0; k < kc; k++) {                               \
+                const $T *bk = bp + k * NR + h;                                \
+                for (int r = 0; r < R; r++) {                                  \
+                    const $T x = ar[r][k * sa1];                               \
+                    for (int s = 0; s < P; s++)                                \
+                        acc[r][s] = acc[r][s] + x * *(const vec *)(bk + s * W);\
+                }                                                              \
+            }                                                                  \
+            for (int r = 0; r < R; r++)                                        \
+                for (int s = 0; s < P; s++)                                    \
+                    __builtin_memcpy(c + r * NR + h + s * W, &acc[r][s], V);   \
+        }                                                                      \
+        for (ptrdiff_t r = 0; r < mr; r++)                                     \
+            for (ptrdiff_t j = 0; j < m; j++)                                  \
+                out[(i + r) * m + j] = c[r * NR + j];                          \
+    }                                                                          \
+}
+NARROW(64, 2, TARGET("avx512f"))
+NARROW(32, 2, TARGET("avx2"))
+NARROW(16, 2, )
+#undef NARROW
+
 CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                const $T *restrict b, ptrdiff_t sb0, ptrdiff_t sb1,
-               $T *restrict out, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m)
+               $T *restrict out, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m, int acc)
 {
     enum { NR = NR_$T };
     $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
     $T edge[MR * NR] __attribute__((aligned(64))) = {0};
+    const int v = CPU_HAS("avx512f") ? 64 : CPU_HAS("avx2") ? 32 : 16;
     void (*const tile)(ptrdiff_t, const $T *, const $T *, $T *, ptrdiff_t, int) =
-        CPU_HAS("avx512f") ? tile64_$T : CPU_HAS("avx2") ? tile32_$T : tile16_$T;
+        v == 64 ? tile64_$T : v == 32 ? tile32_$T : tile16_$T;
+    void (*const narrow)(ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, const $T *, $T *,
+                         ptrdiff_t, ptrdiff_t, int) =
+        v == 64 ? narrow64_$T : v == 32 ? narrow32_$T : narrow16_$T;
+    /* A narrow product packs as much of b as packed_b holds. */
+    const ptrdiff_t kb = m <= NR ? KC * NC / NR : KC;
     for (ptrdiff_t jc = 0; jc < m; jc += NC) {
         const ptrdiff_t nc = m - jc < NC ? m - jc : NC;
-        for (ptrdiff_t pc = 0; pc < inner; pc += KC) {
-            const ptrdiff_t kc = inner - pc < KC ? inner - pc : KC;
+        for (ptrdiff_t pc = 0; pc < inner; pc += kb) {
+            const ptrdiff_t kc = inner - pc < kb ? inner - pc : kb;
+            const int first = pc == 0 && !acc;
             for (ptrdiff_t jr = 0; jr < nc; jr += NR) {
                 const ptrdiff_t nr = nc - jr < NR ? nc - jr : NR;
                 const $T *src = b + pc * sb0 + (jc + jr) * sb1;
@@ -164,6 +233,10 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                 for (ptrdiff_t k = 0; k < kc; k++)
                     for (ptrdiff_t j = 0; j < NR; j++)
                         dst[k * NR + j] = j < nr ? src[k * sb0 + j * sb1] : 0;
+            }
+            if (m <= NR) {
+                narrow(kc, a + pc * sa1, sa0, sa1, bpack, out, n, m, first);
+                continue;
             }
             for (ptrdiff_t ic = 0; ic < n; ic += MC) {
                 const ptrdiff_t mc = n - ic < MC ? n - ic : MC;
@@ -181,13 +254,13 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                         const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
                         $T *c = out + (ic + ir) * m + jc + jr;
                         if (mr == MR && nr == NR) {
-                            tile(kc, apack + ir * kc, bpack + jr * kc, c, m, pc == 0);
+                            tile(kc, apack + ir * kc, bpack + jr * kc, c, m, first);
                             continue;
                         }
                         for (ptrdiff_t r = 0; r < mr; r++)
                             for (ptrdiff_t j = 0; j < nr; j++)
                                 edge[r * NR + j] = c[r * m + j];
-                        tile(kc, apack + ir * kc, bpack + jr * kc, edge, NR, pc == 0);
+                        tile(kc, apack + ir * kc, bpack + jr * kc, edge, NR, first);
                         for (ptrdiff_t r = 0; r < mr; r++)
                             for (ptrdiff_t j = 0; j < nr; j++)
                                 c[r * m + j] = edge[r * NR + j];
@@ -251,11 +324,55 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
     }
 }
 """
+# The compiled DWC, one copy per element type; _dwc_numpy is its reference.
+# Each output element is one sum in $T: from +0, the nine taps in ascending
+# (row, col) order, each product rounded before the add.  A tap outside the
+# grid adds +0 * weight, as the numpy loop's zero padding does, so an inf or
+# NaN weight makes the border NaN on both backends.  The identity branch, if
+# on, is added last.  v is read through its row stride with unit channel
+# stride; k is the (9, d) tap-major weight matrix; out is C-contiguous.  The
+# channels run in chunks of DWC_CHANNELS so that a tap outside the grid can
+# read a static row of zeros; the chunk loop vectorises over channels.
+_DWC_KERNEL = r"""
+CLONES
+void dwc_$T(const $T *restrict v, ptrdiff_t sv0, const $T *restrict k,
+            $T *restrict out, ptrdiff_t h, ptrdiff_t w, ptrdiff_t d, int identity)
+{
+    static const $T zero[DWC_CHANNELS];
+    for (ptrdiff_t y = 0; y < h; y++)
+        for (ptrdiff_t x = 0; x < w; x++) {
+            const $T *tap[9];
+            for (int t = 0; t < 9; t++) {
+                const ptrdiff_t yy = y + t / 3 - 1, xx = x + t % 3 - 1;
+                const int inside = 0 <= yy && yy < h && 0 <= xx && xx < w;
+                tap[t] = inside ? v + (yy * w + xx) * sv0 : 0;
+            }
+            $T *o = out + (y * w + x) * d;
+            for (ptrdiff_t c0 = 0; c0 < d; c0 += DWC_CHANNELS) {
+                const ptrdiff_t cn = d - c0 < DWC_CHANNELS ? d - c0 : DWC_CHANNELS;
+                const $T *p[9];
+                for (int t = 0; t < 9; t++)
+                    p[t] = tap[t] ? tap[t] + c0 : zero;
+                for (ptrdiff_t c = 0; c < cn; c++) {
+                    $T s = 0;
+                    for (int t = 0; t < 9; t++)
+                        s = s + p[t][c] * k[t * d + c0 + c];
+                    o[c0 + c] = s;
+                }
+            }
+            if (identity)
+                for (ptrdiff_t c = 0; c < d; c++)
+                    o[c] = o[c] + tap[4][c];
+        }
+}
+"""
 _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 # Argument types of each kernel, bound for every entry of _C_TYPES.
 _P, _S = ctypes.c_void_p, ctypes.c_ssize_t
-_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S),
-                 "focused": (_P, _S, _S, _P, _P, _S, _S)}
+_I = ctypes.c_int
+_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _I),
+                 "focused": (_P, _S, _S, _P, _P, _S, _S),
+                 "dwc": (_P, _S, _P, _P, _S, _S, _S, _I)}
 # __GLIBC__ comes from a libc header, hence <limits.h>.
 _C_PRELUDE = r"""#include <limits.h>
 #include <math.h>
@@ -276,9 +393,11 @@ static _Thread_local union { double d[MC * KC]; float f[MC * KC]; }
 static _Thread_local union { double d[KC * NC]; float f[KC * NC]; }
     packed_b __attribute__((aligned(64)));
 """
-_C_BLOCKS = "enum { %s };" % ", ".join(f"{k} = {v}" for k, v in _MATMUL_BLOCKS.items())
+_DWC_CHANNELS = 64  # channels per chunk of the compiled DWC
+_C_BLOCKS = "enum { %s };" % ", ".join(
+    f"{k} = {v}" for k, v in {**_MATMUL_BLOCKS, "DWC_CHANNELS": _DWC_CHANNELS}.items())
 _C_SOURCE = _C_PRELUDE.replace("$BLOCKS", _C_BLOCKS) + "".join(
-    kernel.replace("$T", t) for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL)
+    kernel.replace("$T", t) for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL, _DWC_KERNEL)
     for t in _C_TYPES.values())
 _CC = "cc"
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
@@ -446,8 +565,8 @@ def _kernels() -> dict:
 
 
 def matmul_backend() -> str:
-    """The backend :func:`matmul` and the focused map use in this process:
-    ``"c"`` or ``"numpy"``.
+    """The backend :func:`matmul`, the focused map and the DWC use in this
+    process: ``"c"`` or ``"numpy"``.
 
     The first call builds or loads the compiled kernels, like the first
     :func:`matmul` call does.
@@ -464,6 +583,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     runs, row subsets, operand layouts and both backends.  The compiled
     kernel runs when it built; otherwise the numpy fallback does.
     """
+    return _matmul(a, b)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """:func:`matmul`, each sum starting from ``start[i, j]`` instead of +0.
+
+    `start` (C-contiguous, shape (n, m), the operands' dtype) receives the
+    result.  Resuming ``matmul(a1, b1)`` with ``(a2, b2)`` gives the bits of
+    ``matmul(hstack((a1, a2)), vstack((b1, b2)))``: one ascending sum.
+    """
     _check_2d(a, "matmul left operand")
     _check_2d(b, "matmul right operand")
     _check_same_dtype(a, b)
@@ -472,31 +601,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     n, inner = a.shape
     m = b.shape[1]
+    if start is not None:
+        if (start.shape != (n, m) or start.dtype != a.dtype or not start.flags.c_contiguous
+                or not start.flags.writeable):
+            raise ContractViolation(f"matmul start must be a writeable C-contiguous ({n}, {m}) "
+                                    f"{a.dtype} array, got {start.dtype} {start.shape}")
     if inner == 0 or n == 0 or m == 0:
-        return np.zeros((n, m), dtype=a.dtype)
+        return np.zeros((n, m), dtype=a.dtype) if start is None else start
     kernel = _kernels().get(("matmul", a.dtype))
     if kernel is None:
-        return _matmul_numpy(a, np.require(b, requirements="CA"))
+        return _matmul_numpy(a, np.require(b, requirements="CA"), start)
     # Aligned arrays have strides that are whole elements, which is what the
     # kernel indexes a and b by; out is C-contiguous.
     a, b = np.require(a, requirements="A"), np.require(b, requirements="A")
-    out = np.empty((n, m), dtype=a.dtype)
+    out = np.empty((n, m), dtype=a.dtype) if start is None else start
     size = a.itemsize
     kernel(a.ctypes.data, a.strides[0] // size, a.strides[1] // size,
            b.ctypes.data, b.strides[0] // size, b.strides[1] // size,
-           out.ctypes.data, n, inner, m)
+           out.ctypes.data, n, inner, m, start is not None)
     return out
 
 
-def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The fallback of :func:`matmul`: numpy calls per k over row blocks.
+def _matmul_numpy(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """The fallback of :func:`_matmul`: numpy calls per k over row blocks.
 
     The output rows are processed in blocks with one multiply buffer per
     block; blocking over rows does not touch the per-element order.
     """
     n, inner = a.shape
     m = b.shape[1]
-    out = np.zeros((n, m), dtype=a.dtype)
+    out = np.zeros((n, m), dtype=a.dtype) if start is None else start
     ib = _BLOCK_TARGET_BYTES // max(1, a.dtype.itemsize * m)
     if inner >= _STRIDED_INNER_LIMIT and not a.flags.f_contiguous:
         ib = min(ib, _STRIDED_BLOCK_CAP)
@@ -537,6 +671,44 @@ def _focused_map(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     kernel(z.ctypes.data, z.strides[0] // size, z.strides[1] // size, gamma.ctypes.data,
            out.ctypes.data, n, d)
     return out
+
+
+def _dwc(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) -> np.ndarray:
+    """Depthwise 3x3 cross-correlation of `v` on the (h, w) token grid.
+
+    `v` must be a validated (h*w, d) float matrix and `kernels` a (d, 3, 3)
+    array of its dtype; ``identity`` adds v after the taps.  The order is
+    the one described above ``_DWC_KERNEL``; the compiled kernel runs when
+    it built, otherwise :func:`_dwc_numpy`, with the same bits.
+    """
+    h, w = grid
+    n, d = v.shape
+    kernel = _kernels().get(("dwc", v.dtype))
+    if kernel is None:
+        return _dwc_numpy(v, grid, kernels, identity)
+    if not v.flags.aligned or v.strides[1] != v.itemsize:
+        v = np.ascontiguousarray(v)
+    taps = np.ascontiguousarray(kernels.reshape(d, 9).T)
+    out = np.empty((n, d), dtype=v.dtype)
+    kernel(v.ctypes.data, v.strides[0] // v.itemsize, taps.ctypes.data, out.ctypes.data,
+           h, w, d, identity)
+    return out
+
+
+def _dwc_numpy(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) -> np.ndarray:
+    """The fallback of :func:`_dwc`: one numpy pass per tap over a zero-padded copy."""
+    h, w = grid
+    n, d = v.shape
+    img = v.reshape(h, w, d)
+    padded = np.zeros((h + 2, w + 2, d), dtype=v.dtype)
+    padded[1:-1, 1:-1] = img
+    out = np.zeros_like(img)
+    for di in range(3):
+        for dj in range(3):
+            np.add(out, padded[di : di + h, dj : dj + w] * kernels[:, di, dj], out=out)
+    if identity:
+        out = out + img
+    return out.reshape(n, d)
 
 
 _pow = np.frompyfunc(math.pow, 2, 1)  # libm pow per element, as the kernel calls it

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ContractViolation, ConfigError, _check_2d, matmul
+from .numerics import ContractViolation, ConfigError, _check_2d, _matmul, matmul
 
-__all__ = ["Router", "RouteAssignment", "route_argmax"]
+__all__ = ["Router", "RouteAssignment", "route_argmax", "route_pair"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,29 @@ def route_argmax(tokens: np.ndarray, router: Router) -> RouteAssignment:
         raise ContractViolation(
             f"routing dim mismatch: tokens {tokens.shape} vs router weights {router.weights.shape}"
         )
-    logits = matmul(tokens, router.weights)
+    return _assign(matmul(tokens, router.weights))
+
+
+def route_pair(a: np.ndarray, b: np.ndarray, router: Router) -> RouteAssignment:
+    """Route each row pair ``(a[i], b[i])`` as the concatenated row.
+
+    Bit for bit ``route_argmax(np.hstack((a, b)), router)``, without building
+    the concatenation: the logits are ``a @ W[:d]``, and the same ascending
+    sums then go on with ``b @ W[d:]``.
+    """
+    _check_2d(a, "routing tokens a")
+    _check_2d(b, "routing tokens b")
+    if a.shape != b.shape or 2 * a.shape[1] != router.in_dim:
+        raise ContractViolation(
+            f"routing dim mismatch: tokens {a.shape} and {b.shape} vs router weights "
+            f"{router.weights.shape}"
+        )
+    d = a.shape[1]
+    logits = matmul(a, router.weights[:d])
+    return _assign(_matmul(b, router.weights[d:], logits))
+
+
+def _assign(logits: np.ndarray) -> RouteAssignment:
+    """Each row's argmax column, ties to the smallest index."""
     indices = np.argmax(logits, axis=1).astype(np.int64)
     return RouteAssignment(indices=indices, logits=logits)

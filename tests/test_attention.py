@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import dydila.numerics as numerics
+import dydila.oracle as oracle
 from dydila.attention import (
     AttentionStack,
     DwcParams,
@@ -27,7 +31,7 @@ from dydila.oracle import (
 from dydila.projection import ProjectorBank
 from dydila.routing import Router
 
-from conftest import assert_close, make_block, mat
+from conftest import assert_close, bits, make_block, mat, needs_compiler
 
 
 class TestSoftmaxAttention:
@@ -145,6 +149,48 @@ class TestDwc:
         dwc = DwcParams(kernels=np.zeros((2, 3, 3)), identity_branch=True)
         with pytest.raises(ContractViolation, match="tile"):
             dwc_forward(mat(0, 5, 2), (2, 2), dwc)
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (1, 7), (7, 1), (5, 3), (64, 64)])
+@pytest.mark.parametrize("d", [1, 5, 384])
+@pytest.mark.parametrize("mode", ["identity", "no_identity", "merged"])
+def test_compiled_dwc_matches_fallback_and_oracle(grid, d, mode):
+    # the compiled DWC against its numpy fallback (f64 and f32) and the loop
+    # oracle (f64; skipped at 64x64 with d=384, 14M Python steps), on v in
+    # C order and as a column slice
+    needs_compiler()
+    h, w = grid
+    for precision in ("f64", "f32"):
+        base = DwcParams(kernels=mat(d, d, 9, precision).reshape(d, 3, 3),
+                         identity_branch=mode != "no_identity")
+        params = reparam_merge(base) if mode == "merged" else base
+        kernels = params.merged if mode == "merged" else params.kernels
+        wide = mat(h + d, h * w, d + 3, precision)
+        for v in (np.ascontiguousarray(wide[:, 2:2 + d]), wide[:, 2:2 + d]):
+            got = dwc_forward(v, grid, params, use_merged=mode == "merged")
+            want = numerics._dwc_numpy(v, grid, kernels, mode == "identity")
+            assert np.array_equal(bits(got), bits(want)), (precision, v.flags.c_contiguous)
+            if precision == "f64" and h * w * d < 64 * 64 * 384:
+                with mock.patch.object(oracle, "ORACLE_CAP", h * w):
+                    want = explicit_dwc(v, grid, kernels, mode == "identity")
+                assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_compiled_dwc_inf_weight_gives_the_fallback_nans(precision):
+    # a tap outside the grid adds +0 * weight on both backends, so an inf
+    # weight turns the border it reaches into the same NaNs
+    needs_compiler()
+    kernels = mat(31, 4, 9, precision).reshape(4, 3, 3)
+    kernels[1, 0, 0], kernels[3, 2, 1] = np.inf, -np.inf
+    v = mat(32, 20, 4, precision)
+    with np.errstate(invalid="ignore"):
+        got = dwc_forward(v, (5, 4), DwcParams(kernels=kernels))
+        want = numerics._dwc_numpy(v, (5, 4), kernels, True)
+    assert np.array_equal(bits(got), bits(want))
+    img = got.reshape(5, 4, 4)
+    assert np.isnan(img[0, :, 1]).all() and np.isnan(img[:, 0, 1]).all()
+    assert np.isnan(img[4, :, 3]).all() and not np.isnan(img[1:4, 1:, 1]).any()
 
 
 def _degenerate_block(d, seed):

@@ -7,7 +7,7 @@ import dydila.attention
 import dydila.differential
 from dydila.cli import main
 from dydila.kernels import focused_rows
-from dydila.routing import route_argmax
+from dydila.routing import route_argmax, route_pair
 
 
 def _dmk_next_gamma(z, bank):
@@ -22,10 +22,10 @@ def _dmk_next_gamma(z, bank):
     return out, routes
 
 
-def _routed_next_lambda(pairs, router, lambdas):
+def _routed_next_lambda(a, b, router, lambdas):
     """_routed_lambdas, but each token reads the next candidate's lambda."""
-    routes = route_argmax(pairs, router)
-    table = np.asarray(lambdas, dtype=pairs.dtype)
+    routes = route_pair(a, b, router)
+    table = np.asarray(lambdas, dtype=a.dtype)
     return table[(routes.indices + 1) % len(lambdas)], routes
 
 

@@ -21,8 +21,9 @@ from dydila.numerics import (
     row_l2_norm,
     softmax_rows,
 )
+from dydila.attention import DwcParams, dwc_forward
 from dydila.kernels import dmk_forward
-from dydila.oracle import ORACLE_CAP, naive_matmul, per_token_kernel
+from dydila.oracle import ORACLE_CAP, explicit_dwc, naive_matmul, per_token_kernel
 
 from conftest import assert_close, bits, cli_env, make_kernel_bank, mat, needs_compiler
 
@@ -69,6 +70,11 @@ _BLOCKS = numerics._MATMUL_BLOCKS
 def _nr(precision):
     """Columns in a tile of the compiled matmul: two 64-byte vectors."""
     return 2 * 64 // resolve_dtype(precision).itemsize
+
+
+def _narrow_kc(precision):
+    """Inner indices per packed block of b in a narrow product (m <= NR)."""
+    return _BLOCKS["KC"] * _BLOCKS["NC"] // _nr(precision)
 
 
 def _want(a, b):
@@ -141,6 +147,40 @@ class TestMatmul:
         assert not got.any() and not np.signbit(got).any()
         got32 = matmul(a.astype(np.float32), b.astype(np.float32))
         assert not got32.any() and not np.signbit(got32).any()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("inner", [1, 2 * _BLOCKS["KC"] + 3])
+    def test_signed_zero_start_narrow(self, m, inner):
+        # the narrow product (m <= NR) also starts every sum from +0
+        a, b = np.full((5, inner), -0.0), np.ones((inner, m))
+        for dtype in (np.float64, np.float32):
+            got = matmul(a.astype(dtype), b.astype(dtype))
+            assert not got.any() and not np.signbit(got).any(), dtype
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("m", [1, 9, 40])
+    def test_resumed_sum_is_one_ascending_sum(self, precision, m):
+        # starting from matmul(a1, b1) and adding a2 @ b2 gives the bits of
+        # the product of the concatenations; a sum started at -0 with only
+        # -0 products added keeps its -0
+        split, inner = 130, 300
+        a, b = mat(m, 11, inner, precision), mat(m + 1, inner, m, precision)
+        start = matmul(a[:, :split], b[:split])
+        got = numerics._matmul(a[:, split:], b[split:], start)
+        assert got is start
+        assert np.array_equal(bits(got), bits(matmul(a, b)))
+        if precision == "f64":
+            assert np.array_equal(got, _want(a, b))
+        zeros = np.full((3, m), -0.0, dtype=a.dtype)
+        numerics._matmul(np.full((3, 5), -0.0, dtype=a.dtype), np.ones((5, m), dtype=a.dtype), zeros)
+        assert not zeros.any() and np.signbit(zeros).all()
+
+    def test_resumed_sum_rejects_a_bad_start(self):
+        a, b = mat(0, 4, 3), mat(1, 3, 2)
+        for start in (np.zeros((4, 3)), np.zeros((4, 2), dtype=np.float32),
+                      np.zeros((2, 4)).T):
+            with pytest.raises(ContractViolation, match="start"):
+                numerics._matmul(a, b, start)
 
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
     @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -246,7 +286,7 @@ class TestMatmulCompiled(TestMatmul):
             buf = np.full(nbytes + 128, 0xFF, dtype=np.uint8)
             start = -buf.ctypes.data % 64 + offset
             out = buf[start:start + nbytes].view(dtype).reshape(n, m)
-            kernel(a.ctypes.data, inner, 1, b.ctypes.data, m, 1, out.ctypes.data, n, inner, m)
+            kernel(a.ctypes.data, inner, 1, b.ctypes.data, m, 1, out.ctypes.data, n, inner, m, 0)
             assert np.array_equal(bits(out), bits(want)), offset
             assert (buf[:start] == 0xFF).all() and (buf[start + nbytes:] == 0xFF).all()
 
@@ -307,6 +347,45 @@ class TestMatmulCompiled(TestMatmul):
         assert np.isfinite(first_block).all()
         assert not np.isfinite(want[2]).any() and not np.isfinite(want[:, [3, 7]]).any()
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_narrow_products(self, precision):
+        # m <= NR runs the narrow path, which reads the rows of a in place,
+        # MR_NARROW at a time; m runs up to and one past NR, n ends off a
+        # multiple of MR_NARROW, inner one short of, onto and past KC
+        nr, kc = _nr(precision), _BLOCKS["KC"]
+        for m in (1, 3, nr - 1, nr, nr + 1):
+            for inner in (kc - 1, kc, kc + 1, 2 * kc + 3):
+                a, b = mat(m, 2 * _BLOCKS["MR_NARROW"] - 1, inner, precision), mat(inner, inner, m, precision)
+                want = _want(a, b)
+                for name, a_l, b_l in _layouts(a, b):
+                    assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (m, inner, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_narrow_inner_block_edges(self, precision):
+        # a narrow product packs b in blocks of _narrow_kc inner indices and
+        # resumes each row's sum from out after the first
+        kb = _narrow_kc(precision)
+        for inner in (kb - 1, kb, kb + 1, 2 * kb + 3):
+            a, b = mat(inner, 5, inner, precision), mat(inner + 1, inner, 2, precision)
+            want = _want(a, b)
+            for name, a_l, b_l in _layouts(a, b):
+                assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (inner, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_narrow_nonfinite_in_a_later_inner_block(self, precision):
+        # as test_nonfinite_in_a_later_inner_block, for a narrow product
+        kb = _narrow_kc(precision)
+        a, b = mat(5, 6, 2 * kb + 3, precision), mat(6, 2 * kb + 3, 3, precision)
+        a[2, kb + 1] = np.inf
+        b[kb + 5, 1], b[2 * kb, 2] = -np.inf, _NAN
+        with np.errstate(invalid="ignore"):
+            first_block = _want(a[:, :kb], b[:kb])
+            want = _want(a, b)
+            for name, a_l, b_l in _layouts(a, b):
+                assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), name
+        assert np.isfinite(first_block).all()
+        assert not np.isfinite(want[2]).any() and not np.isfinite(want[:, [1, 2]]).any()
+
     def test_threads_share_no_packing_buffers(self):
         # ctypes releases the GIL, so calls from several threads run the
         # kernel at once; each thread packs into its own buffers
@@ -355,9 +434,11 @@ class TestCompiledBuild:
         monkeypatch.setattr(numerics, "_CC", str(cc))
         a, b = mat(0, 5, 6), mat(1, 6, 3)
         z, bank = mat(2, 9, 4), make_kernel_bank(3, 4, (0.5, 1.0, 3.0))
+        v, dwc = mat(3, 6, 4), DwcParams(kernels=mat(4, 4, 9).reshape(4, 3, 3))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             mapped = dmk_forward(z, bank)[0]
+            conv = dwc_forward(v, (2, 3), dwc)
             first, second = matmul(a, b), matmul(a, b)
             backend = numerics.matmul_backend()
         assert [w.category for w in caught] == [RuntimeWarning]
@@ -368,6 +449,7 @@ class TestCompiledBuild:
         assert backend == "numpy"
         assert np.array_equal(first, naive_matmul(a, b)) and np.array_equal(second, first)
         assert np.array_equal(bits(mapped), bits(per_token_kernel(z, bank)[0]))
+        assert np.array_equal(bits(conv), bits(explicit_dwc(v, (2, 3), dwc.kernels, True)))
 
     @pytest.mark.parametrize("damage", ["garbage", "truncated", "digest_only"])
     def test_damaged_cache_is_rebuilt(self, monkeypatch, tmp_path, damage):
@@ -382,15 +464,19 @@ class TestCompiledBuild:
         assert not numerics._sealed(path)
         a, b = mat(2, 9, 5), mat(3, 5, 4)
         z, bank = mat(4, 9, 4), make_kernel_bank(5, 4, (0.5, 1.0, 3.0))
+        v, dwc = mat(6, 6, 4), DwcParams(kernels=mat(7, 4, 9).reshape(4, 3, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(bits(dmk_forward(z, bank)[0]), bits(per_token_kernel(z, bank)[0]))
             assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+            assert np.array_equal(bits(dwc_forward(v, (3, 2), dwc)),
+                                  bits(explicit_dwc(v, (3, 2), dwc.kernels, True)))
         assert numerics.matmul_backend() == "c"
         assert numerics._sealed(path)
         assert [p.name for p in tmp_path.joinpath("dydila").iterdir()] == [path.name]
         built = path.read_bytes()
-        assert all(name in built for name in (b"matmul_double", b"focused_double"))
+        assert all(name in built for name in (b"matmul_double", b"focused_double",
+                                              b"dwc_double", b"dwc_float"))
 
     def test_build_without_target_clones(self, monkeypatch, tmp_path):
         # the build of a host that is not x86-64 glibc: one plain copy per dtype
@@ -402,18 +488,22 @@ class TestCompiledBuild:
         assert numerics.matmul_backend() == "c"
         built = numerics._cache_path().read_bytes()
         assert b"matmul_double.default" not in built and b"focused_double.default" not in built
+        assert b"dwc_double.default" not in built
         for n, inner, m in [(1, 4, 3), (9, 7, 11), (5, 3, 513)]:
             a, b = mat(n, n, inner), mat(m, inner, m)
             assert np.array_equal(bits(matmul(a, b)), bits(_naive_wide(a, b)))
         z, bank = mat(6, 9, 4), make_kernel_bank(7, 4, (0.5, 1.0, 3.0))
         assert np.array_equal(bits(dmk_forward(z, bank)[0]), bits(per_token_kernel(z, bank)[0]))
+        v, dwc = mat(8, 12, 5), DwcParams(kernels=mat(9, 5, 9).reshape(5, 3, 3))
+        assert np.array_equal(bits(dwc_forward(v, (4, 3), dwc)),
+                              bits(explicit_dwc(v, (4, 3), dwc.kernels, True)))
 
     @pytest.mark.parametrize("disabled", [("avx512f",), ("avx512f", "avx2")])
     def test_narrower_tiles(self, monkeypatch, tmp_path, disabled):
         # the tile width each call picks from the CPU: with AVX-512 (and
-        # AVX2) reported missing, the 32-byte (16-byte) tile must give the
-        # same bits at the block edges; on a host without those units this
-        # reruns the width it has
+        # AVX2) reported missing, the 32-byte (16-byte) tile and narrow
+        # product must give the same bits at the block edges; on a host
+        # without those units this reruns the width it has
         needs_compiler()
         _fresh_backend(monkeypatch, tmp_path)
         source = numerics._C_SOURCE
@@ -422,9 +512,11 @@ class TestCompiledBuild:
             source = source.replace(f'CPU_HAS("{isa}")', "0")
         monkeypatch.setattr(numerics, "_C_SOURCE", source)
         assert numerics.matmul_backend() == "c"
-        kc, mr, nc = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"]
+        kc, mr, nc, mrn = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"], _BLOCKS["MR_NARROW"]
         for precision in ("f32", "f64"):
-            for n, inner, m in [(mr + 1, kc + 1, _nr(precision) + 3), (2, 3, nc + 1)]:
+            nr, kb = _nr(precision), _narrow_kc(precision)
+            for n, inner, m in [(mr + 1, kc + 1, nr + 3), (2, 3, nc + 1),
+                                (mrn + 1, kc + 1, nr), (mrn + 3, 7, nr - 1), (3, kb + 1, 1)]:
                 a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
                 want = _want(a, b)
                 for name, a_l, b_l in _layouts(a, b):
@@ -435,7 +527,8 @@ class TestCompiledBuild:
     def test_x86_64_glibc_build_has_clones(self):
         needs_compiler()
         built = numerics._cache_path().read_bytes()
-        for name in ("matmul_double", "matmul_float", "focused_double", "focused_float"):
+        for name in ("matmul_double", "matmul_float", "focused_double", "focused_float",
+                     "dwc_double", "dwc_float"):
             for target in ("avx512f", "avx2", "default"):
                 assert f"{name}.{target}".encode() in built
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import dydila.numerics as numerics
+from dydila.differential import concat_streams
 from dydila.numerics import ContractViolation, ConfigError, SeededRng, as_matrix
 from dydila.oracle import explicit_routes
-from dydila.routing import RouteAssignment, Router, route_argmax
+from dydila.routing import RouteAssignment, Router, route_argmax, route_pair
 
-from conftest import make_router, mat
+from conftest import bits, make_router, mat, needs_compiler
 
 
 def test_hand_example():
@@ -87,3 +89,30 @@ def test_router_needs_choices():
 def test_assignment_shape_validation():
     with pytest.raises(ContractViolation):
         RouteAssignment(indices=np.zeros(3, dtype=np.int64), logits=np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_route_pair_matches_concatenated_routing(monkeypatch, backend, precision):
+    # the pair's logits resume the sum over a's half with b's half: the bits
+    # of routing the concatenation, for head slices too
+    if backend == "numpy":
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+    else:
+        needs_compiler()
+    wide_a, wide_b = mat(1, 70, 40, precision), mat(2, 70, 40, precision)
+    for n_choices in (1, 9, 40):
+        router = make_router(n_choices, 48, n_choices, precision)
+        for a, b in ((wide_a[:, :24], wide_b[:, 16:]), (wide_a[:, 3:27].copy(), wide_b[:, :24])):
+            want = route_argmax(concat_streams(a, b), router)
+            got = route_pair(a, b, router)
+            assert np.array_equal(bits(got.logits), bits(want.logits)), n_choices
+            assert np.array_equal(got.indices, want.indices), n_choices
+
+
+def test_route_pair_dim_mismatch():
+    router = make_router(0, 8, 3)
+    with pytest.raises(ContractViolation, match="dim mismatch"):
+        route_pair(mat(0, 5, 4), mat(1, 5, 3), router)
+    with pytest.raises(ContractViolation, match="dim mismatch"):
+        route_pair(mat(0, 5, 3), mat(1, 5, 3), router)
