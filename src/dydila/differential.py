@@ -147,8 +147,14 @@ def _floor_denominator(den: np.ndarray) -> np.ndarray:
 
 
 def _normalizer(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Floored keys-first row sums ``q @ sum(k)``: each row's normalizing denominator."""
-    return _floor_denominator(matmul(q, np.sum(k, axis=0)[:, None]))
+    """Floored keys-first row sums ``q @ sum(k)``: each row's normalizing denominator.
+
+    The column sums of k are ``ones @ k``, so they too add in ascending row
+    order from +0 whatever k's layout (numpy's own sum switches to pairwise
+    summation on F-ordered arrays).
+    """
+    col_sums = matmul(np.ones((1, k.shape[0]), dtype=k.dtype), k)
+    return _floor_denominator(matmul(q, col_sums.T))
 
 
 def tdo_forward(

@@ -7,16 +7,19 @@ gamma, then rescales so the Euclidean norm of the ReLU'd row is restored:
 
 gamma = 1 is exactly ReLU.  Larger gamma concentrates mass on the largest
 coordinates while the norm stays put.  A row whose ReLU is identically zero
-maps to the zero row (no 0/0); a row holding a NaN maps to a non-finite row.
+maps to the zero row (no 0/0); a row holding a NaN, or an inf when gamma is
+not 1, maps to a non-finite row.
 
-The arithmetic order is fixed, as ``matmul``'s is: per row, relu, row max,
-``pow(r / max, gamma)`` from libm on the nonzero entries, both norms as
-ascending-index sums of squares then ``sqrt``, and one multiply by their
-ratio.  A compiled kernel in ``dydila.numerics`` runs it (a numpy loop with
-the same bits when it did not build), and ``oracle.naive_focused_row``
-follows the same order, so in float64 the map equals the oracle bit for bit.
-float32 divides and sums in float32 and rounds each double ``pow`` to
-float32.
+The arithmetic order is fixed, as ``matmul``'s is: per row, relu, row max
+``peak``, ``x = r / peak``, the library's own ``pow(x, gamma)`` on the
+nonzero entries (IEEE ``+ - * /`` in a fixed order, no libm, so the bits
+are the same on every host), ``n1 = peak * sqrt(sum x^2)`` and
+``ng = sqrt(sum pow^2)`` as ascending sums, and one multiply by ``n1 / ng``.
+A compiled kernel in ``dydila.numerics`` runs it (a numpy loop with the same
+bits when it did not build), and ``oracle.naive_focused_row`` follows the
+same order, so in float64 the map equals the oracle bit for bit.  float32
+divides and sums in float32 and rounds each double ``pow`` to float32;
+summing the scaled row keeps rows of tiny entries out of subnormal squares.
 
 Each row picks its gamma through a router (one gamma per routable factor),
 so sharpening strength is a per-token decision.

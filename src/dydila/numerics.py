@@ -7,9 +7,10 @@ that follow the same order) agree bit for bit.  The one that matters most is
 which is what a naive triple loop does and what vendor BLAS does not.
 
 The focused feature map behind ``dydila.kernels`` (:func:`_focused_map`) has
-such an order too: per row, relu, row max, divide by it, libm ``pow``, an
-ascending-index sum of squares and ``sqrt`` for both norms, rescale.  So
-does the depthwise 3x3 convolution behind ``attention.dwc_forward``
+such an order too: per row, relu, row max, divide by it, the library's own
+``pow`` (table-driven, fixed-order IEEE arithmetic, no libm), ascending sums
+of squares of the scaled row and of its powers, ``sqrt``, rescale.  So does
+the depthwise 3x3 convolution behind ``attention.dwc_forward``
 (:func:`_dwc`): per element, the nine taps in ascending (row, col) order
 from +0, then the identity branch.
 
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+
+from . import _pow_tables
 
 __all__ = [
     "ContractViolation",
@@ -160,14 +162,14 @@ TILE(16, 2, )
    inner indices, R rows of a at a time read in place through their strides,
    in column passes of P vectors of V bytes that stop at m.  The rows' sums
    go through c, NR wide, so out is touched only inside the matrix. */
-#define NARROW(V, P, ATTR)                                                     \
-static ATTR void narrow##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
-                                ptrdiff_t sa1, const $T *restrict bp,          \
-                                $T *restrict out, ptrdiff_t n, ptrdiff_t m,    \
-                                int first)                                     \
+#define NARROW(V, P, R, ATTR)                                                  \
+static ATTR void narrow##V##x##P##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,\
+                                      ptrdiff_t sa1, const $T *restrict bp,    \
+                                      $T *restrict out, ptrdiff_t n,           \
+                                      ptrdiff_t m, int first)                  \
 {                                                                              \
     typedef $T vec __attribute__((vector_size(V)));                            \
-    enum { W = V / sizeof($T), NR = NR_$T, R = MR_NARROW };                    \
+    enum { W = V / sizeof($T), NR = NR_$T };                                   \
     $T c[R * NR] __attribute__((aligned(64)));                                 \
     for (ptrdiff_t i = 0; i < n; i += R) {                                     \
         const ptrdiff_t mr = n - i < R ? n - i : R;                            \
@@ -200,9 +202,14 @@ static ATTR void narrow##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
                 out[(i + r) * m + j] = c[r * NR + j];                          \
     }                                                                          \
 }
-NARROW(64, 2, TARGET("avx512f"))
-NARROW(32, 2, TARGET("avx2"))
-NARROW(16, 2, )
+/* Two vectors per pass over MR_NARROW rows, or, when m fits one vector,
+   one vector per pass over twice as many rows. */
+NARROW(64, 2, MR_NARROW, TARGET("avx512f"))
+NARROW(32, 2, MR_NARROW, TARGET("avx2"))
+NARROW(16, 2, MR_NARROW, )
+NARROW(64, 1, 2 * MR_NARROW, TARGET("avx512f"))
+NARROW(32, 1, 2 * MR_NARROW, TARGET("avx2"))
+NARROW(16, 1, 2 * MR_NARROW, )
 #undef NARROW
 
 CLONES
@@ -218,7 +225,26 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
         v == 64 ? tile64_$T : v == 32 ? tile32_$T : tile16_$T;
     void (*const narrow)(ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, const $T *, $T *,
                          ptrdiff_t, ptrdiff_t, int) =
-        v == 64 ? narrow64_$T : v == 32 ? narrow32_$T : narrow16_$T;
+        m <= v / (ptrdiff_t)sizeof($T)
+            ? (v == 64 ? narrow64x1_$T : v == 32 ? narrow32x1_$T : narrow16x1_$T)
+            : (v == 64 ? narrow64x2_$T : v == 32 ? narrow32x2_$T : narrow16x2_$T);
+    /* A short product (n < MR rows, b's rows contiguous, m > NR) streams b
+       once, adding a[i, k] * b[k, :] into each row of out in ascending k:
+       no packing and no padded tile rows. */
+    if (n < MR && m > NR && sb1 == 1) {
+        if (!acc)
+            for (ptrdiff_t j = 0; j < n * m; j++)
+                out[j] = 0;
+        for (ptrdiff_t k = 0; k < inner; k++)
+            for (ptrdiff_t i = 0; i < n; i++) {
+                const $T x = a[i * sa0 + k * sa1];
+                const $T *restrict bk = b + k * sb0;
+                $T *restrict o = out + i * m;
+                for (ptrdiff_t j = 0; j < m; j++)
+                    o[j] = o[j] + x * bk[j];
+            }
+        return;
+    }
     /* A narrow product packs as much of b as packed_b holds. */
     const ptrdiff_t kb = m <= NR ? KC * NC / NR : KC;
     for (ptrdiff_t jc = 0; jc < m; jc += NC) {
@@ -272,56 +298,188 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
 }
 """
 
+# The owned pow, pow01(x, g) = x^g for x in (0, 1] (subnormals included) and
+# g in (0, 16], as IEEE + - * / on doubles in the fixed order written here;
+# no libm call, no FMA (-ffp-contract=off), no branch.  _pow01_numpy mirrors
+# it operation for operation, and oracle._pow01 transcribes it again in
+# scalar Python.  The tables and constants come from _pow_tables, generated
+# by scripts/pow_tables.py, whose docstring gives their properties.  The
+# method is that of the glibc 2.28 / Arm optimized-routines pow without FMA,
+# after Tang's table-driven log (1990) and exp (1989):
+#   1. x * 2^52 is exact and normal, so its bits give x = 2^k z with z in
+#      [OFF, 2 OFF) and the table index i, subnormals included; k goes
+#      from its integer bits to a double by the 2^52 bias trick;
+#   2. log x = k ln2 + log c + log1p(r), r = z invc - 1 exact, as a
+#      double-double hi + lo (Taylor series to r^9);
+#   3. g * (hi + lo) = ehi + elo, g * hi split exactly by Dekker's product
+#      over Veltkamp splits;
+#   4. ehi is clamped to >= -746 (every result below that is 0) by an
+#      integer min on its top word, then exp(ehi + elo) = 2^(k/128)
+#      exp(r), with the scale built 2^1022 too large so that it is normal
+#      for every k; a result below 2^-1022 is rounded once, at 2^-52
+#      relative to 1, before the exact scaling back.
+# The function has no select on its input, its table indices are uint64_t
+# and its clamp is an integer min on 32-bit words, so GCC vectorises a loop
+# of pow01 at every width, 16-byte units included; the table reads stay
+# scalar loads (the generic tuning emits no gather instruction, and gathers
+# were slower on the AVX-512 host measured).  pow01(1, g) is exactly 1;
+# subnormal results are rounded once and results below 2^-1075 are +0.
+# Over 1e6 samples the result is within 1 ulp of glibc's pow and within
+# 0.51 ulp of the exact value (README, scripts/pow_accuracy.py).
+_POW_KERNEL = r"""
+static inline uint64_t bits_of(double x) { uint64_t u; __builtin_memcpy(&u, &x, 8); return u; }
+static inline double double_of(uint64_t u) { double x; __builtin_memcpy(&x, &u, 8); return x; }
+
+static inline double pow01(double x, double g)
+{
+    const uint64_t ix = bits_of(x * 0x1p52);
+    const uint64_t u = ix - POW_OFF + (1024ull << 52);
+    const uint64_t i = u >> 45 & 127;
+    const double z = double_of(ix - (u & 0xfffull << 52) + (1024ull << 52));
+    const double kd = double_of(0x4338000000000000ull + (u >> 52)) - POW_KBIAS;
+    const double invc = POW_INVC[i];
+    const double zhi = double_of((bits_of(z) + (1ull << 31)) & 0xffffffff00000000ull);
+    const double rhi = zhi * invc - 1.0;
+    const double rlo = (z - zhi) * invc;
+    const double r = rhi + rlo;
+    const double t1 = kd * POW_LN2HI + POW_LOGC[i];
+    const double t2 = t1 + r;
+    const double lo1 = kd * POW_LN2LO + POW_LOGCTAIL[i];
+    const double lo2 = t1 - t2 + r;
+    const double arhi2 = rhi * (-0.5 * rhi);
+    const double hi = t2 + arhi2;
+    const double lo3 = rlo * (-0.5 * r + -0.5 * rhi);
+    const double lo4 = t2 - hi + arhi2;
+    const double p = r * r * r * POW_LOG_POLY;
+    const double lo = lo1 + lo2 + lo3 + lo4 + p;
+    const double lh = hi + lo;
+    const double ll = hi - lh + lo;
+    const double cg = g * POW_SPLIT, gh = cg - (cg - g), gl = g - gh;
+    const double cl = lh * POW_SPLIT, hh = cl - (cl - lh), hl = lh - hh;
+    const double e0 = g * lh;
+    const double elo = gh * hh - e0 + gh * hl + gl * hh + gl * hl + g * ll;
+    int32_t top = (int32_t)((uint32_t)(bits_of(e0) >> 32) ^ 0x80000000u);
+    top = top < POW_CLAMP ? top : POW_CLAMP;
+    const double ehi = double_of((uint64_t)((uint32_t)top ^ 0x80000000u) << 32
+                                 | (bits_of(e0) & 0xffffffffull));
+    const double kr = POW_INVLN2N * ehi + 0x1.8p52;
+    const uint64_t ki = bits_of(kr);
+    const double k2 = kr - 0x1.8p52;
+    const double er = ehi + k2 * POW_NEGLN2HIN + k2 * POW_NEGLN2LON + elo;
+    const uint64_t j = ki & 127;
+    const double s = double_of(POW_SBITS[j] + (ki << 45) + (1022ull << 52));
+    const double r2 = er * er;
+    const double tmp = POW_TAIL[j] + er + r2 * (POW_E2 + er * POW_E3)
+                       + r2 * r2 * (POW_E4 + er * (POW_E5 + er * POW_E6));
+    const double y = s + s * tmp;
+    const double lo5 = s - y + s * tmp;
+    const double one = y < 1.0 ? 1.0 : 0.0;
+    const double h1 = one + y;
+    const double l1 = one - h1 + y + lo5;
+    return (h1 + l1 - one) * 0x1p-1022;
+}
+"""
+
 # The compiled focused map, one copy per element type; _focused_numpy is its
-# reference.  One pass per row: relu (NaN kept, -0 made +0, as np.maximum
-# does), the row max (NaN-propagating, as np.max) and the ascending-index sum
-# of squares of relu, all in $T.  A row whose gamma is 1 keeps relu; a row
-# whose relu norm n1 is 0 becomes +0 (a NaN row is not dead).  Otherwise
-# each nonzero entry becomes libm pow(r / peak, gamma), the division in $T
-# and pow in double rounded to $T; zeros stay +0.  The powered row's norm ng
-# is summed the same way, and every entry is multiplied by n1 / ng.  Dividing
-# by the row max keeps the powers in [0, 1], so no gamma overflows f32.  z is
-# read through its element strides, so head slices need no copy; out is
-# C-contiguous.  The ordered sums and the calls to pow keep the first two
-# loops scalar; only the rescale vectorises.
+# reference.  Rows run in groups of FOCUSED_ROWS.  For each row: relu (NaN
+# kept, -0 made +0, as np.maximum does) and the row max peak (NaN if the row
+# holds one, as np.max), in $T.  A row whose gamma is 1 keeps relu, and a
+# row whose peak is 0 is all +0 already.  Otherwise the nonzero relu entries
+# are packed with their columns into a list without a branch
+# (k += r != 0), padded to a multiple of POW_PAD with peak; one vectorised
+# pass over the list forms x = r / peak in $T and t = pow01(x, gamma)
+# rounded to $T, and a second one sets t = +0 where x underflowed to 0 (a
+# select inside the first would stop GCC vectorising it on AVX2 and
+# 16-byte units).  Then, with four rows interleaved as independent chains,
+# each row's sums of x^2 and t^2 in ascending list order from +0 ($T): the
+# sums over the whole row, since the skipped entries are +0.
+# n1 = peak * sqrt(sum x^2) and ng = sqrt(sum t^2), so a row of tiny
+# entries gets no subnormal squares; every entry becomes t * (n1 / ng), and
+# +0 * (n1 / ng) off the list.  Dividing by peak keeps x and t in [0, 1], so
+# no gamma overflows f32, and a NaN or inf peak makes the whole row NaN
+# through n1.  z is read through its element strides, so head slices need
+# no copy; out is C-contiguous; work holds FOCUSED_ROWS rows of x, t and
+# column lists.
 _FOCUSED_KERNEL = r"""
 CLONES
 void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                 const double *restrict gamma, $T *restrict out,
-                ptrdiff_t n, ptrdiff_t d)
+                ptrdiff_t n, ptrdiff_t d, void *restrict work)
 {
-    for (ptrdiff_t i = 0; i < n; i++) {
-        const $T *zi = z + i * sz0;
-        $T *o = out + i * d;
-        $T peak = 0, s1 = 0, sg = 0;
-        for (ptrdiff_t j = 0; j < d; j++) {
-            const $T x = zi[j * sz1];
-            $T r = x > 0 ? x : 0;
-            if (x != x)
-                r = peak = x;
-            o[j] = r;
-            peak = r > peak ? r : peak;
-            s1 = s1 + r * r;
+    enum { R = FOCUSED_ROWS };
+    const ptrdiff_t dp = (d + POW_PAD - 1) / POW_PAD * POW_PAD;
+    $T *const xs = ($T *)work, *const ts = xs + R * dp;
+    ptrdiff_t *const cols = (ptrdiff_t *)(ts + R * dp);
+    for (ptrdiff_t i0 = 0; i0 < n; i0 += R) {
+        const ptrdiff_t rows = n - i0 < R ? n - i0 : R;
+        $T peak[R], sx[R] = {0}, st[R] = {0};
+        ptrdiff_t live[R] = {0}, m = 0;
+        for (ptrdiff_t r = 0; r < rows; r++) {
+            const $T *zi = z + (i0 + r) * sz0;
+            $T *restrict o = out + (i0 + r) * d;
+            $T top = 0;
+            for (ptrdiff_t j = 0; j < d; j++) {
+                const $T v = zi[j * sz1];
+                $T q = v > 0 ? v : 0;
+                if (v != v)
+                    q = top = v;
+                o[j] = q;
+                top = q > top ? q : top;
+            }
+            peak[r] = top;
+            const double g = gamma[i0 + r];
+            if (g == 1 || top == 0)
+                continue;
+            $T *restrict x = xs + r * dp, *restrict t = ts + r * dp;
+            ptrdiff_t *restrict c = cols + r * dp, k = 0;
+            for (ptrdiff_t j = 0; j < d; j++) {
+                x[k] = o[j];
+                c[k] = j;
+                k += o[j] != 0;
+            }
+            const ptrdiff_t kp = (k + POW_PAD - 1) / POW_PAD * POW_PAD;
+            for (ptrdiff_t s = k; s < kp; s++)
+                x[s] = peak[r];
+            const $T p = peak[r];
+            for (ptrdiff_t s = 0; s < kp; s++) {
+                const $T v = x[s] / p;
+                x[s] = v;
+                t[s] = ($T)pow01((double)v, g);
+            }
+            for (ptrdiff_t s = 0; s < k; s++)
+                t[s] = x[s] != 0 ? t[s] : 0;
+            live[r] = k;
+            m = kp > m ? kp : m;
         }
-        const double g = gamma[i];
-        const $T n1 = ($T)sqrt(s1);
-        if (g == 1)
-            continue;
-        if (n1 == 0) {
+        for (ptrdiff_t r = 0; r < R; r++)
+            for (ptrdiff_t s = live[r]; s < m; s++)
+                xs[r * dp + s] = ts[r * dp + s] = 0;
+        for (ptrdiff_t s = 0; s < m; s++)
+            for (ptrdiff_t r = 0; r < R; r++) {
+                const $T x = xs[r * dp + s], t = ts[r * dp + s];
+                sx[r] = sx[r] + x * x;
+                st[r] = st[r] + t * t;
+            }
+        for (ptrdiff_t r = 0; r < rows; r++) {
+            if (!live[r])
+                continue;
+            $T *o = out + (i0 + r) * d;
+            const $T scale = peak[r] * ($T)sqrt(sx[r]) / ($T)sqrt(st[r]), zero = 0 * scale;
             for (ptrdiff_t j = 0; j < d; j++)
-                o[j] = 0;
-            continue;
+                o[j] = zero;
+            for (ptrdiff_t s = 0; s < live[r]; s++)
+                o[cols[r * dp + s]] = ts[r * dp + s] * scale;
         }
-        for (ptrdiff_t j = 0; j < d; j++) {
-            const $T r = o[j];
-            const $T t = r != 0 ? ($T)pow((double)(r / peak), g) : 0;
-            o[j] = t;
-            sg = sg + t * t;
-        }
-        const $T scale = n1 / ($T)sqrt(sg);
-        for (ptrdiff_t j = 0; j < d; j++)
-            o[j] = o[j] * scale;
     }
+}
+
+/* pow01 over an array, rounded to $T: the owned pow on its own, for the
+   tests and the accuracy measurement. */
+CLONES
+void pow01_$T(const $T *restrict x, const double *restrict g, $T *restrict out, ptrdiff_t n)
+{
+    for (ptrdiff_t s = 0; s < n; s++)
+        out[s] = ($T)pow01((double)x[s], g[s]);
 }
 """
 # The compiled DWC, one copy per element type; _dwc_numpy is its reference.
@@ -371,12 +529,14 @@ _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 _P, _S = ctypes.c_void_p, ctypes.c_ssize_t
 _I = ctypes.c_int
 _C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _I),
-                 "focused": (_P, _S, _S, _P, _P, _S, _S),
+                 "focused": (_P, _S, _S, _P, _P, _S, _S, _P),
+                 "pow01": (_P, _P, _P, _S),
                  "dwc": (_P, _S, _P, _P, _S, _S, _S, _I)}
 # __GLIBC__ comes from a libc header, hence <limits.h>.
 _C_PRELUDE = r"""#include <limits.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #define TARGET(isa) __attribute__((target(isa)))
@@ -394,11 +554,37 @@ static _Thread_local union { double d[KC * NC]; float f[KC * NC]; }
     packed_b __attribute__((aligned(64)));
 """
 _DWC_CHANNELS = 64  # channels per chunk of the compiled DWC
+_SHIFT = 1.5 * 2.0**52  # x + _SHIFT rounds x to an integer held in the low bits
+_FOCUSED_ROWS = 4  # rows per group of the compiled focused map
+_POW_PAD = 8  # the focused map's pow lists are padded to a multiple of this
 _C_BLOCKS = "enum { %s };" % ", ".join(
-    f"{k} = {v}" for k, v in {**_MATMUL_BLOCKS, "DWC_CHANNELS": _DWC_CHANNELS}.items())
-_C_SOURCE = _C_PRELUDE.replace("$BLOCKS", _C_BLOCKS) + "".join(
-    kernel.replace("$T", t) for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL, _DWC_KERNEL)
-    for t in _C_TYPES.values())
+    f"{k} = {v}" for k, v in {**_MATMUL_BLOCKS, "DWC_CHANNELS": _DWC_CHANNELS,
+                              "FOCUSED_ROWS": _FOCUSED_ROWS, "POW_PAD": _POW_PAD}.items())
+
+
+def _c_pow_constants() -> str:
+    """The C definitions of _POW_KERNEL's tables and constants."""
+    t = _pow_tables
+    horner = ")" * (len(t.LOG_POLY) - 1)
+    defs = {"POW_OFF": f"0x{t.LOG_OFF:016x}ull", "POW_KBIAS": (_SHIFT + 1076).hex(),
+            "POW_SPLIT": float(2**27 + 1).hex(), "POW_CLAMP": "0x40875000",
+            "POW_LOG_POLY": "(" + " + r * (".join(t.LOG_POLY) + horner + ")",
+            **{f"POW_{k}": getattr(t, k)
+               for k in ("LN2HI", "LN2LO", "INVLN2N", "NEGLN2HIN", "NEGLN2LON")},
+            **{f"POW_E{n}": c for n, c in enumerate(t.EXP_POLY, 2)}}
+    tables = {"POW_INVC": t.LOG_INVC, "POW_LOGC": t.LOG_LOGC, "POW_LOGCTAIL": t.LOG_LOGCTAIL,
+              "POW_TAIL": t.EXP_TAIL}
+    return ("".join(f"#define {k} {v}\n" for k, v in defs.items())
+            + "".join(f"static const double {k}[{len(v)}] = {{{', '.join(v)}}};\n"
+                      for k, v in tables.items())
+            + "static const uint64_t POW_SBITS[%d] = {%s};\n"
+            % (len(t.EXP_SBITS), ", ".join(f"0x{b:016x}ull" for b in t.EXP_SBITS)))
+
+
+_C_SOURCE = (_C_PRELUDE.replace("$BLOCKS", _C_BLOCKS) + _c_pow_constants() + _POW_KERNEL
+             + "".join(kernel.replace("$T", t)
+                       for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL, _DWC_KERNEL)
+                       for t in _C_TYPES.values()))
 _CC = "cc"
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LDLIBS = ("-lm",)  # after the source, so --as-needed linkers keep it
@@ -667,9 +853,11 @@ def _focused_map(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         return _focused_numpy(z, gamma)
     z = np.require(z, requirements="A")
     out = np.empty((n, d), dtype=z.dtype)
+    padded = -(-d // _POW_PAD) * _POW_PAD
+    work = np.empty(_FOCUSED_ROWS * padded * (2 * z.itemsize + 8), dtype=np.uint8)
     size = z.itemsize
     kernel(z.ctypes.data, z.strides[0] // size, z.strides[1] // size, gamma.ctypes.data,
-           out.ctypes.data, n, d)
+           out.ctypes.data, n, d, work.ctypes.data)
     return out
 
 
@@ -711,7 +899,92 @@ def _dwc_numpy(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) 
     return out.reshape(n, d)
 
 
-_pow = np.frompyfunc(math.pow, 2, 1)  # libm pow per element, as the kernel calls it
+def _f64s(name: str) -> np.ndarray:
+    return np.array([float.fromhex(v) for v in getattr(_pow_tables, name)])
+
+
+# _pow_tables as numpy arrays and floats, for the numpy mirror of pow01
+_POW_INVC, _POW_LOGC, _POW_LOGCTAIL, _POW_TAIL, _POW_LOG_POLY, _POW_EXP_POLY = (
+    _f64s(k) for k in ("LOG_INVC", "LOG_LOGC", "LOG_LOGCTAIL", "EXP_TAIL", "LOG_POLY", "EXP_POLY"))
+_POW_SBITS = np.array(_pow_tables.EXP_SBITS, dtype=np.uint64)
+_LN2HI, _LN2LO, _INVLN2N, _NEGLN2HIN, _NEGLN2LON = (
+    float.fromhex(getattr(_pow_tables, k))
+    for k in ("LN2HI", "LN2LO", "INVLN2N", "NEGLN2HIN", "NEGLN2LON"))
+
+
+def _pow01_numpy(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The compiled ``pow01``, elementwise over float64 arrays, operation for
+    operation in the same order (see the comment above ``_POW_KERNEL``)."""
+    f8 = np.float64
+    ix = (x * 2.0**52).view(np.uint64)
+    u = ix - np.uint64(_pow_tables.LOG_OFF) + np.uint64(1024 << 52)
+    i = (u >> np.uint64(45)) & np.uint64(127)
+    z = (ix - (u & np.uint64(0xFFF << 52)) + np.uint64(1024 << 52)).view(f8)
+    kd = (np.uint64(0x4338000000000000) + (u >> np.uint64(52))).view(f8) - (_SHIFT + 1076)
+    invc = _POW_INVC[i]
+    zhi = ((z.view(np.uint64) + np.uint64(1 << 31)) & np.uint64(0xFFFFFFFF00000000)).view(f8)
+    rhi = zhi * invc - 1.0
+    rlo = (z - zhi) * invc
+    r = rhi + rlo
+    t1 = kd * _LN2HI + _POW_LOGC[i]
+    t2 = t1 + r
+    lo1 = kd * _LN2LO + _POW_LOGCTAIL[i]
+    lo2 = t1 - t2 + r
+    arhi2 = rhi * (-0.5 * rhi)
+    hi = t2 + arhi2
+    lo3 = rlo * (-0.5 * r + -0.5 * rhi)
+    lo4 = t2 - hi + arhi2
+    poly = _POW_LOG_POLY[-1]
+    for c in _POW_LOG_POLY[-2::-1]:
+        poly = c + r * poly
+    p = r * r * r * poly
+    lo = lo1 + lo2 + lo3 + lo4 + p
+    lh = hi + lo
+    ll = hi - lh + lo
+    split = float(2**27 + 1)
+    cg = g * split
+    gh = cg - (cg - g)
+    gl = g - gh
+    cl = lh * split
+    hh = cl - (cl - lh)
+    hl = lh - hh
+    e0 = g * lh
+    elo = gh * hh - e0 + gh * hl + gl * hh + gl * hl + g * ll
+    e0_bits = e0.view(np.uint64)
+    top = ((e0_bits >> np.uint64(32)).astype(np.uint32) ^ np.uint32(0x80000000)).view(np.int32)
+    top = np.minimum(top, np.int32(0x40875000))
+    ehi = (((top.view(np.uint32) ^ np.uint32(0x80000000)).astype(np.uint64) << np.uint64(32))
+           | (e0_bits & np.uint64(0xFFFFFFFF))).view(f8)
+    kr = _INVLN2N * ehi + _SHIFT
+    ki = kr.view(np.uint64)
+    k2 = kr - _SHIFT
+    er = ehi + k2 * _NEGLN2HIN + k2 * _NEGLN2LON + elo
+    j = ki & np.uint64(127)
+    s = (_POW_SBITS[j] + (ki << np.uint64(45)) + np.uint64(1022 << 52)).view(f8)
+    e2, e3, e4, e5, e6 = _POW_EXP_POLY
+    r2 = er * er
+    tmp = _POW_TAIL[j] + er + r2 * (e2 + er * e3) + r2 * r2 * (e4 + er * (e5 + er * e6))
+    y = s + s * tmp
+    lo5 = s - y + s * tmp
+    one = np.where(y < 1.0, 1.0, 0.0)
+    h1 = one + y
+    l1 = one - h1 + y + lo5
+    return (h1 + l1 - one) * 2.0**-1022
+
+
+def _pow01(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The owned pow of each x (f32 or f64, in (0, 1]) to the float64 power
+    g (in (0, 16]), rounded to x's dtype: the compiled ``pow01`` when it
+    built, otherwise :func:`_pow01_numpy`, with the same bits."""
+    x = np.require(x, requirements="CA")
+    g = np.require(np.broadcast_to(np.asarray(g, dtype=np.float64), x.shape), requirements="CA")
+    kernel = _kernels().get(("pow01", x.dtype))
+    if kernel is None:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _pow01_numpy(x.astype(np.float64), g).astype(x.dtype)
+    out = np.empty_like(x)
+    kernel(x.ctypes.data, g.ctypes.data, out.ctypes.data, x.size)
+    return out
 
 
 def _sum_squares(m: np.ndarray) -> np.ndarray:
@@ -724,21 +997,26 @@ def _sum_squares(m: np.ndarray) -> np.ndarray:
 
 
 def _focused_numpy(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The fallback of :func:`_focused_map`: numpy over rows, ``math.pow`` per entry."""
+    """The fallback of :func:`_focused_map`: numpy over rows, with the
+    compiled kernel's operations in its order.  Its sums run over every
+    column, which adds only the +0 of the entries the kernel skips."""
     out = np.maximum(z, 0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        n1 = np.sqrt(_sum_squares(out))
-        powered = gamma != 1
-        out[powered & (n1 == 0)] = 0
-        live = powered & (n1 != 0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        peak = np.max(out, axis=1)
+        live = (gamma != 1) & (peak != 0)
         if not live.any():
             return out
-        r = out[live]
-        x = r / np.max(r, axis=1, keepdims=True)
-        nonzero = r != 0
+        r, top = out[live], peak[live][:, None]
+        x = r / top
+        listed = r != 0
         t = np.zeros_like(x)
-        t[nonzero] = _pow(x[nonzero], np.broadcast_to(gamma[live, None], x.shape)[nonzero])
-        out[live] = t * (n1[live] / np.sqrt(_sum_squares(t)))[:, None]
+        xl = x[listed].astype(np.float64)
+        g = np.broadcast_to(gamma[live, None], x.shape)[listed]
+        tl = _pow01_numpy(xl, g).astype(x.dtype)
+        tl[xl == 0] = 0
+        t[listed] = tl
+        scale = top * np.sqrt(_sum_squares(x))[:, None] / np.sqrt(_sum_squares(t))[:, None]
+        out[live] = t * scale
     return out
 
 

@@ -10,10 +10,12 @@ explicit-map oracles refuse token counts above :data:`ORACLE_CAP`.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pow_tables
 from .numerics import ContractViolation
 from .routing import Router
 
@@ -138,26 +140,31 @@ def naive_focused_row(row: np.ndarray, gamma: float) -> np.ndarray:
 
     A per-element Python loop in float64, in the order the production map
     promises (so in float64 the two agree bit for bit): relu keeping NaN;
-    gamma = 1 returns relu.  Otherwise n1 = sqrt of the ascending sum of
-    squares; n1 == 0 gives the zero row.  Each nonzero entry becomes
-    ``math.pow(r / peak, gamma)``, with peak the row max (NaN if the row
-    holds one); ng is summed like n1, and every entry is multiplied by
-    n1 / ng.  Sharing that order makes it no independent check of the
-    formula; the tests also compare both with the textbook form
-    ``r**gamma * (||r|| / ||r**gamma||)``, which has no max rescale.
+    gamma = 1 returns relu.  Otherwise peak is the row max (NaN if the row
+    holds one) and peak == 0 gives the zero row.  Each entry becomes
+    ``x = r / peak`` and each nonzero x becomes ``_pow01(x, gamma)``;
+    n1 = peak * sqrt of the ascending sum of x^2, ng = sqrt of that of the
+    powers, and every power is multiplied by n1 / ng.  A NaN n1 (a NaN or
+    inf peak) makes every entry NaN.  Sharing that order
+    makes it no independent check of the formula; the tests also compare
+    both with the textbook form ``r**gamma * (||r|| / ||r**gamma||)`` of
+    numpy's own power, which has no max rescale.
     """
     r = [x if x > 0.0 or x != x else 0.0 for x in map(float, row)]
     g = float(gamma)
     if g == 1.0:
         return np.array(r, dtype=np.float64)
-    n1 = math.sqrt(_sum_of_squares(r))
-    if n1 == 0.0:
-        return np.zeros(len(r), dtype=np.float64)
     peak = 0.0
     for x in r:
         if x > peak or x != x:
             peak = x
-    t = [math.pow(x / peak, g) if x != 0.0 else 0.0 for x in r]
+    if peak == 0.0:
+        return np.zeros(len(r), dtype=np.float64)
+    xs = [x / peak for x in r]
+    n1 = peak * math.sqrt(_sum_of_squares(xs))
+    if n1 != n1:  # a NaN or inf peak: every entry is NaN, as IEEE's n1 / ng makes it
+        return np.full(len(r), math.nan)
+    t = [_pow01(x, g) if x != 0.0 else 0.0 for x in xs]
     scale = n1 / math.sqrt(_sum_of_squares(t))
     return np.array([x * scale for x in t], dtype=np.float64)
 
@@ -167,6 +174,81 @@ def _sum_of_squares(values) -> float:
     for x in values:
         s += x * x
     return s
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits & _MASK64))[0]
+
+
+_MASK64 = (1 << 64) - 1
+_T = _pow_tables
+_INVC, _LOGC, _LOGCTAIL, _TAIL = (
+    [float.fromhex(v) for v in getattr(_T, k)]
+    for k in ("LOG_INVC", "LOG_LOGC", "LOG_LOGCTAIL", "EXP_TAIL"))
+_LN2HI, _LN2LO, _INVLN2N, _NEGLN2HIN, _NEGLN2LON = (
+    float.fromhex(getattr(_T, k)) for k in ("LN2HI", "LN2LO", "INVLN2N", "NEGLN2HIN", "NEGLN2LON"))
+_LOG_POLY = [float.fromhex(v) for v in _T.LOG_POLY]
+_E2, _E3, _E4, _E5, _E6 = (float.fromhex(v) for v in _T.EXP_POLY)
+_SHIFT = 1.5 * 2.0**52
+
+
+def _pow01(x: float, g: float) -> float:
+    """x**g for x in (0, 1] and g in (0, 16]: the library's own pow, one
+    scalar operation at a time on Python floats and ints, in the order of
+    ``numerics._POW_KERNEL`` (which describes the method)."""
+    ix = _bits(x * 2.0**52)
+    u = (ix - _T.LOG_OFF + (1024 << 52)) & _MASK64
+    i = (u >> 45) & 127
+    z = _double(ix - (u & (0xFFF << 52)) + (1024 << 52))
+    kd = _double(0x4338000000000000 + (u >> 52)) - (_SHIFT + 1076)
+    zhi = _double((_bits(z) + (1 << 31)) & 0xFFFFFFFF00000000)
+    rhi = zhi * _INVC[i] - 1.0
+    rlo = (z - zhi) * _INVC[i]
+    r = rhi + rlo
+    t1 = kd * _LN2HI + _LOGC[i]
+    t2 = t1 + r
+    lo1 = kd * _LN2LO + _LOGCTAIL[i]
+    lo2 = t1 - t2 + r
+    arhi2 = rhi * (-0.5 * rhi)
+    hi = t2 + arhi2
+    lo3 = rlo * (-0.5 * r + -0.5 * rhi)
+    lo4 = t2 - hi + arhi2
+    poly = _LOG_POLY[-1]
+    for c in reversed(_LOG_POLY[:-1]):
+        poly = c + r * poly
+    lo = lo1 + lo2 + lo3 + lo4 + r * r * r * poly
+    lh = hi + lo
+    ll = hi - lh + lo
+    # g * (lh + ll) = e0 + elo, with g * lh exact by Dekker's product
+    split = 134217729.0
+    gh = g * split - (g * split - g)
+    gl = g - gh
+    hh = lh * split - (lh * split - lh)
+    hl = lh - hh
+    e0 = g * lh
+    elo = gh * hh - e0 + gh * hl + gl * hh + gl * hl + g * ll
+    # clamp e0 to >= -746 by a signed 32-bit min on its flipped top word
+    top = (_bits(e0) >> 32) ^ 0x80000000
+    top = min(top - (1 << 32) if top >= 1 << 31 else top, 0x40875000)
+    ehi = _double((((top & 0xFFFFFFFF) ^ 0x80000000) << 32) | (_bits(e0) & 0xFFFFFFFF))
+    kr = _INVLN2N * ehi + _SHIFT
+    ki = _bits(kr)
+    k2 = kr - _SHIFT
+    er = ehi + k2 * _NEGLN2HIN + k2 * _NEGLN2LON + elo
+    j = ki & 127
+    s = _double(_T.EXP_SBITS[j] + (ki << 45) + (1022 << 52))
+    r2 = er * er
+    tmp = _TAIL[j] + er + r2 * (_E2 + er * _E3) + r2 * r2 * (_E4 + er * (_E5 + er * _E6))
+    y = s + s * tmp
+    lo5 = s - y + s * tmp
+    one = 1.0 if y < 1.0 else 0.0
+    h1 = one + y
+    l1 = one - h1 + y + lo5
+    return (h1 + l1 - one) * 2.0**-1022
 
 
 def explicit_routes(tokens: np.ndarray, router: Router) -> np.ndarray:

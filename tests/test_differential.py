@@ -5,6 +5,7 @@ from dydila.differential import (
     DENOM_FLOOR,
     DifferentialBank,
     _floor_denominator,
+    _normalizer,
     concat_streams,
     expand_tokenwise,
     mapwise_forward,
@@ -163,6 +164,28 @@ class TestDenominatorFloor:
         bank = make_diff_bank(91, 4, [1.0])
         out, _ = tdo_forward(q_t, q_t, k_t, k_t, v, bank, normalize=True)
         assert np.array_equal(out, np.zeros_like(out))
+
+
+class TestNormalizer:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(300, 24), (64, 384), (1, 5)])
+    def test_column_sums_ascend_in_every_layout(self, precision, shape):
+        # sum(k) goes through matmul: ascending rows from +0, so it keeps the
+        # bits of numpy's row-by-row sum on C-ordered k, and of the same loop
+        # on an F-ordered k, where numpy's own sum switches to pairwise
+        n, d = shape
+        q, k = mat(1, 7, d, precision), mat(2, n, d, precision)
+        k[::3] *= 1e6  # magnitudes far apart, so a different order shows
+        ascending = np.zeros(d, dtype=k.dtype)
+        for row in k:
+            ascending = ascending + row
+        assert np.array_equal(ascending, np.sum(k, axis=0))
+        want = _floor_denominator(matmul(q, ascending[:, None]))
+        wide = np.zeros((n, 2 * d), dtype=k.dtype)
+        wide[:, ::2] = k
+        for name, view in [("c_order", k), ("f_order", np.asfortranarray(k)),
+                           ("strided", wide[:, ::2])]:
+            assert np.array_equal(_normalizer(q, view), want), name
 
 
 class TestBankValidation:

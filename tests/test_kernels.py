@@ -3,7 +3,7 @@ import pytest
 
 import dydila.numerics as numerics
 from dydila.kernels import KernelBank, dmk_forward, focused_kernel, focused_rows
-from dydila.numerics import ContractViolation, ConfigError, relu, row_l2_norm
+from dydila.numerics import PRECISIONS, ContractViolation, ConfigError, relu, row_l2_norm
 from dydila.oracle import naive_focused_row, per_token_kernel
 from dydila.routing import Router
 
@@ -230,6 +230,45 @@ class TestFocusedMap:
         for i in range(200):
             assert_close(out[i], want[i], _F32_TOL, f"row {i}")
 
+    def test_f32_tiny_rows_keep_their_scale(self):
+        # both norms are summed over r / peak and rescaled by peak, so rows
+        # whose squares would be subnormal or zero in f32 are not dead
+        z = np.float32([[3e-23, 4e-23, -1]])
+        assert_close(focused_rows(z, 3.0), _oracle_rows(z, [3.0]), _F32_TOL, "3e-23 row")
+        tiny = (mat(11, 6, 1000, "f32") * np.float32(1e-30)).astype(np.float32)
+        out = focused_rows(tiny, 3.0)
+        assert out.any(axis=1).all()
+        want = _oracle_rows(tiny, np.full(6, 3.0))
+        for i in range(6):
+            assert_close(out[i], want[i], _F32_TOL, f"row {i} scaled by 1e-30")
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_entries_that_underflow_against_the_peak_stay_zero(self, precision):
+        # r / peak rounds to 0 for a nonzero r: its power is +0, as pow(0, g) is
+        dt = np.dtype(PRECISIONS[precision])
+        tiny = np.finfo(dt).smallest_subnormal
+        z = np.array([[tiny, 1e10, 0.0, 1.0]], dtype=dt)
+        out = focused_rows(z, 3.0)
+        assert out[0, 0] == 0 and not np.signbit(out[0, 0])
+        want = _oracle_rows(z, [3.0])
+        if precision == "f64":
+            assert np.array_equal(bits(out), bits(want))
+        else:
+            assert_close(out, want, _F32_TOL, "f32")
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_inf_peak(self, precision, gamma):
+        # gamma = 1 keeps relu; otherwise inf / inf makes n1, and so the row, NaN
+        z = np.array([[1.0, np.inf, 2.0, -1.0], [np.inf, np.inf, 0.0, 0.0]],
+                     dtype=PRECISIONS[precision])
+        out = focused_rows(z, gamma)
+        if gamma == 1.0:
+            assert np.array_equal(out, relu(z))
+        else:
+            assert np.isnan(out).all()
+            assert np.isnan(naive_focused_row(z[0], gamma)).all()
+
     def test_one_gamma_per_row(self):
         with pytest.raises(ContractViolation, match="gammas for 4 rows"):
             numerics._focused_map(mat(10, 4, 3), np.full(3, 2.0))
@@ -272,3 +311,15 @@ class TestFocusedMapCompiled(TestFocusedMap):
                            ("column_stride", np.repeat(z, 3, axis=1)[:, ::3])]:
             got = numerics._focused_map(view, gamma)
             assert np.array_equal(bits(got), bits(numerics._focused_numpy(view, gamma))), name
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_row_groups_and_list_padding(self, precision):
+        # rows run in groups of four and each pow list is padded to a
+        # multiple of eight; every row count and width around those edges,
+        # with dead and gamma-1 rows inside a group, keeps the fallback's bits
+        for n in range(1, 10):
+            for d in (1, 7, 8, 9, 17):
+                z, gamma = mat(n * d, n, d, precision), np.resize(np.array(_GAMMAS), n)
+                z[n // 2] = -np.abs(z[n // 2])
+                got = numerics._focused_map(z, gamma)
+                assert np.array_equal(bits(got), bits(numerics._focused_numpy(z, gamma))), (n, d)

@@ -386,6 +386,41 @@ class TestMatmulCompiled(TestMatmul):
         assert np.isfinite(first_block).all()
         assert not np.isfinite(want[2]).any() and not np.isfinite(want[:, [1, 2]]).any()
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_narrow_one_vector_products(self, precision):
+        # when m fits one vector the narrow product runs one vector per
+        # column pass over 2 * MR_NARROW rows; n crosses those row groups,
+        # m runs past one vector of every width
+        r = 2 * _BLOCKS["MR_NARROW"]
+        for m in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+            for n in (1, r - 1, r, r + 1, 2 * r + 3):
+                a, b = mat(n, n, 37, precision), mat(m, 37, m, precision)
+                want = _want(a, b)
+                for name, a_l, b_l in _layouts(a, b):
+                    assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (m, n, name)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_short_products(self, precision):
+        # fewer rows than a tile and more columns than NR: b's rows are
+        # streamed in place (a row vector times a matrix, as the normalizer's
+        # column sums); inner crosses KC, m crosses NC, non-finite values,
+        # -0 products and a resumed sum keep the triple loop's bits
+        nr, kc, nc = _nr(precision), _BLOCKS["KC"], _BLOCKS["NC"]
+        for n in range(1, _BLOCKS["MR"]):
+            for inner, m in [(1, nr + 1), (kc + 1, nr + 3), (3, nc + 5)]:
+                a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
+                with np.errstate(invalid="ignore"):
+                    a, b = _with_nonfinite(n, a), _with_nonfinite(m, b)
+                    want = _want(a, b)
+                    for name, a_l, b_l in _layouts(a, b):
+                        assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (n, inner, m, name)
+            zeros = matmul(np.full((n, 9), -0.0, dtype=a.dtype), np.ones((9, nr + 1), dtype=a.dtype))
+            assert not zeros.any() and not np.signbit(zeros).any()
+            a, b = mat(n + 7, n, 300, precision), mat(n + 8, 300, nr + 5, precision)
+            start = matmul(a[:, :130], b[:130])
+            assert np.array_equal(bits(numerics._matmul(a[:, 130:], b[130:], start)),
+                                  bits(matmul(a, b)))
+
     def test_threads_share_no_packing_buffers(self):
         # ctypes releases the GIL, so calls from several threads run the
         # kernel at once; each thread packs into its own buffers
@@ -521,6 +556,38 @@ class TestCompiledBuild:
                 want = _want(a, b)
                 for name, a_l, b_l in _layouts(a, b):
                     assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (precision, n, name)
+
+    @pytest.mark.parametrize("clones", ['"avx2", "default"', None])
+    def test_focused_map_at_narrower_vector_widths(self, monkeypatch, tmp_path, clones):
+        # the owned pow and the focused map vectorise at every width: a build
+        # whose clones stop at AVX2, or a plain build (16-byte vectors on
+        # x86-64), gives the numpy fallback's bits; on a host without
+        # target_clones this reruns its plain build
+        needs_compiler()
+        _fresh_backend(monkeypatch, tmp_path)
+        attr = '__attribute__((target_clones("avx512f", "avx2", "default")))'
+        assert numerics._C_SOURCE.count(attr) == 1
+        narrower = f"__attribute__((target_clones({clones})))" if clones else ""
+        monkeypatch.setattr(numerics, "_C_SOURCE", numerics._C_SOURCE.replace(attr, narrower))
+        assert numerics.matmul_backend() == "c"
+        assert b"focused_double.avx512f" not in numerics._cache_path().read_bytes()
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(0, 1, 3000), np.exp2(-rng.uniform(0, 1074, 3000)), [1.0]])
+        x[x == 0] = 1.0
+        g = 16 - rng.uniform(0, 16, x.size)
+        for dtype in (np.float64, np.float32):
+            xs = x.astype(dtype)
+            xs[xs == 0] = 1.0
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = numerics._pow01_numpy(xs.astype(np.float64), g).astype(dtype)
+            assert np.array_equal(bits(numerics._pow01(xs, g)), bits(want)), dtype
+        for precision in ("f32", "f64"):
+            z = mat(7, 41, 37, precision)
+            z[3] = -np.abs(z[3])
+            z[5] *= 1e-30
+            gamma = np.resize(np.array([0.5, 1.0, 3.0, 8.0, 15.5]), 41)
+            assert np.array_equal(bits(numerics._focused_map(z, gamma)),
+                                  bits(numerics._focused_numpy(z, gamma))), precision
 
     @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
                         reason="target_clones is built only on x86-64 glibc hosts")
