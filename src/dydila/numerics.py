@@ -381,26 +381,41 @@ static inline double pow01(double x, double g)
 """
 
 # The compiled focused map, one copy per element type; _focused_numpy is its
-# reference.  Rows run in groups of FOCUSED_ROWS.  For each row: relu (NaN
-# kept, -0 made +0, as np.maximum does) and the row max peak (NaN if the row
-# holds one, as np.max), in $T.  A row whose gamma is 1 keeps relu, and a
-# row whose peak is 0 is all +0 already.  Otherwise the nonzero relu entries
-# are packed with their columns into a list without a branch
-# (k += r != 0), padded to a multiple of POW_PAD with peak; one vectorised
-# pass over the list forms x = r / peak in $T and t = pow01(x, gamma)
+# reference.  Rows run in groups of FOCUSED_ROWS.  One pass per row forms
+# relu (NaN kept, -0 made +0, as np.maximum does), the row max peak (NaN if
+# the row holds one, as np.max), in $T, and packs the nonzero relu entries
+# with their columns into a list without a branch (k += r != 0).  A row
+# whose gamma is 1 keeps relu, and a row whose peak is 0 is all +0 already.
+# Otherwise the list is padded to a multiple of POW_PAD with peak; one
+# vectorised pass over it forms x = r / peak in $T and t = pow01(x, gamma)
 # rounded to $T, and a second one sets t = +0 where x underflowed to 0 (a
-# select inside the first would stop GCC vectorising it on AVX2 and
-# 16-byte units).  Then, with four rows interleaved as independent chains,
-# each row's sums of x^2 and t^2 in ascending list order from +0 ($T): the
-# sums over the whole row, since the skipped entries are +0.
+# select inside the first would stop GCC vectorising it on AVX2 and 16-byte
+# units).  Then, with four rows interleaved as independent chains, each
+# row's sums of x^2 and t^2 in ascending list order from +0 ($T): the sums
+# over the whole row, since the skipped entries are +0.
 # n1 = peak * sqrt(sum x^2) and ng = sqrt(sum t^2), so a row of tiny
-# entries gets no subnormal squares; every entry becomes t * (n1 / ng), and
-# +0 * (n1 / ng) off the list.  Dividing by peak keeps x and t in [0, 1], so
+# entries gets no subnormal squares; every listed entry becomes
+# t * (n1 / ng) and every other +0 * (n1 / ng), which is the +0 relu left
+# there unless n1 / ng is NaN.  Dividing by peak keeps x and t in [0, 1], so
 # no gamma overflows f32, and a NaN or inf peak makes the whole row NaN
 # through n1.  z is read through its element strides, so head slices need
 # no copy; out is C-contiguous; work holds FOCUSED_ROWS rows of x, t and
 # column lists.
 _FOCUSED_KERNEL = r"""
+/* x = x / p and t = pow01(x, g) over a padded list of kp, then t = +0 where
+   x is 0 among the first k; restrict parameters spare GCC an alias check. */
+static inline void pow_list_$T($T *restrict x, $T *restrict t, $T p, double g,
+                               ptrdiff_t k, ptrdiff_t kp)
+{
+    for (ptrdiff_t s = 0; s < kp; s++) {
+        const $T v = x[s] / p;
+        x[s] = v;
+        t[s] = ($T)pow01((double)v, g);
+    }
+    for (ptrdiff_t s = 0; s < k; s++)
+        t[s] = x[s] != 0 ? t[s] : 0;
+}
+
 CLONES
 void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                 const double *restrict gamma, $T *restrict out,
@@ -417,7 +432,8 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
         for (ptrdiff_t r = 0; r < rows; r++) {
             const $T *zi = z + (i0 + r) * sz0;
             $T *restrict o = out + (i0 + r) * d;
-            $T top = 0;
+            $T *x = xs + r * dp, top = 0;
+            ptrdiff_t *c = cols + r * dp, k = 0;
             for (ptrdiff_t j = 0; j < d; j++) {
                 const $T v = zi[j * sz1];
                 $T q = v > 0 ? v : 0;
@@ -425,29 +441,18 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                     q = top = v;
                 o[j] = q;
                 top = q > top ? q : top;
+                x[k] = q;
+                c[k] = j;
+                k += q != 0;
             }
             peak[r] = top;
             const double g = gamma[i0 + r];
             if (g == 1 || top == 0)
                 continue;
-            $T *restrict x = xs + r * dp, *restrict t = ts + r * dp;
-            ptrdiff_t *restrict c = cols + r * dp, k = 0;
-            for (ptrdiff_t j = 0; j < d; j++) {
-                x[k] = o[j];
-                c[k] = j;
-                k += o[j] != 0;
-            }
             const ptrdiff_t kp = (k + POW_PAD - 1) / POW_PAD * POW_PAD;
             for (ptrdiff_t s = k; s < kp; s++)
-                x[s] = peak[r];
-            const $T p = peak[r];
-            for (ptrdiff_t s = 0; s < kp; s++) {
-                const $T v = x[s] / p;
-                x[s] = v;
-                t[s] = ($T)pow01((double)v, g);
-            }
-            for (ptrdiff_t s = 0; s < k; s++)
-                t[s] = x[s] != 0 ? t[s] : 0;
+                x[s] = top;
+            pow_list_$T(x, ts + r * dp, top, g, k, kp);
             live[r] = k;
             m = kp > m ? kp : m;
         }
@@ -465,8 +470,9 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                 continue;
             $T *o = out + (i0 + r) * d;
             const $T scale = peak[r] * ($T)sqrt(sx[r]) / ($T)sqrt(st[r]), zero = 0 * scale;
-            for (ptrdiff_t j = 0; j < d; j++)
-                o[j] = zero;
+            if (zero != zero)  /* off the list, o holds relu's +0 */
+                for (ptrdiff_t j = 0; j < d; j++)
+                    o[j] = zero;
             for (ptrdiff_t s = 0; s < live[r]; s++)
                 o[cols[r * dp + s]] = ts[r * dp + s] * scale;
         }
