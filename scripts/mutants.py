@@ -18,8 +18,10 @@ runs
 - ``dydila check --preset small`` in f64 and in f32: a failed check (exit
   status other than 0) kills it.
 
-It prints one line per mutant and exits 1 if any mutant survives its tests
-(2 if a mutant could not be applied or built).  It is not part of the
+Each test selection is first run on the unmutated tree, where it must
+pass, as must both checks.  It prints one line per mutant and exits 1 if
+any mutant survives its tests (2 if the unmutated tree fails, or a mutant
+could not be applied or built).  It is not part of the
 Tier-1 suite: each mutant rebuilds the kernels and runs its tests, about a
 minute each.
 """
@@ -155,7 +157,8 @@ def _run(cmd, cwd, env) -> subprocess.CompletedProcess:
 
 
 def run_mutant(mutant: Mutant) -> dict:
-    """Apply one mutant in a fresh copy and report what kills it."""
+    """Apply one mutant in a fresh copy and report what kills it; a mutant
+    with no edits runs the unmutated tree."""
     with tempfile.TemporaryDirectory(prefix="dydila-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         for part in ("src", "tests", "scripts"):
@@ -196,6 +199,13 @@ def main() -> int:
     if args.list:
         print("\n".join(m.name for m in chosen))
         return 0
+    # every selection must pass on the unmutated tree, or a failure would
+    # not tell a killed mutant from a broken test
+    for tests in dict.fromkeys(m.tests for m in chosen):
+        r = run_mutant(Mutant("unmutated", (), tests))
+        if r.get("error") or r["tests"] or r["check_f64"] or r["check_f32"]:
+            print(f"the unmutated tree fails {' '.join(tests)}: {r}")
+            return 2
     survived = errors = 0
     print(f"{'mutant':45} {'tests':9} {'check f64':10} {'check f32':10}", flush=True)
     for m in chosen:

@@ -107,9 +107,11 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
 # A narrow product (m <= NR: routing logits, the normalizer's one column)
 # skips the a packing and the row tiles.  Its one b strip is packed for as
 # many k as packed_b holds (KC * NC / NR), and NARROW reads MR_NARROW rows of
-# a in place through their strides, keeping each row's sums in vectors over
-# the columns, in column passes that stop at m.  The tile and NARROW share
-# the one width dispatch.
+# a in place through their strides (twice as many, one vector per pass, when
+# m fits one vector), keeping each row's sums in vectors over the columns,
+# in column passes that stop at m.  The tile and NARROW share the one width
+# dispatch.  A short product (n < MR, m > NR, unit column stride in b: the
+# normalizer's column sums ones @ k) streams b once instead, row by row.
 #
 # The order is the triple loop's.  The first k block starts every tile from
 # +0, never from its first product, unless acc is set: then it starts from
