@@ -75,11 +75,6 @@ def _dec(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / Decimal(x.denominator)
 
 
-def _float(x) -> float:
-    """The double nearest to x (a Decimal or a Fraction)."""
-    return float(x)
-
-
 LN2 = Decimal(2).ln()
 
 
@@ -93,7 +88,7 @@ def log_tables():
         head = _round_multiple(Fraction(log_c), LN2HI_ULP)
         invc.append(float(ic))
         logc.append(float(head))
-        logctail.append(_float(log_c - _dec(head)))
+        logctail.append(float(log_c - _dec(head)))
     return invc, logc, logctail
 
 
@@ -101,8 +96,8 @@ def exp_tables():
     tail, sbits = [], []
     for j in range(N):
         exact = (LN2 * j / N).exp()
-        scale = _float(exact)
-        tail.append(_float((exact - _dec(Fraction(scale))) / _dec(Fraction(scale))))
+        scale = float(exact)
+        tail.append(float((exact - _dec(Fraction(scale))) / _dec(Fraction(scale))))
         sbits.append(_bits(scale) - (j << 45))
     return tail, sbits
 
@@ -112,10 +107,10 @@ def constants():
     ln2hin = _round_multiple(Fraction(LN2 / N), LN2HIN_ULP)
     return {
         "LN2HI": float(ln2hi),
-        "LN2LO": _float(LN2 - _dec(ln2hi)),
-        "INVLN2N": _float(N / LN2),
+        "LN2LO": float(LN2 - _dec(ln2hi)),
+        "INVLN2N": float(N / LN2),
         "NEGLN2HIN": -float(ln2hin),
-        "NEGLN2LON": -_float(LN2 / N - _dec(ln2hin)),
+        "NEGLN2LON": -float(LN2 / N - _dec(ln2hin)),
     }
 
 

@@ -145,10 +145,10 @@ def naive_focused_row(row: np.ndarray, gamma: float) -> np.ndarray:
     ``x = r / peak`` and each nonzero x becomes ``_pow01(x, gamma)``;
     n1 = peak * sqrt of the ascending sum of x^2, ng = sqrt of that of the
     powers, and every power is multiplied by n1 / ng.  A NaN n1 (a NaN or
-    inf peak) makes every entry NaN.  Sharing that order
-    makes it no independent check of the formula; the tests also compare
-    both with the textbook form ``r**gamma * (||r|| / ||r**gamma||)`` of
-    numpy's own power, which has no max rescale.
+    inf peak) makes every entry NaN.  Sharing that order makes it no
+    independent check of the formula; the tests also compare both with the
+    textbook form ``r**gamma * (||r|| / ||r**gamma||)`` of numpy's own
+    power, which has no max rescale.
     """
     r = [x if x > 0.0 or x != x else 0.0 for x in map(float, row)]
     g = float(gamma)

@@ -83,13 +83,6 @@ class TestPow:
         want = numerics._pow01(x32[keep].astype(np.float64), g[keep]).astype(np.float32)
         assert got.dtype == np.float32 and np.array_equal(bits(got), bits(want))
 
-    def test_tables_regenerate_to_the_committed_module(self):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "pow_tables.py"
-        spec = importlib.util.spec_from_file_location("pow_tables_script", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.render() == Path(pow_tables.__file__).read_text()
-
 
 class TestPowCompiled(TestPow):
     """Every TestPow case on the compiled pow01, plus bit equality with the
@@ -108,3 +101,11 @@ class TestPowCompiled(TestPow):
         with np.errstate(invalid="ignore", over="ignore"):
             want = numerics._pow01_numpy(x.astype(np.float64), g).astype(dtype)
         assert np.array_equal(bits(numerics._pow01(x, g)), bits(want))
+
+
+def test_tables_regenerate_to_the_committed_module():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "pow_tables.py"
+    spec = importlib.util.spec_from_file_location("pow_tables_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.render() == Path(pow_tables.__file__).read_text()
