@@ -124,9 +124,10 @@ def polys():
     return log_poly, exp_poly
 
 
-def _floats(name: str, values) -> str:
-    rows = [", ".join(f'"{v.hex()}"' for v in values[i:i + 3]) for i in range(0, len(values), 3)]
-    return f"{name} = (\n" + "".join(f"    {r},\n" for r in rows) + ")\n"
+def _block(name: str, words, per_line: int) -> str:
+    """A table as one whitespace-separated string literal, cheap to import."""
+    rows = [" ".join(words[i:i + per_line]) for i in range(0, len(words), per_line)]
+    return f'{name} = """\n' + "\n".join(rows) + '\n"""\n'
 
 
 def render() -> str:
@@ -135,19 +136,18 @@ def render() -> str:
     log_poly, exp_poly = polys()
     lines = [
         '"""Tables of the owned pow in ``numerics``: hex doubles, as C and',
-        "``float.fromhex`` read them.  Generated by ``scripts/pow_tables.py``;",
-        'do not edit."""',
+        "``float.fromhex`` read them, each table one whitespace-separated",
+        'string.  Generated by ``scripts/pow_tables.py``; do not edit."""',
         "",
         f"TABLE_BITS = {TABLE_BITS}",
         f"LOG_OFF = 0x{LOG_OFF:016x}",
     ]
     lines += [f'{k} = "{v.hex()}"' for k, v in constants().items()]
     text = "\n".join(lines) + "\n"
-    text += _floats("LOG_POLY", log_poly) + _floats("EXP_POLY", exp_poly)
-    text += _floats("LOG_INVC", invc) + _floats("LOG_LOGC", logc)
-    text += _floats("LOG_LOGCTAIL", logctail) + _floats("EXP_TAIL", tail)
-    rows = [", ".join(f"0x{b:016x}" for b in sbits[i:i + 4]) for i in range(0, N, 4)]
-    text += "EXP_SBITS = (\n" + "".join(f"    {r},\n" for r in rows) + ")\n"
+    for name, values in (("LOG_POLY", log_poly), ("EXP_POLY", exp_poly), ("LOG_INVC", invc),
+                         ("LOG_LOGC", logc), ("LOG_LOGCTAIL", logctail), ("EXP_TAIL", tail)):
+        text += _block(name, [v.hex() for v in values], 3)
+    text += _block("EXP_SBITS", [f"0x{b:016x}" for b in sbits], 4)
     return text
 
 

@@ -573,20 +573,21 @@ _C_BLOCKS = "enum { %s };" % ", ".join(
 def _c_pow_constants() -> str:
     """The C definitions of _POW_KERNEL's tables and constants."""
     t = _pow_tables
-    horner = ")" * (len(t.LOG_POLY) - 1)
+    log_poly = t.LOG_POLY.split()
+    horner = ")" * (len(log_poly) - 1)
     defs = {"POW_OFF": f"0x{t.LOG_OFF:016x}ull", "POW_KBIAS": (_SHIFT + 1076).hex(),
             "POW_SPLIT": float(2**27 + 1).hex(), "POW_CLAMP": "0x40875000",
-            "POW_LOG_POLY": "(" + " + r * (".join(t.LOG_POLY) + horner + ")",
+            "POW_LOG_POLY": "(" + " + r * (".join(log_poly) + horner + ")",
             **{f"POW_{k}": getattr(t, k)
                for k in ("LN2HI", "LN2LO", "INVLN2N", "NEGLN2HIN", "NEGLN2LON")},
-            **{f"POW_E{n}": c for n, c in enumerate(t.EXP_POLY, 2)}}
+            **{f"POW_E{n}": c for n, c in enumerate(t.EXP_POLY.split(), 2)}}
     tables = {"POW_INVC": t.LOG_INVC, "POW_LOGC": t.LOG_LOGC, "POW_LOGCTAIL": t.LOG_LOGCTAIL,
               "POW_TAIL": t.EXP_TAIL}
+    sbits = [f"{v}ull" for v in t.EXP_SBITS.split()]
     return ("".join(f"#define {k} {v}\n" for k, v in defs.items())
-            + "".join(f"static const double {k}[{len(v)}] = {{{', '.join(v)}}};\n"
+            + "".join(f"static const double {k}[{len(v.split())}] = {{{', '.join(v.split())}}};\n"
                       for k, v in tables.items())
-            + "static const uint64_t POW_SBITS[%d] = {%s};\n"
-            % (len(t.EXP_SBITS), ", ".join(f"0x{b:016x}ull" for b in t.EXP_SBITS)))
+            + f"static const uint64_t POW_SBITS[{len(sbits)}] = {{{', '.join(sbits)}}};\n")
 
 
 _C_SOURCE = (_C_PRELUDE.replace("$BLOCKS", _C_BLOCKS) + _c_pow_constants() + _POW_KERNEL
@@ -908,13 +909,13 @@ def _dwc_numpy(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) 
 
 
 def _f64s(name: str) -> np.ndarray:
-    return np.array([float.fromhex(v) for v in getattr(_pow_tables, name)])
+    return np.array([float.fromhex(v) for v in getattr(_pow_tables, name).split()])
 
 
 # _pow_tables as numpy arrays and floats, for the numpy mirror of pow01
 _POW_INVC, _POW_LOGC, _POW_LOGCTAIL, _POW_TAIL, _POW_LOG_POLY, _POW_EXP_POLY = (
     _f64s(k) for k in ("LOG_INVC", "LOG_LOGC", "LOG_LOGCTAIL", "EXP_TAIL", "LOG_POLY", "EXP_POLY"))
-_POW_SBITS = np.array(_pow_tables.EXP_SBITS, dtype=np.uint64)
+_POW_SBITS = np.array([int(v, 16) for v in _pow_tables.EXP_SBITS.split()], dtype=np.uint64)
 _LN2HI, _LN2LO, _INVLN2N, _NEGLN2HIN, _NEGLN2LON = (
     float.fromhex(getattr(_pow_tables, k))
     for k in ("LN2HI", "LN2LO", "INVLN2N", "NEGLN2HIN", "NEGLN2LON"))

@@ -186,13 +186,13 @@ def _double(bits: int) -> float:
 
 _MASK64 = (1 << 64) - 1
 _T = _pow_tables
-_INVC, _LOGC, _LOGCTAIL, _TAIL = (
-    [float.fromhex(v) for v in getattr(_T, k)]
-    for k in ("LOG_INVC", "LOG_LOGC", "LOG_LOGCTAIL", "EXP_TAIL"))
+_INVC, _LOGC, _LOGCTAIL, _TAIL, _LOG_POLY = (
+    [float.fromhex(v) for v in getattr(_T, k).split()]
+    for k in ("LOG_INVC", "LOG_LOGC", "LOG_LOGCTAIL", "EXP_TAIL", "LOG_POLY"))
+_SBITS = [int(v, 16) for v in _T.EXP_SBITS.split()]
 _LN2HI, _LN2LO, _INVLN2N, _NEGLN2HIN, _NEGLN2LON = (
     float.fromhex(getattr(_T, k)) for k in ("LN2HI", "LN2LO", "INVLN2N", "NEGLN2HIN", "NEGLN2LON"))
-_LOG_POLY = [float.fromhex(v) for v in _T.LOG_POLY]
-_E2, _E3, _E4, _E5, _E6 = (float.fromhex(v) for v in _T.EXP_POLY)
+_E2, _E3, _E4, _E5, _E6 = (float.fromhex(v) for v in _T.EXP_POLY.split())
 _SHIFT = 1.5 * 2.0**52
 
 
@@ -240,7 +240,7 @@ def _pow01(x: float, g: float) -> float:
     k2 = kr - _SHIFT
     er = ehi + k2 * _NEGLN2HIN + k2 * _NEGLN2LON + elo
     j = ki & 127
-    s = _double(_T.EXP_SBITS[j] + (ki << 45) + (1022 << 52))
+    s = _double(_SBITS[j] + (ki << 45) + (1022 << 52))
     r2 = er * er
     tmp = _TAIL[j] + er + r2 * (_E2 + er * _E3) + r2 * r2 * (_E4 + er * (_E5 + er * _E6))
     y = s + s * tmp
