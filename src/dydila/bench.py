@@ -17,11 +17,9 @@ from .attention import linear_attention, multihead_forward, softmax_attention
 from .config import RunConfig, init_params
 from .flops import IMPLEMENTATIONS, flops_estimate
 from .numerics import ConfigError, SeededRng
-from .fileio import write_csv
 from .projection import project_shared
 
-__all__ = ["BenchRecord", "BenchResourceError", "grid_for", "build_forward", "bench_run",
-           "write_bench_csv"]
+__all__ = ["BenchRecord", "BenchResourceError", "grid_for", "build_forward", "bench_run"]
 
 _WARMUP = 2
 
@@ -120,8 +118,3 @@ def bench_run(cfg: RunConfig, impl: str, n_list, iters: int) -> list:
             )
         )
     return records
-
-
-def write_bench_csv(path, records) -> None:
-    rows = ((r.impl, r.n, r.d, r.heads, r.mean_s, r.std_s, r.flops) for r in records)
-    write_csv(path, BENCH_CSV_HEADER, rows)

@@ -16,14 +16,12 @@ exists to prove the suite can fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import (
     AttentionStack,
-    DwcParams,
-    DydilaParams,
     dwc_forward,
     dydila_forward,
     linear_attention,
@@ -34,6 +32,7 @@ from .attention import (
 )
 from .config import RunConfig, init_params
 from .differential import expand_tokenwise, tdo_forward
+from .fileio import assemble_stack, stack_entries, stack_from_weights
 from .kernels import focused_rows
 from .numerics import (
     ContractViolation,
@@ -120,17 +119,13 @@ def _desk_config(cfg: RunConfig, blocks: int) -> RunConfig:
 
 def _desk_stack(cfg: RunConfig, rng: SeededRng) -> AttentionStack:
     """``init_params`` repeats one gamma and lambda per bank; spread them so misrouting shows."""
-    gammas = tuple((cfg.gamma_init * np.linspace(0.5, 1.5, cfg.n_kernel_factors)).tolist())
-    blocks = []
-    for block in init_params(cfg, rng).blocks:
-        heads = []
-        for hp in block.head_params:
-            lambdas = tuple(hp.diff.lambdas[0] + 0.05 * i for i in range(hp.diff.n_factors))
-            banks = {name: replace(getattr(hp, name), gammas=gammas)
-                     for name in ("kernel_q", "kernel_k", "kernel_qp", "kernel_kp")}
-            heads.append(replace(hp, **banks, diff=replace(hp.diff, lambdas=lambdas)))
-        blocks.append(replace(block, head_params=tuple(heads)))
-    return AttentionStack(blocks=tuple(blocks))
+    weights = dict(stack_entries(init_params(cfg, rng)))
+    for name, arr in weights.items():
+        if name.endswith("/gammas"):
+            weights[name] = cfg.gamma_init * np.linspace(0.5, 1.5, cfg.n_kernel_factors)
+        elif name.endswith("/lambdas"):
+            weights[name] = arr[0] + 0.05 * np.arange(cfg.n_lambda_factors)
+    return stack_from_weights(cfg, weights)
 
 
 def _result(name: str, report) -> CheckResult:
@@ -317,41 +312,28 @@ def run_checks(cfg: RunConfig) -> list:
 
 def _degeneracy_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
     """gamma=1/single-factor/zero-lambda/single-projector reductions."""
-    from .differential import DifferentialBank
-    from .kernels import KernelBank
-    from .projection import ProjectorBank
-    from .routing import Router
-
     d = cfg.dim
     prec = cfg.precision
     x = rng.tokens(36, d, prec)
-    w_q0 = rng.init_weight(d, d, prec)
-    w_k0 = rng.init_weight(d, d, prec)
-    w_v0 = rng.init_weight(d, d, prec)
-    proj = ProjectorBank(
-        w_q0=w_q0, w_k0=w_k0, w_v0=w_v0,
-        w_q=(rng.init_weight(d, d, prec),), w_k=(rng.init_weight(d, d, prec),),
-        router_q=Router(rng.init_weight(d, 1, prec)),
-        router_k=Router(rng.init_weight(d, 1, prec)),
-    )
-    kb = KernelBank(gammas=(1.0,), router=Router(rng.init_weight(d, 1, prec)))
-    diff = DifferentialBank(
-        lambdas=(0.0,),
-        router_q=Router(rng.init_weight(2 * d, 1, prec)),
-        router_k=Router(rng.init_weight(2 * d, 1, prec)),
-        lambda_map_router=Router(rng.init_weight(2 * d, 1, prec)),
-    )
-    from .attention import HeadParams
+    single = RunConfig(preset="custom", dim=d, blocks=1, n_projectors=1, n_kernel_factors=1,
+                       n_lambda_factors=1, grid_h=6, grid_w=6, precision=prec,
+                       normalize=False, dwc_enabled=False)
+    drawn = {}
 
-    params = DydilaParams(
-        proj=proj,
-        head_params=(HeadParams(kernel_q=kb, kernel_k=kb, kernel_qp=kb, kernel_kp=kb,
-                                diff=diff),),
-        grid=(6, 6),
-        dwc=None,
-    )
+    def weight(block, name, shape):
+        if name.endswith("/gammas"):
+            return np.ones(shape)
+        if name.endswith("/lambdas"):
+            return np.zeros(shape)
+        key = "kernel router" if "/kernel_" in name else name  # one for all four banks
+        if key not in drawn:
+            drawn[key] = rng.init_weight(*shape, prec)
+        return drawn[key]
+
+    params = assemble_stack(single, weight).blocks[0]
     got, _ = dydila_forward(x, params)
-    q, k, v = matmul(x, w_q0), matmul(x, w_k0), matmul(x, w_v0)
+    p = params.proj
+    q, k, v = matmul(x, p.w_q0), matmul(x, p.w_k0), matmul(x, p.w_v0)
     want = matmul(relu(q), matmul(relu(k).T, v))
     rep = compare(want, got, tol["degeneracy"])
     return _exact("degeneracy_lattice", rep.passed,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .attention import AttentionStack, extract_attention_row, stack_forward
-from .bench import BenchResourceError, bench_run, grid_for, write_bench_csv, BENCH_CSV_HEADER
+from .bench import BENCH_CSV_HEADER, BenchResourceError, bench_run, grid_for
 from .checks import format_results, run_checks
 from .config import RunConfig, init_params, load_config, save_config
 from .fileio import (
@@ -130,12 +130,8 @@ def _cmd_bench(args) -> int:
             f"median {r.median_s:.6f}s mean {r.mean_s:.6f}s std {r.std_s:.6f}s "
             f"({r.flops} flops)"
         )
-    if args.out:
-        write_bench_csv(args.out, records)
-        print(f"wrote {args.out}")
-    else:
-        rows = [(r.impl, r.n, r.d, r.heads, r.mean_s, r.std_s, r.flops) for r in records]
-        _emit_csv(None, BENCH_CSV_HEADER, rows)
+    rows = [(r.impl, r.n, r.d, r.heads, r.mean_s, r.std_s, r.flops) for r in records]
+    _emit_csv(args.out, BENCH_CSV_HEADER, rows)
     return 0
 
 

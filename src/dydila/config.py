@@ -13,19 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import (
-    AttentionStack,
-    DwcParams,
-    DydilaParams,
-    HeadParams,
-    VARIANTS,
-    reparam_merge,
-)
-from .differential import DifferentialBank
-from .kernels import KernelBank
+from .attention import AttentionStack, VARIANTS
+from .fileio import assemble_stack
 from .numerics import ConfigError, SeededRng
-from .projection import ProjectorBank
-from .routing import Router
 
 __all__ = [
     "PRESETS",
@@ -274,66 +264,26 @@ def lambda_for_block(cfg: RunConfig, block: int) -> float:
 def init_params(cfg: RunConfig, rng: SeededRng | None = None) -> AttentionStack:
     """Build a seeded stack; same config and seed give byte-identical weights.
 
-    Draw order is fixed: per block, projection weights (q0, k0, v0, the
-    routed q then k lists, the two projection routers), then per head the
-    four kernel routers, the three lambda routers, then the DWC kernel.
-    Weights are U(-1/sqrt(fan_in), +1/sqrt(fan_in)), drawn in float64 and
-    cast once to the config precision.
+    ``fileio.assemble_stack`` asks for the arrays in ``stack_entries`` order
+    and each is drawn as it is asked for: per block, projection weights (q0,
+    k0, v0, the routed q then k lists, the two projection routers), then per
+    head the four kernel routers, the three lambda routers, then the DWC
+    kernel.  Gammas and lambdas are not drawn: every bank repeats
+    ``gamma_init`` and the block's ``lambda_for_block``.  Weights are
+    U(-1/sqrt(fan_in), +1/sqrt(fan_in)), the DWC kernel U(-1/3, +1/3), drawn
+    in float64 and cast once to the config precision.
     """
     if rng is None:
         rng = SeededRng(cfg.seed)
-    d, heads, d_h, prec = cfg.dim, cfg.heads, cfg.head_dim, cfg.precision
-    blocks = []
-    for b in range(cfg.blocks):
-        w_q0 = rng.init_weight(d, d, prec)
-        w_k0 = rng.init_weight(d, d, prec)
-        w_v0 = rng.init_weight(d, d, prec)
-        w_q = tuple(rng.init_weight(d, d, prec) for _ in range(cfg.n_projectors))
-        w_k = tuple(rng.init_weight(d, d, prec) for _ in range(cfg.n_projectors))
-        proj = ProjectorBank(
-            w_q0=w_q0, w_k0=w_k0, w_v0=w_v0, w_q=w_q, w_k=w_k,
-            router_q=Router(rng.init_weight(d, cfg.n_projectors, prec)),
-            router_k=Router(rng.init_weight(d, cfg.n_projectors, prec)),
-        )
-        lam = lambda_for_block(cfg, b)
-        head_params = []
-        for _ in range(heads):
-            banks = [
-                KernelBank(
-                    gammas=(float(cfg.gamma_init),) * cfg.n_kernel_factors,
-                    router=Router(rng.init_weight(d_h, cfg.n_kernel_factors, prec)),
-                )
-                for _ in range(4)
-            ]
-            diff = DifferentialBank(
-                lambdas=(lam,) * cfg.n_lambda_factors,
-                router_q=Router(rng.init_weight(2 * d_h, cfg.n_lambda_factors, prec)),
-                router_k=Router(rng.init_weight(2 * d_h, cfg.n_lambda_factors, prec)),
-                lambda_map_router=Router(rng.init_weight(2 * d_h, cfg.n_lambda_factors, prec)),
-            )
-            head_params.append(
-                HeadParams(
-                    kernel_q=banks[0], kernel_k=banks[1],
-                    kernel_qp=banks[2], kernel_kp=banks[3], diff=diff,
-                )
-            )
-        dwc = None
-        if cfg.dwc_enabled:
-            dwc = DwcParams(
-                kernels=rng.uniform((d, 3, 3), -1.0 / 3.0, 1.0 / 3.0, prec),
-                identity_branch=cfg.dwc_identity_branch,
-            )
-            if cfg.dwc_use_merged:
-                dwc = reparam_merge(dwc)
-        blocks.append(
-            DydilaParams(
-                proj=proj,
-                head_params=tuple(head_params),
-                grid=(cfg.grid_h, cfg.grid_w),
-                dwc=dwc,
-                dwc_use_merged=cfg.dwc_use_merged,
-                variant=cfg.variant,
-                normalize=cfg.normalize,
-            )
-        )
-    return AttentionStack(blocks=tuple(blocks))
+    prec = cfg.precision
+
+    def draw(block, name, shape):
+        if name.endswith("/gammas"):
+            return np.full(shape, float(cfg.gamma_init))
+        if name.endswith("/lambdas"):
+            return np.full(shape, lambda_for_block(cfg, block))
+        if name.endswith("/dwc/kernels"):
+            return rng.uniform(shape, -1.0 / 3.0, 1.0 / 3.0, prec)
+        return rng.init_weight(*shape, prec)
+
+    return assemble_stack(cfg, draw)

@@ -14,8 +14,18 @@ import os
 
 import numpy as np
 
-from .attention import AttentionStack
+from .attention import (
+    AttentionStack,
+    DwcParams,
+    DydilaParams,
+    HeadParams,
+    reparam_merge,
+)
+from .differential import DifferentialBank
+from .kernels import KernelBank
 from .numerics import ConfigError, ContractViolation, require_finite, resolve_dtype
+from .projection import ProjectorBank
+from .routing import Router
 
 __all__ = [
     "fmt_float",
@@ -26,6 +36,7 @@ __all__ = [
     "write_pgm",
     "read_pgm",
     "stack_entries",
+    "assemble_stack",
     "save_weights_blob",
     "load_weights_blob",
     "stack_from_weights",
@@ -159,6 +170,72 @@ def stack_entries(stack: AttentionStack):
             yield f"block{b}/dwc/kernels", block.dwc.kernels
 
 
+def assemble_stack(cfg, weight) -> AttentionStack:
+    """Build cfg's stack, asking ``weight(block, name, shape)`` for every array.
+
+    Names and order are ``stack_entries``'.  Gammas and lambdas must come
+    back as 1-D float64 arrays, every other entry in the config's precision;
+    an entry of the wrong shape or dtype raises ``ConfigError`` naming it.
+    """
+    d, d_h, prec = cfg.dim, cfg.head_dim, resolve_dtype(cfg.precision)
+    n_p, n_k, n_l = cfg.n_projectors, cfg.n_kernel_factors, cfg.n_lambda_factors
+
+    def get(b, name, *shape):
+        name = f"block{b}/{name}"
+        arr = np.asarray(weight(b, name, shape))
+        want = np.float64 if name.endswith(("/gammas", "/lambdas")) else prec
+        if arr.shape != shape or arr.dtype != want:
+            raise ConfigError(f"weight entry {name!r} is {arr.dtype} {arr.shape}, "
+                              f"expected {np.dtype(want)} {shape}")
+        return arr
+
+    blocks = []
+    for b in range(cfg.blocks):
+        proj = ProjectorBank(
+            w_q0=get(b, "proj/w_q0", d, d),
+            w_k0=get(b, "proj/w_k0", d, d),
+            w_v0=get(b, "proj/w_v0", d, d),
+            w_q=tuple(get(b, f"proj/w_q{i + 1}", d, d) for i in range(n_p)),
+            w_k=tuple(get(b, f"proj/w_k{i + 1}", d, d) for i in range(n_p)),
+            router_q=Router(get(b, "proj/router_q", d, n_p)),
+            router_k=Router(get(b, "proj/router_k", d, n_p)),
+        )
+        head_params = []
+        for h in range(cfg.heads):
+            kernels = {
+                f"kernel_{s}": KernelBank(
+                    gammas=tuple(float(g) for g in get(b, f"head{h}/kernel_{s}/gammas", n_k)),
+                    router=Router(get(b, f"head{h}/kernel_{s}/router", d_h, n_k)),
+                )
+                for s in ("q", "k", "qp", "kp")
+            }
+            diff = DifferentialBank(
+                lambdas=tuple(float(x) for x in get(b, f"head{h}/diff/lambdas", n_l)),
+                router_q=Router(get(b, f"head{h}/diff/router_q", 2 * d_h, n_l)),
+                router_k=Router(get(b, f"head{h}/diff/router_k", 2 * d_h, n_l)),
+                lambda_map_router=Router(get(b, f"head{h}/diff/router_map", 2 * d_h, n_l)),
+            )
+            head_params.append(HeadParams(**kernels, diff=diff))
+        dwc = None
+        if cfg.dwc_enabled:
+            dwc = DwcParams(kernels=get(b, "dwc/kernels", d, 3, 3),
+                            identity_branch=cfg.dwc_identity_branch)
+            if cfg.dwc_use_merged:
+                dwc = reparam_merge(dwc)
+        blocks.append(
+            DydilaParams(
+                proj=proj,
+                head_params=tuple(head_params),
+                grid=(cfg.grid_h, cfg.grid_w),
+                dwc=dwc,
+                dwc_use_merged=cfg.dwc_use_merged,
+                variant=cfg.variant,
+                normalize=cfg.normalize,
+            )
+        )
+    return AttentionStack(blocks=tuple(blocks))
+
+
 def _dtype_name(arr: np.ndarray) -> str:
     return "f32" if arr.dtype == np.float32 else "f64"
 
@@ -212,67 +289,17 @@ def load_weights_blob(manifest_path) -> dict:
 
 
 def stack_from_weights(cfg, weights: dict) -> AttentionStack:
-    """Rebuild a stack from cfg structure plus a name -> array dict."""
-    from .attention import DwcParams, DydilaParams, HeadParams, reparam_merge
-    from .differential import DifferentialBank
-    from .kernels import KernelBank
-    from .projection import ProjectorBank
-    from .routing import Router
+    """Rebuild a stack from cfg structure plus a name -> array dict.
 
-    def get(name):
+    The dict holds ``stack_entries`` names (as ``load_weights_blob`` returns
+    them); ``assemble_stack`` asks for each one and rejects a missing entry or
+    one of the wrong shape or dtype with a ``ConfigError`` naming it.
+    """
+
+    def lookup(block, name, shape):
         try:
             return weights[name]
         except KeyError:
             raise ConfigError(f"weights are missing entry {name!r}") from None
 
-    blocks = []
-    for b in range(cfg.blocks):
-        proj = ProjectorBank(
-            w_q0=get(f"block{b}/proj/w_q0"),
-            w_k0=get(f"block{b}/proj/w_k0"),
-            w_v0=get(f"block{b}/proj/w_v0"),
-            w_q=tuple(get(f"block{b}/proj/w_q{i + 1}") for i in range(cfg.n_projectors)),
-            w_k=tuple(get(f"block{b}/proj/w_k{i + 1}") for i in range(cfg.n_projectors)),
-            router_q=Router(get(f"block{b}/proj/router_q")),
-            router_k=Router(get(f"block{b}/proj/router_k")),
-        )
-        head_params = []
-        for h in range(cfg.heads):
-            banks = {}
-            for stream in ("q", "k", "qp", "kp"):
-                banks[stream] = KernelBank(
-                    gammas=tuple(float(g) for g in get(f"block{b}/head{h}/kernel_{stream}/gammas")),
-                    router=Router(get(f"block{b}/head{h}/kernel_{stream}/router")),
-                )
-            diff = DifferentialBank(
-                lambdas=tuple(float(x) for x in get(f"block{b}/head{h}/diff/lambdas")),
-                router_q=Router(get(f"block{b}/head{h}/diff/router_q")),
-                router_k=Router(get(f"block{b}/head{h}/diff/router_k")),
-                lambda_map_router=Router(get(f"block{b}/head{h}/diff/router_map")),
-            )
-            head_params.append(
-                HeadParams(
-                    kernel_q=banks["q"], kernel_k=banks["k"],
-                    kernel_qp=banks["qp"], kernel_kp=banks["kp"], diff=diff,
-                )
-            )
-        dwc = None
-        if cfg.dwc_enabled:
-            dwc = DwcParams(
-                kernels=get(f"block{b}/dwc/kernels"),
-                identity_branch=cfg.dwc_identity_branch,
-            )
-            if cfg.dwc_use_merged:
-                dwc = reparam_merge(dwc)
-        blocks.append(
-            DydilaParams(
-                proj=proj,
-                head_params=tuple(head_params),
-                grid=(cfg.grid_h, cfg.grid_w),
-                dwc=dwc,
-                dwc_use_merged=cfg.dwc_use_merged,
-                variant=cfg.variant,
-                normalize=cfg.normalize,
-            )
-        )
-    return AttentionStack(blocks=tuple(blocks))
+    return assemble_stack(cfg, lookup)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from dydila.bench import (
-    BENCH_CSV_HEADER,
-    bench_run,
-    build_forward,
-    grid_for,
-    write_bench_csv,
-)
+from dydila.bench import bench_run, build_forward, grid_for
 from dydila.config import RunConfig
-from dydila.fileio import read_csv
 from dydila.numerics import ConfigError
 
 
@@ -77,15 +70,3 @@ class TestBenchRun:
     def test_too_few_iterations_rejected(self):
         with pytest.raises(ConfigError, match="iters"):
             bench_run(_bench_cfg(), "linear", [8], iters=2)
-
-    def test_csv_contract(self, tmp_path):
-        records = bench_run(_bench_cfg(), "softmax", [8], iters=3)
-        path = tmp_path / "bench.csv"
-        write_bench_csv(path, records)
-        header, rows = read_csv(path)
-        assert header == BENCH_CSV_HEADER
-        assert len(rows) == 1
-        impl, n, d, heads, mean_s, std_s, flops = rows[0]
-        assert (impl, n, d, heads) == ("softmax", "8", "8", "1")
-        assert float(mean_s) >= 0.0 and float(std_s) >= 0.0
-        assert int(flops) == records[0].flops

@@ -1,12 +1,17 @@
-"""The self-check suite must notice a gamma or lambda routed to the wrong candidate."""
+"""The self-check suite's desk stack, and that the suite notices a gamma or lambda
+routed to the wrong candidate."""
 
 import numpy as np
 import pytest
 
 import dydila.attention
 import dydila.differential
+from dydila.checks import _desk_stack
 from dydila.cli import main
+from dydila.config import RunConfig, init_params, lambda_for_block
+from dydila.fileio import stack_entries
 from dydila.kernels import focused_rows
+from dydila.numerics import SeededRng
 from dydila.routing import route_argmax, route_pair
 
 
@@ -42,3 +47,21 @@ def test_misrouted_candidate_fails_the_composed_check(monkeypatch, capsys, modul
     assert main(["check", "--preset", "small", "--precision", precision]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     assert any("composed_pipeline_vs_oracle" in line for line in failed), failed
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_desk_stack_spreads_only_gammas_and_lambdas(precision):
+    cfg = RunConfig(preset="custom", dim=8, heads=2, blocks=3, n_projectors=2,
+                    n_kernel_factors=3, n_lambda_factors=4, gamma_init=2.5,
+                    lambda_schedule="increasing", precision=precision)
+    desk = _desk_stack(cfg, SeededRng(cfg.seed))
+    for b, block in enumerate(desk.blocks):
+        for hp in block.head_params:
+            for bank in (hp.kernel_q, hp.kernel_k, hp.kernel_qp, hp.kernel_kp):
+                assert bank.gammas == tuple((2.5 * np.linspace(0.5, 1.5, 3)).tolist())
+            lam = lambda_for_block(cfg, b)
+            assert hp.diff.lambdas == tuple(lam + 0.05 * i for i in range(4))
+    drawn = init_params(cfg, SeededRng(cfg.seed))
+    for (name, want), (_, got) in zip(stack_entries(drawn), stack_entries(desk), strict=True):
+        if not name.endswith(("/gammas", "/lambdas")):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dydila.config import RunConfig, load_config
+from dydila.flops import flops_estimate
 from dydila.numerics import matmul_backend
 from dydila.fileio import read_csv, read_pgm, write_tokens_csv
 
@@ -294,6 +295,15 @@ class TestBench:
         header, rows = read_csv(out)
         assert header == ["impl", "N", "d", "heads", "mean_s", "std_s", "flops"]
         assert [r[1] for r in rows] == ["8", "16"]
+        cfg = load_config(tiny_config)
+        for impl, n, d, heads, mean_s, std_s, flops in rows:
+            assert (impl, d, heads) == ("linear", "8", "1")
+            assert float(mean_s) >= 0.0 and float(std_s) >= 0.0
+            assert int(flops) == flops_estimate(
+                "linear", int(n), cfg.dim, heads=cfg.heads, n_projectors=cfg.n_projectors,
+                n_kernel_factors=cfg.n_kernel_factors, n_lambda_factors=cfg.n_lambda_factors,
+                dwc=cfg.dwc_enabled, normalize=cfg.normalize,
+            )["total"]
 
     def test_reports_matmul_backend_on_stderr(self, tiny_config):
         proc = run_cli("bench", "--config", tiny_config, "--impl", "linear",

@@ -6,6 +6,7 @@ import pytest
 from dydila.config import RunConfig, init_params
 from dydila.attention import multihead_forward
 from dydila.fileio import (
+    assemble_stack,
     fmt_float,
     load_tokens_csv,
     load_weights_blob,
@@ -196,6 +197,37 @@ class TestStackRebuild:
         del weights["block1/proj/w_v0"]
         with pytest.raises(ConfigError, match="missing entry"):
             stack_from_weights(cfg, weights)
+
+    def test_two_dim_gammas_rejected(self):
+        cfg = _tiny_cfg()
+        weights = dict(stack_entries(init_params(cfg)))
+        weights["block0/head0/kernel_k/gammas"] = weights["block0/head0/kernel_k/gammas"][None]
+        with pytest.raises(ConfigError, match="block0/head0/kernel_k/gammas"):
+            stack_from_weights(cfg, weights)
+
+    def test_other_precision_rejected(self):
+        cfg = _tiny_cfg()
+        weights = dict(stack_entries(init_params(cfg)))
+        weights["block1/proj/w_q0"] = weights["block1/proj/w_q0"].astype(np.float32)
+        with pytest.raises(ConfigError, match="block1/proj/w_q0"):
+            stack_from_weights(cfg, weights)
+
+    @pytest.mark.parametrize("dwc", [True, False], ids=["dwc", "no_dwc"])
+    def test_one_weight_schema(self, dwc):
+        cfg = _tiny_cfg(heads=2, dim=8, dwc={"enabled": dwc})
+        entries = list(stack_entries(init_params(cfg)))
+        asked = []
+
+        def weight(block, name, shape):
+            asked.append(name)
+            return np.ones(shape)
+
+        assemble_stack(cfg, weight)
+        assert asked == [name for name, _ in entries]
+        rebuilt = stack_from_weights(cfg, dict(entries))
+        for (name, want), (name_b, got) in zip(entries, stack_entries(rebuilt), strict=True):
+            assert name_b == name
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_entry_count_matches_structure(self):
         cfg = _tiny_cfg(heads=2, dim=8)

@@ -3,8 +3,10 @@
 Token-wise `forward` uses only IEEE + - * /, sqrt and comparisons in fixed
 orders, with no host libm and no numpy reduction whose order numpy may
 change, on both backends and at every vector width.  So the sha256 of its
-output tokens, as `dydila forward` prints it, is pinned here for the small
-preset; the README lists the same hashes.  The lambda means on `forward`'s
+output tokens, as `dydila forward` prints it, is pinned here for the three
+presets; the README lists the same hashes.  The base and large presets run
+on the compiled backend only: on the numpy backend they take about four
+times as long.  The lambda means on `forward`'s
 block lines use ``np.mean`` and are not part of the pinned bytes.  Map-wise
 `forward` is not finite at the presets' depth, so it has no hash to pin.
 """
@@ -20,14 +22,24 @@ from dydila import RunConfig, SeededRng, init_params, stack_forward
 from conftest import needs_compiler
 
 PINNED = {
-    "f64": "a4a08c504e256507b352d50a4d74e2e5539e807e70aa13cfeaccca566b9756a9",
-    "f32": "32f872494a70079263c4932e6b924be785368757b35d826c5310f1e3c0dc69df",
+    "small": {
+        "f64": "a4a08c504e256507b352d50a4d74e2e5539e807e70aa13cfeaccca566b9756a9",
+        "f32": "32f872494a70079263c4932e6b924be785368757b35d826c5310f1e3c0dc69df",
+    },
+    "base": {
+        "f64": "774f132259e9758a506c48beec5f18b4df785721736dce3dddb50a9e96d61387",
+        "f32": "e272ed6d4931cff9b750b72522e33e4d6cfb2996efa3d0802a358b32c88ea6fa",
+    },
+    "large": {
+        "f64": "3d734445e52ae25f9bea7dee25ae55afe03a165d5ea12a513dff225e0f93e01f",
+        "f32": "e5d491b1db3b9e99b74cc67ab4d5231a8f99eedc55a2e0bfd33aa1ff90af5945",
+    },
 }
 
 
-def _forward_sha256(precision):
-    """`dydila forward --preset small --precision P`'s output hash, in process."""
-    cfg = RunConfig.from_dict({"preset": "small", "precision": precision})
+def _forward_sha256(precision, preset="small"):
+    """`dydila forward --preset PRESET --precision P`'s output hash, in process."""
+    cfg = RunConfig.from_dict({"preset": preset, "precision": precision})
     rng = SeededRng(cfg.seed)
     stack = init_params(cfg, rng)
     x = rng.tokens(cfg.grid_h * cfg.grid_w, cfg.dim, cfg.precision)
@@ -35,13 +47,20 @@ def _forward_sha256(precision):
     return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("precision", sorted(PINNED))
+@pytest.mark.parametrize("precision", sorted(PINNED["small"]))
 def test_compiled_forward_hash_is_pinned(precision):
     needs_compiler()
-    assert _forward_sha256(precision) == PINNED[precision]
+    assert _forward_sha256(precision) == PINNED["small"][precision]
 
 
-@pytest.mark.parametrize("precision", sorted(PINNED))
+@pytest.mark.parametrize("precision", sorted(PINNED["small"]))
 def test_numpy_forward_hash_is_pinned(monkeypatch, precision):
     monkeypatch.setattr(numerics, "_c_kernels", {})
-    assert _forward_sha256(precision) == PINNED[precision]
+    assert _forward_sha256(precision) == PINNED["small"][precision]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("preset", ["base", "large"])
+def test_compiled_forward_hash_is_pinned_for_larger_presets(preset, precision):
+    needs_compiler()
+    assert _forward_sha256(precision, preset) == PINNED[preset][precision]
