@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dydila.bench import bench_run, build_forward, grid_for
-from dydila.config import RunConfig
+from dydila import cli
+from dydila.bench import BENCH_CSV_HEADER, bench_run, build_forward, grid_for
+from dydila.config import RunConfig, save_config
+from dydila.fileio import read_csv
 from dydila.numerics import ConfigError
 
 
@@ -70,3 +72,19 @@ class TestBenchRun:
     def test_too_few_iterations_rejected(self):
         with pytest.raises(ConfigError, match="iters"):
             bench_run(_bench_cfg(), "linear", [8], iters=2)
+
+    def test_csv_contract(self, tmp_path, capsys):
+        cfg = _bench_cfg()
+        save_config(cfg, tmp_path / "cfg.json")
+        path = tmp_path / "bench.csv"
+        code = cli.main(["bench", "--config", str(tmp_path / "cfg.json"), "--impl", "softmax",
+                         "--seq-len", "8", "--iters", "3", "--out", str(path)])
+        assert code == 0, capsys.readouterr().err
+        header, rows = read_csv(path)
+        assert header == BENCH_CSV_HEADER
+        assert len(rows) == 1
+        impl, n, d, heads, mean_s, std_s, flops = rows[0]
+        assert (impl, n, d, heads) == ("softmax", "8", "8", "1")
+        assert float(mean_s) >= 0.0 and float(std_s) >= 0.0
+        (rec,) = bench_run(cfg, "softmax", [8], iters=3)
+        assert int(flops) == rec.flops
