@@ -44,6 +44,7 @@ STEP_TIMEOUT_S = 1800
 MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles")
 MAP_TESTS = ("tests/test_kernels.py", "tests/test_pow.py", "tests/test_pinned_hashes.py",
              "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_vector")
+SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
 DWC_TESTS = ("tests/test_attention.py", "tests/test_numerics.py", "-k", "dwc or Dwc or build")
 
 
@@ -138,6 +139,14 @@ MUTANTS = (
              "col_sums = matmul(np.ones((1, k.shape[0]), dtype=k.dtype), k)",
              "col_sums = np.sum(k, axis=0)[None, :]"),),
            ("tests/test_differential.py",)),
+    # the softmax map's one buffer
+    Mutant("softmax_map_in_a_fresh_array",
+           (("src/dydila/attention.py", "return _softmax_rows(logits, out=logits)",
+             "return _softmax_rows(logits, out=None)"),),
+           SOFTMAX_TESTS),
+    Mutant("softmax_rows_in_place",
+           ((NUMERICS, "return _softmax_rows(m, out=None)", "return _softmax_rows(m, out=m)"),),
+           SOFTMAX_TESTS),
     # one order swap in each numpy fallback
     Mutant("fallback_matmul_descending_k",
            ((NUMERICS, "        for k in range(inner):\n", "        for k in reversed(range(inner)):\n"),),

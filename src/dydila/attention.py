@@ -16,6 +16,7 @@ A head's diagnostics record only the lambdas its variant routed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,10 @@ from .numerics import (
     ContractViolation,
     _check_2d,
     _dwc,
+    _softmax_rows,
     matmul,
     relu,
     require_finite,
-    softmax_rows,
 )
 from .projection import ProjectorBank, dpm_forward, project_shared
 from .routing import RouteAssignment
@@ -253,20 +254,32 @@ class BlockDiagnostics:
     heads: list = field(default_factory=list)
 
     def lambda_means(self) -> dict:
-        """Name -> mean of each routed lambda over heads and tokens."""
+        """Name -> mean of each routed lambda over heads and tokens.
+
+        The sum is correctly rounded (``math.fsum``), so the mean does not
+        depend on the order or vector width of a numpy reduction.
+        """
         means = {}
         for name in self.heads[0].lambdas:
             vals = np.concatenate([h.lambdas[name][0] for h in self.heads]).astype(np.float64)
-            means[name] = float(np.mean(vals))
+            means[name] = math.fsum(vals.tolist()) / len(vals)
         return means
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Quadratic reference attention with the explicit n x n softmax map."""
+    """Quadratic reference attention with the explicit n x n softmax map.
+
+    The map is the only n x n array a pass makes: see :func:`_softmax_map`.
+    """
     _check_shared_shapes(q, k, v)
-    d = q.shape[1]
-    logits = matmul(q, k.T) * np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
-    return matmul(softmax_rows(logits), v)
+    return matmul(_softmax_map(q, k), v)
+
+
+def _softmax_map(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(d)) by rows, scaled and normalized in the array matmul made."""
+    logits = matmul(q, k.T)
+    np.multiply(logits, np.asarray(1.0 / np.sqrt(q.shape[1]), dtype=q.dtype), out=logits)
+    return _softmax_rows(logits, out=logits)
 
 
 def linear_attention(
@@ -404,9 +417,7 @@ def extract_attention_row(
     if impl in ("softmax", "linear", "focused"):
         q, k, _ = project_shared(x, params.proj)
         if impl == "softmax":
-            d = q.shape[1]
-            logits = matmul(q[sel], k.T) * np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
-            return softmax_rows(logits)[0]
+            return _softmax_map(q[sel], k)[0]
         gamma = params.head_params[head].kernel_q.gammas[0] if impl == "focused" else None
         kernel = "focused" if impl == "focused" else "relu"
         phi_q, phi_k = _feature_map(q, kernel, gamma), _feature_map(k, kernel, gamma)

@@ -232,5 +232,8 @@ def mapwise_forward(
     lam_map, routes_map = _mapwise_lambdas(q_t, q_routed, bank)
     shared = matmul(q_t, matmul(k_t.T, v))
     routed = matmul(q_routed, matmul(k_routed.T, v))
-    out = shared - lam_map[:, None] * routed
+    # An overflowed map gives inf - inf here; the block's finiteness check
+    # reports it, so numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = shared - lam_map[:, None] * routed
     return out, {"map": (lam_map, routes_map)}

@@ -821,7 +821,9 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None)
     """The fallback of :func:`_matmul`: numpy calls per k over row blocks.
 
     The output rows are processed in blocks with one multiply buffer per
-    block; blocking over rows does not touch the per-element order.
+    block; blocking over rows does not touch the per-element order.  Like
+    the compiled kernel, it overflows to inf and NaN without a warning: a
+    caller's finiteness check reports non-finite output.
     """
     n, inner = a.shape
     m = b.shape[1]
@@ -832,14 +834,15 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None)
     ib = max(16, min(n, ib))
 
     tmp = np.empty((min(ib, n), m), dtype=a.dtype)
-    for i0 in range(0, n, ib):
-        i1 = min(i0 + ib, n)
-        ab = a[i0:i1]
-        ob = out[i0:i1]
-        t = tmp[: i1 - i0]
-        for k in range(inner):
-            np.multiply(ab[:, k : k + 1], b[k], out=t)
-            np.add(ob, t, out=ob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n, ib):
+            i1 = min(i0 + ib, n)
+            ab = a[i0:i1]
+            ob = out[i0:i1]
+            t = tmp[: i1 - i0]
+            for k in range(inner):
+                np.multiply(ab[:, k : k + 1], b[k], out=t)
+                np.add(ob, t, out=ob)
     return out
 
 
@@ -1044,9 +1047,21 @@ def row_l2_norm(m: np.ndarray) -> np.ndarray:
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift so large logits cannot overflow."""
     _check_2d(m, "softmax_rows operand")
-    shifted = m - np.max(m, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return _softmax_rows(m, out=None)
+
+
+def _softmax_rows(m: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Row softmax of ``m`` written to ``out``.
+
+    ``out`` is ``m`` itself, which keeps an n x n map in the one array its
+    caller made, or None, which makes one fresh array and leaves ``m`` as it
+    was.  Either way the steps are those of the unfused expression: minus
+    the row max, numpy's ``exp``, over numpy's (pairwise) row sum, so the
+    bits do not depend on ``out``.
+    """
+    e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.sum(e, axis=1, keepdims=True), out=e)
 
 
 class SeededRng:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,10 @@ import dydila.numerics as numerics
 import dydila.oracle as oracle
 from dydila.attention import (
     AttentionStack,
+    BlockDiagnostics,
     DwcParams,
     DydilaParams,
+    HeadDiagnostics,
     HeadParams,
     dwc_forward,
     dydila_forward,
@@ -55,6 +58,87 @@ class TestSoftmaxAttention:
     def test_shape_validation(self):
         with pytest.raises(ContractViolation):
             softmax_attention(mat(0, 4, 3), mat(0, 4, 4), mat(0, 4, 4))
+
+
+def _softmax_rows_reference(m):
+    """The unfused row softmax: a fresh array for every step."""
+    shifted = m - np.max(m, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+class TestSoftmaxMapInPlace:
+    """The map is scaled, shifted, exponentiated and normalized in the one
+    array that matmul(q, k.T) returns, with no output bit moved; on both
+    matmul backends."""
+
+    @pytest.fixture(autouse=True, params=["c", "numpy"])
+    def backend(self, request, monkeypatch):
+        if request.param == "c":
+            needs_compiler()
+        else:
+            monkeypatch.setattr(numerics, "_c_kernels", {})
+        return request.param
+
+    @staticmethod
+    def _unfused(q, k, v):
+        scale = np.asarray(1.0 / np.sqrt(q.shape[1]), dtype=q.dtype)
+        return matmul(_softmax_rows_reference(matmul(q, k.T) * scale), v)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("n_q,n_k,d,d_v", [(1, 1, 4, 4), (37, 53, 5, 11), (64, 64, 16, 16)])
+    def test_bit_identical_to_unfused(self, precision, n_q, n_k, d, d_v):
+        q, k = mat(20, n_q, d, precision, -3.0, 3.0), mat(21, n_k, d, precision, -3.0, 3.0)
+        v = mat(22, n_k, d_v, precision)
+        assert np.array_equal(bits(softmax_attention(q, k, v)), bits(self._unfused(q, k, v)))
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_dominant_logit_underflows_to_zero(self, precision):
+        q, k, v = mat(23, 9, 5, precision), mat(24, 12, 5, precision), mat(25, 12, 3, precision)
+        q[0], k[4] = 0.0, 0.0
+        q[0, 0] = k[4, 0] = 60.0  # logit 3600/sqrt(5): every other exp in row 0 is 0
+        scale = np.asarray(1.0 / np.sqrt(5), dtype=q.dtype)
+        weights = _softmax_rows_reference(matmul(q, k.T) * scale)
+        assert weights[0, 4] == 1.0 and np.count_nonzero(weights[0]) == 1
+        out = softmax_attention(q, k, v)
+        assert np.array_equal(bits(out), bits(matmul(weights, v)))
+        assert np.array_equal(out[0], v[4])
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_extracted_row_is_the_unfused_row(self, precision):
+        params = make_block(602, 8, (4, 6), precision=precision)
+        x = mat(41, 24, 8, precision)
+        q = matmul(x, params.proj.w_q0)
+        k = matmul(x, params.proj.w_k0)
+        scale = np.asarray(1.0 / np.sqrt(8), dtype=q.dtype)
+        want = _softmax_rows_reference(matmul(q, k.T) * scale)[7]
+        row = extract_attention_row(x, params, 7, impl="softmax")
+        assert np.array_equal(bits(row), bits(want))
+
+    def test_softmax_rows_leaves_its_argument_unchanged(self):
+        m = mat(26, 17, 29, low=-40.0, high=40.0)
+        before = m.tobytes()
+        out = softmax_rows(m)
+        assert m.tobytes() == before
+        assert np.array_equal(bits(out), bits(_softmax_rows_reference(m)))
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_one_n_by_n_buffer(self, backend, precision):
+        # tracemalloc sees numpy's data buffers.  The unfused form holds two
+        # or three n x n arrays at once.  The numpy fallback of matmul keeps
+        # one multiply buffer of up to 1 MiB (its row block), half the map at
+        # n=512 in f64, so that backend runs at n=1024, where it is at most
+        # a quarter.
+        n = 512 if backend == "c" else 1024
+        q, k, v = (mat(s, n, 16, precision) for s in (27, 28, 29))
+        numerics.matmul_backend()  # load the kernels before tracing
+        tracemalloc.start()
+        try:
+            softmax_attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * q.itemsize, f"peak {peak} bytes at n={n}"
 
 
 class TestLinearAttention:
@@ -266,6 +350,12 @@ class TestDydilaForward:
                 assert values.shape == (24,) and routes.indices.shape == (24,)
             assert list(diag.lambda_means()) == names
             assert head.routes_kernel_q.indices.shape == (24,)
+
+    def test_lambda_means_are_correctly_rounded(self):
+        # 1e16 + 1 rounds back to 1e16, so np.mean over these reads 0.25
+        heads = [HeadDiagnostics(None, None, None, None, {"map": (np.array(vals), None)})
+                 for vals in ([1e16, 1.0], [-1e16, 1.0])]
+        assert BlockDiagnostics(None, None, heads).lambda_means() == {"map": 0.5}
 
     def test_rejects_multihead_params(self):
         params = make_block(202, 8, (4, 6), heads=2)

@@ -1,18 +1,22 @@
-"""End-to-end command-line tests; every case shells out like a user would."""
+"""End-to-end command-line tests.  Every case shells out like a user would,
+except the numpy-backend ones, which run ``cli.main`` in process."""
 
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import dydila.numerics as numerics
+from dydila import cli
 from dydila.config import RunConfig, load_config
 from dydila.flops import flops_estimate
 from dydila.numerics import matmul_backend
 from dydila.fileio import read_csv, read_pgm, write_tokens_csv
 
-from conftest import cli_env, mat
+from conftest import cli_env, mat, needs_compiler
 
 
 def run_cli(*argv, cwd=None):
@@ -41,6 +45,17 @@ def mapwise_config(tmp_path, tiny_config):
     data["variant"] = "map-wise"
     path = tmp_path / "mapwise.json"
     path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+# Map-wise f32 overflows at block 3 for every preset: inf - inf in the combine.
+MAPWISE_F32_ERROR = "error: block 3 output contains non-finite element at index (0, 0)"
+
+
+def _mapwise_f32_config(tmp_path, preset):
+    path = tmp_path / "mapwise_f32.json"
+    path.write_text(json.dumps({"preset": preset, "precision": "f32", "variant": "map-wise"}),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -175,6 +190,22 @@ class TestForward:
         assert "error: block 6 output contains non-finite element" in proc.stderr
         assert "output sha256" not in proc.stdout
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["small", "base", "large"])
+    def test_mapwise_f32_overflow_prints_only_the_error(self, tmp_path, preset):
+        needs_compiler()  # the numpy loops' build warning would be a second stderr line
+        proc = run_cli("forward", "--config", _mapwise_f32_config(tmp_path, preset))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.splitlines() == [MAPWISE_F32_ERROR]
+
+    def test_mapwise_f32_overflow_warns_nothing_on_the_numpy_backend(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            code = cli.main(["forward", "--config", _mapwise_f32_config(tmp_path, "small")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [MAPWISE_F32_ERROR]
 
     def test_input_width_mismatch_is_config_error(self, tmp_path, tiny_config):
         path = tmp_path / "in.csv"

@@ -6,9 +6,10 @@ change, on both backends and at every vector width.  So the sha256 of its
 output tokens, as `dydila forward` prints it, is pinned here for the three
 presets; the README lists the same hashes.  The base and large presets run
 on the compiled backend only: on the numpy backend they take about four
-times as long.  The lambda means on `forward`'s
-block lines use ``np.mean`` and are not part of the pinned bytes.  Map-wise
-`forward` is not finite at the presets' depth, so it has no hash to pin.
+times as long.  The lambda means on `forward`'s block lines are correctly
+rounded sums (``math.fsum``) over a count, so the whole stdout of the small
+preset is pinned too.  Map-wise `forward` is not finite at the presets'
+depth, so it has no hash to pin.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import dydila.numerics as numerics
-from dydila import RunConfig, SeededRng, init_params, stack_forward
+from dydila import RunConfig, SeededRng, cli, init_params, stack_forward
 
 from conftest import needs_compiler
 
@@ -34,6 +35,12 @@ PINNED = {
         "f64": "3d734445e52ae25f9bea7dee25ae55afe03a165d5ea12a513dff225e0f93e01f",
         "f32": "e5d491b1db3b9e99b74cc67ab4d5231a8f99eedc55a2e0bfd33aa1ff90af5945",
     },
+}
+
+# sha256 of the whole stdout of `dydila forward --preset small --precision P`.
+PINNED_STDOUT = {
+    "f64": "cb15fc8d351e9fd4c72d41c6708f4e590b6610bed3e217bcce593164a9ea166d",
+    "f32": "bebacfe994188e7583b3461287325d57b8144d35775c8acada48b0795c8ac433",
 }
 
 
@@ -64,3 +71,16 @@ def test_numpy_forward_hash_is_pinned(monkeypatch, precision):
 def test_compiled_forward_hash_is_pinned_for_larger_presets(preset, precision):
     needs_compiler()
     assert _forward_sha256(precision, preset) == PINNED[preset][precision]
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("precision", sorted(PINNED_STDOUT))
+def test_forward_stdout_is_pinned(monkeypatch, capsys, backend, precision):
+    if backend == "c":
+        needs_compiler()
+    else:
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+    assert cli.main(["forward", "--preset", "small", "--precision", precision]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.endswith(f"output sha256 {PINNED['small'][precision]}\n"), stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_STDOUT[precision], stdout
