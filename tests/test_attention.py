@@ -124,8 +124,8 @@ class TestSoftmaxMapInPlace:
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_one_n_by_n_buffer(self, backend, precision):
-        # tracemalloc sees numpy's data buffers.  The unfused form holds two
-        # or three n x n arrays at once.  The numpy fallback of matmul keeps
+        # tracemalloc sees numpy's data buffers.  The unfused form holds up
+        # to four n x n arrays at once.  The numpy fallback of matmul keeps
         # one multiply buffer of up to 1 MiB (its row block), half the map at
         # n=512 in f64, so that backend runs at n=1024, where it is at most
         # a quarter.
