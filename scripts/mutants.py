@@ -45,6 +45,8 @@ MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles")
 MAP_TESTS = ("tests/test_kernels.py", "tests/test_pow.py", "tests/test_pinned_hashes.py",
              "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_vector")
 SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
+BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
+               "Multihead or TdoForward or WorkingSet")
 DWC_TESTS = ("tests/test_attention.py", "tests/test_numerics.py", "-k", "dwc or Dwc or build")
 
 
@@ -147,6 +149,24 @@ MUTANTS = (
     Mutant("softmax_rows_in_place",
            ((NUMERICS, "return _softmax_rows(m, out=None)", "return _softmax_rows(m, out=m)"),),
            SOFTMAX_TESTS),
+    # each head's streams kept in the projection buffers
+    _c("focused_in_place_rows_at_z_width",
+       "$T *o = orow[r] = out + (i0 + r) * so0;", "$T *o = orow[r] = out + (i0 + r) * d;",
+       MAP_TESTS),
+    Mutant("kernel_stream_routed_after_its_in_place_map",
+           (("src/dydila/kernels.py",
+             "    routes = route_argmax(z, bank.router)\n"
+             "    gamma = np.asarray(bank.gammas, dtype=np.float64)[routes.indices]\n"
+             "    return _focused_map(z, gamma, out), routes\n",
+             "    gamma = np.asarray(bank.gammas, dtype=np.float64)[route_argmax(z, bank.router).indices]\n"
+             "    mapped = _focused_map(z, gamma, out)\n"
+             "    return mapped, route_argmax(z, bank.router)\n"),),
+           BLOCK_TESTS),
+    Mutant("tdo_forward_writes_into_the_callers_routed_streams",
+           (("src/dydila/differential.py",
+             "return _tdo(q_t, q_routed.copy(), k_t, k_routed.copy(), v, bank, normalize)",
+             "return _tdo(q_t, q_routed, k_t, k_routed, v, bank, normalize)"),),
+           BLOCK_TESTS),
     # one order swap in each numpy fallback
     Mutant("fallback_matmul_descending_k",
            ((NUMERICS, "        for k in range(inner):\n", "        for k in reversed(range(inner)):\n"),),

@@ -26,10 +26,10 @@ from .differential import (
     _differenced,
     _mapwise_lambdas,
     _normalizer,
+    _tdo,
     mapwise_forward,
-    tdo_forward,
 )
-from .kernels import KernelBank, dmk_forward, focused_rows
+from .kernels import KernelBank, _dmk, focused_rows
 from .numerics import (
     ConfigError,
     ContractViolation,
@@ -320,22 +320,31 @@ def _head_slice(m: np.ndarray, head: int, d_h: int) -> np.ndarray:
 
 
 def _kernel_streams(q, k, qp, kp, params: DydilaParams, head: int):
-    """One head's kernel-mapped ``(q_t, k_t, qp_t, kp_t)`` and their four routes."""
+    """One head's kernel-mapped ``(q_t, k_t, qp_t, kp_t)`` and their four routes.
+
+    Each stream is routed from its raw head slice of q, k, qp or kp and then
+    mapped there in place, so the four returned streams are those slices.
+    """
     hp, d_h = params.head_params[head], params.head_dim
     streams = zip((q, k, qp, kp), (hp.kernel_q, hp.kernel_k, hp.kernel_qp, hp.kernel_kp))
-    mapped = [dmk_forward(_head_slice(m, head, d_h), bank) for m, bank in streams]
+    slices = [(_head_slice(m, head, d_h), bank) for m, bank in streams]
+    mapped = [_dmk(z, bank, out=z) for z, bank in slices]
     return tuple(t for t, _ in mapped), tuple(r for _, r in mapped)
 
 
 def _head_forward(q, k, v, qp, kp, params: DydilaParams, head: int):
-    """TDO path of one head on the full-width projections; returns (out, HeadDiagnostics)."""
+    """TDO path of one head on the full-width projections; returns (out, HeadDiagnostics).
+
+    The head's slices of q, k, qp and kp are overwritten: each with its
+    kernel map, and token-wise the routed ones then with the differences.
+    """
     (q_t, k_t, qp_t, kp_t), kernel_routes = _kernel_streams(q, k, qp, kp, params, head)
     diff = params.head_params[head].diff
     v_h = _head_slice(v, head, params.head_dim)
     if params.variant == "token-wise":
-        out, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v_h, diff, normalize=params.normalize)
+        out, lambdas = _tdo(q_t, qp_t, k_t, kp_t, v_h, diff, params.normalize)
     else:
-        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v_h, diff)
+        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v_h, diff, params.normalize)
     return out, HeadDiagnostics(*kernel_routes, lambdas=lambdas)
 
 
@@ -345,6 +354,12 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     Channel slices go through per-head kernel/differential banks; head
     outputs are concatenated back to full width.  With one head this is
     byte-identical to :func:`dydila_forward`.
+
+    A pass holds the five projections, the output and one head's output:
+    each head maps and differences its streams in its slices of the
+    projections, and the output starts as the DWC of v (when there is one),
+    to which each head's output is added in its columns; IEEE addition is
+    commutative, so that is ``head_out + dwc`` bit for bit.
     """
     _check_2d(x, "block input")
     n, d = x.shape
@@ -359,14 +374,19 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     diag = BlockDiagnostics(routes_proj_q=routes_q, routes_proj_k=routes_k)
 
     d_h = params.head_dim
-    out = np.empty((n, d), dtype=x.dtype)
+    if params.dwc is None:
+        out = np.empty((n, d), dtype=x.dtype)
+    else:
+        out = dwc_forward(v, params.grid, params.dwc, use_merged=params.dwc_use_merged)
     for h_idx in range(params.heads):
         head_out, head_diag = _head_forward(q, k, v, qp, kp, params, h_idx)
-        out[:, h_idx * d_h : (h_idx + 1) * d_h] = head_out
+        cols = out[:, h_idx * d_h : (h_idx + 1) * d_h]
+        if params.dwc is None:
+            cols[...] = head_out
+        else:
+            cols += head_out
+        del head_out  # before the next head makes its own
         diag.heads.append(head_diag)
-
-    if params.dwc is not None:
-        out += dwc_forward(v, params.grid, params.dwc, use_merged=params.dwc_use_merged)
     return out, diag
 
 
@@ -403,8 +423,9 @@ def extract_attention_row(
     rounding).  dydila/mapwise: the differential similarity row of the
     chosen head (dot with the head's V slice gives the head's output row;
     exact for the unnormalized default, floored-denominator scaled when
-    params.normalize is set).  Baselines use the shared full-width
-    projections; focused takes gamma from the head's query kernel bank.
+    params.normalize is set, map-wise each map by its own denominator).
+    Baselines use the shared full-width projections; focused takes gamma
+    from the head's query kernel bank.
     """
     _check_2d(x, "input tokens")
     n = x.shape[0]
@@ -431,7 +452,11 @@ def extract_attention_row(
     diff = params.head_params[head].diff
     if impl == "mapwise":
         lam_map, _ = _mapwise_lambdas(q_t, qp_t, diff)
-        return (matmul(q_t[sel], k_t.T) - lam_map[query_index] * matmul(qp_t[sel], kp_t.T))[0]
+        shared, routed = matmul(q_t[sel], k_t.T), matmul(qp_t[sel], kp_t.T)
+        if params.normalize:
+            shared /= _normalizer(q_t[sel], k_t)
+            routed /= _normalizer(qp_t[sel], kp_t)
+        return (shared - lam_map[query_index] * routed)[0]
 
     q_diff, k_diff, _ = _differenced(q_t, qp_t, k_t, kp_t, diff)
     row = matmul(q_diff[sel], k_diff.T)

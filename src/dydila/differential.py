@@ -93,13 +93,19 @@ def _routed_lambdas(a: np.ndarray, b: np.ndarray, router: Router, lambdas: tuple
 
 
 def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
-    """Token-wise ``(q_diff, k_diff, lambdas)``, each lambda routed from its stream pair."""
+    """Token-wise ``(q_diff, k_diff, lambdas)``, each lambda routed from its stream pair.
+
+    Consumes the routed streams: once both lambdas are routed, each routed
+    stream becomes ``lam ⊙ routed`` and then ``shared - that`` in its own
+    array, so ``q_diff`` is ``q_routed`` and ``k_diff`` is ``k_routed``.
+    """
     lam_q, routes_q = _routed_lambdas(q_t, q_routed, bank.router_q, bank.lambdas)
     lam_k, routes_k = _routed_lambdas(k_t, k_routed, bank.router_k, bank.lambdas)
     lambdas = {"q": (lam_q, routes_q), "k": (lam_k, routes_k)}
-    q_diff = np.multiply(lam_q[:, None], q_routed)
-    k_diff = np.multiply(lam_k[:, None], k_routed)
-    return np.subtract(q_t, q_diff, out=q_diff), np.subtract(k_t, k_diff, out=k_diff), lambdas
+    for shared, routed, lam in ((q_t, q_routed, lam_q), (k_t, k_routed, lam_k)):
+        np.multiply(lam[:, None], routed, out=routed)
+        np.subtract(shared, routed, out=routed)
+    return q_routed, k_routed, lambdas
 
 
 def _mapwise_lambdas(q_t, q_routed, bank: DifferentialBank):
@@ -174,6 +180,12 @@ def tdo_forward(
     similarity, floored at ``DENOM_FLOOR`` in magnitude.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
+    return _tdo(q_t, q_routed.copy(), k_t, k_routed.copy(), v, bank, normalize)
+
+
+def _tdo(q_t, q_routed, k_t, k_routed, v, bank: DifferentialBank, normalize: bool):
+    """:func:`tdo_forward` on validated streams, consuming ``q_routed`` and
+    ``k_routed`` (see :func:`_differenced`)."""
     q_diff, k_diff, lambdas = _differenced(q_t, q_routed, k_t, k_routed, bank)
     out = matmul(q_diff, matmul(k_diff.T, v))
     if normalize:
@@ -221,11 +233,15 @@ def mapwise_forward(
     k_routed: np.ndarray,
     v: np.ndarray,
     bank: DifferentialBank,
+    normalize: bool = False,
 ):
     """Map-wise variant: difference the two attention outputs directly.
 
     ``out = q_t (k_t^T v) - lam_map ⊙ q_routed (k_routed^T v)`` where each
-    token's lam_map is routed from its concatenated query-stream pair.
+    token's lam_map is routed from its concatenated query-stream pair.  With
+    ``normalize=True`` each map is divided by its own floored denominator
+    first, ``shared / den(q_t, k_t) - lam_map ⊙ (routed / den(q_routed,
+    k_routed))``: the difference of two separately normalized maps.
     Returns ``(out, {"map": (lam_map, RouteAssignment)})``.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
@@ -235,5 +251,9 @@ def mapwise_forward(
     # An overflowed map gives inf - inf here; the block's finiteness check
     # reports it, so numpy's warning would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = shared - lam_map[:, None] * routed
+        if normalize:
+            shared /= _normalizer(q_t, k_t)
+            routed /= _normalizer(q_routed, k_routed)
+        np.multiply(lam_map[:, None], routed, out=routed)
+        out = np.subtract(shared, routed, out=shared)
     return out, {"map": (lam_map, routes_map)}

@@ -70,6 +70,8 @@ def flops_estimate(
             parts["lambda_routing"] = 4 * n * d * n_lambda_factors  # lambda_map only
             parts["diff_combine"] = 2 * n * d
             parts["attention_core"] = 8 * n * d * d // heads
+            if normalize:
+                parts["normalizer"] = 8 * n * d  # one per map
         if dwc:
             parts["dwc"] = _DWC_COST * n * d
     parts["total"] = sum(parts.values())

@@ -84,11 +84,17 @@ def focused_kernel(row: np.ndarray, gamma: float) -> np.ndarray:
 def dmk_forward(z: np.ndarray, bank: KernelBank):
     """Dynamic measure kernel: route each row to a gamma, apply the focused map.
 
-    Returns ``(out, routes)``.  The whole matrix is mapped in one pass with
-    each row's routed gamma; the map is row-local, so row i of the output is
-    ``focused_rows(z[i:i+1], gamma_i)``.  ``z`` may be a strided view, such as
-    one head's columns.
+    Returns ``(out, routes)``; ``z`` is left as it was.  The whole matrix is
+    mapped in one pass with each row's routed gamma; the map is row-local,
+    so row i of the output is ``focused_rows(z[i:i+1], gamma_i)``.  ``z``
+    may be a strided view, such as one head's columns.
     """
+    return _dmk(z, bank, out=None)
+
+
+def _dmk(z: np.ndarray, bank: KernelBank, out):
+    """:func:`dmk_forward` with the map written to ``out``: None makes a
+    fresh array, and ``out=z`` maps z in place once its rows are routed."""
     routes = route_argmax(z, bank.router)
     gamma = np.asarray(bank.gammas, dtype=np.float64)[routes.indices]
-    return _focused_map(z, gamma), routes
+    return _focused_map(z, gamma, out), routes

@@ -400,9 +400,11 @@ static inline double pow01(double x, double g)
 # t * (n1 / ng) and every other +0 * (n1 / ng), which is the +0 relu left
 # there unless n1 / ng is NaN.  Dividing by peak keeps x and t in [0, 1], so
 # no gamma overflows f32, and a NaN or inf peak makes the whole row NaN
-# through n1.  z is read through its element strides, so head slices need
-# no copy; out is C-contiguous; work holds FOCUSED_ROWS rows of x, t and
-# column lists.
+# through n1.  z is read and out written through their element strides, so
+# a head slice needs no copy and can be mapped in place: out may be z
+# itself (hence no restrict on either), since each entry is read before it
+# is written and never read again.  work holds FOCUSED_ROWS rows of x, t
+# and column lists.
 _FOCUSED_KERNEL = r"""
 /* x = x / p and t = pow01(x, g) over a padded list of kp, then t = +0 where
    x is 0 among the first k; restrict parameters spare GCC an alias check. */
@@ -419,8 +421,8 @@ static inline void pow_list_$T($T *restrict x, $T *restrict t, $T p, double g,
 }
 
 CLONES
-void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
-                const double *restrict gamma, $T *restrict out,
+void focused_$T(const $T *z, ptrdiff_t sz0, ptrdiff_t sz1,
+                const double *restrict gamma, $T *out, ptrdiff_t so0, ptrdiff_t so1,
                 ptrdiff_t n, ptrdiff_t d, void *restrict work)
 {
     enum { R = FOCUSED_ROWS };
@@ -429,11 +431,11 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
     ptrdiff_t *const cols = (ptrdiff_t *)(ts + R * dp);
     for (ptrdiff_t i0 = 0; i0 < n; i0 += R) {
         const ptrdiff_t rows = n - i0 < R ? n - i0 : R;
-        $T peak[R], sx[R] = {0}, st[R] = {0};
+        $T peak[R], sx[R] = {0}, st[R] = {0}, *orow[R];
         ptrdiff_t live[R] = {0}, m = 0;
         for (ptrdiff_t r = 0; r < rows; r++) {
             const $T *zi = z + (i0 + r) * sz0;
-            $T *restrict o = out + (i0 + r) * d;
+            $T *o = orow[r] = out + (i0 + r) * so0;
             $T *x = xs + r * dp, top = 0;
             ptrdiff_t *c = cols + r * dp, k = 0;
             for (ptrdiff_t j = 0; j < d; j++) {
@@ -441,7 +443,7 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
                 $T q = v > 0 ? v : 0;
                 if (v != v)
                     q = top = v;
-                o[j] = q;
+                o[j * so1] = q;
                 top = q > top ? q : top;
                 x[k] = q;
                 c[k] = j;
@@ -470,13 +472,13 @@ void focused_$T(const $T *restrict z, ptrdiff_t sz0, ptrdiff_t sz1,
         for (ptrdiff_t r = 0; r < rows; r++) {
             if (!live[r])
                 continue;
-            $T *o = out + (i0 + r) * d;
+            $T *o = orow[r];
             const $T scale = peak[r] * ($T)sqrt(sx[r]) / ($T)sqrt(st[r]), zero = 0 * scale;
             if (zero != zero)  /* off the list, o holds relu's +0 */
                 for (ptrdiff_t j = 0; j < d; j++)
-                    o[j] = zero;
+                    o[j * so1] = zero;
             for (ptrdiff_t s = 0; s < live[r]; s++)
-                o[cols[r * dp + s]] = ts[r * dp + s] * scale;
+                o[cols[r * dp + s] * so1] = ts[r * dp + s] * scale;
         }
     }
 }
@@ -537,7 +539,7 @@ _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 _P, _S = ctypes.c_void_p, ctypes.c_ssize_t
 _I = ctypes.c_int
 _C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _I),
-                 "focused": (_P, _S, _S, _P, _P, _S, _S, _P),
+                 "focused": (_P, _S, _S, _P, _P, _S, _S, _S, _S, _P),
                  "pow01": (_P, _P, _P, _S),
                  "dwc": (_P, _S, _P, _P, _S, _S, _S, _I)}
 # __GLIBC__ comes from a libc header, hence <limits.h>.
@@ -565,6 +567,7 @@ _DWC_CHANNELS = 64  # channels per chunk of the compiled DWC
 _SHIFT = 1.5 * 2.0**52  # x + _SHIFT rounds x to an integer held in the low bits
 _FOCUSED_ROWS = 4  # rows per group of the compiled focused map
 _POW_PAD = 8  # the focused map's pow lists are padded to a multiple of this
+_FOCUSED_NUMPY_ENTRIES = 1 << 14  # entries per row block of the focused map's numpy fallback
 _C_BLOCKS = "enum { %s };" % ", ".join(
     f"{k} = {v}" for k, v in {**_MATMUL_BLOCKS, "DWC_CHANNELS": _DWC_CHANNELS,
                               "FOCUSED_ROWS": _FOCUSED_ROWS, "POW_PAD": _POW_PAD}.items())
@@ -846,30 +849,44 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None)
     return out
 
 
-def _focused_map(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Focused map of every row of `z`, row i with exponent ``gamma[i]``.
+def _focused_map(z: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Focused map of every row of `z`, row i with exponent ``gamma[i]``, written to `out`.
 
     `z` must be a validated 2-D float matrix and `gamma` must hold one value
-    > 0 per row of `z`.  The order is the one described above
+    > 0 per row of `z`.  ``out`` is None, which makes a fresh C-contiguous
+    array, or a writeable (n, d) array of z's dtype that is `z` itself
+    (mapping a strided head slice in place) or shares no memory with it;
+    either way the bits are the same.  The order is the one described above
     ``_FOCUSED_KERNEL``; the compiled kernel runs when it built, otherwise
-    :func:`_focused_numpy`, with the same bits.
+    :func:`_focused_numpy` over blocks of rows, with the same bits.
     """
     n, d = z.shape
     gamma = np.require(gamma, dtype=np.float64, requirements="CA")
     if gamma.shape != (n,):
         raise ContractViolation(f"{gamma.shape} gammas for {n} rows")
+    if out is None:
+        out = np.empty((n, d), dtype=z.dtype)
+    elif (out.shape != (n, d) or out.dtype != z.dtype or not out.flags.writeable
+          or not out.flags.aligned):
+        raise ContractViolation(f"focused map out must be a writeable aligned ({n}, {d}) "
+                                f"{z.dtype} array, got {out.dtype} {out.shape}")
     if n == 0 or d == 0:
-        return np.zeros((n, d), dtype=z.dtype)
+        return out
     kernel = _kernels().get(("focused", z.dtype))
     if kernel is None:
-        return _focused_numpy(z, gamma)
+        # The map is row-local, so blocks of rows give the same bits and
+        # bound the fallback's temporaries (about 30 doubles per entry).
+        rows = max(1, _FOCUSED_NUMPY_ENTRIES // d)
+        for i0 in range(0, n, rows):
+            out[i0 : i0 + rows] = _focused_numpy(z[i0 : i0 + rows], gamma[i0 : i0 + rows])
+        return out
     z = np.require(z, requirements="A")
-    out = np.empty((n, d), dtype=z.dtype)
     padded = -(-d // _POW_PAD) * _POW_PAD
     work = np.empty(_FOCUSED_ROWS * padded * (2 * z.itemsize + 8), dtype=np.uint8)
     size = z.itemsize
     kernel(z.ctypes.data, z.strides[0] // size, z.strides[1] // size, gamma.ctypes.data,
-           out.ctypes.data, n, d, work.ctypes.data)
+           out.ctypes.data, out.strides[0] // size, out.strides[1] // size, n, d,
+           work.ctypes.data)
     return out
 
 

@@ -287,10 +287,15 @@ def explicit_linear_attention(
             s = float(np.dot(phi_q[i], phi_k[j]))
             den += s
             num += s * v[j]
-        if abs(den) < _DENOM_FLOOR:
-            den = _DENOM_FLOOR if den >= 0 else -_DENOM_FLOOR
-        out[i] = num / den
+        out[i] = num / _floored(den)
     return out
+
+
+def _floored(den: float) -> float:
+    """The normalizing denominator with |den| floored, its sign kept (+ for 0)."""
+    if abs(den) < _DENOM_FLOOR:
+        return _DENOM_FLOOR if den >= 0 else -_DENOM_FLOOR
+    return den
 
 
 def explicit_tdo(
@@ -315,17 +320,15 @@ def explicit_tdo(
             s = float(np.dot(qd, kd))
             den += s
             num += s * v[j]
-        if normalize:
-            if abs(den) < _DENOM_FLOOR:
-                den = _DENOM_FLOOR if den >= 0 else -_DENOM_FLOOR
-            out[i] = num / den
-        else:
-            out[i] = num
+        out[i] = num / _floored(den) if normalize else num
     return out
 
 
-def explicit_mapwise(q_t, q_routed, k_t, k_routed, v, lambda_map) -> np.ndarray:
-    """Map-wise differential attention through two explicit n x n maps."""
+def explicit_mapwise(
+    q_t, q_routed, k_t, k_routed, v, lambda_map, normalize: bool = False
+) -> np.ndarray:
+    """Map-wise differential attention through two explicit n x n maps,
+    each divided by its own floored row sum when ``normalize`` is set."""
     n = np.asarray(q_t).shape[0]
     _cap(n, "explicit_mapwise")
     q_t, q_routed, k_t, k_routed, v, lam = (
@@ -336,9 +339,17 @@ def explicit_mapwise(q_t, q_routed, k_t, k_routed, v, lambda_map) -> np.ndarray:
     for i in range(n):
         shared = np.zeros(v.shape[1], dtype=np.float64)
         routed = np.zeros(v.shape[1], dtype=np.float64)
+        den_shared = den_routed = 0.0
         for j in range(k_t.shape[0]):
-            shared += float(np.dot(q_t[i], k_t[j])) * v[j]
-            routed += float(np.dot(q_routed[i], k_routed[j])) * v[j]
+            s = float(np.dot(q_t[i], k_t[j]))
+            r = float(np.dot(q_routed[i], k_routed[j]))
+            shared += s * v[j]
+            routed += r * v[j]
+            den_shared += s
+            den_routed += r
+        if normalize:
+            shared /= _floored(den_shared)
+            routed /= _floored(den_routed)
         out[i] = shared - lam[i] * routed
     return out
 
@@ -441,7 +452,9 @@ def pipeline_oracle(x: np.ndarray, params) -> np.ndarray:
             lam_map = per_token_lambdas(
                 np.hstack((q_t, qp_t)), hp.diff.lambda_map_router, hp.diff.lambdas
             )
-            pieces.append(explicit_mapwise(q_t, qp_t, k_t, kp_t, v_h, lam_map))
+            pieces.append(
+                explicit_mapwise(q_t, qp_t, k_t, kp_t, v_h, lam_map, normalize=params.normalize)
+            )
     out = np.hstack(pieces)
     if params.dwc is not None:
         if params.dwc_use_merged:

@@ -402,6 +402,29 @@ class TestMultihead:
         want = np.hstack(pieces) + dwc_forward(v, (4, 6), params.dwc)
         assert np.array_equal(out, want)
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_kernel_routes_read_the_raw_projections(self, heads):
+        # each stream is routed before it is mapped in place: the recorded
+        # routes are those of dmk_forward on the raw head slices
+        from dydila.kernels import dmk_forward
+        from dydila.projection import dpm_forward
+
+        d = 8
+        params = make_block(320 + heads, d, (4, 6), heads=heads)
+        x = mat(36, 24, d)
+        _, diag = multihead_forward(x, params)
+        q, k, _, qp, kp, _, _ = dpm_forward(x, params.proj)
+        d_h = d // heads
+        for h, (hp, head) in enumerate(zip(params.head_params, diag.heads)):
+            sl = slice(h * d_h, (h + 1) * d_h)
+            for raw, bank, got in ((q, hp.kernel_q, head.routes_kernel_q),
+                                   (k, hp.kernel_k, head.routes_kernel_k),
+                                   (qp, hp.kernel_qp, head.routes_kernel_qp),
+                                   (kp, hp.kernel_kp, head.routes_kernel_kp)):
+                _, want = dmk_forward(raw[:, sl], bank)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(bits(got.logits), bits(want.logits))
+
     def test_head_count_must_divide_dim(self):
         with pytest.raises(ConfigError, match="divisible"):
             make_block(310, 6, (2, 2), heads=4)
@@ -502,6 +525,21 @@ class TestExtractAttentionRow:
             row = extract_attention_row(x, params, i, impl="dydila", head=head)
             assert_close(row @ v, out[i, cols], 1e-12, f"dydila head {head} row {i}")
 
+    @pytest.mark.parametrize("heads,normalize,head", [
+        (1, False, 0), (1, True, 0),
+        (2, False, 0), (2, False, 1), (2, True, 0), (2, True, 1),
+    ])
+    def test_mapwise_row_reproduces_head_output_per_head(self, heads, normalize, head):
+        params = make_block(605, 8, (4, 6), heads=heads, dwc=False, variant="map-wise",
+                            normalize=normalize)
+        x = mat(45, 24, 8)
+        out, _ = multihead_forward(x, params)
+        cols = slice(head * 8 // heads, (head + 1) * 8 // heads)
+        v = matmul(x, params.proj.w_v0)[:, cols]
+        for i in (0, 11, 23):
+            row = extract_attention_row(x, params, i, impl="mapwise", head=head)
+            assert_close(row @ v, out[i, cols], 1e-12, f"mapwise head {head} row {i}")
+
     def test_mapwise_row_reproduces_head_output(self):
         params = make_block(603, 8, (4, 6), dwc=False, variant="map-wise")
         x = mat(42, 24, 8)
@@ -519,6 +557,41 @@ class TestExtractAttentionRow:
             extract_attention_row(x, params, 0, head=1)
         with pytest.raises(ConfigError, match="impl"):
             extract_attention_row(x, params, 0, impl="exact")
+
+
+class TestBlockWorkingSet:
+    """A block pass keeps each head's streams in the projection buffers: its
+    peak is about seven n x d arrays above the inputs (the five projections,
+    the output and one head's output), on both backends."""
+
+    @pytest.fixture(autouse=True, params=["c", "numpy"])
+    def backend(self, request, monkeypatch):
+        if request.param == "c":
+            needs_compiler()
+        else:
+            monkeypatch.setattr(numerics, "_c_kernels", {})
+        return request.param
+
+    @pytest.mark.parametrize("dwc", [True, False])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_peak_is_about_eight_n_by_d_arrays(self, heads, dwc):
+        # tracemalloc sees numpy's data buffers.  Measured: 7.0-7.3 n x d
+        # arrays on the compiled backend; 7.5 on the numpy one, 8.1 with its
+        # DWC, which pads a copy of v and makes one product per tap while
+        # the five projections are live; the row blocks of its focused map
+        # and its matmul's multiply buffer add about 1 and 0.25 MiB.  The
+        # fresh streams of the parent took 13.3 arrays at one head and
+        # 10.5 at two.
+        params = make_block(606, 128, (64, 64), heads=heads, dwc=dwc, normalize=True)
+        x = mat(46, 64 * 64, 128)
+        numerics.matmul_backend()  # load the kernels before tracing
+        tracemalloc.start()
+        try:
+            multihead_forward(x, params)
+            arrays = tracemalloc.get_traced_memory()[1] / x.nbytes
+        finally:
+            tracemalloc.stop()
+        assert arrays <= 8.5, arrays
 
 
 class TestPermutationEquivariance:

@@ -6,7 +6,7 @@ import pytest
 
 import dydila.attention
 import dydila.differential
-from dydila.checks import _desk_stack
+from dydila.checks import _desk_stack, run_checks
 from dydila.cli import main
 from dydila.config import RunConfig, init_params, lambda_for_block
 from dydila.fileio import stack_entries
@@ -15,15 +15,18 @@ from dydila.numerics import SeededRng
 from dydila.routing import route_argmax, route_pair
 
 
-def _dmk_next_gamma(z, bank):
-    """dmk_forward, but each routed row gets the next candidate's gamma."""
+def _dmk_next_gamma(z, bank, out):
+    """kernels._dmk, but each routed row gets the next candidate's gamma."""
     routes = route_argmax(z, bank.router)
-    out = np.zeros_like(z)
+    mapped = np.zeros_like(z)
     n = bank.n_factors
     for f in range(n):
         rows = np.flatnonzero(routes.indices == f)
         if rows.size:
-            out[rows] = focused_rows(z[rows], bank.gammas[(f + 1) % n])
+            mapped[rows] = focused_rows(z[rows], bank.gammas[(f + 1) % n])
+    if out is None:
+        return mapped, routes
+    out[...] = mapped
     return out, routes
 
 
@@ -35,7 +38,7 @@ def _routed_next_lambda(a, b, router, lambdas):
 
 
 @pytest.mark.parametrize("module, name, mutant", [
-    (dydila.attention, "dmk_forward", _dmk_next_gamma),
+    (dydila.attention, "_dmk", _dmk_next_gamma),
     (dydila.differential, "_routed_lambdas", _routed_next_lambda),
 ], ids=["gamma", "lambda"])
 @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -47,6 +50,17 @@ def test_misrouted_candidate_fails_the_composed_check(monkeypatch, capsys, modul
     assert main(["check", "--preset", "small", "--precision", precision]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     assert any("composed_pipeline_vs_oracle" in line for line in failed), failed
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("preset", ["small", "base", "large"])
+def test_mapwise_presets_pass_every_check(preset, precision):
+    # with each map normalized on its own, map-wise is finite at preset
+    # depth (configured_depth_finite) and matches the composed oracle
+    cfg = RunConfig.from_dict({"preset": preset, "precision": precision, "variant": "map-wise"})
+    results = run_checks(cfg)
+    assert [r.name for r in results if not r.passed] == []
+    assert {"configured_depth_finite", "composed_pipeline_vs_oracle"} <= {r.name for r in results}
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])

@@ -48,14 +48,15 @@ def mapwise_config(tmp_path, tiny_config):
     return str(path)
 
 
-# Map-wise f32 overflows at block 3 for every preset: inf - inf in the combine.
+# Unnormalized, map-wise f32 overflows at block 3 for every preset: inf - inf
+# in the combine.
 MAPWISE_F32_ERROR = "error: block 3 output contains non-finite element at index (0, 0)"
 
 
 def _mapwise_f32_config(tmp_path, preset):
     path = tmp_path / "mapwise_f32.json"
-    path.write_text(json.dumps({"preset": preset, "precision": "f32", "variant": "map-wise"}),
-                    encoding="utf-8")
+    path.write_text(json.dumps({"preset": preset, "precision": "f32", "variant": "map-wise",
+                                "normalize": False}), encoding="utf-8")
     return str(path)
 
 
@@ -246,9 +247,11 @@ class TestDumpAttn:
         assert not (tmp_path / "attn.pgm").exists()
 
     def test_non_finite_row_exits_2(self, tmp_path):
-        # blocks 0-4 stay finite, but block 5's attention row overflows to NaN
+        # unnormalized, blocks 0-4 stay finite, but block 5's attention row
+        # overflows to NaN
         cfg = tmp_path / "mapwise.json"
-        cfg.write_text(json.dumps({"preset": "small", "variant": "map-wise"}), encoding="utf-8")
+        cfg.write_text(json.dumps({"preset": "small", "variant": "map-wise", "normalize": False}),
+                       encoding="utf-8")
         base = tmp_path / "attn"
         proc = run_cli("dump-attn", "--config", str(cfg), "--block", "5", "--out", str(base))
         assert proc.returncode == 2, proc.stdout + proc.stderr

@@ -84,6 +84,22 @@ class TestTdoForward:
         got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
         assert_close(got, want, 1e-10, "normalized tdo")
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_arguments_keep_their_bytes(self, normalize):
+        # the differences are formed in copies of the routed streams; here
+        # the streams are head slices of one array, as in a block
+        wide = mat(22, 20, 30)
+        q_t, qp_t, k_t, kp_t, v = (wide[:, 6 * i : 6 * (i + 1)] for i in range(5))
+        bank = make_diff_bank(23, 6, [0.01, 0.1, 0.5])
+        before = wide.tobytes()
+        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=normalize)
+        assert wide.tobytes() == before
+        want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k, normalize=normalize)
+        assert_close(got, want, 1e-10, "tdo on head slices")
+        mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=normalize)
+        assert wide.tobytes() == before
+
     def test_lambda_continuity(self):
         # output moves at most linearly for a small lambda perturbation
         q_t, qp_t, k_t, kp_t, v = _streams(30, 24, 8)
@@ -136,6 +152,36 @@ class TestMapwise:
             lam_map = lambdas["map"][0]
             want = explicit_mapwise(q_t, qp_t, k_t, kp_t, v, lam_map)
             assert_close(out, want, 1e-10, "mapwise vs explicit")
+
+    def test_unnormalized_bits_are_the_unfused_combine(self):
+        q_t, qp_t, k_t, kp_t, v = _streams(72, 20, 6)
+        bank = make_diff_bank(172, 6, [0.01, 0.05, 0.1])
+        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        lam_map = lambdas["map"][0]
+        shared = matmul(q_t, matmul(k_t.T, v))
+        routed = matmul(qp_t, matmul(kp_t.T, v))
+        assert np.array_equal(out, shared - lam_map[:, None] * routed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_normalized_divides_each_map_by_its_own_denominator(self, seed):
+        q_t, qp_t, k_t, kp_t, v = _streams(seed + 74, 20, 6)
+        bank = make_diff_bank(seed + 174, 6, [0.01, 0.05, 0.1])
+        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
+        lam_map = lambdas["map"][0]
+        shared = matmul(q_t, matmul(k_t.T, v)) / _normalizer(q_t, k_t)
+        routed = matmul(qp_t, matmul(kp_t.T, v)) / _normalizer(qp_t, kp_t)
+        assert np.array_equal(out, shared - lam_map[:, None] * routed)
+        want = explicit_mapwise(q_t, qp_t, k_t, kp_t, v, lam_map, normalize=True)
+        assert_close(out, want, 1e-10, "normalized mapwise vs explicit")
+
+    def test_normalized_zero_rows_stay_zero(self):
+        # a dead query row has a zero numerator in both maps; the floor keeps
+        # the denominators at +DENOM_FLOOR, so the row stays exactly zero
+        q_t, qp_t, k_t, kp_t, v = _streams(76, 12, 4)
+        q_t[3] = qp_t[3] = 0.0
+        bank = make_diff_bank(176, 4, [0.1, 0.3])
+        out, _ = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
+        assert np.array_equal(out[3], np.zeros(4)) and np.all(np.isfinite(out))
 
     def test_differs_from_tokenwise_by_cross_terms(self):
         # tdo - mapwise == -t2 - t3 + t4 + lam_map ⊙ q_routed (k_routed^T v)

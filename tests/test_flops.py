@@ -71,6 +71,11 @@ class TestTotals:
         normed = flops_estimate("dydila", 64, 16, dwc=False, normalize=True)
         assert normed["normalizer"] == 4 * 64 * 16
 
+    def test_mapwise_normalizes_each_map(self):
+        assert "normalizer" not in flops_estimate("mapwise", 64, 16)
+        normed = flops_estimate("mapwise", 64, 16, normalize=True)
+        assert normed["normalizer"] == 2 * 4 * 64 * 16
+
     def test_baselines_have_no_routing(self):
         for impl in ("softmax", "linear", "focused"):
             parts = flops_estimate(impl, 64, 16)

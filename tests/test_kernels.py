@@ -148,6 +148,16 @@ class TestDmkForward:
         mask = np.arange(20) != 4
         assert np.array_equal(after[mask], base[mask])
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_arguments_keep_their_bytes(self, precision):
+        wide = mat(12, 30, 24, precision)
+        bank = make_kernel_bank(13, 8, _GAMMAS, precision)
+        before = wide.tobytes()
+        dmk_forward(wide[:, 8:16], bank)
+        focused_rows(wide[:, 8:16], 3.0)
+        focused_rows(wide, 1.0)
+        assert wide.tobytes() == before
+
     def test_bank_validation(self):
         with pytest.raises(ConfigError, match="gamma"):
             KernelBank(gammas=(1.0, -2.0), router=Router(np.zeros((4, 2))))
@@ -273,6 +283,48 @@ class TestFocusedMap:
         with pytest.raises(ContractViolation, match="gammas for 4 rows"):
             numerics._focused_map(mat(10, 4, 3), np.full(3, 2.0))
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("heads", [1, 3, 6])
+    def test_in_place_on_strided_head_slices(self, precision, heads):
+        # every head slice of a wider array mapped in place: the fresh map's
+        # bits, with NaN, all-<=0 and gamma-1 rows, and no other column moved
+        z, gamma = _awkward(14, 30, 12, precision)
+        z[6, 1] = z[7, 9] = np.nan
+        z[8] = -np.abs(z[8])
+        assert (gamma == 1.0).any()
+        wide = np.concatenate([mat(15, 30, 5, precision), z, mat(16, 30, 3, precision)], axis=1)
+        d_h = 12 // heads
+        for h in range(heads):
+            cols = slice(5 + h * d_h, 5 + (h + 1) * d_h)
+            want = wide.copy()
+            want[:, cols] = numerics._focused_map(wide[:, cols].copy(), gamma)
+            view = wide[:, cols]
+            assert numerics._focused_map(view, gamma, out=view) is view
+            assert np.array_equal(bits(wide), bits(want)), h
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_into_another_strided_array(self, precision):
+        z, gamma = _awkward(17, 21, 7, precision)
+        wide = np.full((21, 19), 5.0, dtype=z.dtype)
+        want = wide.copy()
+        want[:, 4:11] = numerics._focused_map(z, gamma)
+        out = wide[:, 4:11]
+        assert numerics._focused_map(np.asfortranarray(z), gamma, out=out) is out
+        assert np.array_equal(bits(wide), bits(want))
+        numerics._focused_map(z, gamma, out=wide[::-1, 11:18])
+        assert np.array_equal(bits(wide[::-1, 11:18]), bits(want[:, 4:11]))
+
+    def test_out_is_validated(self):
+        z, gamma = mat(18, 4, 3), np.full(4, 2.0)
+        for out in (np.empty((4, 4)), np.empty((4, 3), dtype=np.float32),
+                    np.empty((4, 3))[:0]):
+            with pytest.raises(ContractViolation, match="focused map out"):
+                numerics._focused_map(z, gamma, out=out)
+        frozen = np.empty((4, 3))
+        frozen.flags.writeable = False
+        with pytest.raises(ContractViolation, match="focused map out"):
+            numerics._focused_map(z, gamma, out=frozen)
+
     @pytest.mark.parametrize("gamma", [1.0, 3.0])
     def test_nan_row_stays_non_finite(self, gamma):
         # a NaN row is not a dead row: it must not come out as zeros
@@ -290,6 +342,21 @@ class TestFocusedMap:
             assert not np.isfinite(naive_focused_row(z[row], gamma)).all(), row
         assert np.array_equal(bits(out[others]), bits(focused_rows(clean, gamma)[others]))
         assert focused_rows(np.array([[1.0, np.nan, 2.0]]), gamma)[0, 1] != 0.0
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_numpy_fallback_row_blocks_keep_the_bits(monkeypatch, precision):
+    # the fallback maps blocks of rows; the map is row-local, so any block
+    # size gives the bits of one block, in place or not
+    monkeypatch.setattr(numerics, "_c_kernels", {})
+    z, gamma = _awkward(19, 45, 13, precision)
+    whole = numerics._focused_numpy(z, gamma)
+    for entries in (1, 13, 50, 10**6):
+        monkeypatch.setattr(numerics, "_FOCUSED_NUMPY_ENTRIES", entries)
+        assert np.array_equal(bits(numerics._focused_map(z, gamma)), bits(whole)), entries
+        inplace = z.copy()
+        numerics._focused_map(inplace, gamma, out=inplace)
+        assert np.array_equal(bits(inplace), bits(whole)), entries
 
 
 class TestFocusedMapCompiled(TestFocusedMap):

@@ -8,8 +8,9 @@ presets; the README lists the same hashes.  The base and large presets run
 on the compiled backend only: on the numpy backend they take about four
 times as long.  The lambda means on `forward`'s block lines are correctly
 rounded sums (``math.fsum``) over a count, so the whole stdout of the small
-preset is pinned too.  Map-wise `forward` is not finite at the presets'
-depth, so it has no hash to pin.
+preset is pinned too.  Map-wise `forward`, each map normalized by its own
+denominator, uses the same operations; its small-preset hashes are pinned
+on both backends, and every preset is finite at its depth.
 """
 
 import hashlib
@@ -37,6 +38,12 @@ PINNED = {
     },
 }
 
+# The output hash of `forward` on the small preset with "variant": "map-wise".
+PINNED_MAPWISE = {
+    "f64": "395a39a243692a696023c23a63cb1bb188ccebb80d099430a7bbc6d6d4c4edc3",
+    "f32": "3337ff75428584e4da774c76669f324cd5a3a547100c1efac0c2a27dd2bd03bb",
+}
+
 # sha256 of the whole stdout of `dydila forward --preset small --precision P`.
 PINNED_STDOUT = {
     "f64": "cb15fc8d351e9fd4c72d41c6708f4e590b6610bed3e217bcce593164a9ea166d",
@@ -44,9 +51,10 @@ PINNED_STDOUT = {
 }
 
 
-def _forward_sha256(precision, preset="small"):
-    """`dydila forward --preset PRESET --precision P`'s output hash, in process."""
-    cfg = RunConfig.from_dict({"preset": preset, "precision": precision})
+def _forward_sha256(precision, preset="small", variant="token-wise"):
+    """`dydila forward`'s output hash for a preset, precision and variant, in
+    process; stack_forward raises if any block's output is not finite."""
+    cfg = RunConfig.from_dict({"preset": preset, "precision": precision, "variant": variant})
     rng = SeededRng(cfg.seed)
     stack = init_params(cfg, rng)
     x = rng.tokens(cfg.grid_h * cfg.grid_w, cfg.dim, cfg.precision)
@@ -71,6 +79,23 @@ def test_numpy_forward_hash_is_pinned(monkeypatch, precision):
 def test_compiled_forward_hash_is_pinned_for_larger_presets(preset, precision):
     needs_compiler()
     assert _forward_sha256(precision, preset) == PINNED[preset][precision]
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("precision", sorted(PINNED_MAPWISE))
+def test_mapwise_forward_hash_is_pinned(monkeypatch, backend, precision):
+    if backend == "c":
+        needs_compiler()
+    else:
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+    assert _forward_sha256(precision, variant="map-wise") == PINNED_MAPWISE[precision]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("preset", ["base", "large"])
+def test_mapwise_forward_is_finite_at_preset_depth(preset, precision):
+    needs_compiler()
+    _forward_sha256(precision, preset, variant="map-wise")
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
