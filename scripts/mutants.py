@@ -158,7 +158,8 @@ MUTANTS = (
              "    routes = route_argmax(z, bank.router)\n"
              "    gamma = np.asarray(bank.gammas, dtype=np.float64)[routes.indices]\n"
              "    return _focused_map(z, gamma, out), routes\n",
-             "    gamma = np.asarray(bank.gammas, dtype=np.float64)[route_argmax(z, bank.router).indices]\n"
+             "    gamma = np.asarray(bank.gammas, dtype=np.float64)"
+             "[route_argmax(z, bank.router).indices]\n"
              "    mapped = _focused_map(z, gamma, out)\n"
              "    return mapped, route_argmax(z, bank.router)\n"),),
            BLOCK_TESTS),
