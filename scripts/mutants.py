@@ -113,6 +113,9 @@ MUTANTS = (
     _c("dwc_skips_taps_outside_the_grid",
        "s = s + p[t][c] * k[t * d + c0 + c];",
        "s = tap[t] ? s + p[t][c] * k[t * d + c0 + c] : s;", DWC_TESTS),
+    Mutant("dwc_forward_ignores_the_merged_kernel",
+           (("src/dydila/attention.py", "    if dwc.merged is not None:\n", "    if False:\n"),),
+           DWC_TESTS),
     _c("dwc_taps_descending",
        "                    for (int t = 0; t < 9; t++)\n                        s = s + p[t][c]",
        "                    for (int t = 8; t >= 0; t--)\n                        s = s + p[t][c]",
@@ -143,11 +146,12 @@ MUTANTS = (
            ("tests/test_differential.py",)),
     # the softmax map's one buffer
     Mutant("softmax_map_in_a_fresh_array",
-           (("src/dydila/attention.py", "return _softmax_rows(logits, out=logits)",
-             "return _softmax_rows(logits, out=None)"),),
+           (("src/dydila/attention.py", "return softmax_rows(logits, out=logits)",
+             "return softmax_rows(logits)"),),
            SOFTMAX_TESTS),
     Mutant("softmax_rows_in_place",
-           ((NUMERICS, "return _softmax_rows(m, out=None)", "return _softmax_rows(m, out=m)"),),
+           ((NUMERICS, "e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=out)",
+             "e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=m)"),),
            SOFTMAX_TESTS),
     # each head's streams kept in the projection buffers
     _c("focused_in_place_rows_at_z_width",
@@ -176,7 +180,7 @@ MUTANTS = (
            ((NUMERICS, "    for j in range(m.shape[1]):\n", "    for j in reversed(range(m.shape[1])):\n"),),
            ("tests/test_kernels.py", "-k", "TestFocusedMap and not Compiled")),
     Mutant("fallback_dwc_rows_descending",
-           ((NUMERICS, "    for di in range(3):\n", "    for di in (2, 1, 0):\n"),),
+           ((NUMERICS, "        for di in range(3):\n", "        for di in (2, 1, 0):\n"),),
            DWC_TESTS),
 )
 

@@ -12,13 +12,11 @@ from .numerics import (
 )
 from .routing import RouteAssignment, Router, route_argmax
 from .projection import ProjectorBank, dpm_forward, project_shared
-from .kernels import KernelBank, dmk_forward, focused_kernel, focused_rows
+from .kernels import KernelBank, dmk_forward, focused_rows
 from .differential import (
     DifferentialBank,
-    concat_streams,
     expand_tokenwise,
     mapwise_forward,
-    select_lambdas,
     tdo_forward,
 )
 from .attention import (
@@ -28,7 +26,6 @@ from .attention import (
     DydilaParams,
     HeadParams,
     dwc_forward,
-    dydila_forward,
     extract_attention_row,
     linear_attention,
     multihead_forward,

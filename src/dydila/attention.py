@@ -24,21 +24,21 @@ import numpy as np
 from .differential import (
     DifferentialBank,
     _differenced,
-    _mapwise_lambdas,
     _normalizer,
+    _routed_lambdas,
     _tdo,
     mapwise_forward,
 )
-from .kernels import KernelBank, _dmk, focused_rows
+from .kernels import KernelBank, dmk_forward, focused_rows
 from .numerics import (
     ConfigError,
     ContractViolation,
     _check_2d,
     _dwc,
-    _softmax_rows,
     matmul,
     relu,
     require_finite,
+    softmax_rows,
 )
 from .projection import ProjectorBank, dpm_forward, project_shared
 from .routing import RouteAssignment
@@ -55,7 +55,6 @@ __all__ = [
     "linear_attention",
     "dwc_forward",
     "reparam_merge",
-    "dydila_forward",
     "multihead_forward",
     "stack_forward",
     "extract_attention_row",
@@ -108,14 +107,12 @@ def reparam_merge(dwc: DwcParams) -> DwcParams:
     )
 
 
-def dwc_forward(
-    v: np.ndarray, grid: tuple, dwc: DwcParams, use_merged: bool = False
-) -> np.ndarray:
+def dwc_forward(v: np.ndarray, grid: tuple, dwc: DwcParams) -> np.ndarray:
     """Depthwise 3x3 cross-correlation of v laid out on the (h, w) token grid.
 
     Zero padding of one pixel on every side; taps accumulate in fixed
-    (row, col) ascending order.  The identity branch (if any and not
-    merged) is added after the convolution.
+    (row, col) ascending order.  The merged kernel runs when ``dwc`` has
+    one; otherwise the identity branch (if any) is added after the taps.
     """
     _check_2d(v, "dwc input")
     h, w = grid
@@ -128,14 +125,9 @@ def dwc_forward(
         raise ContractViolation(
             f"dwc kernel dtype {dwc.kernels.dtype} != input dtype {v.dtype}"
         )
-    if use_merged:
-        if dwc.merged is None:
-            raise ConfigError("use_merged requires reparam_merge first")
-        kern = dwc.merged
-    else:
-        kern = dwc.kernels
-
-    return _dwc(v, grid, kern, dwc.identity_branch and not use_merged)
+    if dwc.merged is not None:
+        return _dwc(v, grid, dwc.merged, False)
+    return _dwc(v, grid, dwc.kernels, dwc.identity_branch)
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,6 @@ class DydilaParams:
     head_params: tuple
     grid: tuple
     dwc: DwcParams | None = None
-    dwc_use_merged: bool = False
     variant: str = "token-wise"
     normalize: bool = False
 
@@ -190,8 +181,6 @@ class DydilaParams:
                 raise ConfigError(f"head {i} dim {hp.dim} != {d_h} (= {d}/{heads})")
         if self.dwc is not None and self.dwc.channels != d:
             raise ConfigError(f"dwc channels {self.dwc.channels} != model dim {d}")
-        if self.dwc_use_merged and (self.dwc is None or self.dwc.merged is None):
-            raise ConfigError("dwc_use_merged requires a merged dwc kernel")
         h, w = self.grid
         if h < 1 or w < 1:
             raise ConfigError(f"grid sides must be >= 1, got {self.grid}")
@@ -279,7 +268,7 @@ def _softmax_map(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """softmax(q k^T / sqrt(d)) by rows, scaled and normalized in the array matmul made."""
     logits = matmul(q, k.T)
     np.multiply(logits, np.asarray(1.0 / np.sqrt(q.shape[1]), dtype=q.dtype), out=logits)
-    return _softmax_rows(logits, out=logits)
+    return softmax_rows(logits, out=logits)
 
 
 def linear_attention(
@@ -328,7 +317,7 @@ def _kernel_streams(q, k, qp, kp, params: DydilaParams, head: int):
     hp, d_h = params.head_params[head], params.head_dim
     streams = zip((q, k, qp, kp), (hp.kernel_q, hp.kernel_k, hp.kernel_qp, hp.kernel_kp))
     slices = [(_head_slice(m, head, d_h), bank) for m, bank in streams]
-    mapped = [_dmk(z, bank, out=z) for z, bank in slices]
+    mapped = [dmk_forward(z, bank, out=z) for z, bank in slices]
     return tuple(t for t, _ in mapped), tuple(r for _, r in mapped)
 
 
@@ -352,8 +341,7 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     """Full block forward; returns (out, BlockDiagnostics).
 
     Channel slices go through per-head kernel/differential banks; head
-    outputs are concatenated back to full width.  With one head this is
-    byte-identical to :func:`dydila_forward`.
+    outputs are concatenated back to full width.
 
     A pass holds the five projections, the output and one head's output:
     each head maps and differences its streams in its slices of the
@@ -377,7 +365,7 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     if params.dwc is None:
         out = np.empty((n, d), dtype=x.dtype)
     else:
-        out = dwc_forward(v, params.grid, params.dwc, use_merged=params.dwc_use_merged)
+        out = dwc_forward(v, params.grid, params.dwc)
     for h_idx in range(params.heads):
         head_out, head_diag = _head_forward(q, k, v, qp, kp, params, h_idx)
         cols = out[:, h_idx * d_h : (h_idx + 1) * d_h]
@@ -388,13 +376,6 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
         del head_out  # before the next head makes its own
         diag.heads.append(head_diag)
     return out, diag
-
-
-def dydila_forward(x: np.ndarray, params: DydilaParams):
-    """Single-head block forward; requires params.heads == 1."""
-    if params.heads != 1:
-        raise ConfigError(f"dydila_forward is the single-head path, got {params.heads} heads")
-    return multihead_forward(x, params)
 
 
 def stack_forward(x: np.ndarray, stack: AttentionStack):
@@ -451,7 +432,7 @@ def extract_attention_row(
     (q_t, k_t, qp_t, kp_t), _ = _kernel_streams(q, k, qp, kp, params, head)
     diff = params.head_params[head].diff
     if impl == "mapwise":
-        lam_map, _ = _mapwise_lambdas(q_t, qp_t, diff)
+        lam_map, _ = _routed_lambdas(q_t, qp_t, diff.lambda_map_router, diff.lambdas)
         shared, routed = matmul(q_t[sel], k_t.T), matmul(qp_t[sel], kp_t.T)
         if params.normalize:
             shared /= _normalizer(q_t[sel], k_t)

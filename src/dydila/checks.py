@@ -16,14 +16,13 @@ exists to prove the suite can fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import (
     AttentionStack,
     dwc_forward,
-    dydila_forward,
     linear_attention,
     multihead_forward,
     reparam_merge,
@@ -274,8 +273,8 @@ def run_checks(cfg: RunConfig) -> list:
     # --- depthwise conv re-parameterization ------------------------------
     if block.dwc is not None:
         merged = reparam_merge(block.dwc)
-        branch = dwc_forward(v, (4, 6), block.dwc, use_merged=False)
-        fused = dwc_forward(v, (4, 6), merged, use_merged=True)
+        branch = dwc_forward(v, (4, 6), replace(block.dwc, merged=None))
+        fused = dwc_forward(v, (4, 6), merged)
         results.append(_result("dwc_reparam_merge", compare(branch, fused, tol["reparam"])))
 
     # --- permutation equivariance (conv off: it is grid-, not set-, local) --
@@ -331,7 +330,7 @@ def _degeneracy_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
         return drawn[key]
 
     params = assemble_stack(single, weight).blocks[0]
-    got, _ = dydila_forward(x, params)
+    got, _ = multihead_forward(x, params)
     p = params.proj
     q, k, v = matmul(x, p.w_q0), matmul(x, p.w_k0), matmul(x, p.w_v0)
     want = matmul(relu(q), matmul(relu(k).T, v))
@@ -352,9 +351,10 @@ def _depth_check(cfg: RunConfig) -> CheckResult:
 
 
 def _permutation_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
-    perm_cfg = cfg.with_overrides(dwc_enabled=False, dwc_use_merged=False, blocks=1)
-    params = _desk_stack(perm_cfg, SeededRng(perm_cfg.seed)).blocks[0]
-    x = rng.tokens(_DESK_TOKENS, perm_cfg.dim, perm_cfg.precision)
+    # The DWC kernel is a block's last draw, so dropping it leaves the rest.
+    params = replace(_desk_stack(cfg.with_overrides(blocks=1), SeededRng(cfg.seed)).blocks[0],
+                     dwc=None)
+    x = rng.tokens(_DESK_TOKENS, cfg.dim, cfg.precision)
     perm = np.random.Generator(np.random.PCG64(cfg.seed + 1)).permutation(x.shape[0])
     out, diag = multihead_forward(x, params)
     out_p, diag_p = multihead_forward(x[perm], params)

@@ -23,8 +23,6 @@ from .routing import Router, route_pair
 
 __all__ = [
     "DifferentialBank",
-    "concat_streams",
-    "select_lambdas",
     "tdo_forward",
     "expand_tokenwise",
     "mapwise_forward",
@@ -77,15 +75,6 @@ class DifferentialBank:
         return len(self.lambdas)
 
 
-def concat_streams(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-concatenate two (n, d) streams into the (n, 2d) routing input."""
-    _check_2d(a, "stream a")
-    _check_2d(b, "stream b")
-    if a.shape != b.shape:
-        raise ContractViolation(f"stream shapes differ: {a.shape} vs {b.shape}")
-    return np.hstack((a, b))
-
-
 def _routed_lambdas(a: np.ndarray, b: np.ndarray, router: Router, lambdas: tuple):
     routes = route_pair(a, b, router)
     table = np.asarray(lambdas, dtype=a.dtype)
@@ -106,25 +95,6 @@ def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
         np.multiply(lam[:, None], routed, out=routed)
         np.subtract(shared, routed, out=routed)
     return q_routed, k_routed, lambdas
-
-
-def _mapwise_lambdas(q_t, q_routed, bank: DifferentialBank):
-    """Per-token map-wise ``(lambda_map, routes)``, routed from the query-stream pair."""
-    return _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
-
-
-def select_lambdas(q_pairs: np.ndarray, k_pairs: np.ndarray, bank: DifferentialBank):
-    """Per-token lambda vectors for the query and key sides.
-
-    `q_pairs`/`k_pairs` are the concatenated (n, 2d) stream rows.  Returns
-    ``(lambda_q, lambda_k)`` as 1-D vectors in the input dtype.
-    """
-    _check_2d(q_pairs, "q_pairs")
-    _check_2d(k_pairs, "k_pairs")
-    d = bank.dim
-    lam_q, _ = _routed_lambdas(q_pairs[:, :d], q_pairs[:, d:], bank.router_q, bank.lambdas)
-    lam_k, _ = _routed_lambdas(k_pairs[:, :d], k_pairs[:, d:], bank.router_k, bank.lambdas)
-    return lam_q, lam_k
 
 
 def _check_streams(q_t, q_routed, k_t, k_routed, v):
@@ -245,7 +215,7 @@ def mapwise_forward(
     Returns ``(out, {"map": (lam_map, RouteAssignment)})``.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    lam_map, routes_map = _mapwise_lambdas(q_t, q_routed, bank)
+    lam_map, routes_map = _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
     shared = matmul(q_t, matmul(k_t.T, v))
     routed = matmul(q_routed, matmul(k_routed.T, v))
     # An overflowed map gives inf - inf here; the block's finiteness check

@@ -228,7 +228,6 @@ def assemble_stack(cfg, weight) -> AttentionStack:
                 head_params=tuple(head_params),
                 grid=(cfg.grid_h, cfg.grid_w),
                 dwc=dwc,
-                dwc_use_merged=cfg.dwc_use_merged,
                 variant=cfg.variant,
                 normalize=cfg.normalize,
             )

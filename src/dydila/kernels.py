@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConfigError, ContractViolation, _check_2d, _focused_map
+from .numerics import ConfigError, _check_2d, _focused_map
 from .routing import RouteAssignment, Router, route_argmax
 
-__all__ = ["KernelBank", "focused_kernel", "focused_rows", "dmk_forward"]
+__all__ = ["KernelBank", "focused_rows", "dmk_forward"]
 
 
 @dataclass(frozen=True)
@@ -74,27 +74,16 @@ def focused_rows(z: np.ndarray, gamma: float) -> np.ndarray:
     return _focused_map(z, np.full(z.shape[0], float(gamma)))
 
 
-def focused_kernel(row: np.ndarray, gamma: float) -> np.ndarray:
-    """Focused map for a single 1-D row; see :func:`focused_rows`."""
-    if not isinstance(row, np.ndarray) or row.ndim != 1:
-        raise ContractViolation(f"focused_kernel expects a 1-D row, got shape {getattr(row, 'shape', None)}")
-    return focused_rows(row[None, :], gamma)[0]
-
-
-def dmk_forward(z: np.ndarray, bank: KernelBank):
+def dmk_forward(z: np.ndarray, bank: KernelBank, out: np.ndarray | None = None):
     """Dynamic measure kernel: route each row to a gamma, apply the focused map.
 
-    Returns ``(out, routes)``; ``z`` is left as it was.  The whole matrix is
-    mapped in one pass with each row's routed gamma; the map is row-local,
-    so row i of the output is ``focused_rows(z[i:i+1], gamma_i)``.  ``z``
-    may be a strided view, such as one head's columns.
+    Returns ``(mapped, routes)``.  The whole matrix is mapped in one pass
+    with each row's routed gamma; the map is row-local, so row i of the
+    output is ``focused_rows(z[i:i+1], gamma_i)``.  ``z`` may be a strided
+    view, such as one head's columns.  ``out`` is None, which makes a fresh
+    array and leaves ``z`` as it was, or ``z`` itself, which maps z in place
+    once its rows are routed.
     """
-    return _dmk(z, bank, out=None)
-
-
-def _dmk(z: np.ndarray, bank: KernelBank, out):
-    """:func:`dmk_forward` with the map written to ``out``: None makes a
-    fresh array, and ``out=z`` maps z in place once its rows are routed."""
     routes = route_argmax(z, bank.router)
     gamma = np.asarray(bank.gammas, dtype=np.float64)[routes.indices]
     return _focused_map(z, gamma, out), routes

@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "PRECISIONS",
     "resolve_dtype",
-    "precision_name",
     "as_matrix",
     "require_finite",
     "matmul",
@@ -621,14 +620,6 @@ def resolve_dtype(precision):
     return dt
 
 
-def precision_name(arr: np.ndarray) -> str:
-    """Inverse of :func:`resolve_dtype` for an array's dtype."""
-    try:
-        return _NAMES[arr.dtype]
-    except KeyError:
-        raise ContractViolation(f"unsupported dtype {arr.dtype}") from None
-
-
 def _check_float(arr: np.ndarray, what: str) -> np.ndarray:
     if not isinstance(arr, np.ndarray):
         raise ContractViolation(f"{what} must be a numpy array, got {type(arr).__name__}")
@@ -654,8 +645,7 @@ def _check_same_dtype(a: np.ndarray, b: np.ndarray) -> None:
 def as_matrix(data, precision="f64") -> np.ndarray:
     """Build a validated 2-D matrix from nested sequences or an array.
 
-    Elements must all be finite; this is the constructor used for anything
-    coming from a config file or an input CSV.
+    Elements must all be finite.
     """
     dt = resolve_dtype(precision)
     arr = np.array(data, dtype=dt)
@@ -772,7 +762,7 @@ def matmul_backend() -> str:
     return "c" if _kernels() else "numpy"
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, *, start: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with per-element left-to-right accumulation.
 
     ``out[i, j] = ((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...`` in ascending
@@ -780,14 +770,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the reference triple loop, so results are reproducible to the bit across
     runs, row subsets, operand layouts and both backends.  The compiled
     kernel runs when it built; otherwise the numpy fallback does.
-    """
-    return _matmul(a, b)
 
-
-def _matmul(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """:func:`matmul`, each sum starting from ``start[i, j]`` instead of +0.
-
-    `start` (C-contiguous, shape (n, m), the operands' dtype) receives the
+    With `start` (C-contiguous, shape (n, m), the operands' dtype) each sum
+    starts from ``start[i, j]`` instead of +0, and `start` receives the
     result.  Resuming ``matmul(a1, b1)`` with ``(a2, b2)`` gives the bits of
     ``matmul(hstack((a1, a2)), vstack((b1, b2)))``: one ascending sum.
     """
@@ -821,7 +806,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np
 
 
 def _matmul_numpy(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """The fallback of :func:`_matmul`: numpy calls per k over row blocks.
+    """The fallback of :func:`matmul`: numpy calls per k over row blocks.
 
     The output rows are processed in blocks with one multiply buffer per
     block; blocking over rows does not touch the per-element order.  Like
@@ -913,18 +898,33 @@ def _dwc(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) -> np.
 
 
 def _dwc_numpy(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) -> np.ndarray:
-    """The fallback of :func:`_dwc`: one numpy pass per tap over a zero-padded copy."""
+    """The fallback of :func:`_dwc`: one numpy pass per tap over blocks of grid rows.
+
+    Each block is copied with a one-pixel zero border (the rows above and
+    below it, or zeros at the grid's edge), so the padded copy and the tap
+    product are one block each; the order is per element, so blocking does
+    not touch the bits.
+    """
     h, w = grid
     n, d = v.shape
     img = v.reshape(h, w, d)
-    padded = np.zeros((h + 2, w + 2, d), dtype=v.dtype)
-    padded[1:-1, 1:-1] = img
-    out = np.zeros_like(img)
-    for di in range(3):
-        for dj in range(3):
-            np.add(out, padded[di : di + h, dj : dj + w] * kernels[:, di, dj], out=out)
-    if identity:
-        out = out + img
+    out = np.zeros((h, w, d), dtype=v.dtype)
+    rows = max(1, min(h, _BLOCK_TARGET_BYTES // max(1, w * d * v.itemsize)))
+    padded = np.zeros((rows + 2, w + 2, d), dtype=v.dtype)
+    tmp = np.empty((rows, w, d), dtype=v.dtype)
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        r = y1 - y0
+        lo, hi = max(y0 - 1, 0), min(y1 + 1, h)
+        padded[...] = 0
+        padded[lo - y0 + 1 : hi - y0 + 1, 1:-1] = img[lo:hi]
+        ob, t = out[y0:y1], tmp[:r]
+        for di in range(3):
+            for dj in range(3):
+                np.multiply(padded[di : di + r, dj : dj + w], kernels[:, di, dj], out=t)
+                np.add(ob, t, out=ob)
+        if identity:
+            np.add(ob, img[y0:y1], out=ob)
     return out.reshape(n, d)
 
 
@@ -1061,21 +1061,16 @@ def row_l2_norm(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-shift so large logits cannot overflow."""
-    _check_2d(m, "softmax_rows operand")
-    return _softmax_rows(m, out=None)
+def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max-shift so large logits cannot overflow.
 
-
-def _softmax_rows(m: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Row softmax of ``m`` written to ``out``.
-
-    ``out`` is ``m`` itself, which keeps an n x n map in the one array its
-    caller made, or None, which makes one fresh array and leaves ``m`` as it
-    was.  Either way the steps are those of the unfused expression: minus
+    ``out`` is None, which makes one fresh array and leaves ``m`` as it was,
+    or ``m`` itself, which keeps an n x n map in the one array its caller
+    made.  Either way the steps are those of the unfused expression: minus
     the row max, numpy's ``exp``, over numpy's (pairwise) row sum, so the
     bits do not depend on ``out``.
     """
+    _check_2d(m, "softmax_rows operand")
     e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     return np.divide(e, np.sum(e, axis=1, keepdims=True), out=e)

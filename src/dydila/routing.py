@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ContractViolation, ConfigError, _check_2d, _matmul, matmul
+from .numerics import ContractViolation, ConfigError, _check_2d, matmul
 
 __all__ = ["Router", "RouteAssignment", "route_argmax", "route_pair"]
 
@@ -98,7 +98,7 @@ def route_pair(a: np.ndarray, b: np.ndarray, router: Router) -> RouteAssignment:
         )
     d = a.shape[1]
     logits = matmul(a, router.weights[:d])
-    return _assign(_matmul(b, router.weights[d:], logits))
+    return _assign(matmul(b, router.weights[d:], start=logits))
 
 
 def _assign(logits: np.ndarray) -> RouteAssignment:

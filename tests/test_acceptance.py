@@ -17,18 +17,17 @@ import pytest
 from dydila.attention import (
     DwcParams,
     dwc_forward,
-    dydila_forward,
     linear_attention,
     multihead_forward,
     reparam_merge,
 )
 from dydila.config import RunConfig
-from dydila.differential import concat_streams, expand_tokenwise, select_lambdas, tdo_forward
+from dydila.differential import expand_tokenwise, tdo_forward
 from dydila.fileio import read_csv, read_pgm
 from dydila.flops import core_crossover, flops_estimate
 from dydila.kernels import dmk_forward, focused_rows
 from dydila.numerics import SeededRng, matmul, relu, row_l2_norm
-from dydila.oracle import compare, explicit_linear_attention, explicit_tdo
+from dydila.oracle import compare, explicit_linear_attention, explicit_tdo, per_token_lambdas
 from dydila.projection import dpm_forward
 
 from conftest import cli_env, make_block, make_diff_bank, make_kernel_bank, make_proj_bank, mat
@@ -78,6 +77,17 @@ def test_c01_linear_reordering_soundness(capsys):
     assert elapsed < budget
 
 
+def _checked_lambdas(lambdas, q_t, qp_t, k_t, kp_t, bank):
+    """tdo_forward's routed ``(lambda_q, lambda_k)``, asserted equal to the
+    routing oracle's on the concatenated stream pairs."""
+    lam_q, lam_k = lambdas["q"][0], lambdas["k"][0]
+    assert np.array_equal(lam_q, per_token_lambdas(np.hstack((q_t, qp_t)), bank.router_q,
+                                                   bank.lambdas))
+    assert np.array_equal(lam_k, per_token_lambdas(np.hstack((k_t, kp_t)), bank.router_k,
+                                                   bank.lambdas))
+    return lam_q, lam_k
+
+
 def test_c02_tdo_reordering_soundness(capsys):
     tol, budget = 1e-10, 10.0
     worst = 0.0
@@ -87,14 +97,9 @@ def test_c02_tdo_reordering_soundness(capsys):
         rng = SeededRng(8000 + i)
         q_t, qp_t, k_t, kp_t, v = (rng.tokens(n, d) for _ in range(5))
         bank = make_diff_bank(8000 + i, d, (0.0, 0.01, 0.1, 1.0))
-        lam_q, lam_k = select_lambdas(
-            concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank
-        )
-        rep = compare(
-            explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k),
-            tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)[0],
-            tol,
-        )
+        got, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        lam_q, lam_k = _checked_lambdas(lambdas, q_t, qp_t, k_t, kp_t, bank)
+        rep = compare(explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k), got, tol)
         worst = max(worst, rep.max_rel_error)
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < budget
@@ -114,11 +119,10 @@ def test_c03_four_term_expansion_identity(capsys):
         rng = SeededRng(9000 + i)
         q_t, qp_t, k_t, kp_t, v = (rng.tokens(n, d) for _ in range(5))
         bank = make_diff_bank(9000 + i, d, (0.0, 0.01, 0.1, 1.0))
-        lam_q, lam_k = select_lambdas(
-            concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank
-        )
+        got, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        lam_q, lam_k = _checked_lambdas(lambdas, q_t, qp_t, k_t, kp_t, bank)
         t1, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
-        rep = compare(tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)[0], t1 - t2 - t3 + t4, tol)
+        rep = compare(got, t1 - t2 - t3 + t4, tol)
         worst = max(worst, rep.max_rel_error)
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < budget
@@ -182,10 +186,15 @@ def test_c05_degeneration_lattice(capsys):
         compare(matmul(x, proj.w_k[0]), kp, tol).max_rel_error,
     )
 
-    # (d) one head through the multi-head path is the single-head path
+    # (d) one head through the multi-head path is the single-head pipeline
     params = make_block(1045, d, (6, 8))
     out_multi, _ = multihead_forward(x, params)
-    out_single, _ = dydila_forward(x, params)
+    q, k, v, qp, kp, _, _ = dpm_forward(x, params.proj)
+    hp = params.head_params[0]
+    q_t, k_t, qp_t, kp_t = (dmk_forward(z, bank)[0] for z, bank in (
+        (q, hp.kernel_q), (k, hp.kernel_k), (qp, hp.kernel_qp), (kp, hp.kernel_kp)))
+    out_single = (tdo_forward(q_t, qp_t, k_t, kp_t, v, hp.diff, params.normalize)[0]
+                  + dwc_forward(v, params.grid, params.dwc))
     errs["heads1==single"] = compare(out_single, out_multi, tol).max_rel_error
 
     worst = max(errs.values())
@@ -208,7 +217,7 @@ def test_c06_dwc_reparameterization(capsys):
                 identity_branch=True,
             )
             branch = dwc_forward(v, grids, dwc)
-            fused = dwc_forward(v, grids, reparam_merge(dwc), use_merged=True)
+            fused = dwc_forward(v, grids, reparam_merge(dwc))
             worst[precision] = max(worst[precision], compare(branch, fused, tol).max_rel_error)
     ok = worst["f64"] <= tols["f64"] and worst["f32"] <= tols["f32"]
     _report(capsys, "c06 conv reparameterization", ok,

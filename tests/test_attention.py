@@ -14,7 +14,6 @@ from dydila.attention import (
     HeadDiagnostics,
     HeadParams,
     dwc_forward,
-    dydila_forward,
     extract_attention_row,
     linear_attention,
     multihead_forward,
@@ -208,7 +207,7 @@ class TestDwc:
         dwc = DwcParams(kernels=mat(22, 32, 9).reshape(32, 3, 3), identity_branch=True)
         merged = reparam_merge(dwc)
         branch = dwc_forward(v, (8, 8), dwc)
-        fused = dwc_forward(v, (8, 8), merged, use_merged=True)
+        fused = dwc_forward(v, (8, 8), merged)
         assert_close(fused, branch, 1e-12, "merged == branch + identity")
 
     def test_merged_kernel_center_tap(self):
@@ -224,10 +223,16 @@ class TestDwc:
         with pytest.raises(ConfigError, match="merged"):
             DwcParams(kernels=kernels, identity_branch=True, merged=bad)
 
-    def test_use_merged_requires_merge(self):
-        dwc = DwcParams(kernels=np.zeros((2, 3, 3)), identity_branch=True)
-        with pytest.raises(ConfigError, match="reparam_merge"):
-            dwc_forward(mat(0, 4, 2), (2, 2), dwc, use_merged=True)
+    def test_merged_kernel_runs_when_present(self):
+        # bit for bit the merged kernel alone, whose bits differ from the
+        # branch kernel plus the identity
+        v = mat(27, 64, 32)
+        merged = reparam_merge(DwcParams(kernels=mat(28, 32, 9).reshape(32, 3, 3),
+                                         identity_branch=True))
+        want = explicit_dwc(v, (8, 8), merged.merged, identity_branch=False)
+        assert np.array_equal(bits(dwc_forward(v, (8, 8), merged)), bits(want))
+        branch = explicit_dwc(v, (8, 8), merged.kernels, identity_branch=True)
+        assert not np.array_equal(bits(branch), bits(want))
 
     def test_grid_mismatch(self):
         dwc = DwcParams(kernels=np.zeros((2, 3, 3)), identity_branch=True)
@@ -251,7 +256,7 @@ def test_compiled_dwc_matches_fallback_and_oracle(grid, d, mode):
         kernels = params.merged if mode == "merged" else params.kernels
         wide = mat(h + d, h * w, d + 3, precision)
         for v in (np.ascontiguousarray(wide[:, 2:2 + d]), wide[:, 2:2 + d]):
-            got = dwc_forward(v, grid, params, use_merged=mode == "merged")
+            got = dwc_forward(v, grid, params)
             want = numerics._dwc_numpy(v, grid, kernels, mode == "identity")
             assert np.array_equal(bits(got), bits(want)), (precision, v.flags.c_contiguous)
             if precision == "f64" and h * w * d < 64 * 64 * 384:
@@ -297,7 +302,7 @@ class TestDydilaForward:
     def test_full_degeneration_to_relu_linear_numerator(self):
         x = mat(23, 24, 8)
         params = _degenerate_block(8, 100)
-        out, _ = dydila_forward(x, params)
+        out, _ = multihead_forward(x, params)
         q = matmul(x, params.proj.w_q0)
         k = matmul(x, params.proj.w_k0)
         v = matmul(x, params.proj.w_v0)
@@ -325,7 +330,7 @@ class TestDydilaForward:
             dwc=DwcParams(kernels=np.zeros((d, 3, 3)), identity_branch=True),
         )
         x = mat(31, 24, d)
-        out, _ = dydila_forward(x, params)
+        out, _ = multihead_forward(x, params)
         assert np.array_equal(out, matmul(x, w_v0))
 
     @pytest.mark.parametrize("variant", ["token-wise", "map-wise"])
@@ -333,7 +338,7 @@ class TestDydilaForward:
     def test_matches_composed_oracle(self, variant, normalize):
         params = make_block(200, 8, (4, 6), variant=variant, normalize=normalize)
         x = mat(32, 24, 8)
-        out, _ = dydila_forward(x, params)
+        out, _ = multihead_forward(x, params)
         assert_close(out, pipeline_oracle(x, params), 1e-10,
                      f"{variant} normalize={normalize}")
 
@@ -342,7 +347,7 @@ class TestDydilaForward:
         x = mat(33, 24, 8)
         for variant, names in (("token-wise", ["q", "k"]), ("map-wise", ["map"])):
             params = make_block(201, 8, (4, 6), variant=variant)
-            _, diag = dydila_forward(x, params)
+            _, diag = multihead_forward(x, params)
             assert diag.routes_proj_q.indices.shape == (24,)
             head = diag.heads[0]
             assert list(head.lambdas) == names
@@ -357,24 +362,29 @@ class TestDydilaForward:
                  for vals in ([1e16, 1.0], [-1e16, 1.0])]
         assert BlockDiagnostics(None, None, heads).lambda_means() == {"map": 0.5}
 
-    def test_rejects_multihead_params(self):
-        params = make_block(202, 8, (4, 6), heads=2)
-        with pytest.raises(ConfigError, match="single-head"):
-            dydila_forward(mat(0, 24, 8), params)
-
     def test_grid_must_tile_input_when_dwc_on(self):
         params = make_block(203, 8, (4, 6))
         with pytest.raises(ContractViolation, match="tile"):
-            dydila_forward(mat(0, 20, 8), params)
+            multihead_forward(mat(0, 20, 8), params)
 
 
 class TestMultihead:
     def test_single_head_is_byte_identical_to_dydila(self):
+        # one head through the multi-head path is the DyDiLA pipeline
+        # composed from its public stages
+        from dydila.differential import tdo_forward
+        from dydila.kernels import dmk_forward
+        from dydila.projection import dpm_forward
+
         params = make_block(300, 8, (4, 6))
         x = mat(34, 24, 8)
-        out_a, _ = dydila_forward(x, params)
-        out_b, _ = multihead_forward(x, params)
-        assert out_a.tobytes() == out_b.tobytes()
+        out, _ = multihead_forward(x, params)
+        q, k, v, qp, kp, _, _ = dpm_forward(x, params.proj)
+        hp = params.head_params[0]
+        q_t, k_t, qp_t, kp_t = (dmk_forward(z, bank)[0] for z, bank in (
+            (q, hp.kernel_q), (k, hp.kernel_k), (qp, hp.kernel_qp), (kp, hp.kernel_kp)))
+        want = tdo_forward(q_t, qp_t, k_t, kp_t, v, hp.diff)[0] + dwc_forward(v, (4, 6), params.dwc)
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("heads", [2, 4])
     def test_matches_per_head_loop(self, heads):
@@ -437,6 +447,65 @@ class TestMultihead:
                 head_params=(make_block(312, 8, (4, 6)).head_params[0],) * 2,
                 grid=(4, 6),
             )
+
+
+class TestStagesThroughPublicBindings:
+    """The block reaches each stage through the public function that the
+    tests hold against the oracles, looked up at the calling module's
+    binding."""
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, log):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            log.append((name, args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_kernel_map_maps_each_head_slice_in_place(self, monkeypatch, heads):
+        import dydila.attention
+
+        d = 8
+        block = make_block(330 + heads, d, (4, 6), heads=heads)
+        log = []
+        self._spy(monkeypatch, dydila.attention, "dmk_forward", log)
+        stack_forward(mat(47, 24, d), AttentionStack(blocks=(block, block)))
+        assert len(log) == 2 * 4 * heads
+        banks = [bank for hp in block.head_params
+                 for bank in (hp.kernel_q, hp.kernel_k, hp.kernel_qp, hp.kernel_kp)]
+        for (_, (z, bank), kwargs), want in zip(log, banks * 2):
+            assert bank is want
+            assert kwargs["out"] is z and z.shape == (24, d // heads) and z.base is not None
+
+    def test_softmax_normalizes_the_map_in_place(self, monkeypatch):
+        import dydila.attention
+
+        log = []
+        self._spy(monkeypatch, dydila.attention, "softmax_rows", log)
+        q, k, v = mat(48, 9, 5), mat(49, 12, 5), mat(50, 12, 3)
+        softmax_attention(q, k, v)
+        assert len(log) == 1
+        _, (m,), kwargs = log[0]
+        assert kwargs["out"] is m and m.shape == (9, 12)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_route_pair_resumes_its_logits_through_matmul(self, monkeypatch, heads):
+        import dydila.differential
+        import dydila.routing
+
+        log = []
+        self._spy(monkeypatch, dydila.differential, "route_pair", log)
+        self._spy(monkeypatch, dydila.routing, "matmul", log)
+        multihead_forward(mat(51, 24, 8), make_block(340 + heads, 8, (4, 6), heads=heads))
+        pairs = [i for i, (name, _, _) in enumerate(log) if name == "route_pair"]
+        assert len(pairs) == 2 * heads
+        for i in pairs:
+            (_, _, kw1), (_, _, kw2) = log[i + 1], log[i + 2]
+            assert "start" not in kw1 and kw2["start"] is not None
+        assert sum("start" in kwargs for _, _, kwargs in log) == 2 * heads
 
 
 class TestStack:
@@ -576,12 +645,11 @@ class TestBlockWorkingSet:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_peak_is_about_eight_n_by_d_arrays(self, heads, dwc):
         # tracemalloc sees numpy's data buffers.  Measured: 7.0-7.3 n x d
-        # arrays on the compiled backend; 7.5 on the numpy one, 8.1 with its
-        # DWC, which pads a copy of v and makes one product per tap while
-        # the five projections are live; the row blocks of its focused map
-        # and its matmul's multiply buffer add about 1 and 0.25 MiB.  The
-        # fresh streams of the parent took 13.3 arrays at one head and
-        # 10.5 at two.
+        # arrays on the compiled backend; 7.5-7.6 on the numpy one, with or
+        # without its DWC, which pads and multiplies over blocks of grid
+        # rows; the row blocks of its focused map and its matmul's multiply
+        # buffer add about 1 and 0.25 MiB.  Fresh streams per head took 13.3
+        # arrays at one head and 10.5 at two.
         params = make_block(606, 128, (64, 64), heads=heads, dwc=dwc, normalize=True)
         x = mat(46, 64 * 64, 128)
         numerics.matmul_backend()  # load the kernels before tracing
@@ -591,7 +659,7 @@ class TestBlockWorkingSet:
             arrays = tracemalloc.get_traced_memory()[1] / x.nbytes
         finally:
             tracemalloc.stop()
-        assert arrays <= 8.5, arrays
+        assert arrays <= 7.8, arrays
 
 
 class TestPermutationEquivariance:

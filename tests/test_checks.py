@@ -15,8 +15,8 @@ from dydila.numerics import SeededRng
 from dydila.routing import route_argmax, route_pair
 
 
-def _dmk_next_gamma(z, bank, out):
-    """kernels._dmk, but each routed row gets the next candidate's gamma."""
+def _dmk_next_gamma(z, bank, out=None):
+    """kernels.dmk_forward, but each routed row gets the next candidate's gamma."""
     routes = route_argmax(z, bank.router)
     mapped = np.zeros_like(z)
     n = bank.n_factors
@@ -38,7 +38,7 @@ def _routed_next_lambda(a, b, router, lambdas):
 
 
 @pytest.mark.parametrize("module, name, mutant", [
-    (dydila.attention, "_dmk", _dmk_next_gamma),
+    (dydila.attention, "dmk_forward", _dmk_next_gamma),
     (dydila.differential, "_routed_lambdas", _routed_next_lambda),
 ], ids=["gamma", "lambda"])
 @pytest.mark.parametrize("precision", ["f64", "f32"])

@@ -6,10 +6,8 @@ from dydila.differential import (
     DifferentialBank,
     _floor_denominator,
     _normalizer,
-    concat_streams,
     expand_tokenwise,
     mapwise_forward,
-    select_lambdas,
     tdo_forward,
 )
 from dydila.numerics import ContractViolation, ConfigError, matmul
@@ -23,11 +21,24 @@ def _streams(seed, n, d):
     return tuple(mat(seed + i, n, d) for i in range(5))  # q_t, qp_t, k_t, kp_t, v
 
 
+def _routed_lambdas(q_t, qp_t, k_t, kp_t, bank):
+    """The per-token ``(lambda_q, lambda_k)`` that tdo_forward routes and returns."""
+    v = np.zeros((q_t.shape[0], 1), dtype=q_t.dtype)
+    _, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
+    return lambdas["q"][0], lambdas["k"][0]
+
+
+def _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank):
+    """Per-token ``(lambda_q, lambda_k)`` from the routing oracle on the concatenated pairs."""
+    return (per_token_lambdas(np.hstack((q_t, qp_t)), bank.router_q, bank.lambdas),
+            per_token_lambdas(np.hstack((k_t, kp_t)), bank.router_k, bank.lambdas))
+
+
 class TestSelectLambdas:
     def test_single_factor(self):
         q_t, qp_t, k_t, kp_t, _ = _streams(0, 10, 4)
         bank = make_diff_bank(1, 4, [0.25])
-        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        lam_q, lam_k = _routed_lambdas(q_t, qp_t, k_t, kp_t, bank)
         assert np.array_equal(lam_q, np.full(10, 0.25))
         assert np.array_equal(lam_k, np.full(10, 0.25))
 
@@ -39,7 +50,7 @@ class TestSelectLambdas:
             lambdas=(0.1, 0.9),
             router_q=router, router_k=router, lambda_map_router=router,
         )
-        lam_q, lam_k = select_lambdas(pairs, pairs, bank)
+        lam_q, lam_k = _routed_lambdas(pairs[:, :1], pairs[:, 1:], pairs[:, :1], pairs[:, 1:], bank)
         assert np.array_equal(lam_q, [0.1, 0.9])
         assert np.array_equal(lam_k, [0.1, 0.9])
 
@@ -47,7 +58,8 @@ class TestSelectLambdas:
         for seed in range(4):
             pairs = mat(seed, 30, 8)
             bank = make_diff_bank(seed + 40, 4, [0.0, 0.01, 0.05, 0.1])
-            lam_q, lam_k = select_lambdas(pairs, pairs, bank)
+            lam_q, lam_k = _routed_lambdas(pairs[:, :4], pairs[:, 4:], pairs[:, :4], pairs[:, 4:],
+                                           bank)
             assert np.array_equal(lam_q, per_token_lambdas(pairs, bank.router_q, bank.lambdas))
             assert np.array_equal(lam_k, per_token_lambdas(pairs, bank.router_k, bank.lambdas))
 
@@ -69,7 +81,7 @@ class TestTdoForward:
     def test_reordering_matches_explicit_map(self, seed):
         q_t, qp_t, k_t, kp_t, v = _streams(seed + 10, 24, 8)
         bank = make_diff_bank(seed + 90, 8, [0.0, 0.01, 0.05, 0.1, 1.0])
-        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        lam_q, lam_k = _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank)
         want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
         got, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
         assert_close(got, want, 1e-10, "tdo reordering")
@@ -79,7 +91,7 @@ class TestTdoForward:
     def test_normalized_matches_explicit_map(self):
         q_t, qp_t, k_t, kp_t, v = _streams(20, 20, 6)
         bank = make_diff_bank(21, 6, [0.01, 0.1])
-        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        lam_q, lam_k = _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank)
         want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k, normalize=True)
         got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
         assert_close(got, want, 1e-10, "normalized tdo")
@@ -92,7 +104,7 @@ class TestTdoForward:
         q_t, qp_t, k_t, kp_t, v = (wide[:, 6 * i : 6 * (i + 1)] for i in range(5))
         bank = make_diff_bank(23, 6, [0.01, 0.1, 0.5])
         before = wide.tobytes()
-        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        lam_q, lam_k = _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank)
         got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=normalize)
         assert wide.tobytes() == before
         want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k, normalize=normalize)
@@ -125,7 +137,7 @@ class TestExpansion:
     def test_four_term_identity(self, seed):
         q_t, qp_t, k_t, kp_t, v = _streams(seed + 40, 20, 6)
         bank = make_diff_bank(seed + 140, 6, [0.0, 0.02, 0.1])
-        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        lam_q, lam_k = _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank)
         t1, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
         got, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
         assert_close(got, t1 - t2 - t3 + t4, 1e-12, "bilinear expansion")
@@ -187,7 +199,7 @@ class TestMapwise:
         # tdo - mapwise == -t2 - t3 + t4 + lam_map ⊙ q_routed (k_routed^T v)
         q_t, qp_t, k_t, kp_t, v = _streams(80, 20, 6)
         bank = make_diff_bank(81, 6, [0.03, 0.09])
-        lam_q, lam_k = select_lambdas(concat_streams(q_t, qp_t), concat_streams(k_t, kp_t), bank)
+        lam_q, lam_k = _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank)
         tdo, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
         mapw, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
         lam_map = lambdas["map"][0]
@@ -252,7 +264,3 @@ class TestBankValidation:
                 router_k=Router(np.zeros((7, 1))),
                 lambda_map_router=Router(np.zeros((7, 1))),
             )
-
-    def test_concat_streams_shape(self):
-        with pytest.raises(ContractViolation, match="differ"):
-            concat_streams(mat(0, 4, 3), mat(0, 4, 2))

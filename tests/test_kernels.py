@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dydila.numerics as numerics
-from dydila.kernels import KernelBank, dmk_forward, focused_kernel, focused_rows
+from dydila.kernels import KernelBank, dmk_forward, focused_rows
 from dydila.numerics import PRECISIONS, ContractViolation, ConfigError, relu, row_l2_norm
 from dydila.oracle import naive_focused_row, per_token_kernel
 from dydila.routing import Router
@@ -34,19 +34,19 @@ def _awkward(seed, n, d, precision="f64"):
 
 class TestFocusedKernel:
     def test_gamma_one_is_exact_relu(self):
-        row = np.array([3.0, 4.0])
-        assert np.array_equal(focused_kernel(row, 1.0), [3.0, 4.0])
+        row = np.array([[3.0, 4.0]])
+        assert np.array_equal(focused_rows(row, 1.0), [[3.0, 4.0]])
         z = mat(0, 50, 8)
         assert np.array_equal(focused_rows(z, 1.0), relu(z))
 
     def test_hand_value_gamma_three(self):
         # relu([3,4])^3 = [27,64]; restored to norm 5: 5/sqrt(27^2+64^2) * [27,64]
-        want = np.array([27.0, 64.0]) * (5.0 / np.sqrt(27.0**2 + 64.0**2))
-        assert_close(focused_kernel(np.array([3.0, 4.0]), 3.0), want, 1e-14, "gamma=3 example")
+        want = np.array([[27.0, 64.0]]) * (5.0 / np.sqrt(27.0**2 + 64.0**2))
+        assert_close(focused_rows(np.array([[3.0, 4.0]]), 3.0), want, 1e-14, "gamma=3 example")
 
     def test_all_negative_row_maps_to_zero(self):
-        out = focused_kernel(np.array([-1.0, -2.0, 0.0]), 3.0)
-        assert np.array_equal(out, [0.0, 0.0, 0.0])
+        out = focused_rows(np.array([[-1.0, -2.0, 0.0]]), 3.0)
+        assert np.array_equal(out, [[0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0, 8.0])
     def test_norm_preserved(self, gamma):
@@ -108,10 +108,6 @@ class TestFocusedKernel:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ConfigError, match="gamma"):
             focused_rows(mat(0, 2, 2), 0.0)
-
-    def test_requires_1d_row(self):
-        with pytest.raises(ContractViolation, match="1-D"):
-            focused_kernel(np.zeros((2, 2)), 1.0)
 
 
 class TestDmkForward:

@@ -166,13 +166,13 @@ class TestMatmul:
         split, inner = 130, 300
         a, b = mat(m, 11, inner, precision), mat(m + 1, inner, m, precision)
         start = matmul(a[:, :split], b[:split])
-        got = numerics._matmul(a[:, split:], b[split:], start)
+        got = matmul(a[:, split:], b[split:], start=start)
         assert got is start
         assert np.array_equal(bits(got), bits(matmul(a, b)))
         if precision == "f64":
             assert np.array_equal(got, _want(a, b))
         zeros = np.full((3, m), -0.0, dtype=a.dtype)
-        numerics._matmul(np.full((3, 5), -0.0, dtype=a.dtype), np.ones((5, m), dtype=a.dtype), zeros)
+        matmul(np.full((3, 5), -0.0, dtype=a.dtype), np.ones((5, m), dtype=a.dtype), start=zeros)
         assert not zeros.any() and np.signbit(zeros).all()
 
     def test_resumed_sum_rejects_a_bad_start(self):
@@ -180,7 +180,7 @@ class TestMatmul:
         for start in (np.zeros((4, 3)), np.zeros((4, 2), dtype=np.float32),
                       np.zeros((2, 4)).T):
             with pytest.raises(ContractViolation, match="start"):
-                numerics._matmul(a, b, start)
+                matmul(a, b, start=start)
 
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
     @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -418,7 +418,7 @@ class TestMatmulCompiled(TestMatmul):
             assert not zeros.any() and not np.signbit(zeros).any()
             a, b = mat(n + 7, n, 300, precision), mat(n + 8, 300, nr + 5, precision)
             start = matmul(a[:, :130], b[:130])
-            assert np.array_equal(bits(numerics._matmul(a[:, 130:], b[130:], start)),
+            assert np.array_equal(bits(matmul(a[:, 130:], b[130:], start=start)),
                                   bits(matmul(a, b)))
 
     def test_threads_share_no_packing_buffers(self):
