@@ -172,6 +172,12 @@ MUTANTS = (
              "return _tdo(q_t, q_routed.copy(), k_t, k_routed.copy(), v, bank, normalize)",
              "return _tdo(q_t, q_routed, k_t, k_routed, v, bank, normalize)"),),
            BLOCK_TESTS),
+    # the config schema's kinds
+    Mutant("config_bool_passes_as_a_finite_number",
+           (("src/dydila/config.py",
+             "number = isinstance(value, (int, float)) and not isinstance(value, bool)",
+             "number = isinstance(value, (int, float))"),),
+           ("tests/test_config.py",)),
     # one order swap in each numpy fallback
     Mutant("fallback_matmul_descending_k",
            ((NUMERICS, "        for k in range(inner):\n", "        for k in reversed(range(inner)):\n"),),

@@ -20,6 +20,7 @@ from .bench import BENCH_CSV_HEADER, BenchResourceError, bench_run, grid_for
 from .checks import format_results, run_checks
 from .config import RunConfig, init_params, load_config, save_config
 from .fileio import (
+    fmt_cell,
     fmt_float,
     load_tokens_csv,
     save_weights_blob,
@@ -66,7 +67,7 @@ def _emit_csv(path, header, rows) -> None:
     else:
         print(",".join(header))
         for row in rows:
-            print(",".join(str(c) if isinstance(c, (str, int)) else fmt_float(c) for c in row))
+            print(",".join(fmt_cell(c) for c in row))
 
 
 def _seq_list(text: str) -> list:
@@ -253,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="token CSV (default: seeded random tokens)")
     p.add_argument("--block", type=int, default=0, help="block index")
     p.add_argument("--query-index", type=int, default=0)
-    p.add_argument("--impl", default="dydila",
-                   choices=("softmax", "linear", "focused", "dydila", "mapwise"))
+    p.add_argument("--impl", default="dydila", choices=IMPLEMENTATIONS)
     p.add_argument("--head", type=int, default=0)
     p.add_argument("--out", required=True, metavar="BASE", help="writes BASE.csv and BASE.pgm")
     p.set_defaults(func=_cmd_dump_attn)

@@ -1,7 +1,8 @@
 """Run configuration: schema, presets, validation, and parameter init.
 
 Configs are flat JSON with two nested groups (`grid`, `dwc`).  Unknown
-fields are rejected so typos fail loudly.  The three presets pin model dim
+fields are rejected so typos fail loudly, and a value of the wrong kind is
+rejected by its field's name.  The three presets pin model dim
 and bank sizes; overriding a pinned field under a named preset is an error
 (use preset "custom").
 """
@@ -9,13 +10,14 @@ and bank sizes; overriding a pinned field under a named preset is an error
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .attention import AttentionStack, VARIANTS
 from .fileio import assemble_stack
-from .numerics import ConfigError, SeededRng
+from .numerics import PRECISIONS, ConfigError, SeededRng
 
 __all__ = [
     "PRESETS",
@@ -41,194 +43,165 @@ _SCHEDULE_LO = 0.2
 _SCHEDULE_HI = 0.8
 
 
+def _positive_int(value, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _non_negative_int(value, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _finite(value, name: str) -> None:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # NaN, the infinities and integers past the float range all fail the bound
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _bool(value, name: str) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean, got {value!r}")
+
+
+def _choice(*choices):
+    def check(value, name: str) -> None:
+        if value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+    return check
+
+
+def _schedule(value, name: str) -> None:
+    if isinstance(value, (list, tuple)):
+        for lam in value:
+            _finite(lam, f"{name} entry")
+    elif value not in ("constant", "increasing"):
+        raise ConfigError(f"{name} must be 'constant', 'increasing' or a list, got {value!r}")
+
+
+def _field(default, kind, place=None):
+    """A config field: its default, the check of its kind, and its JSON place,
+    a ``(group, key)`` pair for the nested groups or None for a top-level key."""
+    return field(default=default, metadata={"kind": kind, "place": place})
+
+
+# The fields a named preset pins, in the order of PRESETS' tuples.
+_PINNED = ("dim", "n_projectors", "n_kernel_factors", "n_lambda_factors")
+# A file that gives `grid` names both sides; `dwc` keys may be left out.
+_WHOLE_GROUPS = ("grid",)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved, validated run settings."""
+    """Resolved, validated run settings.
 
-    preset: str = "small"
-    dim: int = 384
-    heads: int = 1
-    blocks: int = _DEPTH
-    n_projectors: int = 3
-    n_kernel_factors: int = 9
-    n_lambda_factors: int = 9
-    gamma_init: float = 3.0
-    lambda_init: float = 0.01
-    lambda_schedule: object = "constant"  # "constant" | "increasing" | list of floats
-    grid_h: int = 8
-    grid_w: int = 8
-    seed: int = 0
-    precision: str = "f64"
-    variant: str = "token-wise"
+    Each field declares its default, its kind and its JSON place once;
+    validation, ``to_dict`` and ``from_dict`` all read those declarations.
+    """
+
+    preset: str = _field("small", _choice(*PRESETS, "custom"))
+    dim: int = _field(384, _positive_int)
+    heads: int = _field(1, _positive_int)
+    blocks: int = _field(_DEPTH, _positive_int)
+    n_projectors: int = _field(3, _positive_int)
+    n_kernel_factors: int = _field(9, _positive_int)
+    n_lambda_factors: int = _field(9, _positive_int)
+    gamma_init: float = _field(3.0, _finite)
+    lambda_init: float = _field(0.01, _finite)
+    # "constant" | "increasing" | one float per block
+    lambda_schedule: object = _field("constant", _schedule)
+    grid_h: int = _field(8, _positive_int, ("grid", "h"))
+    grid_w: int = _field(8, _positive_int, ("grid", "w"))
+    seed: int = _field(0, _non_negative_int)
+    precision: str = _field("f64", _choice(*PRECISIONS))
+    variant: str = _field("token-wise", _choice(*VARIANTS))
     # The unnormalized differential stack is scale-unstable under random
     # weights at depth (each block's output is cubic in its input scale), so
     # runnable configs default to the normalized form; the algebraic
     # identities in the tests pass normalize=False explicitly.
-    normalize: bool = True
-    dwc_enabled: bool = True
-    dwc_identity_branch: bool = True
-    dwc_use_merged: bool = False
-    inject_fault: bool = False
+    normalize: bool = _field(True, _bool)
+    dwc_enabled: bool = _field(True, _bool, ("dwc", "enabled"))
+    dwc_identity_branch: bool = _field(True, _bool, ("dwc", "identity_branch"))
+    dwc_use_merged: bool = _field(False, _bool, ("dwc", "use_merged"))
+    inject_fault: bool = _field(False, _bool)
 
     def __post_init__(self):
-        if self.preset not in (*PRESETS, "custom"):
-            raise ConfigError(f"unknown preset {self.preset!r}")
+        for f in fields(self):
+            f.metadata["kind"](getattr(self, f.name), ".".join(f.metadata["place"] or (f.name,)))
         if self.preset in PRESETS:
-            pins = dict(
-                zip(("dim", "n_projectors", "n_kernel_factors", "n_lambda_factors"),
-                    PRESETS[self.preset])
-            )
-            for name, pinned in pins.items():
+            for name, pinned in zip(_PINNED, PRESETS[self.preset]):
                 got = getattr(self, name)
                 if got != pinned:
                     raise ConfigError(
                         f"preset {self.preset!r} pins {name}={pinned}, got {got}; "
                         f"use preset 'custom' to override"
                     )
-        _positive_int(self.dim, "dim")
-        _positive_int(self.heads, "heads")
-        _positive_int(self.blocks, "blocks")
-        _positive_int(self.n_projectors, "n_projectors")
-        _positive_int(self.n_kernel_factors, "n_kernel_factors")
-        _positive_int(self.n_lambda_factors, "n_lambda_factors")
-        _positive_int(self.grid_h, "grid.h")
-        _positive_int(self.grid_w, "grid.w")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if not (float(self.gamma_init) > 0):
+        if not self.gamma_init > 0:
             raise ConfigError(f"gamma_init must be > 0, got {self.gamma_init}")
-        if not np.isfinite(self.lambda_init):
-            raise ConfigError(f"lambda_init must be finite, got {self.lambda_init}")
-        sched = self.lambda_schedule
-        if isinstance(sched, str):
-            if sched not in ("constant", "increasing"):
-                raise ConfigError(
-                    f"lambda_schedule must be 'constant', 'increasing' or a list, got {sched!r}"
-                )
-        elif isinstance(sched, (list, tuple)):
-            if len(sched) != self.blocks:
-                raise ConfigError(
-                    f"lambda_schedule list has {len(sched)} entries for {self.blocks} blocks"
-                )
-            for lam in sched:
-                if not np.isfinite(float(lam)):
-                    raise ConfigError(f"lambda_schedule entry {lam!r} is not finite")
-        else:
-            raise ConfigError(f"bad lambda_schedule type {type(sched).__name__}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("normalize", "dwc_enabled", "dwc_identity_branch", "dwc_use_merged",
-                     "inject_fault"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a boolean")
+        if isinstance(self.lambda_schedule, (list, tuple)):
+            if len(self.lambda_schedule) != self.blocks:
+                raise ConfigError(f"lambda_schedule list has {len(self.lambda_schedule)} "
+                                  f"entries for {self.blocks} blocks")
+            # kept as floats in a tuple, so the config stays hashable
+            object.__setattr__(self, "lambda_schedule",
+                               tuple(float(lam) for lam in self.lambda_schedule))
         if self.dwc_use_merged and not self.dwc_enabled:
-            raise ConfigError("dwc_use_merged requires dwc_enabled")
+            raise ConfigError("dwc.use_merged requires dwc.enabled")
 
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
 
     def to_dict(self) -> dict:
-        sched = self.lambda_schedule
-        if isinstance(sched, tuple):
-            sched = list(sched)
-        return {
-            "preset": self.preset,
-            "dim": self.dim,
-            "heads": self.heads,
-            "blocks": self.blocks,
-            "n_projectors": self.n_projectors,
-            "n_kernel_factors": self.n_kernel_factors,
-            "n_lambda_factors": self.n_lambda_factors,
-            "gamma_init": self.gamma_init,
-            "lambda_init": self.lambda_init,
-            "lambda_schedule": sched,
-            "grid": {"h": self.grid_h, "w": self.grid_w},
-            "seed": self.seed,
-            "precision": self.precision,
-            "variant": self.variant,
-            "normalize": self.normalize,
-            "dwc": {
-                "enabled": self.dwc_enabled,
-                "identity_branch": self.dwc_identity_branch,
-                "use_merged": self.dwc_use_merged,
-            },
-            "inject_fault": self.inject_fault,
-        }
+        """The JSON layout: fields in declaration order, each nested group
+        placed where its first field is declared."""
+        out = {}
+        for f in fields(self):
+            group, key = f.metadata["place"] or (None, f.name)
+            value = getattr(self, f.name)
+            (out.setdefault(group, {}) if group else out)[key] = (
+                list(value) if isinstance(value, tuple) else value)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        data = dict(data)
-        kwargs = {}
-
-        preset = data.pop("preset", "small")
-        kwargs["preset"] = preset
-        if preset in PRESETS:
-            # fill pinned fields so they may be omitted in the file
-            for name, pinned in zip(
-                ("dim", "n_projectors", "n_kernel_factors", "n_lambda_factors"), PRESETS[preset]
-            ):
-                kwargs[name] = data.pop(name, pinned)
-        grid = data.pop("grid", None)
-        if grid is not None:
-            grid = dict(grid)
-            kwargs["grid_h"] = _nested_int(grid, "h", "grid")
-            kwargs["grid_w"] = _nested_int(grid, "w", "grid")
-            _reject_unknown(grid, "grid")
-        dwc = data.pop("dwc", None)
-        if dwc is not None:
-            dwc = dict(dwc)
-            for src, dst in (
-                ("enabled", "dwc_enabled"),
-                ("identity_branch", "dwc_identity_branch"),
-                ("use_merged", "dwc_use_merged"),
-            ):
-                if src in dwc:
-                    kwargs[dst] = dwc.pop(src)
-            _reject_unknown(dwc, "dwc")
-        for name in (
-            "dim", "heads", "blocks", "n_projectors", "n_kernel_factors", "n_lambda_factors",
-            "gamma_init", "lambda_init", "lambda_schedule", "seed", "precision", "variant",
-            "normalize", "inject_fault",
-        ):
-            if name in data:
-                kwargs[name] = data.pop(name)
-        _reject_unknown(data, "config")
-        if isinstance(kwargs.get("lambda_schedule"), list):
-            kwargs["lambda_schedule"] = tuple(float(x) for x in kwargs["lambda_schedule"])
+        data = _object(data, "config")
+        preset = data.get("preset", "small")
+        # a named preset fills its pinned fields, so a file may omit them
+        pins = PRESETS[preset] if isinstance(preset, str) and preset in PRESETS else ()
+        kwargs = dict(zip(_PINNED, pins))
+        groups = {}
+        for f in fields(cls):
+            group, key = f.metadata["place"] or (None, f.name)
+            if group in data:
+                groups[group] = _object(data.pop(group), group)
+            source = groups.get(group, {}) if group else data
+            if key in source:
+                kwargs[f.name] = source.pop(key)
+            elif group in groups and group in _WHOLE_GROUPS:
+                raise ConfigError(f"missing {group}.{key}")
+        for where, leftover in (*groups.items(), ("config", data)):
+            if leftover:
+                bad = ", ".join(sorted(str(k) for k in leftover))
+                raise ConfigError(f"unknown {where} field(s): {bad}")
         return cls(**kwargs)
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """Replace fields; overriding a preset-pinned dim/bank size flips to custom."""
-        pinned = {"dim", "n_projectors", "n_kernel_factors", "n_lambda_factors"}
         if self.preset in PRESETS and any(
-            name in pinned and overrides[name] != getattr(self, name) for name in overrides
+            name in overrides and overrides[name] != getattr(self, name) for name in _PINNED
         ):
             overrides.setdefault("preset", "custom")
         return replace(self, **overrides)
 
 
-def _positive_int(value, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _nested_int(group: dict, key: str, where: str):
-    if key not in group:
-        raise ConfigError(f"missing {where}.{key}")
-    return group.pop(key)
-
-
-def _reject_unknown(leftover: dict, where: str) -> None:
-    if leftover:
-        bad = ", ".join(sorted(str(k) for k in leftover))
-        raise ConfigError(f"unknown {where} field(s): {bad}")
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
 
 
 def load_config(path) -> RunConfig:

@@ -29,6 +29,7 @@ from .routing import Router
 
 __all__ = [
     "fmt_float",
+    "fmt_cell",
     "write_csv",
     "read_csv",
     "write_tokens_csv",
@@ -50,7 +51,8 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def _fmt_cell(x) -> str:
+def fmt_cell(x) -> str:
+    """One CSV cell: strings as they are, integers in decimal, floats by `fmt_float`."""
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -63,7 +65,7 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt_cell(x) for x in row) + "\n")
+            f.write(",".join(fmt_cell(x) for x in row) + "\n")
 
 
 def read_csv(path):

@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "PRECISIONS",
     "resolve_dtype",
-    "as_matrix",
     "require_finite",
     "matmul",
     "matmul_backend",
@@ -640,19 +639,6 @@ def _check_same_dtype(a: np.ndarray, b: np.ndarray) -> None:
         raise ContractViolation(
             f"mixed precisions: {_NAMES[a.dtype]} vs {_NAMES[b.dtype]}; cast explicitly"
         )
-
-
-def as_matrix(data, precision="f64") -> np.ndarray:
-    """Build a validated 2-D matrix from nested sequences or an array.
-
-    Elements must all be finite.
-    """
-    dt = resolve_dtype(precision)
-    arr = np.array(data, dtype=dt)
-    if arr.ndim != 2:
-        raise ContractViolation(f"matrix data must be 2-D, got shape {arr.shape}")
-    require_finite(arr, "matrix data")
-    return arr
 
 
 def require_finite(arr: np.ndarray, what: str) -> None:

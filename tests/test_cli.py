@@ -1,6 +1,7 @@
 """End-to-end command-line tests.  Every case shells out like a user would,
 except the numpy-backend ones, which run ``cli.main`` in process."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,17 @@ class TestInit:
         assert proc.returncode == 0
         cfg = load_config(out)
         assert cfg.preset == "custom" and cfg.dim == 64
+
+    @pytest.mark.parametrize("preset, sha256", [
+        ("small", "923bc911d5642c379c5e15857df26ada11dc21c5295cd2a2abdc9551d856ac4b"),
+        ("base", "208f000d2e01c7ed00c33490d3b0a7364df3be063736c6b7f79aa5a0b20196ee"),
+        ("large", "d4b94f28dc9a20b0fb4fd15d8569eb86b5a7bc9dd945b22d8ab963c9c9c02297"),
+    ])
+    def test_preset_file_bytes_are_pinned(self, tmp_path, preset, sha256):
+        out = tmp_path / "cfg.json"
+        proc = run_cli("init", "--preset", preset, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestCheck:
@@ -353,6 +365,14 @@ class TestBench:
         assert "error:" in proc.stderr
 
 
+def test_printed_csv_cells_match_the_file_csv(tmp_path, capsys):
+    rows = [("dydila", np.int64(3), 2, 0.1, np.float32(1.5))]
+    cli._emit_csv(None, ["impl", "n", "d", "x", "y"], rows)
+    cli._emit_csv(str(tmp_path / "t.csv"), ["impl", "n", "d", "x", "y"], rows)
+    printed = capsys.readouterr().out
+    assert printed.startswith((tmp_path / "t.csv").read_text(encoding="utf-8"))
+
+
 class TestErrors:
     def test_broken_config_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -367,6 +387,13 @@ class TestErrors:
         proc = run_cli("forward", "--config", str(path))
         assert proc.returncode == 2
         assert "unknown config field" in proc.stderr
+
+    def test_wrong_typed_field_names_it(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"preset": "small", "gamma_init": "3"}), encoding="utf-8")
+        proc = run_cli("check", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: gamma_init")
 
     def test_missing_subcommand_usage_error(self):
         proc = run_cli()

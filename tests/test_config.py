@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,16 @@ class TestRunConfig:
         {"preset": "small", "lambda_schedule": [0.1, 0.2]},
         {"preset": "small", "dwc": {"enabled": False, "use_merged": True}},
         {"preset": "small", "normalize": 1},
+        {"preset": "small", "gamma_init": "3"},
+        {"preset": "small", "gamma_init": None},
+        {"preset": "small", "gamma_init": True},
+        {"preset": "small", "gamma_init": 10 ** 400},
+        {"preset": "small", "lambda_init": "0.1"},
+        {"preset": "small", "lambda_init": None},
+        {"preset": "small", "lambda_init": True},
+        {"preset": "small", "grid": 5},
+        {"preset": "small", "dwc": "yes"},
+        {"preset": "small", "lambda_schedule": [0.1] * 8 + [None]},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -80,6 +92,16 @@ class TestRunConfig:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_each_field_roundtrips_through_file(self, tmp_path, name):
+        value = _NON_DEFAULT[name]
+        cfg = RunConfig(preset="custom").with_overrides(**{name: value})
+        assert getattr(cfg, name) != getattr(RunConfig(), name)
+        path = tmp_path / "run.json"
+        save_config(cfg, path)
+        assert getattr(load_config(path), name) == value
+        assert load_config(path) == cfg
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -93,6 +115,16 @@ class TestRunConfig:
     def test_with_overrides_flips_to_custom_on_pinned_change(self):
         cfg = RunConfig().with_overrides(dim=64)
         assert cfg.preset == "custom" and cfg.dim == 64
+
+
+# a valid value other than the default for each field, set on a custom config
+_NON_DEFAULT = {
+    "preset": "custom", "dim": 48, "heads": 2, "blocks": 3, "n_projectors": 4,
+    "n_kernel_factors": 5, "n_lambda_factors": 6, "gamma_init": 2.5, "lambda_init": -0.125,
+    "lambda_schedule": "increasing", "grid_h": 3, "grid_w": 5, "seed": 11,
+    "precision": "f32", "variant": "map-wise", "normalize": False, "dwc_enabled": False,
+    "dwc_identity_branch": False, "dwc_use_merged": True, "inject_fault": True,
+}
 
 
 class TestLambdaSchedule:

@@ -14,7 +14,6 @@ from dydila.numerics import (
     ContractViolation,
     ConfigError,
     SeededRng,
-    as_matrix,
     matmul,
     relu,
     resolve_dtype,
@@ -104,8 +103,8 @@ class TestMatmul:
         assert numerics.matmul_backend() == "numpy"
 
     def test_hand_example(self):
-        a = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = as_matrix([[5.0, 6.0], [7.0, 8.0]])
+        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
+        b = np.array([[5.0, 6.0], [7.0, 8.0]], dtype=np.float64)
         assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
 
     def test_identity(self):
@@ -130,8 +129,8 @@ class TestMatmul:
 
     def test_sum_starts_from_positive_zero(self):
         # 0 + (-0) is +0: a sum seeded with its first product would keep -0
-        a = as_matrix([[-0.0, -0.0], [1.0, -0.0]])
-        b = as_matrix([[1.0], [1.0]])
+        a = np.array([[-0.0, -0.0], [1.0, -0.0]], dtype=np.float64)
+        b = np.array([[1.0], [1.0]], dtype=np.float64)
         assert np.array_equal(bits(matmul(a, b)), bits(naive_matmul(a, b)))
         assert not np.signbit(matmul(a, b)).any()
 
@@ -140,8 +139,8 @@ class TestMatmul:
         # every sum starts from +0, not from its first product, so -0
         # products sum to +0, also where the compiled kernel resumes the sum
         # after a k block
-        assert np.array_equal(bits(matmul(as_matrix([[-0.0]]), as_matrix([[1.0]]))),
-                              bits(np.zeros((1, 1))))
+        one = matmul(np.array([[-0.0]], dtype=np.float64), np.array([[1.0]], dtype=np.float64))
+        assert np.array_equal(bits(one), bits(np.zeros((1, 1))))
         a, b = np.full((9, inner), -0.0), np.ones((inner, 17))
         got = matmul(a, b)
         assert not got.any() and not np.signbit(got).any()
@@ -622,7 +621,7 @@ class TestCompiledBuild:
 
 class TestElementwise:
     def test_relu_hand(self):
-        m = as_matrix([[-1.0, 0.0, 2.5], [3.0, -0.5, 0.0]])
+        m = np.array([[-1.0, 0.0, 2.5], [3.0, -0.5, 0.0]], dtype=np.float64)
         assert np.array_equal(relu(m), [[0.0, 0.0, 2.5], [3.0, 0.0, 0.0]])
 
     def test_relu_nonnegative_unchanged(self):
@@ -630,15 +629,16 @@ class TestElementwise:
         assert np.array_equal(relu(m), m)
 
     def test_row_l2_norm_hand(self):
-        m = as_matrix([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]])
+        m = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0]],
+                     dtype=np.float64)
         assert np.array_equal(row_l2_norm(m), [2.0, 0.0, 5.0])
 
     def test_softmax_uniform(self):
-        out = softmax_rows(as_matrix([[1000.0, 1000.0]]))
+        out = softmax_rows(np.array([[1000.0, 1000.0]], dtype=np.float64))
         assert np.array_equal(out, [[0.5, 0.5]])
 
     def test_softmax_log_weights(self):
-        out = softmax_rows(as_matrix([[0.0, float(np.log(3.0))]]))
+        out = softmax_rows(np.array([[0.0, float(np.log(3.0))]], dtype=np.float64))
         assert_close(out, [[0.25, 0.75]], 1e-15, "softmax of (0, ln 3)")
 
     def test_softmax_rows_normalized(self):
@@ -648,7 +648,7 @@ class TestElementwise:
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_softmax_no_overflow_at_extreme_logits(self):
-        out = softmax_rows(as_matrix([[700.0, 710.0, 0.0]]))
+        out = softmax_rows(np.array([[700.0, 710.0, 0.0]], dtype=np.float64))
         assert np.all(np.isfinite(out))
 
 
@@ -681,14 +681,6 @@ class TestSeededRng:
 
 
 class TestValidation:
-    def test_as_matrix_rejects_nonfinite(self):
-        with pytest.raises(ContractViolation, match="non-finite"):
-            as_matrix([[1.0, float("inf")]])
-
-    def test_as_matrix_rejects_1d(self):
-        with pytest.raises(ContractViolation, match="2-D"):
-            as_matrix([1.0, 2.0])
-
     def test_unknown_precision(self):
         with pytest.raises(ConfigError, match="precision"):
-            as_matrix([[1.0]], precision="f16")
+            resolve_dtype("f16")

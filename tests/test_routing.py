@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dydila.numerics as numerics
-from dydila.numerics import ContractViolation, ConfigError, SeededRng, as_matrix
+from dydila.numerics import ContractViolation, ConfigError, SeededRng
 from dydila.oracle import explicit_routes
 from dydila.routing import RouteAssignment, Router, route_argmax, route_pair
 
@@ -10,16 +10,16 @@ from conftest import bits, make_router, mat, needs_compiler
 
 
 def test_hand_example():
-    tokens = as_matrix([[1.0, 0.0], [0.0, 1.0]])
-    router = Router(as_matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    tokens = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float64)
+    router = Router(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], dtype=np.float64))
     routes = route_argmax(tokens, router)
     assert routes.indices.tolist() == [0, 2]
     assert routes.logits.shape == (2, 3)
 
 
 def test_tie_breaks_to_smallest_index():
-    tokens = as_matrix([[1.0, 1.0]])
-    router = Router(as_matrix([[0.5, 0.5], [0.5, 0.5]]))  # both logits equal
+    tokens = np.array([[1.0, 1.0]], dtype=np.float64)
+    router = Router(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=np.float64))  # both logits equal
     assert route_argmax(tokens, router).indices.tolist() == [0]
 
 
