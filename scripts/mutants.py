@@ -172,12 +172,17 @@ MUTANTS = (
              "return _tdo(q_t, q_routed.copy(), k_t, k_routed.copy(), v, bank, normalize)",
              "return _tdo(q_t, q_routed, k_t, k_routed, v, bank, normalize)"),),
            BLOCK_TESTS),
-    # the config schema's kinds
+    # the config schema's kinds and its per-block schedule
     Mutant("config_bool_passes_as_a_finite_number",
            (("src/dydila/config.py",
              "number = isinstance(value, (int, float)) and not isinstance(value, bool)",
              "number = isinstance(value, (int, float))"),),
            ("tests/test_config.py",)),
+    Mutant("with_overrides_keeps_the_whole_schedule",
+           (("src/dydila/config.py",
+             'overrides.setdefault("lambda_schedule", self.lambda_schedule[: overrides["blocks"]])',
+             'overrides.setdefault("lambda_schedule", self.lambda_schedule)'),),
+           ("tests/test_config.py", "tests/test_cli.py", "-k", "schedule")),
     # one order swap in each numpy fallback
     Mutant("fallback_matmul_descending_k",
            ((NUMERICS, "        for k in range(inner):\n", "        for k in reversed(range(inner)):\n"),),

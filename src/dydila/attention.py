@@ -272,27 +272,21 @@ def _softmax_map(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def linear_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, kernel: str = "relu", gamma: float | None = None
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, gamma: float | None = None
 ) -> np.ndarray:
     """Kernelized linear attention, keys-first, row-normalized.
 
-    ``kernel`` is 'relu' or 'focused' (the latter needs ``gamma``); the
-    normalizing denominator is floored at 1e-6 in magnitude, so an all-dead
-    feature row yields a zero output row rather than 0/0.
+    The feature map is relu, or the focused map with ``gamma`` when one is
+    given; the normalizing denominator is floored at 1e-6 in magnitude, so an
+    all-dead feature row yields a zero output row rather than 0/0.
     """
     _check_shared_shapes(q, k, v)
-    phi_q, phi_k = _feature_map(q, kernel, gamma), _feature_map(k, kernel, gamma)
+    phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
     return matmul(phi_q, matmul(phi_k.T, v)) / _normalizer(phi_q, phi_k)
 
 
-def _feature_map(z: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
-    if kernel == "relu":
-        return relu(z)
-    if kernel == "focused":
-        if gamma is None:
-            raise ConfigError("focused kernel needs gamma")
-        return focused_rows(z, gamma)
-    raise ConfigError(f"unknown kernel {kernel!r}; expected 'relu' or 'focused'")
+def _feature_map(z: np.ndarray, gamma: float | None) -> np.ndarray:
+    return relu(z) if gamma is None else focused_rows(z, gamma)
 
 
 def _check_shared_shapes(q, k, v):
@@ -421,8 +415,7 @@ def extract_attention_row(
         if impl == "softmax":
             return _softmax_map(q[sel], k)[0]
         gamma = params.head_params[head].kernel_q.gammas[0] if impl == "focused" else None
-        kernel = "focused" if impl == "focused" else "relu"
-        phi_q, phi_k = _feature_map(q, kernel, gamma), _feature_map(k, kernel, gamma)
+        phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
         return (matmul(phi_q[sel], phi_k.T) / _normalizer(phi_q[sel], phi_k))[0]
 
     if impl not in ("dydila", "mapwise"):

@@ -14,12 +14,12 @@ import time
 from dataclasses import dataclass
 
 from .attention import linear_attention, multihead_forward, softmax_attention
-from .config import RunConfig, init_params
-from .flops import IMPLEMENTATIONS, flops_estimate
-from .numerics import ConfigError, SeededRng
+from .config import RunConfig, seeded_run
+from .flops import IMPLEMENTATIONS, config_flops
+from .numerics import ConfigError
 from .projection import project_shared
 
-__all__ = ["BenchRecord", "BenchResourceError", "grid_for", "build_forward", "bench_run"]
+__all__ = ["BenchRecord", "BenchResourceError", "build_forward", "bench_run"]
 
 _WARMUP = 2
 
@@ -43,41 +43,24 @@ class BenchRecord:
     flops: int
 
 
-def grid_for(n: int) -> tuple:
-    """Most-square (h, w) factorization of n, used to lay tokens on a grid."""
-    if n < 1:
-        raise ConfigError(f"sequence length must be >= 1, got {n}")
-    h = int(n ** 0.5)
-    while h > 1 and n % h:
-        h -= 1
-    return h, n // h
-
-
 def build_forward(cfg: RunConfig, impl: str, n: int):
     """Returns a zero-argument forward callable with all state prebuilt.
 
-    Every impl draws one block on the most-square grid for n, then the
-    tokens, from one seeded stream; the baselines attend over that block's
-    shared projections.
+    Every impl runs one block of ``seeded_run`` over n tokens; the baselines
+    attend over that block's shared projections, focused with the gamma of
+    its first head's query kernel bank.
     """
     if impl not in IMPLEMENTATIONS:
         raise ConfigError(f"unknown impl {impl!r}")
-    h, w = grid_for(n)
-    block_cfg = cfg.with_overrides(
-        blocks=1,
-        grid_h=h,
-        grid_w=w,
-        variant="map-wise" if impl == "mapwise" else "token-wise",
-    )
-    rng = SeededRng(cfg.seed)
-    params = init_params(block_cfg, rng).blocks[0]
-    x = rng.tokens(n, cfg.dim, cfg.precision)
+    variant = "map-wise" if impl == "mapwise" else "token-wise"
+    _, stack, x = seeded_run(cfg.with_overrides(blocks=1, variant=variant), n)
+    params = stack.blocks[0]
     if impl in ("dydila", "mapwise"):
         return lambda: multihead_forward(x, params)[0]
     if impl == "softmax":
         return lambda: softmax_attention(*project_shared(x, params.proj))
-    kernel, gamma = ("focused", float(cfg.gamma_init)) if impl == "focused" else ("relu", None)
-    return lambda: linear_attention(*project_shared(x, params.proj), kernel=kernel, gamma=gamma)
+    gamma = params.head_params[0].kernel_q.gammas[0] if impl == "focused" else None
+    return lambda: linear_attention(*project_shared(x, params.proj), gamma=gamma)
 
 
 def bench_run(cfg: RunConfig, impl: str, n_list, iters: int) -> list:
@@ -100,21 +83,13 @@ def bench_run(cfg: RunConfig, impl: str, n_list, iters: int) -> list:
                 f"allocation failed for impl={impl} at N={n} (d={cfg.dim}, "
                 f"precision={cfg.precision}); reduce N or d"
             ) from None
-        total = flops_estimate(
-            impl, n, cfg.dim, heads=cfg.heads,
-            n_projectors=cfg.n_projectors,
-            n_kernel_factors=cfg.n_kernel_factors,
-            n_lambda_factors=cfg.n_lambda_factors,
-            dwc=cfg.dwc_enabled,
-            normalize=cfg.normalize,
-        )["total"]
         records.append(
             BenchRecord(
                 impl=impl, n=n, d=cfg.dim, heads=cfg.heads, iterations=iters,
                 mean_s=statistics.mean(times),
                 std_s=statistics.pstdev(times),
                 median_s=statistics.median(times),
-                flops=total,
+                flops=config_flops(cfg, impl, n)["total"],
             )
         )
     return records

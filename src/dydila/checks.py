@@ -29,7 +29,7 @@ from .attention import (
     softmax_attention,
     stack_forward,
 )
-from .config import RunConfig, init_params
+from .config import RunConfig, init_params, seeded_run
 from .differential import expand_tokenwise, tdo_forward
 from .fileio import assemble_stack, stack_entries, stack_from_weights
 from .kernels import focused_rows
@@ -102,16 +102,12 @@ class CheckResult:
 def _desk_config(cfg: RunConfig, blocks: int) -> RunConfig:
     d = min(cfg.dim, _DESK_DIM)
     heads = cfg.heads if (cfg.heads <= 4 and d % cfg.heads == 0) else 1
-    sched = cfg.lambda_schedule
-    if isinstance(sched, tuple):
-        sched = sched[:blocks]
     return cfg.with_overrides(
         dim=d,
         heads=heads,
         blocks=blocks,
         grid_h=8,
         grid_w=8,
-        lambda_schedule=sched,
         inject_fault=False,  # the hook is applied explicitly below
     )
 
@@ -278,7 +274,7 @@ def run_checks(cfg: RunConfig) -> list:
         results.append(_result("dwc_reparam_merge", compare(branch, fused, tol["reparam"])))
 
     # --- permutation equivariance (conv off: it is grid-, not set-, local) --
-    results.append(_permutation_check(cfg, rng, tol))
+    results.append(_permutation_check(cfg, block, rng, tol))
 
     # --- composed pipeline vs stage-by-stage oracle ----------------------
     results.append(
@@ -340,20 +336,17 @@ def _degeneracy_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
 
 
 def _depth_check(cfg: RunConfig) -> CheckResult:
-    """Runs what ``forward`` runs at desk width: ``init_params`` weights, then tokens."""
-    rng = SeededRng(cfg.seed)
-    stack = init_params(cfg, rng)
+    """Runs what ``forward`` runs (``seeded_run``) at desk width."""
+    _, stack, x = seeded_run(cfg)
     try:
-        stack_forward(rng.tokens(_DESK_TOKENS, cfg.dim, cfg.precision), stack)
+        stack_forward(x, stack)
     except ContractViolation as e:
         return _exact("configured_depth_finite", False, str(e))
     return _exact("configured_depth_finite", True, f"{cfg.blocks} blocks, output finite")
 
 
-def _permutation_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
-    # The DWC kernel is a block's last draw, so dropping it leaves the rest.
-    params = replace(_desk_stack(cfg.with_overrides(blocks=1), SeededRng(cfg.seed)).blocks[0],
-                     dwc=None)
+def _permutation_check(cfg: RunConfig, block, rng: SeededRng, tol) -> CheckResult:
+    params = replace(block, dwc=None)
     x = rng.tokens(_DESK_TOKENS, cfg.dim, cfg.precision)
     perm = np.random.Generator(np.random.PCG64(cfg.seed + 1)).permutation(x.shape[0])
     out, diag = multihead_forward(x, params)

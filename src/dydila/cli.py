@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .attention import AttentionStack, extract_attention_row, stack_forward
-from .bench import BENCH_CSV_HEADER, BenchResourceError, bench_run, grid_for
+from .bench import BENCH_CSV_HEADER, BenchResourceError, bench_run
 from .checks import format_results, run_checks
-from .config import RunConfig, init_params, load_config, save_config
+from .config import RunConfig, load_config, save_config, seeded_run
 from .fileio import (
     fmt_cell,
     fmt_float,
@@ -28,8 +28,8 @@ from .fileio import (
     write_pgm,
     write_tokens_csv,
 )
-from .flops import IMPLEMENTATIONS, flops_estimate
-from .numerics import ConfigError, ContractViolation, SeededRng, matmul_backend, require_finite
+from .flops import IMPLEMENTATIONS, config_flops
+from .numerics import ConfigError, ContractViolation, matmul_backend, require_finite
 from .oracle import OracleCapError
 
 __all__ = ["main"]
@@ -81,27 +81,20 @@ def _seq_list(text: str) -> list:
 
 
 def _build_inputs(cfg: RunConfig, args):
-    """Stack + token matrix; weights then tokens from one seeded stream."""
-    seq_len = getattr(args, "seq_len", None)
-    if seq_len is not None:
-        n = _seq_list(seq_len)
+    """``seeded_run`` over the single ``--seq-len``; ``--input`` replaces its tokens."""
+    n = None
+    if args.seq_len is not None:
+        n = _seq_list(args.seq_len)
         if len(n) != 1:
             raise ConfigError("this command takes a single --seq-len")
         n = n[0]
-        if n != cfg.grid_h * cfg.grid_w:
-            h, w = grid_for(n)
-            cfg = cfg.with_overrides(grid_h=h, grid_w=w)
-    input_path = getattr(args, "input", None)
-    rng = SeededRng(cfg.seed)
-    stack = init_params(cfg, rng)
-    if input_path:
-        x = load_tokens_csv(input_path, cfg.precision)
+    cfg, stack, x = seeded_run(cfg, n)
+    if args.input:
+        x = load_tokens_csv(args.input, cfg.precision)
         if x.shape[1] != cfg.dim:
             raise ContractViolation(
                 f"input tokens are {x.shape[1]}-wide, config dim is {cfg.dim}"
             )
-    else:
-        x = rng.tokens(cfg.grid_h * cfg.grid_w, cfg.dim, cfg.precision)
     return cfg, stack, x
 
 
@@ -122,14 +115,15 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     n_list = _seq_list(args.seq_len)
-    # stderr, so the stdout and CSV contracts stay free of run details
+    # the backend and the summaries go to stderr, so stdout stays a CSV
     print(f"matmul backend: {matmul_backend()}", file=sys.stderr)
     records = bench_run(cfg, args.impl, n_list, args.iters)
     for r in records:
         print(
             f"{r.impl} N={r.n} d={r.d} heads={r.heads}: "
             f"median {r.median_s:.6f}s mean {r.mean_s:.6f}s std {r.std_s:.6f}s "
-            f"({r.flops} flops)"
+            f"({r.flops} flops)",
+            file=sys.stderr,
         )
     rows = [(r.impl, r.n, r.d, r.heads, r.mean_s, r.std_s, r.flops) for r in records]
     _emit_csv(args.out, BENCH_CSV_HEADER, rows)
@@ -140,14 +134,7 @@ def _cmd_flops(args) -> int:
     cfg = _load_cfg(args)
     rows = []
     for n in _seq_list(args.seq_len):
-        parts = flops_estimate(
-            args.impl, n, cfg.dim, heads=cfg.heads,
-            n_projectors=cfg.n_projectors,
-            n_kernel_factors=cfg.n_kernel_factors,
-            n_lambda_factors=cfg.n_lambda_factors,
-            dwc=cfg.dwc_enabled,
-            normalize=cfg.normalize,
-        )
+        parts = config_flops(cfg, args.impl, n)
         rows.extend((args.impl, n, name, count) for name, count in parts.items())
     _emit_csv(args.out, ["impl", "N", "component", "flops"], rows)
     return 0

@@ -1,4 +1,5 @@
-"""Run configuration: schema, presets, validation, and parameter init.
+"""Run configuration: schema, presets, validation, parameter init and the
+seeded run (stack, then tokens) that every front end draws.
 
 Configs are flat JSON with two nested groups (`grid`, `dwc`).  Unknown
 fields are rejected so typos fail loudly, and a value of the wrong kind is
@@ -26,6 +27,8 @@ __all__ = [
     "save_config",
     "lambda_for_block",
     "init_params",
+    "grid_for",
+    "seeded_run",
 ]
 
 # preset -> (dim, n_projectors, n_kernel_factors, n_lambda_factors)
@@ -190,11 +193,16 @@ class RunConfig:
         return cls(**kwargs)
 
     def with_overrides(self, **overrides) -> "RunConfig":
-        """Replace fields; overriding a preset-pinned dim/bank size flips to custom."""
+        """Replace fields; overriding a preset-pinned dim/bank size flips to custom.
+
+        Fewer ``blocks`` keep the first entries of a per-block lambda schedule.
+        """
         if self.preset in PRESETS and any(
             name in overrides and overrides[name] != getattr(self, name) for name in _PINNED
         ):
             overrides.setdefault("preset", "custom")
+        if isinstance(self.lambda_schedule, tuple) and isinstance(overrides.get("blocks"), int):
+            overrides.setdefault("lambda_schedule", self.lambda_schedule[: overrides["blocks"]])
         return replace(self, **overrides)
 
 
@@ -260,3 +268,27 @@ def init_params(cfg: RunConfig, rng: SeededRng | None = None) -> AttentionStack:
         return rng.init_weight(*shape, prec)
 
     return assemble_stack(cfg, draw)
+
+
+def grid_for(n: int) -> tuple:
+    """Most-square (h, w) factorization of n, used to lay tokens on a grid."""
+    if n < 1:
+        raise ConfigError(f"sequence length must be >= 1, got {n}")
+    h = int(n ** 0.5)
+    while h > 1 and n % h:
+        h -= 1
+    return h, n // h
+
+
+def seeded_run(cfg: RunConfig, n: int | None = None):
+    """``(cfg, stack, tokens)``: weights, then tokens, from one ``SeededRng(cfg.seed)``.
+
+    There are n tokens (default: the grid area); when n is not the grid area
+    the returned config lays them on the most-square grid for n.
+    """
+    if n is not None and n != cfg.grid_h * cfg.grid_w:
+        h, w = grid_for(n)
+        cfg = cfg.with_overrides(grid_h=h, grid_w=w)
+    rng = SeededRng(cfg.seed)
+    stack = init_params(cfg, rng)
+    return cfg, stack, rng.tokens(cfg.grid_h * cfg.grid_w, cfg.dim, cfg.precision)

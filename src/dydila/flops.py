@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .numerics import ConfigError
 
-__all__ = ["IMPLEMENTATIONS", "flops_estimate", "core_crossover"]
+__all__ = ["IMPLEMENTATIONS", "flops_estimate", "config_flops", "core_crossover"]
 
 IMPLEMENTATIONS = ("softmax", "linear", "focused", "dydila", "mapwise")
 
@@ -76,6 +76,14 @@ def flops_estimate(
             parts["dwc"] = _DWC_COST * n * d
     parts["total"] = sum(parts.values())
     return parts
+
+
+def config_flops(cfg, impl: str, n: int) -> dict:
+    """``flops_estimate`` of one block of a ``RunConfig`` running ``impl`` over n tokens."""
+    return flops_estimate(impl, n, cfg.dim, heads=cfg.heads, n_projectors=cfg.n_projectors,
+                          n_kernel_factors=cfg.n_kernel_factors,
+                          n_lambda_factors=cfg.n_lambda_factors,
+                          dwc=cfg.dwc_enabled, normalize=cfg.normalize)
 
 
 def core_crossover(d: int, heads: int = 1) -> float:

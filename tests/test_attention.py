@@ -151,7 +151,7 @@ class TestLinearAttention:
         for seed in range(3):
             q, k, v = mat(seed, 24, 8), mat(seed + 1, 24, 8), mat(seed + 2, 24, 8)
             want = explicit_linear_attention(q, k, v, kernel=kernel, gamma=gamma)
-            got = linear_attention(q, k, v, kernel=kernel, gamma=gamma)
+            got = linear_attention(q, k, v, gamma=gamma)
             assert_close(got, want, 1e-10, f"{kernel} linear attention")
 
     def test_identical_keys_average_values(self):
@@ -167,13 +167,6 @@ class TestLinearAttention:
         k, v = np.abs(mat(15, 4, 4)) + 0.1, mat(16, 4, 4)
         out = linear_attention(q, k, v)
         assert np.array_equal(out[2], np.zeros(4))
-
-    def test_kernel_validation(self):
-        q = mat(0, 2, 2)
-        with pytest.raises(ConfigError, match="unknown kernel"):
-            linear_attention(q, q, q, kernel="exp")
-        with pytest.raises(ConfigError, match="gamma"):
-            linear_attention(q, q, q, kernel="focused")
 
 
 class TestDwc:
@@ -573,9 +566,7 @@ class TestExtractAttentionRow:
         q = matmul(x, params.proj.w_q0)
         k = matmul(x, params.proj.w_k0)
         v = matmul(x, params.proj.w_v0)
-        gamma = 3.0 if impl == "focused" else None
-        kernel = "focused" if impl == "focused" else "relu"
-        want = linear_attention(q, k, v, kernel=kernel, gamma=gamma)
+        want = linear_attention(q, k, v, gamma=3.0 if impl == "focused" else None)
         for i in (0, 7, 23):
             row = extract_attention_row(x, params, i, impl=impl)
             assert_close(row @ v, want[i], 1e-10, f"{impl} row {i}")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dydila import cli
-from dydila.bench import BENCH_CSV_HEADER, bench_run, build_forward, grid_for
-from dydila.config import RunConfig, save_config
+from dydila.bench import BENCH_CSV_HEADER, bench_run, build_forward
+from dydila.config import RunConfig, grid_for, save_config
 from dydila.fileio import read_csv
 from dydila.numerics import ConfigError
 

@@ -12,8 +12,9 @@ import pytest
 
 import dydila.numerics as numerics
 from dydila import cli
+from dydila.bench import BENCH_CSV_HEADER
 from dydila.config import RunConfig, load_config
-from dydila.flops import flops_estimate
+from dydila.flops import config_flops, flops_estimate
 from dydila.numerics import matmul_backend
 from dydila.fileio import read_csv, read_pgm, write_tokens_csv
 
@@ -36,6 +37,16 @@ def tiny_config(tmp_path):
         "n_projectors": 2, "n_kernel_factors": 2, "n_lambda_factors": 2,
         "grid": {"h": 2, "w": 3}, "seed": 9,
     }), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def schedule_config(tmp_path):
+    """The small preset with one lambda per block: 9 entries for 9 blocks."""
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"preset": "small",
+                                "lambda_schedule": [0.1 * b for b in range(1, 10)]}),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -125,6 +136,12 @@ class TestCheck:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
         assert "tdo_reorder_vs_explicit" in proc.stdout
+
+    def test_per_block_schedule_passes(self, schedule_config):
+        # check runs at most 2 blocks, and 9 in its last check
+        proc = run_cli("check", "--config", schedule_config)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "15 checks, 0 failed"
 
     def test_f32_passes(self, tiny_config):
         proc = run_cli("check", "--config", tiny_config, "--precision", "f32")
@@ -337,7 +354,7 @@ class TestBench:
         proc = run_cli("bench", "--config", tiny_config, "--impl", "linear",
                        "--seq-len", "8,16", "--iters", "3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        assert "linear N=8" in proc.stdout and "linear N=16" in proc.stdout
+        assert "linear N=8" in proc.stderr and "linear N=16" in proc.stderr
         header, rows = read_csv(out)
         assert header == ["impl", "N", "d", "heads", "mean_s", "std_s", "flops"]
         assert [r[1] for r in rows] == ["8", "16"]
@@ -350,6 +367,22 @@ class TestBench:
                 n_kernel_factors=cfg.n_kernel_factors, n_lambda_factors=cfg.n_lambda_factors,
                 dwc=cfg.dwc_enabled, normalize=cfg.normalize,
             )["total"]
+
+    @pytest.mark.parametrize("config, impl, n", [
+        ("tiny_config", "linear", "8"),
+        ("schedule_config", "dydila", "64"),  # a one-block cut of a per-block schedule
+    ])
+    def test_stdout_is_the_csv(self, tmp_path, request, config, impl, n):
+        path = request.getfixturevalue(config)
+        proc = run_cli("bench", "--config", path, "--impl", impl, "--seq-len", n, "--iters", "3")
+        assert proc.returncode == 0, proc.stderr
+        printed = tmp_path / "stdout.csv"
+        printed.write_text(proc.stdout, encoding="utf-8")
+        header, rows = read_csv(printed)
+        assert header == BENCH_CSV_HEADER
+        assert [r[:2] for r in rows] == [[impl, n]]
+        assert int(rows[0][-1]) == config_flops(load_config(path), impl, int(n))["total"]
+        assert f"{impl} N={n} " in proc.stderr
 
     def test_reports_matmul_backend_on_stderr(self, tiny_config):
         proc = run_cli("bench", "--config", tiny_config, "--impl", "linear",

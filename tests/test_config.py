@@ -153,6 +153,16 @@ class TestLambdaSchedule:
         with pytest.raises(ConfigError, match="out of range"):
             lambda_for_block(RunConfig(), 9)
 
+    def test_fewer_blocks_keep_the_first_schedule_entries(self):
+        sched = [0.1 * b for b in range(1, 10)]
+        cfg = RunConfig(lambda_schedule=sched)
+        cut = cfg.with_overrides(blocks=3)
+        assert cut.lambda_schedule == tuple(sched[:3])
+        assert [lambda_for_block(cut, b) for b in range(3)] == sched[:3]
+        # more blocks than entries is still an error: the cut never pads
+        with pytest.raises(ConfigError, match="lambda_schedule list has 9 entries for 12"):
+            cfg.with_overrides(blocks=12)
+
 
 def _tiny(**over):
     base = {
