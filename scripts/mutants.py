@@ -169,9 +169,16 @@ MUTANTS = (
            BLOCK_TESTS),
     Mutant("tdo_forward_writes_into_the_callers_routed_streams",
            (("src/dydila/differential.py",
-             "return _tdo(q_t, q_routed.copy(), k_t, k_routed.copy(), v, bank, normalize)",
-             "return _tdo(q_t, q_routed, k_t, k_routed, v, bank, normalize)"),),
+             "return _differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank,",
+             "return _differential(q_t, q_routed, k_t, k_routed, bank,"),),
            BLOCK_TESTS),
+    # the attention row's query-first product
+    Mutant("query_first_product_never_normalized",
+           (("src/dydila/differential.py",
+             "    out = matmul(a, b.T)\n    if normalize:\n",
+             "    out = matmul(a, b.T)\n    if False:\n"),),
+           ("tests/test_attention.py", "tests/test_cli.py", "-k",
+            "ExtractAttentionRow or DumpAttnPinned")),
     # the config schema's kinds and its per-block schedule
     Mutant("config_bool_passes_as_a_finite_number",
            (("src/dydila/config.py",

@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .differential import (
-    DifferentialBank,
-    _differenced,
-    _normalizer,
-    _routed_lambdas,
-    _tdo,
-    mapwise_forward,
-)
+from .differential import DifferentialBank, _differential, _keys_first, _query_first
 from .kernels import KernelBank, dmk_forward, focused_rows
 from .numerics import (
     ConfigError,
@@ -61,6 +54,11 @@ __all__ = [
 ]
 
 VARIANTS = ("token-wise", "map-wise")
+
+
+def _impl_variant(impl: str) -> str:
+    """The variant a differential ``impl`` runs ("dydila" is token-wise)."""
+    return "map-wise" if impl == "mapwise" else "token-wise"
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ def linear_attention(
     """
     _check_shared_shapes(q, k, v)
     phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
-    return matmul(phi_q, matmul(phi_k.T, v)) / _normalizer(phi_q, phi_k)
+    return _keys_first(phi_q, phi_k, v, normalize=True)
 
 
 def _feature_map(z: np.ndarray, gamma: float | None) -> np.ndarray:
@@ -322,12 +320,9 @@ def _head_forward(q, k, v, qp, kp, params: DydilaParams, head: int):
     kernel map, and token-wise the routed ones then with the differences.
     """
     (q_t, k_t, qp_t, kp_t), kernel_routes = _kernel_streams(q, k, qp, kp, params, head)
-    diff = params.head_params[head].diff
-    v_h = _head_slice(v, head, params.head_dim)
-    if params.variant == "token-wise":
-        out, lambdas = _tdo(q_t, qp_t, k_t, kp_t, v_h, diff, params.normalize)
-    else:
-        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v_h, diff, params.normalize)
+    out, lambdas = _differential(q_t, qp_t, k_t, kp_t, params.head_params[head].diff,
+                                 params.variant, _keys_first,
+                                 _head_slice(v, head, params.head_dim), params.normalize)
     return out, HeadDiagnostics(*kernel_routes, lambdas=lambdas)
 
 
@@ -394,13 +389,11 @@ def extract_attention_row(
     """The length-n attention row of one query under a chosen implementation.
 
     softmax: softmaxed scaled similarity row.  linear/focused: normalized
-    kernel similarity row (its dot with V reproduces that output row within
-    rounding).  dydila/mapwise: the differential similarity row of the
-    chosen head (dot with the head's V slice gives the head's output row;
-    exact for the unnormalized default, floored-denominator scaled when
-    params.normalize is set, map-wise each map by its own denominator).
-    Baselines use the shared full-width projections; focused takes gamma
-    from the head's query kernel bank.
+    kernel similarity row.  dydila/mapwise: the chosen head's differential
+    row, the head's own algebra taken query first.  A row's dot with V (the
+    head's V slice) gives that output row within rounding.  Baselines use the
+    shared full-width projections; focused takes gamma from the head's query
+    kernel bank.
     """
     _check_2d(x, "input tokens")
     n = x.shape[0]
@@ -416,24 +409,13 @@ def extract_attention_row(
             return _softmax_map(q[sel], k)[0]
         gamma = params.head_params[head].kernel_q.gammas[0] if impl == "focused" else None
         phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
-        return (matmul(phi_q[sel], phi_k.T) / _normalizer(phi_q[sel], phi_k))[0]
+        return _query_first(phi_q[sel], phi_k, normalize=True)[0]
 
     if impl not in ("dydila", "mapwise"):
         raise ConfigError(f"unknown impl {impl!r}")
 
     q, k, _, qp, kp, _, _ = dpm_forward(x, params.proj)
     (q_t, k_t, qp_t, kp_t), _ = _kernel_streams(q, k, qp, kp, params, head)
-    diff = params.head_params[head].diff
-    if impl == "mapwise":
-        lam_map, _ = _routed_lambdas(q_t, qp_t, diff.lambda_map_router, diff.lambdas)
-        shared, routed = matmul(q_t[sel], k_t.T), matmul(qp_t[sel], kp_t.T)
-        if params.normalize:
-            shared /= _normalizer(q_t[sel], k_t)
-            routed /= _normalizer(qp_t[sel], kp_t)
-        return (shared - lam_map[query_index] * routed)[0]
-
-    q_diff, k_diff, _ = _differenced(q_t, qp_t, k_t, kp_t, diff)
-    row = matmul(q_diff[sel], k_diff.T)
-    if params.normalize:
-        row = row / _normalizer(q_diff[sel], k_diff)
+    row, _ = _differential(q_t[sel], qp_t[sel], k_t, kp_t, params.head_params[head].diff,
+                           _impl_variant(impl), _query_first, params.normalize)
     return row[0]

@@ -13,7 +13,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .attention import linear_attention, multihead_forward, softmax_attention
+from .attention import _impl_variant, linear_attention, multihead_forward, softmax_attention
 from .config import RunConfig, seeded_run
 from .flops import IMPLEMENTATIONS, config_flops
 from .numerics import ConfigError
@@ -52,8 +52,7 @@ def build_forward(cfg: RunConfig, impl: str, n: int):
     """
     if impl not in IMPLEMENTATIONS:
         raise ConfigError(f"unknown impl {impl!r}")
-    variant = "map-wise" if impl == "mapwise" else "token-wise"
-    _, stack, x = seeded_run(cfg.with_overrides(blocks=1, variant=variant), n)
+    _, stack, x = seeded_run(cfg.with_overrides(blocks=1, variant=_impl_variant(impl)), n)
     params = stack.blocks[0]
     if impl in ("dydila", "mapwise"):
         return lambda: multihead_forward(x, params)[0]

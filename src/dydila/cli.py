@@ -81,21 +81,26 @@ def _seq_list(text: str) -> list:
 
 
 def _build_inputs(cfg: RunConfig, args):
-    """``seeded_run`` over the single ``--seq-len``; ``--input`` replaces its tokens."""
+    """``seeded_run`` over the single ``--seq-len`` or the rows of ``--input``,
+    whose tokens then replace the seeded ones; both lie on one grid rule."""
     n = None
     if args.seq_len is not None:
         n = _seq_list(args.seq_len)
         if len(n) != 1:
             raise ConfigError("this command takes a single --seq-len")
         n = n[0]
-    cfg, stack, x = seeded_run(cfg, n)
+    x = None
     if args.input:
         x = load_tokens_csv(args.input, cfg.precision)
         if x.shape[1] != cfg.dim:
             raise ContractViolation(
                 f"input tokens are {x.shape[1]}-wide, config dim is {cfg.dim}"
             )
-    return cfg, stack, x
+        if n is not None and n != x.shape[0]:
+            raise ConfigError(f"--seq-len {n} but {args.input} holds {x.shape[0]} tokens")
+        n = x.shape[0]
+    cfg, stack, seeded = seeded_run(cfg, n)
+    return cfg, stack, seeded if x is None else x
 
 
 def _cmd_init(args) -> int:

@@ -7,9 +7,11 @@ on both the query and key sides, then runs the linear-attention reordering
     out = (q_t - lam_q ⊙ q_routed) @ ((k_t - lam_k ⊙ k_routed)^T @ v)
 
 Each token's lambda comes from routing the concatenation of its two stream
-rows (width 2d) to one of n_d candidate scalars.  The map-wise variant
-instead differences the two attention outputs with a single routed lambda
-per token.  Each variant routes only the lambdas its output uses.
+rows (width 2d) to one of n_d candidate scalars; the map-wise variant instead
+differences the two attention outputs with one routed lambda per token.
+Each variant routes only the lambdas it uses.  Its algebra is written once,
+in :func:`_differential`, over a map product: :func:`_keys_first` for
+outputs, :func:`_query_first` (rows of the n x n map) for attention rows.
 """
 
 from __future__ import annotations
@@ -133,6 +135,43 @@ def _normalizer(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _floor_denominator(matmul(q, col_sums.T))
 
 
+def _keys_first(a: np.ndarray, b: np.ndarray, v: np.ndarray, normalize: bool) -> np.ndarray:
+    """``a (b^T v)``, each row divided by ``_normalizer(a, b)`` if ``normalize``."""
+    out = matmul(a, matmul(b.T, v))
+    if normalize:
+        out /= _normalizer(a, b)
+    return out
+
+
+def _query_first(a: np.ndarray, b: np.ndarray, normalize: bool) -> np.ndarray:
+    """The map ``a b^T``, each row divided by ``_normalizer(a, b)`` if ``normalize``."""
+    out = matmul(a, b.T)
+    if normalize:
+        out /= _normalizer(a, b)
+    return out
+
+
+def _differential(q_t, q_routed, k_t, k_routed, bank: DifferentialBank, variant, product, *args):
+    """A variant's ``(out, lambdas)`` over the map product ``product(a, b, *args)``.
+
+    token-wise: the product of the differences (consuming the routed streams,
+    see :func:`_differenced`); map-wise: ``product(q_t, k_t) - lam_map ⊙
+    product(q_routed, k_routed)``.  Every step is row-local, so query rows
+    ``sel`` of the streams give those rows of the whole call bit for bit.
+    """
+    if variant == "token-wise":
+        q_diff, k_diff, lambdas = _differenced(q_t, q_routed, k_t, k_routed, bank)
+        return product(q_diff, k_diff, *args), lambdas
+    lam_map, routes_map = _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
+    shared, routed = product(q_t, k_t, *args), product(q_routed, k_routed, *args)
+    # An overflowed map gives inf - inf here; the block's finiteness check
+    # reports it, so numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(lam_map[:, None], routed, out=routed)
+        out = np.subtract(shared, routed, out=shared)
+    return out, {"map": (lam_map, routes_map)}
+
+
 def tdo_forward(
     q_t: np.ndarray,
     q_routed: np.ndarray,
@@ -150,17 +189,8 @@ def tdo_forward(
     similarity, floored at ``DENOM_FLOOR`` in magnitude.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    return _tdo(q_t, q_routed.copy(), k_t, k_routed.copy(), v, bank, normalize)
-
-
-def _tdo(q_t, q_routed, k_t, k_routed, v, bank: DifferentialBank, normalize: bool):
-    """:func:`tdo_forward` on validated streams, consuming ``q_routed`` and
-    ``k_routed`` (see :func:`_differenced`)."""
-    q_diff, k_diff, lambdas = _differenced(q_t, q_routed, k_t, k_routed, bank)
-    out = matmul(q_diff, matmul(k_diff.T, v))
-    if normalize:
-        out /= _normalizer(q_diff, k_diff)
-    return out, lambdas
+    return _differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, "token-wise",
+                         _keys_first, v, normalize)
 
 
 def expand_tokenwise(
@@ -215,15 +245,4 @@ def mapwise_forward(
     Returns ``(out, {"map": (lam_map, RouteAssignment)})``.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    lam_map, routes_map = _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
-    shared = matmul(q_t, matmul(k_t.T, v))
-    routed = matmul(q_routed, matmul(k_routed.T, v))
-    # An overflowed map gives inf - inf here; the block's finiteness check
-    # reports it, so numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if normalize:
-            shared /= _normalizer(q_t, k_t)
-            routed /= _normalizer(q_routed, k_routed)
-        np.multiply(lam_map[:, None], routed, out=routed)
-        out = np.subtract(shared, routed, out=shared)
-    return out, {"map": (lam_map, routes_map)}
+    return _differential(q_t, q_routed, k_t, k_routed, bank, "map-wise", _keys_first, v, normalize)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests.  Every case shells out like a user would,
-except the numpy-backend ones, which run ``cli.main`` in process."""
+except the numpy-backend ones and the pinned dump-attn rows, which run
+``cli.main`` in process."""
 
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 import dydila.numerics as numerics
 from dydila import cli
 from dydila.bench import BENCH_CSV_HEADER
-from dydila.config import RunConfig, load_config
+from dydila.config import RunConfig, load_config, seeded_run
 from dydila.flops import config_flops, flops_estimate
 from dydila.numerics import matmul_backend
 from dydila.fileio import read_csv, read_pgm, write_tokens_csv
@@ -237,6 +238,16 @@ class TestForward:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [MAPWISE_F32_ERROR]
 
+    def test_input_rows_lie_on_the_seq_len_grid(self, tmp_path):
+        # 10 rows are not the small preset's 8x8 grid: they lie on the grid
+        # --seq-len 10 picks, so the seeded tokens read back give its output
+        path = tmp_path / "in.csv"
+        write_tokens_csv(path, seeded_run(RunConfig.from_dict({"preset": "small"}), 10)[2])
+        a = run_cli("forward", "--preset", "small", "--input", str(path))
+        b = run_cli("forward", "--preset", "small", "--seq-len", "10")
+        assert a.returncode == 0, a.stderr
+        assert a.stdout == b.stdout
+
     def test_input_width_mismatch_is_config_error(self, tmp_path, tiny_config):
         path = tmp_path / "in.csv"
         write_tokens_csv(path, mat(2, 6, 5))
@@ -260,6 +271,29 @@ class TestDumpAttn:
         if impl == "softmax":
             weights = [float(r[1]) for r in rows]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+
+    def test_input_rows_lie_on_the_seq_len_grid(self, tmp_path):
+        cfg = tmp_path / "nodwc.json"
+        cfg.write_text(json.dumps({"preset": "small", "dwc": {"enabled": False}}),
+                       encoding="utf-8")
+        path = tmp_path / "in.csv"
+        write_tokens_csv(path, mat(3, 10, 384))
+        base = tmp_path / "attn"
+        proc = run_cli("dump-attn", "--config", str(cfg), "--input", str(path),
+                       "--out", str(base))
+        assert proc.returncode == 0, proc.stderr
+        w, h, pixels = read_pgm(str(base) + ".pgm")
+        assert (w, h) == (5, 2) and len(pixels) == 10
+
+    def test_seq_len_disagreeing_with_input_exits_2(self, tmp_path):
+        path = tmp_path / "in.csv"
+        write_tokens_csv(path, mat(3, 10, 384))
+        base = tmp_path / "attn"
+        proc = run_cli("dump-attn", "--preset", "small", "--input", str(path),
+                       "--seq-len", "12", "--out", str(base))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: --seq-len 12 but")
+        assert not (tmp_path / "attn.csv").exists()
 
     def test_block_out_of_range(self, tmp_path, tiny_config):
         proc = run_cli("dump-attn", "--config", tiny_config, "--block", "5",
@@ -287,6 +321,83 @@ class TestDumpAttn:
         assert "error: block 5 attention row contains non-finite element" in proc.stderr
         assert not (tmp_path / "attn.csv").exists()
         assert not (tmp_path / "attn.pgm").exists()
+
+
+# sha256 of the CSV and PGM that `dump-attn --block 2 --head 1` writes on the
+# small preset with 2 heads, keyed by (variant, normalize, precision, impl,
+# --seq-len).  The row is made of IEEE + - * /, sqrt, the owned pow and
+# fixed-order sums, so its bits do not depend on the backend.  The softmax
+# row follows numpy's exp and pairwise row sums, like every softmax output,
+# so it is not pinned.
+PINNED_DUMP = {
+    ("token-wise", True, "f64", "linear", None): (
+        "54d7e9c2a40f1bbe22896b081ebc72a86590a45513a3a849b5801d17b687aef6",
+        "929428fb388b3ea3214f48f23af60393c8fea41cddaf6975bdbfb9420e6332da",
+    ),
+    ("token-wise", True, "f64", "focused", None): (
+        "b2b56a40c68ff8852b715416356321d190c93a590133a45daad6c6f48eb8098c",
+        "eef1d5d59775387696ee1367535f210b3b3dc5b914171cd6e0ee18ac744d2dec",
+    ),
+    ("token-wise", True, "f64", "dydila", None): (
+        "867320c1e81107c8e826bd49888f467e58e70fe5512f1767bc2948a9a10a1740",
+        "b2bf919d5cf54d89987781c9e3da6f74fa6d76fcd05350f4d3bd72a691a88974",
+    ),
+    ("token-wise", True, "f64", "mapwise", None): (
+        "089469cbd04c931152dd82bdd13b29086b277426992863ba165967ffdd901027",
+        "3518ad6af5c51fe6d791b86a182f7a5c77945bc06ee7b9242635f0c1a571baa6",
+    ),
+    ("map-wise", True, "f64", "linear", None): (
+        "7cecc62a6dfad1150abbccb0b60537d60245be132735fddbd16eafe415cab862",
+        "df19e9619ddc8b6187ea2e762dfe7ebcfea17b29f82f0afd9a8f4b4ea8aaf4e3",
+    ),
+    ("map-wise", True, "f64", "focused", None): (
+        "a1f7c8fd66881526b0f0e0445cd850a01c017fefffa33ff0270c1ac4127549ac",
+        "513694adeb52403201106958d33e46e2f2ce312ecfb0f217a6aba273d80cfefe",
+    ),
+    ("map-wise", True, "f64", "dydila", None): (
+        "5f4c77899f76f0c75e9c93a575640cbe1ee818ad556dd13d6b0e12d47713bd7c",
+        "fa388c347c8ad8b217893db95d603d416d668a7348550394fff30c41dee446f8",
+    ),
+    ("map-wise", True, "f64", "mapwise", None): (
+        "6aae425bb80ef8e3054bcc97753d317c48c32df7ce05fc08549726e992e7dc87",
+        "d055438f13617e39b0d3bd7318d59c75c9237633c530454e086e904198821cf0",
+    ),
+    ("token-wise", False, "f64", "dydila", None): (
+        "1bb8e0c60016665e205a599b27592875c2f3947cc1c18e738b70ddc6bd887570",
+        "f43dcc0a81992b7c5041b428789245fc2456699ae7ee9197b45b617a1e754f38",
+    ),
+    ("map-wise", False, "f64", "mapwise", None): (
+        "e2c19dad6bf7929d1d2fbcee5be333fe5e3be99e1a0f426c94b85399b92bbdf5",
+        "8c96096fbf614a5250ce4348fc7c950545e58de3a9cb6d007df648aba72829a0",
+    ),
+    ("map-wise", True, "f32", "mapwise", 30): (
+        "46e355e6546a3d8a82e0bbb9f7b5f03b449f46b6ddde8348b504d50bde904000",
+        "9ff58bf1ff09867381772aaf718aa2fe7348e95e7ec653f02e2c39a39ab7ceb8",
+    ),
+}
+
+
+class TestDumpAttnPinned:
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("cell", list(PINNED_DUMP), ids=lambda c: "-".join(map(str, c)))
+    def test_row_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, backend, cell):
+        if backend == "c":
+            needs_compiler()
+        else:
+            monkeypatch.setattr(numerics, "_c_kernels", {})
+        variant, normalize, precision, impl, seq_len = cell
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "small", "heads": 2, "variant": variant,
+                                   "normalize": normalize, "precision": precision}),
+                       encoding="utf-8")
+        base = tmp_path / "attn"
+        argv = ["dump-attn", "--config", str(cfg), "--block", "2", "--head", "1",
+                "--impl", impl, "--out", str(base)]
+        assert cli.main(argv + (["--seq-len", str(seq_len)] if seq_len else [])) == 0
+        capsys.readouterr()
+        got = tuple(hashlib.sha256((tmp_path / f"attn.{ext}").read_bytes()).hexdigest()
+                    for ext in ("csv", "pgm"))
+        assert got == PINNED_DUMP[cell]
 
 
 class TestStatsLambda:

@@ -4,8 +4,11 @@ import pytest
 from dydila.differential import (
     DENOM_FLOOR,
     DifferentialBank,
+    _differential,
     _floor_denominator,
+    _keys_first,
     _normalizer,
+    _query_first,
     expand_tokenwise,
     mapwise_forward,
     tdo_forward,
@@ -207,6 +210,32 @@ class TestMapwise:
         routed_full = matmul(qp_t, matmul(kp_t.T, v))
         want = -t2 - t3 + t4 + lam_map[:, None] * routed_full
         assert_close(tdo - mapw, want, 1e-12, "token-vs-map reconciliation")
+
+
+class TestQuerySubset:
+    """The shared differential on query rows ``sel`` gives those rows of the
+    call on every query row, bit for bit: ``extract_attention_row`` takes one
+    row of a head this way, query first."""
+
+    @pytest.mark.parametrize("product", ["keys_first", "query_first"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("variant", ["token-wise", "map-wise"])
+    def test_rows_are_those_of_the_whole_call(self, variant, normalize, product):
+        q_t, qp_t, k_t, kp_t, v = _streams(90, 24, 6)
+        bank = make_diff_bank(91, 6, [0.0, 0.3, 0.7, 1.0])
+        if product == "keys_first":
+            args = (_keys_first, v, normalize)
+        else:
+            args = (_query_first, normalize)
+        # token-wise consumes the routed streams it is given
+        whole, lam_whole = _differential(q_t, qp_t.copy(), k_t, kp_t.copy(), bank, variant, *args)
+        query_side = "q" if variant == "token-wise" else "map"
+        assert len(set(lam_whole[query_side][0])) > 1  # the rows route apart
+        for sel in (slice(7, 8), slice(0, 24, 5), [23, 2, 11]):
+            rows, lam_rows = _differential(q_t[sel], qp_t[sel].copy(), k_t, kp_t.copy(), bank,
+                                           variant, *args)
+            assert np.array_equal(rows.view(np.uint64), whole[sel].view(np.uint64)), sel
+            assert np.array_equal(lam_rows[query_side][0], lam_whole[query_side][0][sel])
 
 
 class TestDenominatorFloor:
