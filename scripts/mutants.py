@@ -48,6 +48,7 @@ SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
 BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
                "Multihead or TdoForward or WorkingSet")
 DWC_TESTS = ("tests/test_attention.py", "tests/test_numerics.py", "-k", "dwc or Dwc or build")
+SPREAD_TESTS = ("tests/test_pinned_hashes.py", "-k", "spread_bank")
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,8 @@ MUTANTS = (
     # the normalizer's column sums
     Mutant("normalizer_column_sum_by_numpy",
            (("src/dydila/differential.py",
-             "col_sums = matmul(np.ones((1, k.shape[0]), dtype=k.dtype), k)",
-             "col_sums = np.sum(k, axis=0)[None, :]"),),
+             "col_sums = matmul(np.ones((1, b.shape[0]), dtype=b.dtype), b)",
+             "col_sums = np.sum(b, axis=0)[None, :]"),),
            ("tests/test_differential.py",)),
     # the softmax map's one buffer
     Mutant("softmax_map_in_a_fresh_array",
@@ -169,16 +170,30 @@ MUTANTS = (
            BLOCK_TESTS),
     Mutant("tdo_forward_writes_into_the_callers_routed_streams",
            (("src/dydila/differential.py",
-             "return _differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank,",
-             "return _differential(q_t, q_routed, k_t, k_routed, bank,"),),
+             "_differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, \"token-wise\"",
+             "_differential(q_t, q_routed, k_t, k_routed, bank, \"token-wise\""),),
            BLOCK_TESTS),
     # the attention row's query-first product
     Mutant("query_first_product_never_normalized",
            (("src/dydila/differential.py",
-             "    out = matmul(a, b.T)\n    if normalize:\n",
-             "    out = matmul(a, b.T)\n    if False:\n"),),
+             "dtype=b.dtype), b) if normalize else None",
+             "dtype=b.dtype), b) if normalize and v is not None else None"),),
            ("tests/test_attention.py", "tests/test_cli.py", "-k",
             "ExtractAttentionRow or DumpAttnPinned")),
+    # the key and query halves, against the spread-bank pins
+    Mutant("query_half_routes_lambda_q_with_router_k",
+           (("src/dydila/differential.py",
+             "_routed_lambdas(q_t, q_routed, bank.router_q, bank.lambdas)",
+             "_routed_lambdas(q_t, q_routed, bank.router_k, bank.lambdas)"),),
+           SPREAD_TESTS),
+    Mutant("key_state_summarised_before_the_k_differencing",
+           (("src/dydila/differential.py",
+             "        k_diff = _difference(k_t, k_routed, lam_k)\n"
+             "        return (_key_state(k_diff, v, normalize),)",
+             "        state = _key_state(k_routed, v, normalize)\n"
+             "        _difference(k_t, k_routed, lam_k)\n"
+             "        return (state,)"),),
+           SPREAD_TESTS),
     # the config schema's kinds and its per-block schedule
     Mutant("config_bool_passes_as_a_finite_number",
            (("src/dydila/config.py",

@@ -11,7 +11,10 @@ kernel (one weight edit at the center tap) for inference.
 
 Multi-head runs the TDO path on channel slices with per-head kernel and
 differential banks; the depthwise convolution always sees the full-width V.
-A head's diagnostics record only the lambdas its variant routed.
+A block runs keys first: every head reduces its keys to a small key state
+(the differential's key half) before any query is mapped, so K, K' and V
+are released before any head output exists.  A head's diagnostics record
+only the lambdas its variant routed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .differential import DifferentialBank, _differential, _keys_first, _query_first
+from .differential import DifferentialBank, _apply_state, _key_half, _key_state, _query_half
 from .kernels import KernelBank, dmk_forward, focused_rows
 from .numerics import (
     ConfigError,
@@ -280,7 +283,7 @@ def linear_attention(
     """
     _check_shared_shapes(q, k, v)
     phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
-    return _keys_first(phi_q, phi_k, v, normalize=True)
+    return _apply_state(phi_q, _key_state(phi_k, v, normalize=True))
 
 
 def _feature_map(z: np.ndarray, gamma: float | None) -> np.ndarray:
@@ -300,30 +303,34 @@ def _head_slice(m: np.ndarray, head: int, d_h: int) -> np.ndarray:
     return m[:, head * d_h : (head + 1) * d_h]
 
 
-def _kernel_streams(q, k, qp, kp, params: DydilaParams, head: int):
-    """One head's kernel-mapped ``(q_t, k_t, qp_t, kp_t)`` and their four routes.
+def _mapped(m: np.ndarray, head: int, d_h: int, bank: KernelBank, rows=slice(None)):
+    """``(stream, routes)``: rows ``rows`` of one head's slice of m, routed
+    from their raw values and then kernel-mapped there in place."""
+    z = _head_slice(m, head, d_h)[rows]
+    return dmk_forward(z, bank, out=z)
 
-    Each stream is routed from its raw head slice of q, k, qp or kp and then
-    mapped there in place, so the four returned streams are those slices.
+
+def _head_keys(k, kp, v, params: DydilaParams, head: int, variant: str):
+    """One head's key half: ``(states, lambdas, (routes_k, routes_kp))``.
+
+    Maps the head's slices of k and kp in place, then reduces them to key
+    states keys first over ``v`` (the head's V slice), or query first when
+    ``v`` is None.
     """
     hp, d_h = params.head_params[head], params.head_dim
-    streams = zip((q, k, qp, kp), (hp.kernel_q, hp.kernel_k, hp.kernel_qp, hp.kernel_kp))
-    slices = [(_head_slice(m, head, d_h), bank) for m, bank in streams]
-    mapped = [dmk_forward(z, bank, out=z) for z, bank in slices]
-    return tuple(t for t, _ in mapped), tuple(r for _, r in mapped)
+    k_t, routes_k = _mapped(k, head, d_h, hp.kernel_k)
+    kp_t, routes_kp = _mapped(kp, head, d_h, hp.kernel_kp)
+    states, lambdas = _key_half(k_t, kp_t, hp.diff, variant, v, params.normalize)
+    return states, lambdas, (routes_k, routes_kp)
 
 
-def _head_forward(q, k, v, qp, kp, params: DydilaParams, head: int):
-    """TDO path of one head on the full-width projections; returns (out, HeadDiagnostics).
-
-    The head's slices of q, k, qp and kp are overwritten: each with its
-    kernel map, and token-wise the routed ones then with the differences.
-    """
-    (q_t, k_t, qp_t, kp_t), kernel_routes = _kernel_streams(q, k, qp, kp, params, head)
-    out, lambdas = _differential(q_t, qp_t, k_t, kp_t, params.head_params[head].diff,
-                                 params.variant, _keys_first,
-                                 _head_slice(v, head, params.head_dim), params.normalize)
-    return out, HeadDiagnostics(*kernel_routes, lambdas=lambdas)
+def _head_queries(q, qp, params: DydilaParams, head: int, variant: str, states, rows=slice(None)):
+    """One head's query half on query rows ``rows``: ``(out, lambdas, (routes_q, routes_qp))``."""
+    hp, d_h = params.head_params[head], params.head_dim
+    q_t, routes_q = _mapped(q, head, d_h, hp.kernel_q, rows)
+    qp_t, routes_qp = _mapped(qp, head, d_h, hp.kernel_qp, rows)
+    out, lambdas = _query_half(q_t, qp_t, hp.diff, variant, states)
+    return out, lambdas, (routes_q, routes_qp)
 
 
 def multihead_forward(x: np.ndarray, params: DydilaParams):
@@ -332,11 +339,13 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     Channel slices go through per-head kernel/differential banks; head
     outputs are concatenated back to full width.
 
-    A pass holds the five projections, the output and one head's output:
-    each head maps and differences its streams in its slices of the
-    projections, and the output starts as the DWC of v (when there is one),
-    to which each head's output is added in its columns; IEEE addition is
-    commutative, so that is ``head_out + dwc`` bit for bit.
+    Keys first: every head maps its K and K' slices in place and reduces
+    them, with its V slice, to a d_h x d_h key state.  K and K' are then
+    released; the output starts as the DWC of v (when there is one) and V
+    is released too.  Only then does each head map its Q and Q' slices and
+    add its output into its columns; IEEE addition is commutative, so that
+    is ``head_out + dwc`` bit for bit.  A pass peaks at the five
+    projections that ``dpm_forward`` returns.
     """
     _check_2d(x, "block input")
     n, d = x.shape
@@ -350,20 +359,26 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     q, k, v, qp, kp, routes_q, routes_k = dpm_forward(x, params.proj)
     diag = BlockDiagnostics(routes_proj_q=routes_q, routes_proj_k=routes_k)
 
-    d_h = params.head_dim
+    d_h, variant = params.head_dim, params.variant
+    keys = [_head_keys(k, kp, _head_slice(v, h_idx, d_h), params, h_idx, variant)
+            for h_idx in range(params.heads)]
+    del k, kp
     if params.dwc is None:
         out = np.empty((n, d), dtype=x.dtype)
     else:
         out = dwc_forward(v, params.grid, params.dwc)
-    for h_idx in range(params.heads):
-        head_out, head_diag = _head_forward(q, k, v, qp, kp, params, h_idx)
+    del v
+    for h_idx, (states, key_lambdas, (routes_k_t, routes_kp_t)) in enumerate(keys):
+        head_out, query_lambdas, (routes_q_t, routes_qp_t) = _head_queries(
+            q, qp, params, h_idx, variant, states)
         cols = out[:, h_idx * d_h : (h_idx + 1) * d_h]
         if params.dwc is None:
             cols[...] = head_out
         else:
             cols += head_out
         del head_out  # before the next head makes its own
-        diag.heads.append(head_diag)
+        diag.heads.append(HeadDiagnostics(routes_q_t, routes_k_t, routes_qp_t, routes_kp_t,
+                                          lambdas={**query_lambdas, **key_lambdas}))
     return out, diag
 
 
@@ -408,14 +423,14 @@ def extract_attention_row(
         if impl == "softmax":
             return _softmax_map(q[sel], k)[0]
         gamma = params.head_params[head].kernel_q.gammas[0] if impl == "focused" else None
-        phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
-        return _query_first(phi_q[sel], phi_k, normalize=True)[0]
+        phi_q, phi_k = _feature_map(q[sel], gamma), _feature_map(k, gamma)
+        return _apply_state(phi_q, _key_state(phi_k, None, normalize=True))[0]
 
     if impl not in ("dydila", "mapwise"):
         raise ConfigError(f"unknown impl {impl!r}")
 
     q, k, _, qp, kp, _, _ = dpm_forward(x, params.proj)
-    (q_t, k_t, qp_t, kp_t), _ = _kernel_streams(q, k, qp, kp, params, head)
-    row, _ = _differential(q_t[sel], qp_t[sel], k_t, kp_t, params.head_params[head].diff,
-                           _impl_variant(impl), _query_first, params.normalize)
+    variant = _impl_variant(impl)
+    states, _, _ = _head_keys(k, kp, None, params, head, variant)
+    row, _, _ = _head_queries(q, qp, params, head, variant, states, sel)
     return row[0]

@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation, OracleCapError, BenchResourceError) as e:
+    except (ConfigError, ContractViolation, OracleCapError, BenchResourceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

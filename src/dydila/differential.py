@@ -9,9 +9,17 @@ on both the query and key sides, then runs the linear-attention reordering
 Each token's lambda comes from routing the concatenation of its two stream
 rows (width 2d) to one of n_d candidate scalars; the map-wise variant instead
 differences the two attention outputs with one routed lambda per token.
-Each variant routes only the lambdas it uses.  Its algebra is written once,
-in :func:`_differential`, over a map product: :func:`_keys_first` for
-outputs, :func:`_query_first` (rows of the n x n map) for attention rows.
+Each variant routes only the lambdas it uses.
+
+Its algebra is written once, in two halves.  The key half
+(:func:`_key_half`) routes the key-side lambda, differences the keys and
+reduces each map's keys to a state: ``(b^T v, ones @ b)`` keys first, a
+d_h x d_v matrix and the normalizer's column sums (the RNN view of linear
+attention), or ``(b^T, ones @ b)`` query first, for rows of the n x n map.
+The query half (:func:`_query_half`) routes the query-side lambda,
+differences the queries and applies the state: ``a @ kv``, divided by the
+floored ``a @ col_sums^T``.  Once the key half has run, no key or value
+row is needed again.
 """
 
 from __future__ import annotations
@@ -83,20 +91,10 @@ def _routed_lambdas(a: np.ndarray, b: np.ndarray, router: Router, lambdas: tuple
     return table[routes.indices], routes
 
 
-def _differenced(q_t, q_routed, k_t, k_routed, bank: DifferentialBank):
-    """Token-wise ``(q_diff, k_diff, lambdas)``, each lambda routed from its stream pair.
-
-    Consumes the routed streams: once both lambdas are routed, each routed
-    stream becomes ``lam ⊙ routed`` and then ``shared - that`` in its own
-    array, so ``q_diff`` is ``q_routed`` and ``k_diff`` is ``k_routed``.
-    """
-    lam_q, routes_q = _routed_lambdas(q_t, q_routed, bank.router_q, bank.lambdas)
-    lam_k, routes_k = _routed_lambdas(k_t, k_routed, bank.router_k, bank.lambdas)
-    lambdas = {"q": (lam_q, routes_q), "k": (lam_k, routes_k)}
-    for shared, routed, lam in ((q_t, q_routed, lam_q), (k_t, k_routed, lam_k)):
-        np.multiply(lam[:, None], routed, out=routed)
-        np.subtract(shared, routed, out=routed)
-    return q_routed, k_routed, lambdas
+def _difference(shared, routed, lam):
+    """``shared - lam ⊙ routed``, formed in ``routed``."""
+    np.multiply(lam[:, None], routed, out=routed)
+    return np.subtract(shared, routed, out=routed)
 
 
 def _check_streams(q_t, q_routed, k_t, k_routed, v):
@@ -124,52 +122,76 @@ def _floor_denominator(den: np.ndarray) -> np.ndarray:
     return sign * np.maximum(np.abs(den), np.asarray(DENOM_FLOOR, dtype=den.dtype))
 
 
-def _normalizer(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Floored keys-first row sums ``q @ sum(k)``: each row's normalizing denominator.
+def _key_state(b: np.ndarray, v: np.ndarray | None, normalize: bool):
+    """One map's keys reduced to ``(kv, col_sums)``, all a query needs of them.
 
-    The column sums of k are ``ones @ k``, so they too add in ascending row
-    order from +0 whatever k's layout (numpy's own sum switches to pairwise
-    summation on F-ordered arrays).
+    ``kv`` is ``b^T v`` (keys first, d_h x d_v) or, with ``v`` None, ``b^T``
+    itself (query first: the map ``a b^T``).  ``col_sums`` is ``ones @ b``
+    under ``normalize`` (else None): through ``matmul`` it adds in ascending
+    row order from +0 whatever b's layout (numpy's own sum switches to
+    pairwise summation on F-ordered arrays).
     """
-    col_sums = matmul(np.ones((1, k.shape[0]), dtype=k.dtype), k)
-    return _floor_denominator(matmul(q, col_sums.T))
+    kv = b.T if v is None else matmul(b.T, v)
+    col_sums = matmul(np.ones((1, b.shape[0]), dtype=b.dtype), b) if normalize else None
+    return kv, col_sums
 
 
-def _keys_first(a: np.ndarray, b: np.ndarray, v: np.ndarray, normalize: bool) -> np.ndarray:
-    """``a (b^T v)``, each row divided by ``_normalizer(a, b)`` if ``normalize``."""
-    out = matmul(a, matmul(b.T, v))
-    if normalize:
-        out /= _normalizer(a, b)
+def _apply_state(a: np.ndarray, state) -> np.ndarray:
+    """``a @ kv``, each row divided by its floored denominator ``a @ col_sums^T``."""
+    kv, col_sums = state
+    out = matmul(a, kv)
+    if col_sums is not None:
+        out /= _floor_denominator(matmul(a, col_sums.T))
     return out
 
 
-def _query_first(a: np.ndarray, b: np.ndarray, normalize: bool) -> np.ndarray:
-    """The map ``a b^T``, each row divided by ``_normalizer(a, b)`` if ``normalize``."""
-    out = matmul(a, b.T)
-    if normalize:
-        out /= _normalizer(a, b)
-    return out
+def _key_half(k_t, k_routed, bank: DifferentialBank, variant, v, normalize):
+    """A variant's key states and the lambdas it routed on the key side.
 
-
-def _differential(q_t, q_routed, k_t, k_routed, bank: DifferentialBank, variant, product, *args):
-    """A variant's ``(out, lambdas)`` over the map product ``product(a, b, *args)``.
-
-    token-wise: the product of the differences (consuming the routed streams,
-    see :func:`_differenced`); map-wise: ``product(q_t, k_t) - lam_map ⊙
-    product(q_routed, k_routed)``.  Every step is row-local, so query rows
-    ``sel`` of the streams give those rows of the whole call bit for bit.
+    token-wise: routes lam_k, forms ``k_t - lam_k ⊙ k_routed`` in
+    ``k_routed`` and returns its one state with ``{"k": (lam_k, routes)}``;
+    map-wise: the states of ``k_t`` and ``k_routed``, no lambdas.  See
+    :func:`_key_state` for ``v`` and ``normalize``.
     """
     if variant == "token-wise":
-        q_diff, k_diff, lambdas = _differenced(q_t, q_routed, k_t, k_routed, bank)
-        return product(q_diff, k_diff, *args), lambdas
+        lam_k, routes_k = _routed_lambdas(k_t, k_routed, bank.router_k, bank.lambdas)
+        k_diff = _difference(k_t, k_routed, lam_k)
+        return (_key_state(k_diff, v, normalize),), {"k": (lam_k, routes_k)}
+    return (_key_state(k_t, v, normalize), _key_state(k_routed, v, normalize)), {}
+
+
+def _query_half(q_t, q_routed, bank: DifferentialBank, variant, states):
+    """A variant's ``(out, lambdas)`` from its key states and the query streams.
+
+    token-wise: routes lam_q, forms ``q_t - lam_q ⊙ q_routed`` in
+    ``q_routed`` and applies the state; map-wise: routes lam_map and takes
+    ``shared - lam_map ⊙ routed``, each map applied from its own state.
+    Every step is row-local, so query rows ``sel`` give those rows of the
+    whole call bit for bit.
+    """
+    if variant == "token-wise":
+        lam_q, routes_q = _routed_lambdas(q_t, q_routed, bank.router_q, bank.lambdas)
+        q_diff = _difference(q_t, q_routed, lam_q)
+        return _apply_state(q_diff, states[0]), {"q": (lam_q, routes_q)}
     lam_map, routes_map = _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
-    shared, routed = product(q_t, k_t, *args), product(q_routed, k_routed, *args)
+    shared, routed = _apply_state(q_t, states[0]), _apply_state(q_routed, states[1])
     # An overflowed map gives inf - inf here; the block's finiteness check
     # reports it, so numpy's warning would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(lam_map[:, None], routed, out=routed)
-        out = np.subtract(shared, routed, out=shared)
+        out = _difference(shared, routed, lam_map)
     return out, {"map": (lam_map, routes_map)}
+
+
+def _differential(q_t, q_routed, k_t, k_routed, bank: DifferentialBank, variant, v, normalize):
+    """The key half, then the query half: ``(out, lambdas)`` of one variant.
+
+    Keys first with ``v``, query first (rows of the map) with ``v`` None.
+    Token-wise consumes the routed streams, forming the differences in them;
+    its lambdas are ``{"q": ..., "k": ...}`` in that order.
+    """
+    states, key_lambdas = _key_half(k_t, k_routed, bank, variant, v, normalize)
+    out, query_lambdas = _query_half(q_t, q_routed, bank, variant, states)
+    return out, {**query_lambdas, **key_lambdas}
 
 
 def tdo_forward(
@@ -189,8 +211,8 @@ def tdo_forward(
     similarity, floored at ``DENOM_FLOOR`` in magnitude.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    return _differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, "token-wise",
-                         _keys_first, v, normalize)
+    return _differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, "token-wise", v,
+                         normalize)
 
 
 def expand_tokenwise(
@@ -245,4 +267,4 @@ def mapwise_forward(
     Returns ``(out, {"map": (lam_map, RouteAssignment)})``.
     """
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    return _differential(q_t, q_routed, k_t, k_routed, bank, "map-wise", _keys_first, v, normalize)
+    return _differential(q_t, q_routed, k_t, k_routed, bank, "map-wise", v, normalize)

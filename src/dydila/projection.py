@@ -89,10 +89,12 @@ def dpm_forward(x: np.ndarray, bank: ProjectorBank):
     Returns ``(q, k, v, q_routed, k_routed, routes_q, routes_k)``.  Each
     token's routed row depends only on that token (its route and its
     projection), so the whole map is equivariant under token permutation.
+    The routed streams are projected first, so the gathered rows each
+    projector takes are freed before the three shared projections exist.
     """
-    q, k, v = project_shared(x, bank)
     routes_q = route_argmax(x, bank.router_q)
     routes_k = route_argmax(x, bank.router_k)
     q_routed = _routed_project(x, bank.w_q, routes_q)
     k_routed = _routed_project(x, bank.w_k, routes_k)
+    q, k, v = project_shared(x, bank)
     return q, k, v, q_routed, k_routed, routes_q, routes_k

@@ -543,3 +543,16 @@ class TestErrors:
         proc = run_cli()
         assert proc.returncode == 2
         assert "usage" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("forward", "--config", "{missing}/c.json"),
+        ("forward", "--config", "{tiny}", "--input", "{missing}/x.csv"),
+        ("forward", "--config", "{tiny}", "--out", "{missing}/o.csv"),
+        ("init", "--out", "{missing}/c.json"),
+    ], ids=["forward_config", "forward_input", "forward_out", "init_out"])
+    def test_file_error_exits_2_without_a_traceback(self, tmp_path, tiny_config, argv):
+        missing = tmp_path / "missing"
+        proc = run_cli(*(a.format(missing=missing, tiny=tiny_config) for a in argv))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+        assert str(missing) in proc.stderr

@@ -6,9 +6,7 @@ from dydila.differential import (
     DifferentialBank,
     _differential,
     _floor_denominator,
-    _keys_first,
-    _normalizer,
-    _query_first,
+    _key_state,
     expand_tokenwise,
     mapwise_forward,
     tdo_forward,
@@ -18,6 +16,11 @@ from dydila.oracle import explicit_mapwise, explicit_tdo, per_token_lambdas
 from dydila.routing import Router
 
 from conftest import assert_close, make_diff_bank, mat
+
+
+def _denominator(q, k):
+    """Each row's floored normalizing denominator ``q @ sum(k)``."""
+    return _floor_denominator(matmul(q, matmul(np.ones((1, k.shape[0])), k).T))
 
 
 def _streams(seed, n, d):
@@ -183,8 +186,8 @@ class TestMapwise:
         bank = make_diff_bank(seed + 174, 6, [0.01, 0.05, 0.1])
         out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
         lam_map = lambdas["map"][0]
-        shared = matmul(q_t, matmul(k_t.T, v)) / _normalizer(q_t, k_t)
-        routed = matmul(qp_t, matmul(kp_t.T, v)) / _normalizer(qp_t, kp_t)
+        shared = matmul(q_t, matmul(k_t.T, v)) / _denominator(q_t, k_t)
+        routed = matmul(qp_t, matmul(kp_t.T, v)) / _denominator(qp_t, kp_t)
         assert np.array_equal(out, shared - lam_map[:, None] * routed)
         want = explicit_mapwise(q_t, qp_t, k_t, kp_t, v, lam_map, normalize=True)
         assert_close(out, want, 1e-10, "normalized mapwise vs explicit")
@@ -213,9 +216,9 @@ class TestMapwise:
 
 
 class TestQuerySubset:
-    """The shared differential on query rows ``sel`` gives those rows of the
-    call on every query row, bit for bit: ``extract_attention_row`` takes one
-    row of a head this way, query first."""
+    """The key half over every key, then the query half on query rows
+    ``sel``, gives those rows of the call on every query row, bit for bit:
+    ``extract_attention_row`` takes one row of a head this way, query first."""
 
     @pytest.mark.parametrize("product", ["keys_first", "query_first"])
     @pytest.mark.parametrize("normalize", [False, True])
@@ -223,10 +226,7 @@ class TestQuerySubset:
     def test_rows_are_those_of_the_whole_call(self, variant, normalize, product):
         q_t, qp_t, k_t, kp_t, v = _streams(90, 24, 6)
         bank = make_diff_bank(91, 6, [0.0, 0.3, 0.7, 1.0])
-        if product == "keys_first":
-            args = (_keys_first, v, normalize)
-        else:
-            args = (_query_first, normalize)
+        args = (v if product == "keys_first" else None, normalize)
         # token-wise consumes the routed streams it is given
         whole, lam_whole = _differential(q_t, qp_t.copy(), k_t, kp_t.copy(), bank, variant, *args)
         query_side = "q" if variant == "token-wise" else "map"
@@ -261,18 +261,18 @@ class TestNormalizer:
         # bits of numpy's row-by-row sum on C-ordered k, and of the same loop
         # on an F-ordered k, where numpy's own sum switches to pairwise
         n, d = shape
-        q, k = mat(1, 7, d, precision), mat(2, n, d, precision)
+        k = mat(2, n, d, precision)
         k[::3] *= 1e6  # magnitudes far apart, so a different order shows
         ascending = np.zeros(d, dtype=k.dtype)
         for row in k:
             ascending = ascending + row
         assert np.array_equal(ascending, np.sum(k, axis=0))
-        want = _floor_denominator(matmul(q, ascending[:, None]))
         wide = np.zeros((n, 2 * d), dtype=k.dtype)
         wide[:, ::2] = k
         for name, view in [("c_order", k), ("f_order", np.asfortranarray(k)),
                            ("strided", wide[:, ::2])]:
-            assert np.array_equal(_normalizer(q, view), want), name
+            _, col_sums = _key_state(view, None, normalize=True)
+            assert np.array_equal(col_sums, ascending[None, :]), name
 
 
 class TestBankValidation:
