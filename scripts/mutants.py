@@ -145,7 +145,7 @@ MUTANTS = (
              "col_sums = matmul(np.ones((1, b.shape[0]), dtype=b.dtype), b)",
              "col_sums = np.sum(b, axis=0)[None, :]"),),
            ("tests/test_differential.py",)),
-    # the softmax map's one buffer
+    # the softmax map's one buffer per block of query rows
     Mutant("softmax_map_in_a_fresh_array",
            (("src/dydila/attention.py", "return softmax_rows(logits, out=logits)",
              "return softmax_rows(logits)"),),
@@ -153,6 +153,10 @@ MUTANTS = (
     Mutant("softmax_rows_in_place",
            ((NUMERICS, "e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=out)",
              "e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=m)"),),
+           SOFTMAX_TESTS),
+    Mutant("softmax_block_one_row_short",
+           (("src/dydila/attention.py", "rows = slice(r0, r0 + _SOFTMAX_ROWS)",
+             "rows = slice(r0, r0 + _SOFTMAX_ROWS - 1)"),),
            SOFTMAX_TESTS),
     # each head's streams kept in the projection buffers
     _c("focused_in_place_rows_at_z_width",

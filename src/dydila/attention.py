@@ -29,6 +29,7 @@ from .kernels import KernelBank, dmk_forward, focused_rows
 from .numerics import (
     ConfigError,
     ContractViolation,
+    _MATMUL_BLOCKS,
     _check_2d,
     _dwc,
     matmul,
@@ -256,13 +257,28 @@ class BlockDiagnostics:
         return means
 
 
-def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Quadratic reference attention with the explicit n x n softmax map.
+# Query rows per block of the softmax map: two of matmul's MC row blocks, so
+# the map-times-values product packs each block of V once for two full row
+# blocks, and the map of n keys holds 512 n elements instead of n^2.
+_SOFTMAX_ROWS = 2 * _MATMUL_BLOCKS["MC"]
 
-    The map is the only n x n array a pass makes: see :func:`_softmax_map`.
+
+def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Quadratic reference attention with an explicit softmax map.
+
+    The map is built for ``_SOFTMAX_ROWS`` query rows at a time (see
+    :func:`_softmax_map`) and multiplied by V into those rows of the output,
+    so a pass never holds the whole n x n map.  Every step is row-local
+    (matmul sums each element in ascending k whatever the row subset; the
+    scale, row max, ``exp`` and row sum each read one row), so the bits are
+    those of the whole map and no online rescaling is needed.
     """
     _check_shared_shapes(q, k, v)
-    return matmul(_softmax_map(q, k), v)
+    out = np.empty((q.shape[0], v.shape[1]), dtype=q.dtype)
+    for r0 in range(0, q.shape[0], _SOFTMAX_ROWS):
+        rows = slice(r0, r0 + _SOFTMAX_ROWS)
+        out[rows] = matmul(_softmax_map(q[rows], k), v)
+    return out
 
 
 def _softmax_map(q: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -9,6 +9,14 @@ numbers the scaling analysis hinges on are the attention cores:
 which cross exactly at n = d for one head.  Everything else (projections,
 routing, feature maps, depthwise conv) is linear in n and reported per
 component so the crossover claim can be checked against the cores alone.
+
+The baselines run single-head: softmax, linear and focused attend over the
+shared full-width projections, so :func:`config_flops` counts them at one
+head whatever the config's ``heads``.  Only dydila and map-wise run heads.
+The components that are matmul products (projections, routings, cores,
+normalizer) equal the products a pass makes, FLOP for FLOP; the feature
+and kernel maps, the row softmax, the differential combine and the DWC are
+estimates.
 """
 
 from __future__ import annotations
@@ -79,8 +87,12 @@ def flops_estimate(
 
 
 def config_flops(cfg, impl: str, n: int) -> dict:
-    """``flops_estimate`` of one block of a ``RunConfig`` running ``impl`` over n tokens."""
-    return flops_estimate(impl, n, cfg.dim, heads=cfg.heads, n_projectors=cfg.n_projectors,
+    """``flops_estimate`` of one block of a ``RunConfig`` running ``impl`` over n tokens.
+
+    The baselines are counted at one head, the width they run at.
+    """
+    heads = cfg.heads if impl in ("dydila", "mapwise") else 1
+    return flops_estimate(impl, n, cfg.dim, heads=heads, n_projectors=cfg.n_projectors,
                           n_kernel_factors=cfg.n_kernel_factors,
                           n_lambda_factors=cfg.n_lambda_factors,
                           dwc=cfg.dwc_enabled, normalize=cfg.normalize)

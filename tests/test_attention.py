@@ -7,6 +7,7 @@ import pytest
 import dydila.numerics as numerics
 import dydila.oracle as oracle
 from dydila.attention import (
+    _SOFTMAX_ROWS,
     AttentionStack,
     BlockDiagnostics,
     DwcParams,
@@ -85,7 +86,10 @@ class TestSoftmaxMapInPlace:
         return matmul(_softmax_rows_reference(matmul(q, k.T) * scale), v)
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    @pytest.mark.parametrize("n_q,n_k,d,d_v", [(1, 1, 4, 4), (37, 53, 5, 11), (64, 64, 16, 16)])
+    @pytest.mark.parametrize("n_q,n_k,d,d_v", [
+        (1, 1, 4, 4), (37, 53, 5, 11), (64, 64, 16, 16),
+        (2 * _SOFTMAX_ROWS + 37, 53, 5, 11),  # two full blocks of query rows and a partial one
+    ])
     def test_bit_identical_to_unfused(self, precision, n_q, n_k, d, d_v):
         q, k = mat(20, n_q, d, precision, -3.0, 3.0), mat(21, n_k, d, precision, -3.0, 3.0)
         v = mat(22, n_k, d_v, precision)
@@ -106,13 +110,16 @@ class TestSoftmaxMapInPlace:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_extracted_row_is_the_unfused_row(self, precision):
         params = make_block(602, 8, (4, 6), precision=precision)
-        x = mat(41, 24, 8, precision)
-        q = matmul(x, params.proj.w_q0)
-        k = matmul(x, params.proj.w_k0)
-        scale = np.asarray(1.0 / np.sqrt(8), dtype=q.dtype)
-        want = _softmax_rows_reference(matmul(q, k.T) * scale)[7]
-        row = extract_attention_row(x, params, 7, impl="softmax")
-        assert np.array_equal(bits(row), bits(want))
+        # a query in the one block of 24 tokens, and one in the last, partial
+        # block of query rows
+        for n, index in ((24, 7), (2 * _SOFTMAX_ROWS + 37, 2 * _SOFTMAX_ROWS + 35)):
+            x = mat(41, n, 8, precision)
+            q = matmul(x, params.proj.w_q0)
+            k = matmul(x, params.proj.w_k0)
+            scale = np.asarray(1.0 / np.sqrt(8), dtype=q.dtype)
+            want = _softmax_rows_reference(matmul(q, k.T) * scale)[index]
+            row = extract_attention_row(x, params, index, impl="softmax")
+            assert np.array_equal(bits(row), bits(want))
 
     def test_softmax_rows_leaves_its_argument_unchanged(self):
         m = mat(26, 17, 29, low=-40.0, high=40.0)
@@ -121,23 +128,37 @@ class TestSoftmaxMapInPlace:
         assert m.tobytes() == before
         assert np.array_equal(bits(out), bits(_softmax_rows_reference(m)))
 
-    @pytest.mark.parametrize("precision", ["f64", "f32"])
-    def test_one_n_by_n_buffer(self, backend, precision):
-        # tracemalloc sees numpy's data buffers.  The unfused form holds up
-        # to four n x n arrays at once.  The numpy fallback of matmul keeps
-        # one multiply buffer of up to 1 MiB (its row block), half the map at
-        # n=512 in f64, so that backend runs at n=1024, where it is at most
-        # a quarter.
-        n = 512 if backend == "c" else 1024
-        q, k, v = (mat(s, n, 16, precision) for s in (27, 28, 29))
+    @staticmethod
+    def _peak_elements(n, precision, seeds):
+        """tracemalloc's peak over one softmax_attention pass at n x 16, in
+        elements of the precision (tracemalloc sees numpy's data buffers)."""
+        q, k, v = (mat(s, n, 16, precision) for s in seeds)
         numerics.matmul_backend()  # load the kernels before tracing
         tracemalloc.start()
         try:
             softmax_attention(q, k, v)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / q.itemsize
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * q.itemsize, f"peak {peak} bytes at n={n}"
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_one_n_by_n_buffer(self, backend, precision):
+        # The unfused form holds up to four n x n arrays at once.  The numpy
+        # fallback of matmul keeps one multiply buffer of up to 1 MiB (its row
+        # block), half the map at n=512 in f64, so that backend runs at
+        # n=1024 (two blocks of query rows), where it is at most a quarter.
+        n = 512 if backend == "c" else 1024
+        peak = self._peak_elements(n, precision, (27, 28, 29))
+        assert peak < 1.5 * n * n, f"peak {peak} elements at n={n}"
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_one_block_of_the_map_at_a_time(self, backend, precision):
+        # Past one block of query rows a pass holds one _SOFTMAX_ROWS x n
+        # block of the map, a quarter of the whole map at n=2048; the numpy
+        # fallback's multiply buffer fits under the bound too.
+        n = 2048
+        peak = self._peak_elements(n, precision, (33, 34, 35))
+        assert peak < 1.5 * _SOFTMAX_ROWS * n, f"peak {peak} elements at n={n}"
 
 
 class TestLinearAttention:
@@ -477,13 +498,17 @@ class TestStagesThroughPublicBindings:
     def test_softmax_normalizes_the_map_in_place(self, monkeypatch):
         import dydila.attention
 
-        log = []
-        self._spy(monkeypatch, dydila.attention, "softmax_rows", log)
-        q, k, v = mat(48, 9, 5), mat(49, 12, 5), mat(50, 12, 3)
-        softmax_attention(q, k, v)
-        assert len(log) == 1
-        _, (m,), kwargs = log[0]
-        assert kwargs["out"] is m and m.shape == (9, 12)
+        # one in-place call per block of query rows; the last block is partial
+        full = _SOFTMAX_ROWS
+        for n_q, blocks in ((9, (9,)), (2 * full + 37, (full, full, 37))):
+            log = []
+            self._spy(monkeypatch, dydila.attention, "softmax_rows", log)
+            q, k, v = mat(48, n_q, 5), mat(49, 12, 5), mat(50, 12, 3)
+            softmax_attention(q, k, v)
+            monkeypatch.undo()
+            assert len(log) == len(blocks)
+            for (_, (m,), kwargs), rows in zip(log, blocks):
+                assert kwargs["out"] is m and m.shape == (rows, 12)
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_route_pair_resumes_its_logits_through_matmul(self, monkeypatch, heads):

@@ -1,6 +1,13 @@
 import pytest
 
-from dydila.flops import IMPLEMENTATIONS, core_crossover, flops_estimate
+import dydila.attention
+import dydila.differential
+import dydila.projection
+import dydila.routing
+from dydila.attention import _SOFTMAX_ROWS
+from dydila.bench import build_forward
+from dydila.config import RunConfig
+from dydila.flops import IMPLEMENTATIONS, config_flops, core_crossover, flops_estimate
 from dydila.numerics import ConfigError
 
 
@@ -95,3 +102,42 @@ class TestValidation:
     def test_bad_dims(self, kwargs):
         with pytest.raises(ConfigError):
             flops_estimate("softmax", **kwargs)
+
+
+# The flops_estimate components that are matmul products.
+_MATMUL_COMPONENTS = ("qkv_projection", "routed_projection", "projection_routing",
+                      "kernel_routing", "lambda_routing", "attention_core", "normalizer")
+
+
+class TestLedger:
+    """The matmul components of ``config_flops`` equal the 2 m k n that one
+    ``build_forward`` pass makes, counted at every module's ``matmul``."""
+
+    @staticmethod
+    def _counted(monkeypatch, forward):
+        count = [0]
+        for module in (dydila.attention, dydila.differential, dydila.projection,
+                       dydila.routing):
+            real = module.matmul
+
+            def counting(a, b, *, start=None, real=real):
+                count[0] += 2 * a.shape[0] * a.shape[1] * b.shape[1]
+                return real(a, b, start=start)
+
+            monkeypatch.setattr(module, "matmul", counting)
+        forward()
+        return count[0]
+
+    @pytest.mark.parametrize("impl,heads,normalize,n", [
+        *((impl, heads, normalize, 48) for impl in IMPLEMENTATIONS for heads in (1, 3)
+          for normalize in ((False, True) if impl in ("dydila", "mapwise") else (True,))),
+        ("softmax", 1, True, _SOFTMAX_ROWS + 37),  # the row blocks add no FLOPs
+    ])
+    def test_matmul_components_are_the_products_of_a_pass(self, monkeypatch, impl, heads,
+                                                          normalize, n):
+        cfg = RunConfig.from_dict({"preset": "custom", "dim": 12, "heads": heads, "blocks": 1,
+                                   "n_projectors": 2, "n_kernel_factors": 3,
+                                   "n_lambda_factors": 2, "normalize": normalize, "seed": 7})
+        parts = config_flops(cfg, impl, n)
+        want = sum(parts.get(name, 0) for name in _MATMUL_COMPONENTS)
+        assert self._counted(monkeypatch, build_forward(cfg, impl, n)) == want
