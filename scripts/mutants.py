@@ -49,6 +49,7 @@ BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
                "Multihead or TdoForward or WorkingSet")
 DWC_TESTS = ("tests/test_attention.py", "tests/test_numerics.py", "-k", "dwc or Dwc or build")
 SPREAD_TESTS = ("tests/test_pinned_hashes.py", "-k", "spread_bank")
+LEDGER_TESTS = ("tests/test_flops.py", "-k", "Ledger")
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,17 @@ MUTANTS = (
            (("src/dydila/differential.py", "return table[routes.indices], routes",
              "return table[(routes.indices + 1) % len(table)], routes"),),
            ("tests/test_differential.py", "tests/test_checks.py")),
+    # the routed projection multiplies only the rows routed to each projector
+    Mutant("routed_project_multiplies_every_token",
+           (("src/dydila/projection.py", "out[rows] = matmul(x[rows], w)",
+             "out[rows] = matmul(x, w)[rows]"),),
+           LEDGER_TESTS),
     # the DWC
     _c("dwc_skips_taps_outside_the_grid",
        "s = s + p[t][c] * k[t * d + c0 + c];",
        "s = tap[t] ? s + p[t][c] * k[t * d + c0 + c] : s;", DWC_TESTS),
     Mutant("dwc_forward_ignores_the_merged_kernel",
-           (("src/dydila/attention.py", "    if dwc.merged is not None:\n", "    if False:\n"),),
+           (("src/dydila/attention.py", "    if dwc.use_merged:\n", "    if False:\n"),),
            DWC_TESTS),
     _c("dwc_taps_descending",
        "                    for (int t = 0; t < 9; t++)\n                        s = s + p[t][c]",

@@ -20,7 +20,7 @@ only the lambdas its variant routed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,52 +69,45 @@ def _impl_variant(impl: str) -> str:
 class DwcParams:
     """Depthwise 3x3 convolution: one kernel per channel, optional identity branch.
 
-    `merged` (when present) must equal the branch kernel with the identity
-    embedded at the center tap: running the merged kernel alone reproduces
-    branch + identity up to rounding.
+    With ``use_merged`` the convolution runs :attr:`merged` alone, the
+    branch kernel with the identity embedded at the center tap: it
+    reproduces branch + identity up to rounding.
     """
 
     kernels: np.ndarray  # (d, 3, 3)
     identity_branch: bool = True
-    merged: np.ndarray | None = None
+    use_merged: bool = False
 
     def __post_init__(self):
         k = self.kernels
         if not isinstance(k, np.ndarray) or k.ndim != 3 or k.shape[1:] != (3, 3):
             raise ConfigError(f"dwc kernels must be (d, 3, 3), got {getattr(k, 'shape', None)}")
-        if self.merged is not None:
-            if self.merged.shape != k.shape or self.merged.dtype != k.dtype:
-                raise ConfigError("merged kernel must match branch kernel shape and dtype")
-            if not np.array_equal(self.merged, _merge_kernels(k, self.identity_branch)):
-                raise ConfigError("merged kernel is not branch + identity at the center tap")
 
     @property
     def channels(self) -> int:
         return self.kernels.shape[0]
 
-
-def _merge_kernels(kernels: np.ndarray, identity_branch: bool) -> np.ndarray:
-    merged = kernels.copy()
-    if identity_branch:
-        merged[:, 1, 1] += np.asarray(1, dtype=kernels.dtype)
-    return merged
+    @property
+    def merged(self) -> np.ndarray:
+        """The branch kernel plus the identity (when on) at the center tap."""
+        merged = self.kernels.copy()
+        if self.identity_branch:
+            merged[:, 1, 1] += np.asarray(1, dtype=merged.dtype)
+        return merged
 
 
 def reparam_merge(dwc: DwcParams) -> DwcParams:
     """Fold the identity branch into the center tap; a pure re-parameterization."""
-    return DwcParams(
-        kernels=dwc.kernels,
-        identity_branch=dwc.identity_branch,
-        merged=_merge_kernels(dwc.kernels, dwc.identity_branch),
-    )
+    return replace(dwc, use_merged=True)
 
 
 def dwc_forward(v: np.ndarray, grid: tuple, dwc: DwcParams) -> np.ndarray:
     """Depthwise 3x3 cross-correlation of v laid out on the (h, w) token grid.
 
     Zero padding of one pixel on every side; taps accumulate in fixed
-    (row, col) ascending order.  The merged kernel runs when ``dwc`` has
-    one; otherwise the identity branch (if any) is added after the taps.
+    (row, col) ascending order.  The merged kernel runs when
+    ``dwc.use_merged`` is set; otherwise the identity branch (if any) is
+    added after the taps.
     """
     _check_2d(v, "dwc input")
     h, w = grid
@@ -127,7 +120,7 @@ def dwc_forward(v: np.ndarray, grid: tuple, dwc: DwcParams) -> np.ndarray:
         raise ContractViolation(
             f"dwc kernel dtype {dwc.kernels.dtype} != input dtype {v.dtype}"
         )
-    if dwc.merged is not None:
+    if dwc.use_merged:
         return _dwc(v, grid, dwc.merged, False)
     return _dwc(v, grid, dwc.kernels, dwc.identity_branch)
 

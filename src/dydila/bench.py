@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .attention import _impl_variant, linear_attention, multihead_forward, softmax_attention
 from .config import RunConfig, seeded_run
-from .flops import IMPLEMENTATIONS, config_flops
+from .flops import IMPLEMENTATIONS, config_flops, impl_heads
 from .numerics import ConfigError
 from .projection import project_shared
 
@@ -84,7 +84,7 @@ def bench_run(cfg: RunConfig, impl: str, n_list, iters: int) -> list:
             ) from None
         records.append(
             BenchRecord(
-                impl=impl, n=n, d=cfg.dim, heads=cfg.heads, iterations=iters,
+                impl=impl, n=n, d=cfg.dim, heads=impl_heads(cfg, impl), iterations=iters,
                 mean_s=statistics.mean(times),
                 std_s=statistics.pstdev(times),
                 median_s=statistics.median(times),

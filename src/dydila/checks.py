@@ -268,9 +268,8 @@ def run_checks(cfg: RunConfig) -> list:
 
     # --- depthwise conv re-parameterization ------------------------------
     if block.dwc is not None:
-        merged = reparam_merge(block.dwc)
-        branch = dwc_forward(v, (4, 6), replace(block.dwc, merged=None))
-        fused = dwc_forward(v, (4, 6), merged)
+        branch = dwc_forward(v, (4, 6), replace(block.dwc, use_merged=False))
+        fused = dwc_forward(v, (4, 6), reparam_merge(block.dwc))
         results.append(_result("dwc_reparam_merge", compare(branch, fused, tol["reparam"])))
 
     # --- permutation equivariance (conv off: it is grid-, not set-, local) --

@@ -14,13 +14,7 @@ import os
 
 import numpy as np
 
-from .attention import (
-    AttentionStack,
-    DwcParams,
-    DydilaParams,
-    HeadParams,
-    reparam_merge,
-)
+from .attention import AttentionStack, DwcParams, DydilaParams, HeadParams
 from .differential import DifferentialBank
 from .kernels import KernelBank
 from .numerics import ConfigError, ContractViolation, require_finite, resolve_dtype
@@ -221,9 +215,8 @@ def assemble_stack(cfg, weight) -> AttentionStack:
         dwc = None
         if cfg.dwc_enabled:
             dwc = DwcParams(kernels=get(b, "dwc/kernels", d, 3, 3),
-                            identity_branch=cfg.dwc_identity_branch)
-            if cfg.dwc_use_merged:
-                dwc = reparam_merge(dwc)
+                            identity_branch=cfg.dwc_identity_branch,
+                            use_merged=cfg.dwc_use_merged)
         blocks.append(
             DydilaParams(
                 proj=proj,

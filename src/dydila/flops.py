@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .numerics import ConfigError
 
-__all__ = ["IMPLEMENTATIONS", "flops_estimate", "config_flops", "core_crossover"]
+__all__ = ["IMPLEMENTATIONS", "flops_estimate", "impl_heads", "config_flops", "core_crossover"]
 
 IMPLEMENTATIONS = ("softmax", "linear", "focused", "dydila", "mapwise")
 
@@ -86,13 +86,17 @@ def flops_estimate(
     return parts
 
 
-def config_flops(cfg, impl: str, n: int) -> dict:
-    """``flops_estimate`` of one block of a ``RunConfig`` running ``impl`` over n tokens.
+def impl_heads(cfg, impl: str) -> int:
+    """The heads ``impl`` runs a ``RunConfig`` at: the config's for dydila and
+    map-wise, one for the baselines."""
+    return cfg.heads if impl in ("dydila", "mapwise") else 1
 
-    The baselines are counted at one head, the width they run at.
-    """
-    heads = cfg.heads if impl in ("dydila", "mapwise") else 1
-    return flops_estimate(impl, n, cfg.dim, heads=heads, n_projectors=cfg.n_projectors,
+
+def config_flops(cfg, impl: str, n: int) -> dict:
+    """``flops_estimate`` of one block of a ``RunConfig`` running ``impl`` over n tokens,
+    at :func:`impl_heads`."""
+    return flops_estimate(impl, n, cfg.dim, heads=impl_heads(cfg, impl),
+                          n_projectors=cfg.n_projectors,
                           n_kernel_factors=cfg.n_kernel_factors,
                           n_lambda_factors=cfg.n_lambda_factors,
                           dwc=cfg.dwc_enabled, normalize=cfg.normalize)

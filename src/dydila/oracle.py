@@ -457,7 +457,7 @@ def pipeline_oracle(x: np.ndarray, params) -> np.ndarray:
             )
     out = np.hstack(pieces)
     if params.dwc is not None:
-        if params.dwc.merged is not None:
+        if params.dwc.use_merged:
             out = out + explicit_dwc(v, params.grid, params.dwc.merged, identity_branch=False)
         else:
             out = out + explicit_dwc(

@@ -40,24 +40,14 @@ class Router:
 
 @dataclass(frozen=True)
 class RouteAssignment:
-    """Per-token winner indices plus the logits they were chosen from."""
+    """Per-token winner indices out of ``n_choices`` bank members."""
 
     indices: np.ndarray  # (n,) int64, values in [0, n_choices)
-    logits: np.ndarray  # (n, n_choices)
+    n_choices: int
 
     def __post_init__(self):
-        if self.indices.ndim != 1 or self.logits.ndim != 2:
-            raise ContractViolation(
-                f"assignment shapes must be (n,), (n, c); got {self.indices.shape}, {self.logits.shape}"
-            )
-        if self.indices.shape[0] != self.logits.shape[0]:
-            raise ContractViolation(
-                f"assignment length mismatch: {self.indices.shape[0]} indices vs {self.logits.shape[0]} logit rows"
-            )
-
-    @property
-    def n_choices(self) -> int:
-        return self.logits.shape[1]
+        if self.indices.ndim != 1:
+            raise ContractViolation(f"assignment indices must be (n,), got {self.indices.shape}")
 
     def counts(self) -> np.ndarray:
         """Occurrences of each choice, length n_choices."""
@@ -102,6 +92,5 @@ def route_pair(a: np.ndarray, b: np.ndarray, router: Router) -> RouteAssignment:
 
 
 def _assign(logits: np.ndarray) -> RouteAssignment:
-    """Each row's argmax column, ties to the smallest index."""
-    indices = np.argmax(logits, axis=1).astype(np.int64)
-    return RouteAssignment(indices=indices, logits=logits)
+    """Each row's argmax column, ties to the smallest index; the logits are dropped."""
+    return RouteAssignment(np.argmax(logits, axis=1).astype(np.int64), logits.shape[1])

@@ -9,6 +9,7 @@ import pytest
 
 import dydila
 import dydila.numerics as numerics
+import dydila.routing as routing
 from dydila.attention import DwcParams, DydilaParams, HeadParams
 from dydila.differential import DifferentialBank
 from dydila.kernels import KernelBank
@@ -41,6 +42,27 @@ def needs_compiler():
 def bits(arr):
     """The raw bits of a float array, for bitwise comparisons."""
     return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
+
+
+def spy_logits(monkeypatch):
+    """Record every routing's ``(logits, assignment)`` through a spy on
+    ``routing._assign``, which takes the argmax of the logits and keeps only
+    the winners; returns the log, filled as routings run."""
+    real, log = routing._assign, []
+
+    def spy(logits):
+        routes = real(logits)
+        log.append((logits, routes))
+        return routes
+
+    monkeypatch.setattr(routing, "_assign", spy)
+    return log
+
+
+def logits_of(log, routes):
+    """The logits that the assignment ``routes`` was chosen from."""
+    (logits,) = [lg for lg, r in log if r is routes]
+    return logits
 
 
 def cli_env():

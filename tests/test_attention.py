@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -34,7 +35,8 @@ from dydila.oracle import (
 from dydila.projection import ProjectorBank
 from dydila.routing import Router
 
-from conftest import assert_close, bits, make_block, mat, needs_compiler
+from conftest import (assert_close, bits, logits_of, make_block, mat, needs_compiler,
+                      spy_logits)
 
 
 class TestSoftmaxAttention:
@@ -231,12 +233,6 @@ class TestDwc:
         no_branch = reparam_merge(DwcParams(kernels=np.ones((2, 3, 3)), identity_branch=False))
         assert np.array_equal(no_branch.merged, no_branch.kernels)
 
-    def test_tampered_merged_rejected(self):
-        kernels = np.zeros((2, 3, 3))
-        bad = np.ones((2, 3, 3))
-        with pytest.raises(ConfigError, match="merged"):
-            DwcParams(kernels=kernels, identity_branch=True, merged=bad)
-
     def test_merged_kernel_runs_when_present(self):
         # bit for bit the merged kernel alone, whose bits differ from the
         # branch kernel plus the identity
@@ -427,12 +423,14 @@ class TestMultihead:
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_kernel_routes_read_the_raw_projections(self, heads):
+    def test_kernel_routes_read_the_raw_projections(self, monkeypatch, heads):
         # each stream is routed before it is mapped in place: the recorded
-        # routes are those of dmk_forward on the raw head slices
+        # routes, and the logits they were chosen from, are those of
+        # dmk_forward on the raw head slices
         from dydila.kernels import dmk_forward
         from dydila.projection import dpm_forward
 
+        log = spy_logits(monkeypatch)
         d = 8
         params = make_block(320 + heads, d, (4, 6), heads=heads)
         x = mat(36, 24, d)
@@ -447,7 +445,7 @@ class TestMultihead:
                                    (kp, hp.kernel_kp, head.routes_kernel_kp)):
                 _, want = dmk_forward(raw[:, sl], bank)
                 assert np.array_equal(got.indices, want.indices)
-                assert np.array_equal(bits(got.logits), bits(want.logits))
+                assert np.array_equal(bits(logits_of(log, got)), bits(logits_of(log, want)))
 
     def test_head_count_must_divide_dim(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -535,6 +533,30 @@ class TestStack:
         out, diags = stack_forward(x, AttentionStack(blocks=(params,)))
         assert np.array_equal(out, x + block_out)
         assert len(diags) == 1
+
+    def test_diagnostics_keep_one_value_per_token(self):
+        # a stack keeps every block's diagnostics: each routing's winners
+        # and each routed lambda, never an n x choices array such as logits
+        n, d, heads = 24, 12, 3
+        block = make_block(405, d, (4, 6), heads=heads)
+        _, diags = stack_forward(mat(37, n, d), AttentionStack(blocks=(block, block)))
+        arrays = []
+
+        def walk(obj):
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    walk(getattr(obj, f.name))
+            elif isinstance(obj, (list, tuple, dict)):
+                for item in obj.values() if isinstance(obj, dict) else obj:
+                    walk(item)
+
+        walk(diags)
+        # per block: two projection routes; per head four kernel routes and
+        # lambda_q and lambda_k, each values and routes
+        assert len(arrays) == 2 * (2 + heads * (4 + 2 * 2))
+        assert all(a.shape == (n,) for a in arrays), [a.shape for a in arrays]
 
     def test_zero_parameters_make_identity_map(self):
         d = 6

@@ -69,6 +69,18 @@ class TestBenchRun:
         )["total"]
         assert rec.flops == want
 
+    def test_heads_are_the_width_the_impl_runs_at(self, tmp_path, capsys):
+        # the baselines attend over the shared full-width projections: one head
+        save_config(_bench_cfg(dim=6, heads=3), tmp_path / "cfg.json")
+        for impl, want in (("linear", "1"), ("dydila", "3")):
+            path = tmp_path / f"{impl}.csv"
+            code = cli.main(["bench", "--config", str(tmp_path / "cfg.json"), "--impl", impl,
+                             "--seq-len", "8", "--iters", "3", "--out", str(path)])
+            err = capsys.readouterr().err
+            assert code == 0, err
+            assert read_csv(path)[1][0][3] == want
+            assert f"heads={want}:" in err
+
     def test_too_few_iterations_rejected(self):
         with pytest.raises(ConfigError, match="iters"):
             bench_run(_bench_cfg(), "linear", [8], iters=2)

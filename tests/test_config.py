@@ -220,7 +220,7 @@ class TestInitParams:
     def test_dwc_disabled_and_merged(self):
         assert init_params(_tiny(dwc={"enabled": False})).blocks[0].dwc is None
         merged = init_params(_tiny(dwc={"enabled": True, "use_merged": True}))
-        assert merged.blocks[0].dwc.merged is not None
+        assert merged.blocks[0].dwc.use_merged
 
     def test_weight_bounds_follow_fan_in(self):
         stack = init_params(_tiny())

@@ -114,19 +114,25 @@ class TestLedger:
     ``build_forward`` pass makes, counted at every module's ``matmul``."""
 
     @staticmethod
-    def _counted(monkeypatch, forward):
-        count = [0]
+    def _products(monkeypatch, forward):
+        """``(module, m, k, n)`` of every matmul one call of ``forward`` makes."""
+        log = []
         for module in (dydila.attention, dydila.differential, dydila.projection,
                        dydila.routing):
             real = module.matmul
 
-            def counting(a, b, *, start=None, real=real):
-                count[0] += 2 * a.shape[0] * a.shape[1] * b.shape[1]
+            def counting(a, b, *, start=None, real=real, name=module.__name__):
+                log.append((name, a.shape[0], a.shape[1], b.shape[1]))
                 return real(a, b, start=start)
 
             monkeypatch.setattr(module, "matmul", counting)
         forward()
-        return count[0]
+        monkeypatch.undo()
+        return log
+
+    @classmethod
+    def _counted(cls, monkeypatch, forward):
+        return sum(2 * m * k * n for _, m, k, n in cls._products(monkeypatch, forward))
 
     @pytest.mark.parametrize("impl,heads,normalize,n", [
         *((impl, heads, normalize, 48) for impl in IMPLEMENTATIONS for heads in (1, 3)
@@ -141,3 +147,23 @@ class TestLedger:
         parts = config_flops(cfg, impl, n)
         want = sum(parts.get(name, 0) for name in _MATMUL_COMPONENTS)
         assert self._counted(monkeypatch, build_forward(cfg, impl, n)) == want
+
+    @pytest.mark.parametrize("impl,sizes,ratio", [
+        *((impl, (4096, 16384), 4) for impl in ("linear", "focused", "dydila", "mapwise")),
+        ("softmax", (1024, 4096), 16),  # 4096 and 16384 take seconds
+    ])
+    def test_attention_core_scales_with_n(self, monkeypatch, impl, sizes, ratio):
+        # the count-based sibling of c08's timed bands: the core's products
+        # are those of the attention and differential modules, less the
+        # normalizer's (a ones row, or a single denominator column)
+        cfg = RunConfig.from_dict({"preset": "custom", "dim": 12, "heads": 3, "blocks": 1,
+                                   "n_projectors": 2, "n_kernel_factors": 3,
+                                   "n_lambda_factors": 2, "normalize": True, "seed": 7})
+        cores = []
+        for n in sizes:
+            products = self._products(monkeypatch, build_forward(cfg, impl, n))
+            cores.append(sum(2 * m * k * c for module, m, k, c in products
+                             if module in ("dydila.attention", "dydila.differential")
+                             and m > 1 and c > 1))
+            assert cores[-1] == config_flops(cfg, impl, n)["attention_core"]
+        assert cores[1] == ratio * cores[0]
