@@ -81,23 +81,26 @@ MUTANTS = (
        "if (mr == MR && nr == NR) {", "if (1) {"),
     _c("matmul_b_packed_with_unit_column_stride",
        "src[k * sb0 + j * sb1] : 0;", "src[k * sb0 + j] : 0;"),
+    _c("matmul_out_row_stride_taken_as_m",
+       "tile(kc, apack + ir * kc, bpack + jr * kc, c, so0, first);",
+       "tile(kc, apack + ir * kc, bpack + jr * kc, c, m, first);"),
     _c("matmul_no_reload_in_the_32_byte_tile",
        "                if (!first)                                                    \\",
        "                if (!first && V != 32)                                         \\"),
     # the narrow product (m <= NR)
     _c("narrow_no_reload",
-       "!first && r < mr && j < m ? out[(i + r) * m + j] : 0;",
-       "0 && r < mr && j < m ? out[(i + r) * m + j] : 0;"),
+       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
+       "0 && r < mr && j < m ? out[(i + r) * so0 + j] : 0;"),
     _c("narrow_sums_from_minus_zero",
-       "!first && r < mr && j < m ? out[(i + r) * m + j] : 0;",
-       "!first && r < mr && j < m ? out[(i + r) * m + j] : -0.0;"),
+       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
+       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : -0.0;"),
     Mutant("matmul_acc_ignored",
            ((NUMERICS, "const int first = pc == 0 && !acc;", "const int first = pc == 0;"),
             (NUMERICS, "        if (!acc)\n", "        if (1)\n")),
            MATMUL_TESTS),
     _c("narrow_no_reload_at_32_bytes",
-       "!first && r < mr && j < m ? out[(i + r) * m + j] : 0;",
-       "!first && V != 32 && r < mr && j < m ? out[(i + r) * m + j] : 0;"),
+       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
+       "!first && V != 32 && r < mr && j < m ? out[(i + r) * so0 + j] : 0;"),
     # the short product (n < MR)
     _c("short_product_descending_k",
        "        for (ptrdiff_t k = 0; k < inner; k++)\n            for (ptrdiff_t i = 0; i < n; i++) {",
@@ -225,6 +228,10 @@ MUTANTS = (
     Mutant("fallback_dwc_rows_descending",
            ((NUMERICS, "        for di in range(3):\n", "        for di in (2, 1, 0):\n"),),
            DWC_TESTS),
+    # the numpy fallback's out= sums from zeros, not from what out held
+    Mutant("fallback_out_not_cleared",
+           ((NUMERICS, "    elif not acc:\n        out[...] = 0\n", "    elif not acc:\n        pass\n"),),
+           ("tests/test_numerics.py", "-k", "TestMatmul and not Compiled")),
 )
 
 

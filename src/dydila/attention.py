@@ -11,10 +11,13 @@ kernel (one weight edit at the center tap) for inference.
 
 Multi-head runs the TDO path on channel slices with per-head kernel and
 differential banks; the depthwise convolution always sees the full-width V.
-A block runs keys first: every head reduces its keys to a small key state
-(the differential's key half) before any query is mapped, so K, K' and V
-are released before any head output exists.  A head's diagnostics record
-only the lambdas its variant routed.
+A block runs keys first: it projects only the key side (K', K and V), every
+head reduces its keys to a small key state (the differential's key half),
+and K, K' and V are released, V once the DWC has read it, before the query
+side (Q', Q) is projected.  Each head writes its output over its own
+columns of Q, which are spent by then, so a pass peaks at about three
+n x d arrays: Q, Q' and the DWC output.  A head's diagnostics record only
+the lambdas its variant routed.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .numerics import (
     require_finite,
     softmax_rows,
 )
-from .projection import ProjectorBank, dpm_forward, project_shared
+from .projection import ProjectorBank, dpm_keys, dpm_queries, project_shared
 from .routing import RouteAssignment
 
 __all__ = [
@@ -270,7 +273,7 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray
     out = np.empty((q.shape[0], v.shape[1]), dtype=q.dtype)
     for r0 in range(0, q.shape[0], _SOFTMAX_ROWS):
         rows = slice(r0, r0 + _SOFTMAX_ROWS)
-        out[rows] = matmul(_softmax_map(q[rows], k), v)
+        matmul(_softmax_map(q[rows], k), v, out=out[rows])
     return out
 
 
@@ -333,12 +336,17 @@ def _head_keys(k, kp, v, params: DydilaParams, head: int, variant: str):
     return states, lambdas, (routes_k, routes_kp)
 
 
-def _head_queries(q, qp, params: DydilaParams, head: int, variant: str, states, rows=slice(None)):
-    """One head's query half on query rows ``rows``: ``(out, lambdas, (routes_q, routes_qp))``."""
+def _head_queries(q, qp, params: DydilaParams, head: int, variant: str, states,
+                  rows=slice(None), in_place=False):
+    """One head's query half on query rows ``rows``: ``(out, lambdas, (routes_q, routes_qp))``.
+
+    With ``in_place`` the output is written over the head's (spent) Q slice,
+    which is then returned as ``out``.
+    """
     hp, d_h = params.head_params[head], params.head_dim
     q_t, routes_q = _mapped(q, head, d_h, hp.kernel_q, rows)
     qp_t, routes_qp = _mapped(qp, head, d_h, hp.kernel_qp, rows)
-    out, lambdas = _query_half(q_t, qp_t, hp.diff, variant, states)
+    out, lambdas = _query_half(q_t, qp_t, hp.diff, variant, states, q_t if in_place else None)
     return out, lambdas, (routes_q, routes_qp)
 
 
@@ -348,13 +356,15 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     Channel slices go through per-head kernel/differential banks; head
     outputs are concatenated back to full width.
 
-    Keys first: every head maps its K and K' slices in place and reduces
-    them, with its V slice, to a d_h x d_h key state.  K and K' are then
-    released; the output starts as the DWC of v (when there is one) and V
-    is released too.  Only then does each head map its Q and Q' slices and
-    add its output into its columns; IEEE addition is commutative, so that
-    is ``head_out + dwc`` bit for bit.  A pass peaks at the five
-    projections that ``dpm_forward`` returns.
+    Keys first: only the key side is projected (:func:`dpm_keys`), and every
+    head maps its K and K' slices in place and reduces them, with its V
+    slice, to a d_h x d_h key state.  K and K' are then released, the DWC
+    of V is taken (when there is one) and V is released too.  Only then is
+    the query side projected (:func:`dpm_queries`); each head maps its Q and
+    Q' slices and writes its output over its Q slice, which the head no
+    longer reads.  Q is the block output, plus the DWC added in place; IEEE
+    addition is commutative, so that is ``head_out + dwc`` bit for bit.  A
+    pass peaks at about three n x d arrays: Q, Q' and the DWC.
     """
     _check_2d(x, "block input")
     n, d = x.shape
@@ -365,30 +375,23 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
         if h * w != n:
             raise ContractViolation(f"grid {h}x{w} does not tile {n} tokens")
 
-    q, k, v, qp, kp, routes_q, routes_k = dpm_forward(x, params.proj)
-    diag = BlockDiagnostics(routes_proj_q=routes_q, routes_proj_k=routes_k)
-
+    k, v, kp, routes_k = dpm_keys(x, params.proj)
     d_h, variant = params.head_dim, params.variant
     keys = [_head_keys(k, kp, _head_slice(v, h_idx, d_h), params, h_idx, variant)
             for h_idx in range(params.heads)]
     del k, kp
-    if params.dwc is None:
-        out = np.empty((n, d), dtype=x.dtype)
-    else:
-        out = dwc_forward(v, params.grid, params.dwc)
+    dwc = None if params.dwc is None else dwc_forward(v, params.grid, params.dwc)
     del v
+    q, qp, routes_q = dpm_queries(x, params.proj)
+    diag = BlockDiagnostics(routes_proj_q=routes_q, routes_proj_k=routes_k)
     for h_idx, (states, key_lambdas, (routes_k_t, routes_kp_t)) in enumerate(keys):
-        head_out, query_lambdas, (routes_q_t, routes_qp_t) = _head_queries(
-            q, qp, params, h_idx, variant, states)
-        cols = out[:, h_idx * d_h : (h_idx + 1) * d_h]
-        if params.dwc is None:
-            cols[...] = head_out
-        else:
-            cols += head_out
-        del head_out  # before the next head makes its own
+        _, query_lambdas, (routes_q_t, routes_qp_t) = _head_queries(
+            q, qp, params, h_idx, variant, states, in_place=True)
         diag.heads.append(HeadDiagnostics(routes_q_t, routes_k_t, routes_qp_t, routes_kp_t,
                                           lambdas={**query_lambdas, **key_lambdas}))
-    return out, diag
+    if dwc is not None:
+        q += dwc
+    return q, diag
 
 
 def stack_forward(x: np.ndarray, stack: AttentionStack):
@@ -438,8 +441,9 @@ def extract_attention_row(
     if impl not in ("dydila", "mapwise"):
         raise ConfigError(f"unknown impl {impl!r}")
 
-    q, k, _, qp, kp, _, _ = dpm_forward(x, params.proj)
+    k, _, kp, _ = dpm_keys(x, params.proj)
     variant = _impl_variant(impl)
     states, _, _ = _head_keys(k, kp, None, params, head, variant)
+    q, qp, _ = dpm_queries(x, params.proj)
     row, _, _ = _head_queries(q, qp, params, head, variant, states, sel)
     return row[0]

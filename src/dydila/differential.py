@@ -136,10 +136,11 @@ def _key_state(b: np.ndarray, v: np.ndarray | None, normalize: bool):
     return kv, col_sums
 
 
-def _apply_state(a: np.ndarray, state) -> np.ndarray:
-    """``a @ kv``, each row divided by its floored denominator ``a @ col_sums^T``."""
+def _apply_state(a: np.ndarray, state, out=None) -> np.ndarray:
+    """``a @ kv``, each row divided by its floored denominator ``a @ col_sums^T``,
+    in ``out`` when given (see :func:`matmul`)."""
     kv, col_sums = state
-    out = matmul(a, kv)
+    out = matmul(a, kv, out=out)
     if col_sums is not None:
         out /= _floor_denominator(matmul(a, col_sums.T))
     return out
@@ -160,21 +161,24 @@ def _key_half(k_t, k_routed, bank: DifferentialBank, variant, v, normalize):
     return (_key_state(k_t, v, normalize), _key_state(k_routed, v, normalize)), {}
 
 
-def _query_half(q_t, q_routed, bank: DifferentialBank, variant, states):
+def _query_half(q_t, q_routed, bank: DifferentialBank, variant, states, out=None):
     """A variant's ``(out, lambdas)`` from its key states and the query streams.
 
     token-wise: routes lam_q, forms ``q_t - lam_q ⊙ q_routed`` in
     ``q_routed`` and applies the state; map-wise: routes lam_map and takes
     ``shared - lam_map ⊙ routed``, each map applied from its own state.
     Every step is row-local, so query rows ``sel`` give those rows of the
-    whole call bit for bit.
+    whole call bit for bit.  ``out`` (for the block, q_t itself) receives
+    the output once q_t is spent: token-wise after the difference,
+    map-wise as ``routed``, after ``shared`` has been applied.
     """
     if variant == "token-wise":
         lam_q, routes_q = _routed_lambdas(q_t, q_routed, bank.router_q, bank.lambdas)
         q_diff = _difference(q_t, q_routed, lam_q)
-        return _apply_state(q_diff, states[0]), {"q": (lam_q, routes_q)}
+        return _apply_state(q_diff, states[0], out), {"q": (lam_q, routes_q)}
     lam_map, routes_map = _routed_lambdas(q_t, q_routed, bank.lambda_map_router, bank.lambdas)
-    shared, routed = _apply_state(q_t, states[0]), _apply_state(q_routed, states[1])
+    shared = _apply_state(q_t, states[0])
+    routed = _apply_state(q_routed, states[1], out)
     # An overflowed map gives inf - inf here; the block's finiteness check
     # reports it, so numpy's warning would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):

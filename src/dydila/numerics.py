@@ -93,7 +93,9 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
 # KiB, in L2) passes it.  Each a strip and b strip make one MR x NR tile of
 # out, NR being two 64-byte vectors (8 x 16 f64, 8 x 32 f32), accumulated in
 # registers.  Tiles that stick out of out run in a local copy, so out is
-# written only inside the matrix.  The tile is written with GCC vector types
+# written only inside the matrix.  Out's rows are so0 elements apart (m for
+# a fresh product, the full width for a column slice of a wider array) and
+# its columns are contiguous.  The tile is written with GCC vector types
 # once per vector width: 64 bytes with AVX-512, whose 32 registers hold all
 # 16 accumulators; 32 bytes with AVX2, whose 16 registers hold one vector
 # per row, so the tile runs as four column passes; 16 bytes elsewhere (SSE2,
@@ -165,8 +167,8 @@ TILE(16, 2, )
 #define NARROW(V, P, R, ATTR)                                                  \
 static ATTR void narrow##V##x##P##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,\
                                       ptrdiff_t sa1, const $T *restrict bp,    \
-                                      $T *restrict out, ptrdiff_t n,           \
-                                      ptrdiff_t m, int first)                  \
+                                      $T *restrict out, ptrdiff_t so0,         \
+                                      ptrdiff_t n, ptrdiff_t m, int first)     \
 {                                                                              \
     typedef $T vec __attribute__((vector_size(V)));                            \
     enum { W = V / sizeof($T), NR = NR_$T };                                   \
@@ -178,7 +180,7 @@ static ATTR void narrow##V##x##P##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,\
             ar[r] = a + (i + (r < mr ? r : mr - 1)) * sa0;                     \
             for (ptrdiff_t j = 0; j < NR; j++)                                 \
                 c[r * NR + j] =                                                \
-                    !first && r < mr && j < m ? out[(i + r) * m + j] : 0;      \
+                    !first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;    \
         }                                                                      \
         for (ptrdiff_t h = 0; h < m; h += P * W) {                             \
             vec acc[R][P];                                                     \
@@ -199,7 +201,7 @@ static ATTR void narrow##V##x##P##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,\
         }                                                                      \
         for (ptrdiff_t r = 0; r < mr; r++)                                     \
             for (ptrdiff_t j = 0; j < m; j++)                                  \
-                out[(i + r) * m + j] = c[r * NR + j];                          \
+                out[(i + r) * so0 + j] = c[r * NR + j];                        \
     }                                                                          \
 }
 /* Two vectors per pass over MR_NARROW rows, or, when m fits one vector,
@@ -215,7 +217,8 @@ NARROW(16, 1, 2 * MR_NARROW, )
 CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                const $T *restrict b, ptrdiff_t sb0, ptrdiff_t sb1,
-               $T *restrict out, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m, int acc)
+               $T *restrict out, ptrdiff_t so0, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m,
+               int acc)
 {
     enum { NR = NR_$T };
     $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
@@ -224,7 +227,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
     void (*const tile)(ptrdiff_t, const $T *, const $T *, $T *, ptrdiff_t, int) =
         v == 64 ? tile64_$T : v == 32 ? tile32_$T : tile16_$T;
     void (*const narrow)(ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, const $T *, $T *,
-                         ptrdiff_t, ptrdiff_t, int) =
+                         ptrdiff_t, ptrdiff_t, ptrdiff_t, int) =
         m <= v / (ptrdiff_t)sizeof($T)
             ? (v == 64 ? narrow64x1_$T : v == 32 ? narrow32x1_$T : narrow16x1_$T)
             : (v == 64 ? narrow64x2_$T : v == 32 ? narrow32x2_$T : narrow16x2_$T);
@@ -233,13 +236,14 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
        no packing and no padded tile rows. */
     if (n < MR && m > NR && sb1 == 1) {
         if (!acc)
-            for (ptrdiff_t j = 0; j < n * m; j++)
-                out[j] = 0;
+            for (ptrdiff_t i = 0; i < n; i++)
+                for (ptrdiff_t j = 0; j < m; j++)
+                    out[i * so0 + j] = 0;
         for (ptrdiff_t k = 0; k < inner; k++)
             for (ptrdiff_t i = 0; i < n; i++) {
                 const $T x = a[i * sa0 + k * sa1];
                 const $T *restrict bk = b + k * sb0;
-                $T *restrict o = out + i * m;
+                $T *restrict o = out + i * so0;
                 for (ptrdiff_t j = 0; j < m; j++)
                     o[j] = o[j] + x * bk[j];
             }
@@ -261,7 +265,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                         dst[k * NR + j] = j < nr ? src[k * sb0 + j * sb1] : 0;
             }
             if (m <= NR) {
-                narrow(kc, a + pc * sa1, sa0, sa1, bpack, out, n, m, first);
+                narrow(kc, a + pc * sa1, sa0, sa1, bpack, out, so0, n, m, first);
                 continue;
             }
             for (ptrdiff_t ic = 0; ic < n; ic += MC) {
@@ -278,18 +282,18 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                     const ptrdiff_t nr = nc - jr < NR ? nc - jr : NR;
                     for (ptrdiff_t ir = 0; ir < mc; ir += MR) {
                         const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
-                        $T *c = out + (ic + ir) * m + jc + jr;
+                        $T *c = out + (ic + ir) * so0 + jc + jr;
                         if (mr == MR && nr == NR) {
-                            tile(kc, apack + ir * kc, bpack + jr * kc, c, m, first);
+                            tile(kc, apack + ir * kc, bpack + jr * kc, c, so0, first);
                             continue;
                         }
                         for (ptrdiff_t r = 0; r < mr; r++)
                             for (ptrdiff_t j = 0; j < nr; j++)
-                                edge[r * NR + j] = c[r * m + j];
+                                edge[r * NR + j] = c[r * so0 + j];
                         tile(kc, apack + ir * kc, bpack + jr * kc, edge, NR, first);
                         for (ptrdiff_t r = 0; r < mr; r++)
                             for (ptrdiff_t j = 0; j < nr; j++)
-                                c[r * m + j] = edge[r * NR + j];
+                                c[r * so0 + j] = edge[r * NR + j];
                     }
                 }
             }
@@ -536,7 +540,7 @@ _C_TYPES = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 # Argument types of each kernel, bound for every entry of _C_TYPES.
 _P, _S = ctypes.c_void_p, ctypes.c_ssize_t
 _I = ctypes.c_int
-_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _I),
+_C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _S, _I),
                  "focused": (_P, _S, _S, _P, _P, _S, _S, _S, _S, _P),
                  "pow01": (_P, _P, _P, _S),
                  "dwc": (_P, _S, _P, _P, _S, _S, _S, _I)}
@@ -748,7 +752,8 @@ def matmul_backend() -> str:
     return "c" if _kernels() else "numpy"
 
 
-def matmul(a: np.ndarray, b: np.ndarray, *, start: np.ndarray | None = None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, *, start: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with per-element left-to-right accumulation.
 
     ``out[i, j] = ((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...`` in ascending
@@ -761,6 +766,12 @@ def matmul(a: np.ndarray, b: np.ndarray, *, start: np.ndarray | None = None) -> 
     starts from ``start[i, j]`` instead of +0, and `start` receives the
     result.  Resuming ``matmul(a1, b1)`` with ``(a2, b2)`` gives the bits of
     ``matmul(hstack((a1, a2)), vstack((b1, b2)))``: one ascending sum.
+
+    With `out` (writeable, shape (n, m), the operands' dtype, contiguous
+    columns and any row stride, sharing no memory with a or b) the product
+    is written there, with the bits of a fresh one, and `out` is returned:
+    a head's columns of a wider array take its output without a copy.
+    `out` and `start` do not go together.
     """
     _check_2d(a, "matmul left operand")
     _check_2d(b, "matmul right operand")
@@ -771,37 +782,65 @@ def matmul(a: np.ndarray, b: np.ndarray, *, start: np.ndarray | None = None) -> 
     n, inner = a.shape
     m = b.shape[1]
     if start is not None:
+        if out is not None:
+            raise ContractViolation("matmul takes start or out, not both")
         if (start.shape != (n, m) or start.dtype != a.dtype or not start.flags.c_contiguous
                 or not start.flags.writeable):
             raise ContractViolation(f"matmul start must be a writeable C-contiguous ({n}, {m}) "
                                     f"{a.dtype} array, got {start.dtype} {start.shape}")
-    if inner == 0 or n == 0 or m == 0:
-        return np.zeros((n, m), dtype=a.dtype) if start is None else start
+        out = start
+    elif out is not None:
+        _check_out(out, a, b)
     kernel = _kernels().get(("matmul", a.dtype))
-    if kernel is None:
-        return _matmul_numpy(a, np.require(b, requirements="CA"), start)
+    if kernel is None or inner == 0 or n == 0 or m == 0:
+        return _matmul_numpy(a, np.require(b, requirements="CA"), out, start is not None)
     # Aligned arrays have strides that are whole elements, which is what the
-    # kernel indexes a and b by; out is C-contiguous.
+    # kernel indexes a, b and out by.
     a, b = np.require(a, requirements="A"), np.require(b, requirements="A")
-    out = np.empty((n, m), dtype=a.dtype) if start is None else start
+    if out is None:
+        out = np.empty((n, m), dtype=a.dtype)
     size = a.itemsize
     kernel(a.ctypes.data, a.strides[0] // size, a.strides[1] // size,
            b.ctypes.data, b.strides[0] // size, b.strides[1] // size,
-           out.ctypes.data, n, inner, m, start is not None)
+           out.ctypes.data, out.strides[0] // size, n, inner, m, start is not None)
     return out
 
 
-def _matmul_numpy(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def _check_out(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Reject an `out` that :func:`matmul` cannot write its product of a and b to.
+
+    The kernel declares its operands ``restrict`` and reads a and b after it
+    has begun to write out, so an out that may overlap either is refused.
+    """
+    n, m = a.shape[0], b.shape[1]
+    _check_float(out, "matmul out")
+    if out.shape != (n, m) or out.dtype != a.dtype:
+        raise ContractViolation(f"matmul out must be a ({n}, {m}) {a.dtype} array, "
+                                f"got {out.dtype} {out.shape}")
+    if (not out.flags.writeable or not out.flags.aligned or out.strides[1] != out.itemsize
+            or n > 1 and abs(out.strides[0]) < m * out.itemsize):
+        raise ContractViolation("matmul out must be writeable and aligned, with contiguous "
+                                f"columns and rows that do not overlap; got strides {out.strides}")
+    if np.may_share_memory(out, a) or np.may_share_memory(out, b):
+        raise ContractViolation("matmul out may share memory with an operand")
+
+
+def _matmul_numpy(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                  acc: bool = False) -> np.ndarray:
     """The fallback of :func:`matmul`: numpy calls per k over row blocks.
 
-    The output rows are processed in blocks with one multiply buffer per
-    block; blocking over rows does not touch the per-element order.  Like
-    the compiled kernel, it overflows to inf and NaN without a warning: a
-    caller's finiteness check reports non-finite output.
+    The product goes to `out` when given, zeroed first unless `acc` resumes
+    the sums already there.  The output rows are processed in blocks with
+    one multiply buffer per block; blocking over rows does not touch the
+    per-element order.  Like the compiled kernel, it overflows to inf and NaN
+    without a warning: a caller's finiteness check reports non-finite output.
     """
     n, inner = a.shape
     m = b.shape[1]
-    out = np.zeros((n, m), dtype=a.dtype) if start is None else start
+    if out is None:
+        out = np.zeros((n, m), dtype=a.dtype)
+    elif not acc:
+        out[...] = 0
     ib = _BLOCK_TARGET_BYTES // max(1, a.dtype.itemsize * m)
     if inner >= _STRIDED_INNER_LIMIT and not a.flags.f_contiguous:
         ib = min(ib, _STRIDED_BLOCK_CAP)

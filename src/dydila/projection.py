@@ -15,7 +15,7 @@ import numpy as np
 from .numerics import ContractViolation, ConfigError, _check_2d, matmul
 from .routing import RouteAssignment, Router, route_argmax
 
-__all__ = ["ProjectorBank", "project_shared", "dpm_forward"]
+__all__ = ["ProjectorBank", "project_shared", "dpm_keys", "dpm_queries", "dpm_forward"]
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,15 @@ class ProjectorBank:
         return len(self.w_q)
 
 
-def project_shared(x: np.ndarray, bank: ProjectorBank):
-    """Q, K, V from the shared weights: three deterministic matmuls."""
+def _check_tokens(x: np.ndarray, bank: ProjectorBank) -> None:
     _check_2d(x, "input tokens")
     if x.shape[1] != bank.dim:
         raise ContractViolation(f"token dim {x.shape[1]} != projector dim {bank.dim}")
+
+
+def project_shared(x: np.ndarray, bank: ProjectorBank):
+    """Q, K, V from the shared weights: three deterministic matmuls."""
+    _check_tokens(x, bank)
     return matmul(x, bank.w_q0), matmul(x, bank.w_k0), matmul(x, bank.w_v0)
 
 
@@ -83,18 +87,37 @@ def _routed_project(x: np.ndarray, weights: tuple, routes: RouteAssignment) -> n
     return out
 
 
+def dpm_keys(x: np.ndarray, bank: ProjectorBank):
+    """The key side of the dynamic projection: ``(k, v, k_routed, routes_k)``.
+
+    K' is routed and projected first, so the rows each projector gathers
+    are freed before the shared K and V exist.
+    """
+    _check_tokens(x, bank)
+    routes_k = route_argmax(x, bank.router_k)
+    k_routed = _routed_project(x, bank.w_k, routes_k)
+    return matmul(x, bank.w_k0), matmul(x, bank.w_v0), k_routed, routes_k
+
+
+def dpm_queries(x: np.ndarray, bank: ProjectorBank):
+    """The query side of the dynamic projection: ``(q, q_routed, routes_q)``,
+    Q' routed and projected before the shared Q."""
+    _check_tokens(x, bank)
+    routes_q = route_argmax(x, bank.router_q)
+    q_routed = _routed_project(x, bank.w_q, routes_q)
+    return matmul(x, bank.w_q0), q_routed, routes_q
+
+
 def dpm_forward(x: np.ndarray, bank: ProjectorBank):
     """Dynamic projection: shared Q/K/V plus routed Q'/K'.
 
-    Returns ``(q, k, v, q_routed, k_routed, routes_q, routes_k)``.  Each
-    token's routed row depends only on that token (its route and its
+    Returns ``(q, k, v, q_routed, k_routed, routes_q, routes_k)``: the key
+    side (:func:`dpm_keys`), then the query side (:func:`dpm_queries`).
+    Each token's routed row depends only on that token (its route and its
     projection), so the whole map is equivariant under token permutation.
-    The routed streams are projected first, so the gathered rows each
-    projector takes are freed before the three shared projections exist.
+    A block runs the two sides apart, so that K, K' and V are spent before
+    Q and Q' exist.
     """
-    routes_q = route_argmax(x, bank.router_q)
-    routes_k = route_argmax(x, bank.router_k)
-    q_routed = _routed_project(x, bank.w_q, routes_q)
-    k_routed = _routed_project(x, bank.w_k, routes_k)
-    q, k, v = project_shared(x, bank)
+    k, v, k_routed, routes_k = dpm_keys(x, bank)
+    q, q_routed, routes_q = dpm_queries(x, bank)
     return q, k, v, q_routed, k_routed, routes_q, routes_k

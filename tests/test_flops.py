@@ -121,9 +121,9 @@ class TestLedger:
                        dydila.routing):
             real = module.matmul
 
-            def counting(a, b, *, start=None, real=real, name=module.__name__):
+            def counting(a, b, *, start=None, out=None, real=real, name=module.__name__):
                 log.append((name, a.shape[0], a.shape[1], b.shape[1]))
-                return real(a, b, start=start)
+                return real(a, b, start=start, out=out)
 
             monkeypatch.setattr(module, "matmul", counting)
         forward()

@@ -181,6 +181,50 @@ class TestMatmul:
             with pytest.raises(ContractViolation, match="start"):
                 matmul(a, b, start=start)
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("case", ["blocked", "narrow", "short", "k_transposed"])
+    def test_out_takes_a_head_slice_of_a_wider_array(self, precision, case):
+        # the product is written into the middle head's columns of a wider
+        # array whose rows are three heads apart and that already holds
+        # values (as a spent Q does): the bits of a fresh product, and not
+        # one other byte of the buffer, its tail included, is written
+        mr, nr, kc = _BLOCKS["MR"], _nr(precision), _BLOCKS["KC"]
+        a, b = {  # past KC with edge tiles; m <= NR; n < MR; a k.T view
+            "blocked": (mat(1, 2 * mr + 3, kc + 5, precision), mat(2, kc + 5, nr + 3, precision)),
+            "narrow": (mat(3, 13, 40, precision), mat(4, 40, nr - 1, precision)),
+            "short": (mat(5, mr - 3, 30, precision), mat(6, 30, nr + 5, precision)),
+            "k_transposed": (mat(7, 50, 19, precision).T, mat(8, 50, 2 * nr + 1, precision)),
+        }[case]
+        (n, _), m = a.shape, b.shape[1]
+        want = matmul(a, b)
+        buf = mat(9, 1, n * 3 * m + 11, precision)[0]
+        before = buf.copy()
+        out = buf[:n * 3 * m].reshape(n, 3 * m)[:, m:2 * m]
+        assert matmul(a, b, out=out) is out
+        assert np.array_equal(bits(out), bits(want))
+        outside = np.ones(buf.shape, dtype=bool)
+        outside[:n * 3 * m].reshape(n, 3 * m)[:, m:2 * m] = False
+        assert np.array_equal(bits(buf[outside]), bits(before[outside]))
+
+    def test_out_rejected(self):
+        a, b = mat(0, 4, 3), mat(1, 3, 2)
+        shared = np.zeros((4, 5))
+        read_only = np.zeros((4, 2))
+        read_only.flags.writeable = False
+        for out, a_, b_, match in (
+            (shared[:, 3:], shared[:, :3], b, "share memory"),
+            (shared[:, 3:], a, shared[:3, :2], "share memory"),
+            (np.zeros((4, 3)), a, b, r"\(4, 2\)"),
+            (np.zeros((4, 2), dtype=np.float32), a, b, "float64"),
+            (np.zeros((4, 4))[:, ::2], a, b, "contiguous columns"),
+            (np.lib.stride_tricks.as_strided(np.zeros(5), (4, 2), (8, 8)), a, b, "not overlap"),
+            (read_only, a, b, "writeable"),
+        ):
+            with pytest.raises(ContractViolation, match=match):
+                matmul(a_, b_, out=out)
+        with pytest.raises(ContractViolation, match="start or out"):
+            matmul(a, b, start=np.zeros((4, 2)), out=np.zeros((4, 2)))
+
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_zero_size(self, shape, precision):
@@ -285,7 +329,8 @@ class TestMatmulCompiled(TestMatmul):
             buf = np.full(nbytes + 128, 0xFF, dtype=np.uint8)
             start = -buf.ctypes.data % 64 + offset
             out = buf[start:start + nbytes].view(dtype).reshape(n, m)
-            kernel(a.ctypes.data, inner, 1, b.ctypes.data, m, 1, out.ctypes.data, n, inner, m, 0)
+            kernel(a.ctypes.data, inner, 1, b.ctypes.data, m, 1, out.ctypes.data, m, n, inner, m,
+                   0)
             assert np.array_equal(bits(out), bits(want)), offset
             assert (buf[:start] == 0xFF).all() and (buf[start + nbytes:] == 0xFF).all()
 
