@@ -50,6 +50,8 @@ BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
 DWC_TESTS = ("tests/test_attention.py", "tests/test_numerics.py", "-k", "dwc or Dwc or build")
 SPREAD_TESTS = ("tests/test_pinned_hashes.py", "-k", "spread_bank")
 LEDGER_TESTS = ("tests/test_flops.py", "-k", "Ledger")
+ROW_TESTS = ("tests/test_attention.py", "tests/test_cli.py", "-k",
+             "ExtractAttentionRow or DumpAttnPinned")
 
 
 @dataclass(frozen=True)
@@ -186,13 +188,16 @@ MUTANTS = (
              "_differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, \"token-wise\"",
              "_differential(q_t, q_routed, k_t, k_routed, bank, \"token-wise\""),),
            BLOCK_TESTS),
-    # the attention row's query-first product
+    # the attention row's query-first product, on its one query row
     Mutant("query_first_product_never_normalized",
            (("src/dydila/differential.py",
              "dtype=b.dtype), b) if normalize else None",
              "dtype=b.dtype), b) if normalize and v is not None else None"),),
-           ("tests/test_attention.py", "tests/test_cli.py", "-k",
-            "ExtractAttentionRow or DumpAttnPinned")),
+           ROW_TESTS),
+    Mutant("attention_row_projects_the_first_query_row",
+           (("src/dydila/attention.py", "dpm_queries(x[sel], params.proj)",
+             "dpm_queries(x[:1], params.proj)"),),
+           ROW_TESTS),
     # the key and query halves, against the spread-bank pins
     Mutant("query_half_routes_lambda_q_with_router_k",
            (("src/dydila/differential.py",

@@ -17,7 +17,9 @@ and K, K' and V are released, V once the DWC has read it, before the query
 side (Q', Q) is projected.  Each head writes its output over its own
 columns of Q, which are spent by then, so a pass peaks at about three
 n x d arrays: Q, Q' and the DWC output.  A head's diagnostics record only
-the lambdas its variant routed.
+the lambdas its variant routed.  An attention row projects the key side
+and, since every query-side step is row-local, the query side of its one
+query row only, and runs the head's differential on them query first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .differential import DifferentialBank, _apply_state, _key_half, _key_state, _query_half
+from .differential import (DifferentialBank, _apply_state, _differential, _key_half,
+                           _key_state, _query_half)
 from .kernels import KernelBank, dmk_forward, focused_rows
 from .numerics import (
     ConfigError,
@@ -315,39 +318,11 @@ def _head_slice(m: np.ndarray, head: int, d_h: int) -> np.ndarray:
     return m[:, head * d_h : (head + 1) * d_h]
 
 
-def _mapped(m: np.ndarray, head: int, d_h: int, bank: KernelBank, rows=slice(None)):
-    """``(stream, routes)``: rows ``rows`` of one head's slice of m, routed
-    from their raw values and then kernel-mapped there in place."""
-    z = _head_slice(m, head, d_h)[rows]
+def _mapped(m: np.ndarray, head: int, d_h: int, bank: KernelBank):
+    """``(stream, routes)``: one head's slice of m, routed from its raw values
+    and then kernel-mapped there in place."""
+    z = _head_slice(m, head, d_h)
     return dmk_forward(z, bank, out=z)
-
-
-def _head_keys(k, kp, v, params: DydilaParams, head: int, variant: str):
-    """One head's key half: ``(states, lambdas, (routes_k, routes_kp))``.
-
-    Maps the head's slices of k and kp in place, then reduces them to key
-    states keys first over ``v`` (the head's V slice), or query first when
-    ``v`` is None.
-    """
-    hp, d_h = params.head_params[head], params.head_dim
-    k_t, routes_k = _mapped(k, head, d_h, hp.kernel_k)
-    kp_t, routes_kp = _mapped(kp, head, d_h, hp.kernel_kp)
-    states, lambdas = _key_half(k_t, kp_t, hp.diff, variant, v, params.normalize)
-    return states, lambdas, (routes_k, routes_kp)
-
-
-def _head_queries(q, qp, params: DydilaParams, head: int, variant: str, states,
-                  rows=slice(None), in_place=False):
-    """One head's query half on query rows ``rows``: ``(out, lambdas, (routes_q, routes_qp))``.
-
-    With ``in_place`` the output is written over the head's (spent) Q slice,
-    which is then returned as ``out``.
-    """
-    hp, d_h = params.head_params[head], params.head_dim
-    q_t, routes_q = _mapped(q, head, d_h, hp.kernel_q, rows)
-    qp_t, routes_qp = _mapped(qp, head, d_h, hp.kernel_qp, rows)
-    out, lambdas = _query_half(q_t, qp_t, hp.diff, variant, states, q_t if in_place else None)
-    return out, lambdas, (routes_q, routes_qp)
 
 
 def multihead_forward(x: np.ndarray, params: DydilaParams):
@@ -377,16 +352,24 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
 
     k, v, kp, routes_k = dpm_keys(x, params.proj)
     d_h, variant = params.head_dim, params.variant
-    keys = [_head_keys(k, kp, _head_slice(v, h_idx, d_h), params, h_idx, variant)
-            for h_idx in range(params.heads)]
-    del k, kp
+    keys = []
+    for h_idx, hp in enumerate(params.head_params):
+        k_t, routes_k_t = _mapped(k, h_idx, d_h, hp.kernel_k)
+        kp_t, routes_kp_t = _mapped(kp, h_idx, d_h, hp.kernel_kp)
+        states, key_lambdas = _key_half(k_t, kp_t, hp.diff, variant,
+                                        _head_slice(v, h_idx, d_h), params.normalize)
+        keys.append((states, key_lambdas, routes_k_t, routes_kp_t))
+    # the last head's views would hold K and K' through the query side
+    del k, kp, k_t, kp_t
     dwc = None if params.dwc is None else dwc_forward(v, params.grid, params.dwc)
     del v
     q, qp, routes_q = dpm_queries(x, params.proj)
     diag = BlockDiagnostics(routes_proj_q=routes_q, routes_proj_k=routes_k)
-    for h_idx, (states, key_lambdas, (routes_k_t, routes_kp_t)) in enumerate(keys):
-        _, query_lambdas, (routes_q_t, routes_qp_t) = _head_queries(
-            q, qp, params, h_idx, variant, states, in_place=True)
+    for h_idx, (hp, (states, key_lambdas, routes_k_t, routes_kp_t)) in enumerate(
+            zip(params.head_params, keys)):
+        q_t, routes_q_t = _mapped(q, h_idx, d_h, hp.kernel_q)
+        qp_t, routes_qp_t = _mapped(qp, h_idx, d_h, hp.kernel_qp)
+        _, query_lambdas = _query_half(q_t, qp_t, hp.diff, variant, states, q_t)
         diag.heads.append(HeadDiagnostics(routes_q_t, routes_k_t, routes_qp_t, routes_kp_t,
                                           lambdas={**query_lambdas, **key_lambdas}))
     if dwc is not None:
@@ -442,8 +425,9 @@ def extract_attention_row(
         raise ConfigError(f"unknown impl {impl!r}")
 
     k, _, kp, _ = dpm_keys(x, params.proj)
-    variant = _impl_variant(impl)
-    states, _, _ = _head_keys(k, kp, None, params, head, variant)
-    q, qp, _ = dpm_queries(x, params.proj)
-    row, _, _ = _head_queries(q, qp, params, head, variant, states, sel)
+    q, qp, _ = dpm_queries(x[sel], params.proj)
+    hp, d_h = params.head_params[head], params.head_dim
+    streams = [_mapped(m, head, d_h, bank)[0] for m, bank in
+               ((q, hp.kernel_q), (qp, hp.kernel_qp), (k, hp.kernel_k), (kp, hp.kernel_kp))]
+    row, _ = _differential(*streams, hp.diff, _impl_variant(impl), None, params.normalize)
     return row[0]

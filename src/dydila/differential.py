@@ -167,8 +167,9 @@ def _query_half(q_t, q_routed, bank: DifferentialBank, variant, states, out=None
     token-wise: routes lam_q, forms ``q_t - lam_q ⊙ q_routed`` in
     ``q_routed`` and applies the state; map-wise: routes lam_map and takes
     ``shared - lam_map ⊙ routed``, each map applied from its own state.
-    Every step is row-local, so query rows ``sel`` give those rows of the
-    whole call bit for bit.  ``out`` (for the block, q_t itself) receives
+    Every step is row-local, so a subset of the query rows (an attention
+    row passes one) gives those rows of the whole call bit for bit.  ``out``
+    (for the block, q_t itself) receives
     the output once q_t is spent: token-wise after the difference,
     map-wise as ``routed``, after ``shared`` has been applied.
     """

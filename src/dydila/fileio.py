@@ -265,7 +265,11 @@ def save_weights_blob(stack: AttentionStack, base_path) -> str:
 
 
 def load_weights_blob(manifest_path) -> dict:
-    """Read a manifest + blob pair back into a name -> array dict."""
+    """Read a manifest + blob pair back into a name -> array dict.
+
+    An entry whose dtype is not f32 or f64, or whose bytes do not lie inside
+    the blob, raises ``ContractViolation`` naming it.
+    """
     with open(manifest_path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
     blob_path = os.path.join(os.path.dirname(os.fspath(manifest_path)), manifest["blob"])
@@ -273,12 +277,20 @@ def load_weights_blob(manifest_path) -> dict:
         blob = f.read()
     weights = {}
     for entry in manifest["entries"]:
+        name = entry["name"]
+        if entry["dtype"] not in _BLOB_DTYPES:
+            raise ContractViolation(
+                f"weights entry {name!r} has dtype {entry['dtype']!r}, expected f32 or f64")
         dt = np.dtype(_BLOB_DTYPES[entry["dtype"]])
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         start = entry["byte_offset"]
+        end = start + count * dt.itemsize
+        if start < 0 or end > len(blob):
+            raise ContractViolation(f"weights entry {name!r} spans bytes {start}..{end} "
+                                    f"of the {len(blob)}-byte blob {blob_path}")
         arr = np.frombuffer(blob, dtype=dt, count=count, offset=start)
-        weights[entry["name"]] = arr.reshape(shape).astype(dt.newbyteorder("="))
+        weights[name] = arr.reshape(shape).astype(dt.newbyteorder("="))
     return weights
 
 

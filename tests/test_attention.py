@@ -550,13 +550,25 @@ class TestStagesThroughPublicBindings:
             assert rest[-1] is q_t
 
     @pytest.mark.parametrize("impl", ["dydila", "mapwise"])
-    def test_attention_row_projects_the_query_side_after_the_key_half(self, monkeypatch, impl):
-        block = make_block(351, 8, (4, 6), heads=2)
-        log = self._calls(monkeypatch,
-                          lambda: extract_attention_row(mat(53, 24, 8), block, 5, impl, head=1))
-        assert [name for name, _, _ in log] == ["dpm_keys", "_key_half", "dpm_queries",
-                                                "_query_half"]
-        assert log[-1][1][-1] is None  # out: a row of the map is not written over Q
+    def test_attention_row_projects_only_its_query_row(self, monkeypatch, impl):
+        # routing, the routed projection and matmul are row-local, so the
+        # query side of one row needs that row of x and nothing more
+        import dydila.attention
+        import dydila.projection
+
+        block, x, index = make_block(351, 8, (4, 6), heads=2), mat(53, 24, 8), 5
+        log = []
+        self._spy(monkeypatch, dydila.attention, "dpm_queries", log)
+        self._spy(monkeypatch, dydila.projection, "matmul", log)
+        extract_attention_row(x, block, index, impl, head=1)
+        monkeypatch.undo()
+        (rows, _), = [args for name, args, _ in log if name == "dpm_queries"]
+        assert rows.shape == (1, 8) and np.array_equal(bits(rows), bits(x[index:index + 1]))
+        query_weights = (block.proj.w_q0, *block.proj.w_q)
+        products = [a for name, (a, b), _ in log
+                    if name == "matmul" and any(b is w for w in query_weights)]
+        assert len(products) == 2  # the shared Q and the one routed Q' projector
+        assert all(a.shape[0] == 1 for a in products)
 
 
 class TestStack:

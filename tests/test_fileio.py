@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ class TestWeightsBlob:
         assert entry["dtype"] == "f32"
         weights = load_weights_blob(tmp_path / "w.json")
         assert weights["block0/proj/w_k0"].dtype == np.float32
+
+    @pytest.mark.parametrize("fault", ["past_the_end", "negative_offset", "truncated_blob",
+                                       "unknown_dtype"])
+    def test_corrupt_manifest_names_the_entry(self, tmp_path, fault):
+        save_weights_blob(init_params(_tiny_cfg()), tmp_path / "w")
+        manifest_path, blob_path = tmp_path / "w.json", tmp_path / "w.bin"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        entry = manifest["entries"][-1]  # the last entry ends at the blob's end
+        if fault == "past_the_end":
+            entry["byte_offset"] += 8
+        elif fault == "negative_offset":
+            entry["byte_offset"] = -8
+        elif fault == "truncated_blob":
+            blob_path.write_bytes(blob_path.read_bytes()[:-1])
+        else:
+            entry["dtype"] = "f16"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ContractViolation, match=re.escape(repr(entry["name"]))):
+            load_weights_blob(manifest_path)
 
 
 class TestStackRebuild:

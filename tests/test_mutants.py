@@ -1,4 +1,5 @@
-"""The mutation record's edits still apply to the tree (no build, no test run).
+"""The mutation record's edits still apply to the tree, and its test
+selections name files that exist (no build, no test run).
 
 ``scripts/mutants.py`` describes each mutant as exact ``(file, old, new)``
 edits; a refactor that moves an ``old`` text would leave the mutant
@@ -34,3 +35,15 @@ def test_every_edit_applies_exactly_once():
             text = texts.setdefault(file, (ROOT / file).read_text())
             assert text.count(old) == 1, (mutant.name, file, text.count(old))
             texts[file] = text.replace(old, new)
+
+
+def test_every_selected_test_file_exists():
+    # read from the selection's arguments, not by collecting them: a renamed
+    # file would otherwise show only as "the unmutated tree fails"
+    for mutant in _mutants():
+        args = iter(mutant.tests)
+        for arg in args:
+            if arg == "-k":
+                next(args)
+            else:
+                assert (ROOT / arg).is_file(), (mutant.name, arg)
