@@ -96,17 +96,11 @@ MUTANTS = (
     _c("narrow_sums_from_minus_zero",
        "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
        "!first && r < mr && j < m ? out[(i + r) * so0 + j] : -0.0;"),
-    Mutant("matmul_acc_ignored",
-           ((NUMERICS, "const int first = pc == 0 && !acc;", "const int first = pc == 0;"),
-            (NUMERICS, "        if (!acc)\n", "        if (1)\n")),
-           MATMUL_TESTS),
+    _c("matmul_acc_ignored",
+       "const int first = pc == 0 && !acc;", "const int first = pc == 0;"),
     _c("narrow_no_reload_at_32_bytes",
        "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
        "!first && V != 32 && r < mr && j < m ? out[(i + r) * so0 + j] : 0;"),
-    # the short product (n < MR)
-    _c("short_product_descending_k",
-       "        for (ptrdiff_t k = 0; k < inner; k++)\n            for (ptrdiff_t i = 0; i < n; i++) {",
-       "        for (ptrdiff_t k = inner - 1; k >= 0; k--)\n            for (ptrdiff_t i = 0; i < n; i++) {"),
     # routing
     Mutant("dmk_forward_next_gamma",
            (("src/dydila/kernels.py", "[routes.indices]",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -127,7 +128,10 @@ def read_pgm(path):
     parts = blob.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":
         raise ContractViolation(f"{path} is not a binary P5 PGM")
-    w, h = (int(t) for t in parts[1].split())
+    size = parts[1].split()
+    if len(size) != 2 or not all(t.isdigit() for t in size):
+        raise ContractViolation(f"{path} size line must be a width and a height, got {parts[1]!r}")
+    w, h = int(size[0]), int(size[1])
     if parts[2] != b"255":
         raise ContractViolation(f"{path} maxval must be 255, got {parts[2]!r}")
     pixels = parts[3]
@@ -267,24 +271,40 @@ def save_weights_blob(stack: AttentionStack, base_path) -> str:
 def load_weights_blob(manifest_path) -> dict:
     """Read a manifest + blob pair back into a name -> array dict.
 
-    An entry whose dtype is not f32 or f64, or whose bytes do not lie inside
-    the blob, raises ``ContractViolation`` naming it.
+    A manifest that is not an object with a blob name and an entries list,
+    or an entry without a name, raises ``ContractViolation`` naming the
+    manifest (and the entry's index).  An entry whose dtype is not f32 or
+    f64, whose shape is not a list of non-negative integers, whose
+    byte_offset is not an integer or whose bytes do not lie inside the blob
+    raises ``ContractViolation`` naming it.
     """
     with open(manifest_path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
+    if (not isinstance(manifest, dict) or not isinstance(manifest.get("blob"), str)
+            or not isinstance(manifest.get("entries"), list)):
+        raise ContractViolation(f"weights manifest {manifest_path} must be an object with a "
+                                "'blob' file name and an 'entries' list")
     blob_path = os.path.join(os.path.dirname(os.fspath(manifest_path)), manifest["blob"])
     with open(blob_path, "rb") as f:
         blob = f.read()
     weights = {}
-    for entry in manifest["entries"]:
-        name = entry["name"]
-        if entry["dtype"] not in _BLOB_DTYPES:
+    for index, entry in enumerate(manifest["entries"]):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ContractViolation(f"weights manifest {manifest_path} entry {index} has no name")
+        dtype, shape, start = (entry.get(k) for k in ("dtype", "shape", "byte_offset"))
+        if not isinstance(dtype, str) or dtype not in _BLOB_DTYPES:
             raise ContractViolation(
-                f"weights entry {name!r} has dtype {entry['dtype']!r}, expected f32 or f64")
-        dt = np.dtype(_BLOB_DTYPES[entry["dtype"]])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        start = entry["byte_offset"]
+                f"weights entry {name!r} has dtype {dtype!r}, expected f32 or f64")
+        # type() rather than isinstance: JSON's true and false load as bools, which are ints
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise ContractViolation(f"weights entry {name!r} has shape {shape!r}, expected a "
+                                    "list of non-negative integers")
+        if type(start) is not int:
+            raise ContractViolation(f"weights entry {name!r} has byte_offset {start!r}, "
+                                    "expected an integer")
+        dt = np.dtype(_BLOB_DTYPES[dtype])
+        count = math.prod(shape)
         end = start + count * dt.itemsize
         if start < 0 or end > len(blob):
             raise ContractViolation(f"weights entry {name!r} spans bytes {start}..{end} "

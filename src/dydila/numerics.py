@@ -107,11 +107,11 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
 # A narrow product (m <= NR: routing logits, the normalizer's one column)
 # skips the a packing and the row tiles.  Its one b strip is packed for as
 # many k as packed_b holds (KC * NC / NR), and NARROW reads MR_NARROW rows of
-# a in place through their strides (twice as many, one vector per pass, when
-# m fits one vector), keeping each row's sums in vectors over the columns,
-# in column passes that stop at m.  The tile and NARROW share the one width
-# dispatch.  A short product (n < MR, m > NR, unit column stride in b: the
-# normalizer's column sums ones @ k) streams b once instead, row by row.
+# a in place through their strides, keeping each row's sums in two vectors
+# per column pass, in passes that stop at m.  The tile and NARROW share the
+# one width dispatch.  Every other product runs the tiles; one with fewer
+# than MR rows (the normalizer's column sums ones @ k, a single query row)
+# runs all of them through the edge copy.
 #
 # The order is the triple loop's.  The first k block starts every tile from
 # +0, never from its first product, unless acc is set: then it starts from
@@ -161,17 +161,18 @@ TILE(16, 2, )
 #undef TILE
 
 /* The narrow product, m <= NR: out = (first ? +0 : out) + a @ bp over kc
-   inner indices, R rows of a at a time read in place through their strides,
-   in column passes of P vectors of V bytes that stop at m.  The rows' sums
-   go through c, NR wide, so out is touched only inside the matrix. */
-#define NARROW(V, P, R, ATTR)                                                  \
-static ATTR void narrow##V##x##P##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,\
-                                      ptrdiff_t sa1, const $T *restrict bp,    \
-                                      $T *restrict out, ptrdiff_t so0,         \
-                                      ptrdiff_t n, ptrdiff_t m, int first)     \
+   inner indices, R = MR_NARROW rows of a at a time read in place through
+   their strides, in column passes of two vectors of V bytes that stop at m.
+   The rows' sums go through c, NR wide, so out is touched only inside the
+   matrix. */
+#define NARROW(V, ATTR)                                                        \
+static ATTR void narrow##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
+                                ptrdiff_t sa1, const $T *restrict bp,          \
+                                $T *restrict out, ptrdiff_t so0,               \
+                                ptrdiff_t n, ptrdiff_t m, int first)           \
 {                                                                              \
     typedef $T vec __attribute__((vector_size(V)));                            \
-    enum { W = V / sizeof($T), NR = NR_$T };                                   \
+    enum { W = V / sizeof($T), NR = NR_$T, P = 2, R = MR_NARROW };             \
     $T c[R * NR] __attribute__((aligned(64)));                                 \
     for (ptrdiff_t i = 0; i < n; i += R) {                                     \
         const ptrdiff_t mr = n - i < R ? n - i : R;                            \
@@ -204,14 +205,9 @@ static ATTR void narrow##V##x##P##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,\
                 out[(i + r) * so0 + j] = c[r * NR + j];                        \
     }                                                                          \
 }
-/* Two vectors per pass over MR_NARROW rows, or, when m fits one vector,
-   one vector per pass over twice as many rows. */
-NARROW(64, 2, MR_NARROW, TARGET("avx512f"))
-NARROW(32, 2, MR_NARROW, TARGET("avx2"))
-NARROW(16, 2, MR_NARROW, )
-NARROW(64, 1, 2 * MR_NARROW, TARGET("avx512f"))
-NARROW(32, 1, 2 * MR_NARROW, TARGET("avx2"))
-NARROW(16, 1, 2 * MR_NARROW, )
+NARROW(64, TARGET("avx512f"))
+NARROW(32, TARGET("avx2"))
+NARROW(16, )
 #undef NARROW
 
 CLONES
@@ -228,27 +224,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
         v == 64 ? tile64_$T : v == 32 ? tile32_$T : tile16_$T;
     void (*const narrow)(ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, const $T *, $T *,
                          ptrdiff_t, ptrdiff_t, ptrdiff_t, int) =
-        m <= v / (ptrdiff_t)sizeof($T)
-            ? (v == 64 ? narrow64x1_$T : v == 32 ? narrow32x1_$T : narrow16x1_$T)
-            : (v == 64 ? narrow64x2_$T : v == 32 ? narrow32x2_$T : narrow16x2_$T);
-    /* A short product (n < MR rows, b's rows contiguous, m > NR) streams b
-       once, adding a[i, k] * b[k, :] into each row of out in ascending k:
-       no packing and no padded tile rows. */
-    if (n < MR && m > NR && sb1 == 1) {
-        if (!acc)
-            for (ptrdiff_t i = 0; i < n; i++)
-                for (ptrdiff_t j = 0; j < m; j++)
-                    out[i * so0 + j] = 0;
-        for (ptrdiff_t k = 0; k < inner; k++)
-            for (ptrdiff_t i = 0; i < n; i++) {
-                const $T x = a[i * sa0 + k * sa1];
-                const $T *restrict bk = b + k * sb0;
-                $T *restrict o = out + i * so0;
-                for (ptrdiff_t j = 0; j < m; j++)
-                    o[j] = o[j] + x * bk[j];
-            }
-        return;
-    }
+        v == 64 ? narrow64_$T : v == 32 ? narrow32_$T : narrow16_$T;
     /* A narrow product packs as much of b as packed_b holds. */
     const ptrdiff_t kb = m <= NR ? KC * NC / NR : KC;
     for (ptrdiff_t jc = 0; jc < m; jc += NC) {
@@ -788,6 +764,8 @@ def matmul(a: np.ndarray, b: np.ndarray, *, start: np.ndarray | None = None,
                 or not start.flags.writeable):
             raise ContractViolation(f"matmul start must be a writeable C-contiguous ({n}, {m}) "
                                     f"{a.dtype} array, got {start.dtype} {start.shape}")
+        if np.may_share_memory(start, a) or np.may_share_memory(start, b):
+            raise ContractViolation("matmul start may share memory with an operand")
         out = start
     elif out is not None:
         _check_out(out, a, b)

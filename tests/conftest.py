@@ -39,6 +39,19 @@ def needs_compiler():
         pytest.skip(f"compiled kernels did not build: {numerics._c_unavailable}")
 
 
+@pytest.fixture(params=["c", "numpy"])
+def backend(request, monkeypatch):
+    """Run the test on the compiled kernels ("c", skipped when they did not
+    build) and on the numpy loops ("numpy"); the value is the backend's name.
+    A test that wants the backend's id elsewhere in its name parametrizes it
+    with ``indirect=True``."""
+    if request.param == "c":
+        needs_compiler()
+    else:
+        monkeypatch.setattr(numerics, "_c_kernels", {})
+    return request.param
+
+
 def bits(arr):
     """The raw bits of a float array, for bitwise comparisons."""
     return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)

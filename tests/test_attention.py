@@ -69,18 +69,11 @@ def _softmax_rows_reference(m):
     return e / np.sum(e, axis=1, keepdims=True)
 
 
+@pytest.mark.usefixtures("backend")
 class TestSoftmaxMapInPlace:
     """The map is scaled, shifted, exponentiated and normalized in the one
     array that matmul(q, k.T) returns, with no output bit moved; on both
     matmul backends."""
-
-    @pytest.fixture(autouse=True, params=["c", "numpy"])
-    def backend(self, request, monkeypatch):
-        if request.param == "c":
-            needs_compiler()
-        else:
-            monkeypatch.setattr(numerics, "_c_kernels", {})
-        return request.param
 
     @staticmethod
     def _unfused(q, k, v):
@@ -731,14 +724,6 @@ class TestBlockWorkingSet:
     # 0.3.
     BOUND = {("token-wise", "c"): 3.5, ("token-wise", "numpy"): 4.1,
              ("map-wise", "c"): 4.45, ("map-wise", "numpy"): 4.7}
-
-    @pytest.fixture(autouse=True, params=["c", "numpy"])
-    def backend(self, request, monkeypatch):
-        if request.param == "c":
-            needs_compiler()
-        else:
-            monkeypatch.setattr(numerics, "_c_kernels", {})
-        return request.param
 
     @staticmethod
     def _peak_arrays(heads, dwc, variant):

@@ -378,13 +378,9 @@ PINNED_DUMP = {
 
 
 class TestDumpAttnPinned:
-    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("backend", ["c", "numpy"], indirect=True)
     @pytest.mark.parametrize("cell", list(PINNED_DUMP), ids=lambda c: "-".join(map(str, c)))
-    def test_row_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, backend, cell):
-        if backend == "c":
-            needs_compiler()
-        else:
-            monkeypatch.setattr(numerics, "_c_kernels", {})
+    def test_row_bytes_are_pinned(self, tmp_path, capsys, backend, cell):
         variant, normalize, precision, impl, seq_len = cell
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"preset": "small", "heads": 2, "variant": variant,

@@ -143,6 +143,13 @@ class TestPgm:
         with pytest.raises(ContractViolation, match="P5"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"2", b"2 x", b"2 2 2", b"-2 -2"])
+    def test_read_rejects_a_malformed_size_line(self, tmp_path, size):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n1234")
+        with pytest.raises(ContractViolation, match="size line"):
+            read_pgm(path)
+
 
 class TestWeightsBlob:
     def test_manifest_and_bytes(self, tmp_path):
@@ -180,22 +187,44 @@ class TestWeightsBlob:
         assert weights["block0/proj/w_k0"].dtype == np.float32
 
     @pytest.mark.parametrize("fault", ["past_the_end", "negative_offset", "truncated_blob",
-                                       "unknown_dtype"])
+                                       "unknown_dtype", "no_name", "no_byte_offset",
+                                       "float_offset", "bool_offset", "negative_shape",
+                                       "non_list_shape", "not_an_object", "no_blob"])
     def test_corrupt_manifest_names_the_entry(self, tmp_path, fault):
         save_weights_blob(init_params(_tiny_cfg()), tmp_path / "w")
         manifest_path, blob_path = tmp_path / "w.json", tmp_path / "w.bin"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        entry = manifest["entries"][-1]  # the last entry ends at the blob's end
+        index = len(manifest["entries"]) - 1
+        entry = manifest["entries"][index]  # the last entry ends at the blob's end
+        named = repr(entry["name"])
         if fault == "past_the_end":
             entry["byte_offset"] += 8
         elif fault == "negative_offset":
             entry["byte_offset"] = -8
         elif fault == "truncated_blob":
             blob_path.write_bytes(blob_path.read_bytes()[:-1])
-        else:
+        elif fault == "unknown_dtype":
             entry["dtype"] = "f16"
+        elif fault == "no_name":
+            del entry["name"]
+            named = f"{manifest_path} entry {index}"
+        elif fault == "no_byte_offset":
+            del entry["byte_offset"]
+        elif fault == "float_offset":
+            entry["byte_offset"] = 1.5
+        elif fault == "bool_offset":  # would load from byte 1
+            entry["byte_offset"] = True
+        elif fault == "negative_shape":  # would read the blob's tail
+            entry["shape"] = [-1, 6]
+        elif fault == "non_list_shape":
+            entry["shape"] = 6
+        elif fault == "not_an_object":
+            manifest, named = manifest["entries"], str(manifest_path)
+        else:
+            del manifest["blob"]
+            named = str(manifest_path)
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ContractViolation, match=re.escape(repr(entry["name"]))):
+        with pytest.raises(ContractViolation, match=re.escape(named)):
             load_weights_blob(manifest_path)
 
 

@@ -180,6 +180,12 @@ class TestMatmul:
                       np.zeros((2, 4)).T):
             with pytest.raises(ContractViolation, match="start"):
                 matmul(a, b, start=start)
+        # a start that overlaps an operand would be written while it is read
+        sq, buf = mat(2, 4, 4), mat(3, 1, 18)[0]
+        for a_, b_, start in ((sq, sq.copy(), sq), (sq.copy(), sq, sq),
+                              (buf[:12].reshape(4, 3), b, buf[10:].reshape(4, 2))):
+            with pytest.raises(ContractViolation, match="start may share memory"):
+                matmul(a_, b_, start=start)
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("case", ["blocked", "narrow", "short", "k_transposed"])
@@ -189,7 +195,7 @@ class TestMatmul:
         # values (as a spent Q does): the bits of a fresh product, and not
         # one other byte of the buffer, its tail included, is written
         mr, nr, kc = _BLOCKS["MR"], _nr(precision), _BLOCKS["KC"]
-        a, b = {  # past KC with edge tiles; m <= NR; n < MR; a k.T view
+        a, b = {  # past KC with edge tiles; m <= NR; n < MR, edge tiles only; a k.T view
             "blocked": (mat(1, 2 * mr + 3, kc + 5, precision), mat(2, kc + 5, nr + 3, precision)),
             "narrow": (mat(3, 13, 40, precision), mat(4, 40, nr - 1, precision)),
             "short": (mat(5, mr - 3, 30, precision), mat(6, 30, nr + 5, precision)),
@@ -432,9 +438,9 @@ class TestMatmulCompiled(TestMatmul):
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_narrow_one_vector_products(self, precision):
-        # when m fits one vector the narrow product runs one vector per
-        # column pass over 2 * MR_NARROW rows; n crosses those row groups,
-        # m runs past one vector of every width
+        # products as narrow as one vector run the narrow pass of two
+        # vectors over MR_NARROW rows; n crosses one and two of those row
+        # groups, m runs past one vector of every width
         r = 2 * _BLOCKS["MR_NARROW"]
         for m in (1, 2, 3, 4, 5, 8, 9, 16, 17):
             for n in (1, r - 1, r, r + 1, 2 * r + 3):
@@ -445,10 +451,10 @@ class TestMatmulCompiled(TestMatmul):
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_short_products(self, precision):
-        # fewer rows than a tile and more columns than NR: b's rows are
-        # streamed in place (a row vector times a matrix, as the normalizer's
-        # column sums); inner crosses KC, m crosses NC, non-finite values,
-        # -0 products and a resumed sum keep the triple loop's bits
+        # fewer rows than a tile and more columns than NR (a row vector
+        # times a matrix, as the normalizer's column sums) run every tile
+        # through the edge copy; inner crosses KC, m crosses NC, non-finite
+        # values, -0 products and a resumed sum keep the triple loop's bits
         nr, kc, nc = _nr(precision), _BLOCKS["KC"], _BLOCKS["NC"]
         for n in range(1, _BLOCKS["MR"]):
             for inner, m in [(1, nr + 1), (kc + 1, nr + 3), (3, nc + 5)]:

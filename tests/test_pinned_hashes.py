@@ -91,13 +91,9 @@ def test_compiled_forward_hash_is_pinned_for_larger_presets(preset, precision):
     assert _forward_sha256(precision, preset) == PINNED[preset][precision]
 
 
-@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("backend", ["c", "numpy"], indirect=True)
 @pytest.mark.parametrize("precision", sorted(PINNED_MAPWISE))
-def test_mapwise_forward_hash_is_pinned(monkeypatch, backend, precision):
-    if backend == "c":
-        needs_compiler()
-    else:
-        monkeypatch.setattr(numerics, "_c_kernels", {})
+def test_mapwise_forward_hash_is_pinned(backend, precision):
     assert _forward_sha256(precision, variant="map-wise") == PINNED_MAPWISE[precision]
 
 
@@ -108,13 +104,9 @@ def test_mapwise_forward_is_finite_at_preset_depth(preset, precision):
     _forward_sha256(precision, preset, variant="map-wise")
 
 
-@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("backend", ["c", "numpy"], indirect=True)
 @pytest.mark.parametrize("precision", sorted(PINNED_STDOUT))
-def test_forward_stdout_is_pinned(monkeypatch, capsys, backend, precision):
-    if backend == "c":
-        needs_compiler()
-    else:
-        monkeypatch.setattr(numerics, "_c_kernels", {})
+def test_forward_stdout_is_pinned(capsys, backend, precision):
     assert cli.main(["forward", "--preset", "small", "--precision", precision]) == 0
     stdout = capsys.readouterr().out
     assert stdout.endswith(f"output sha256 {PINNED['small'][precision]}\n"), stdout
@@ -198,15 +190,6 @@ def _spread_row_digest(impl, normalize):
     row = extract_attention_row(_spread_tokens(), _spread_block(3, normalize=normalize), 5,
                                 impl=impl, head=2)
     return _sha256(row)
-
-
-@pytest.fixture(params=["c", "numpy"])
-def backend(request, monkeypatch):
-    if request.param == "c":
-        needs_compiler()
-    else:
-        monkeypatch.setattr(numerics, "_c_kernels", {})
-    return request.param
 
 
 @pytest.mark.parametrize("cell", list(PINNED_SPREAD_OUTPUTS),

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-import dydila.numerics as numerics
 from dydila.numerics import ContractViolation, ConfigError, SeededRng
 from dydila.oracle import explicit_routes
 from dydila.routing import RouteAssignment, Router, route_argmax, route_pair
 
-from conftest import bits, logits_of, make_router, mat, needs_compiler, spy_logits
+from conftest import bits, logits_of, make_router, mat, spy_logits
 
 
 def test_hand_example():
@@ -90,16 +89,12 @@ def test_assignment_shape_validation():
         RouteAssignment(indices=np.zeros((3, 2), dtype=np.int64), n_choices=2)
 
 
-@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("backend", ["c", "numpy"], indirect=True)
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_route_pair_matches_concatenated_routing(monkeypatch, backend, precision):
     # the pair's logits resume the sum over a's half with b's half: the bits
     # of routing the concatenation, for head slices too
     log = spy_logits(monkeypatch)
-    if backend == "numpy":
-        monkeypatch.setattr(numerics, "_c_kernels", {})
-    else:
-        needs_compiler()
     wide_a, wide_b = mat(1, 70, 40, precision), mat(2, 70, 40, precision)
     for n_choices in (1, 9, 40):
         router = make_router(n_choices, 48, n_choices, precision)
