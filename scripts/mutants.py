@@ -84,23 +84,20 @@ MUTANTS = (
     _c("matmul_b_packed_with_unit_column_stride",
        "src[k * sb0 + j * sb1] : 0;", "src[k * sb0 + j] : 0;"),
     _c("matmul_out_row_stride_taken_as_m",
-       "tile(kc, apack + ir * kc, bpack + jr * kc, c, so0, first);",
-       "tile(kc, apack + ir * kc, bpack + jr * kc, c, m, first);"),
+       "tile(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);",
+       "tile(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, m, NR, first);"),
     _c("matmul_no_reload_in_the_32_byte_tile",
        "                if (!first)                                                    \\",
        "                if (!first && V != 32)                                         \\"),
-    # the narrow product (m <= NR)
+    # the narrow product (m <= NR): the tile on a's own rows
     _c("narrow_no_reload",
-       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
-       "0 && r < mr && j < m ? out[(i + r) * so0 + j] : 0;"),
-    _c("narrow_sums_from_minus_zero",
-       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
-       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : -0.0;"),
+       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
+       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, 1);"),
     _c("matmul_acc_ignored",
        "const int first = pc == 0 && !acc;", "const int first = pc == 0;"),
     _c("narrow_no_reload_at_32_bytes",
-       "!first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;",
-       "!first && V != 32 && r < mr && j < m ? out[(i + r) * so0 + j] : 0;"),
+       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
+       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first || V == 32);"),
     # routing
     Mutant("dmk_forward_next_gamma",
            (("src/dydila/kernels.py", "[routes.indices]",

@@ -43,7 +43,7 @@ from .numerics import (
     require_finite,
     softmax_rows,
 )
-from .projection import ProjectorBank, dpm_keys, dpm_queries, project_shared
+from .projection import ProjectorBank, dpm_keys, dpm_queries, dpm_values, project_shared
 from .routing import RouteAssignment
 
 __all__ = [
@@ -331,15 +331,16 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
     Channel slices go through per-head kernel/differential banks; head
     outputs are concatenated back to full width.
 
-    Keys first: only the key side is projected (:func:`dpm_keys`), and every
-    head maps its K and K' slices in place and reduces them, with its V
-    slice, to a d_h x d_h key state.  K and K' are then released, the DWC
-    of V is taken (when there is one) and V is released too.  Only then is
-    the query side projected (:func:`dpm_queries`); each head maps its Q and
-    Q' slices and writes its output over its Q slice, which the head no
-    longer reads.  Q is the block output, plus the DWC added in place; IEEE
-    addition is commutative, so that is ``head_out + dwc`` bit for bit.  A
-    pass peaks at about three n x d arrays: Q, Q' and the DWC.
+    Keys first: only the key side and V are projected (:func:`dpm_keys`,
+    :func:`dpm_values`), and every head maps its K and K' slices in place
+    and reduces them, with its V slice, to a d_h x d_h key state.  K and K'
+    are then released, the DWC of V is taken (when there is one) and V is
+    released too.  Only then is the query side projected
+    (:func:`dpm_queries`); each head maps its Q and Q' slices and writes its
+    output over its Q slice, which the head no longer reads.  Q is the block
+    output, plus the DWC added in place; IEEE addition is commutative, so
+    that is ``head_out + dwc`` bit for bit.  A pass peaks at about three
+    n x d arrays: Q, Q' and the DWC.
     """
     _check_2d(x, "block input")
     n, d = x.shape
@@ -350,7 +351,8 @@ def multihead_forward(x: np.ndarray, params: DydilaParams):
         if h * w != n:
             raise ContractViolation(f"grid {h}x{w} does not tile {n} tokens")
 
-    k, v, kp, routes_k = dpm_keys(x, params.proj)
+    k, kp, routes_k = dpm_keys(x, params.proj)
+    v = dpm_values(x, params.proj)
     d_h, variant = params.head_dim, params.variant
     keys = []
     for h_idx, hp in enumerate(params.head_params):
@@ -424,7 +426,7 @@ def extract_attention_row(
     if impl not in ("dydila", "mapwise"):
         raise ConfigError(f"unknown impl {impl!r}")
 
-    k, _, kp, _ = dpm_keys(x, params.proj)
+    k, kp, _ = dpm_keys(x, params.proj)
     q, qp, _ = dpm_queries(x[sel], params.proj)
     hp, d_h = params.head_params[head], params.head_dim
     streams = [_mapped(m, head, d_h, bank)[0] for m, bank in

@@ -76,9 +76,8 @@ _STRIDED_INNER_LIMIT = 2048
 _STRIDED_BLOCK_CAP = 256
 
 # Block sizes of the compiled matmul, in elements: MR-row register tiles,
-# KC inner indices, MC rows and NC columns per block, and MR_NARROW rows per
-# pass of the narrow product (see _MATMUL_KERNEL).
-_MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
+# KC inner indices, MC rows and NC columns per block (see _MATMUL_KERNEL).
+_MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
 
 # The compiled matmul kernel, one copy per element type, blocked as in Goto &
 # van de Geijn (2008); the block sizes are _MATMUL_BLOCKS, in elements.  The
@@ -104,14 +103,15 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
 # slower.  The packing buffers are static and thread-local (ctypes releases
 # the GIL while a kernel runs), so a call allocates nothing.
 #
-# A narrow product (m <= NR: routing logits, the normalizer's one column)
-# skips the a packing and the row tiles.  Its one b strip is packed for as
-# many k as packed_b holds (KC * NC / NR), and NARROW reads MR_NARROW rows of
-# a in place through their strides, keeping each row's sums in two vectors
-# per column pass, in passes that stop at m.  The tile and NARROW share the
-# one width dispatch.  Every other product runs the tiles; one with fewer
-# than MR rows (the normalizer's column sums ones @ k, a single query row)
-# runs all of them through the edge copy.
+# One tile serves every product.  A narrow product (m <= NR: routing
+# logits, the normalizer's one column) runs it without packing a: it reads MR rows of a in place through their strides,
+# and its column passes stop at m.  Its one b strip is packed for as many k
+# as packed_b holds (KC * NC / NR), and, as m < NR leaves the tile sticking
+# out of out, it runs through the edge copy.  The caller, not the operands'
+# strides, chooses between the packed strip and a's own rows: a column
+# stride of MR would otherwise pass for a packed strip.  A product with
+# fewer than MR rows (the normalizer's column sums ones @ k, a single query
+# row) runs all of its tiles through the edge copy.
 #
 # The order is the triple loop's.  The first k block starts every tile from
 # +0, never from its first product, unless acc is set: then it starts from
@@ -125,18 +125,24 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512, "MR_NARROW": 4}
 _MATMUL_KERNEL = r"""
 enum { NR_$T = 2 * 64 / sizeof($T) };
 
-/* One MR x NR tile: out = (first ? +0 : out) + ap @ bp over kc inner indices,
-   in column passes of P vectors of V bytes per row. */
+/* One MR x NR tile: c = (first ? +0 : c) + a @ bp over kc inner indices, in
+   column passes of P vectors of V bytes per row that stop at nc.  Row r of a
+   is read at a + min(r, mr - 1) * s0, k * sk apart.  The entry runs the body
+   on a packed strip (packed: s0 = 1, mr = MR, sk = MR, nc = NR, all
+   constants) or on a's own rows, sa0 apart and sa1 apart in k, the first mr
+   of them; the caller says which.  GCC unrolls the row loops only when told
+   to, and otherwise keeps the packed copy's accumulators in memory. */
 #define TILE(V, P, ATTR)                                                       \
-static ATTR void tile##V##_$T(ptrdiff_t kc, const $T *restrict ap,              \
-                              const $T *restrict bp, $T *restrict c,            \
-                              ptrdiff_t ldc, int first)                         \
+static inline __attribute__((always_inline)) ATTR void                         \
+tile_body##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t mr,       \
+                  ptrdiff_t sk, const $T *restrict bp, $T *restrict c,         \
+                  ptrdiff_t ldc, ptrdiff_t nc, int first)                      \
 {                                                                              \
     typedef $T vec __attribute__((vector_size(V)));                            \
     enum { W = V / sizeof($T), NR = NR_$T };                                   \
-    for (int h = 0; h < NR; h += P * W) {                                      \
+    for (ptrdiff_t h = 0; h < nc; h += P * W) {                                \
         vec acc[MR][P];                                                        \
-        for (int r = 0; r < MR; r++)                                           \
+        _Pragma("GCC unroll 8") for (int r = 0; r < MR; r++)                   \
             for (int s = 0; s < P; s++) {                                      \
                 acc[r][s] = (vec){0};                                          \
                 if (!first)                                                    \
@@ -144,71 +150,31 @@ static ATTR void tile##V##_$T(ptrdiff_t kc, const $T *restrict ap,              
             }                                                                  \
         for (ptrdiff_t k = 0; k < kc; k++) {                                   \
             const $T *bk = bp + k * NR + h;                                    \
-            for (int r = 0; r < MR; r++) {                                     \
-                const $T x = ap[k * MR + r];                                   \
+            _Pragma("GCC unroll 8") for (int r = 0; r < MR; r++) {             \
+                const $T x = a[(r < mr ? r : mr - 1) * s0 + k * sk];           \
                 for (int s = 0; s < P; s++)                                    \
                     acc[r][s] = acc[r][s] + x * *(const vec *)(bk + s * W);    \
             }                                                                  \
         }                                                                      \
-        for (int r = 0; r < MR; r++)                                           \
+        _Pragma("GCC unroll 8") for (int r = 0; r < MR; r++)                   \
             for (int s = 0; s < P; s++)                                        \
                 __builtin_memcpy(c + r * ldc + h + s * W, &acc[r][s], V);      \
     }                                                                          \
+}                                                                              \
+static ATTR void tile##V##_$T(int packed, ptrdiff_t kc, const $T *a,           \
+                              ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t mr,      \
+                              const $T *restrict bp, $T *restrict c,           \
+                              ptrdiff_t ldc, ptrdiff_t nc, int first)          \
+{                                                                              \
+    if (packed)                                                                \
+        tile_body##V##_$T(kc, a, 1, MR, MR, bp, c, ldc, NR_$T, first);         \
+    else                                                                       \
+        tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);         \
 }
 TILE(64, 2, TARGET("avx512f"))
 TILE(32, 1, TARGET("avx2"))
 TILE(16, 2, )
 #undef TILE
-
-/* The narrow product, m <= NR: out = (first ? +0 : out) + a @ bp over kc
-   inner indices, R = MR_NARROW rows of a at a time read in place through
-   their strides, in column passes of two vectors of V bytes that stop at m.
-   The rows' sums go through c, NR wide, so out is touched only inside the
-   matrix. */
-#define NARROW(V, ATTR)                                                        \
-static ATTR void narrow##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
-                                ptrdiff_t sa1, const $T *restrict bp,          \
-                                $T *restrict out, ptrdiff_t so0,               \
-                                ptrdiff_t n, ptrdiff_t m, int first)           \
-{                                                                              \
-    typedef $T vec __attribute__((vector_size(V)));                            \
-    enum { W = V / sizeof($T), NR = NR_$T, P = 2, R = MR_NARROW };             \
-    $T c[R * NR] __attribute__((aligned(64)));                                 \
-    for (ptrdiff_t i = 0; i < n; i += R) {                                     \
-        const ptrdiff_t mr = n - i < R ? n - i : R;                            \
-        const $T *ar[R];                                                       \
-        for (int r = 0; r < R; r++) {                                          \
-            ar[r] = a + (i + (r < mr ? r : mr - 1)) * sa0;                     \
-            for (ptrdiff_t j = 0; j < NR; j++)                                 \
-                c[r * NR + j] =                                                \
-                    !first && r < mr && j < m ? out[(i + r) * so0 + j] : 0;    \
-        }                                                                      \
-        for (ptrdiff_t h = 0; h < m; h += P * W) {                             \
-            vec acc[R][P];                                                     \
-            for (int r = 0; r < R; r++)                                        \
-                for (int s = 0; s < P; s++)                                    \
-                    __builtin_memcpy(&acc[r][s], c + r * NR + h + s * W, V);   \
-            for (ptrdiff_t k = 0; k < kc; k++) {                               \
-                const $T *bk = bp + k * NR + h;                                \
-                for (int r = 0; r < R; r++) {                                  \
-                    const $T x = ar[r][k * sa1];                               \
-                    for (int s = 0; s < P; s++)                                \
-                        acc[r][s] = acc[r][s] + x * *(const vec *)(bk + s * W);\
-                }                                                              \
-            }                                                                  \
-            for (int r = 0; r < R; r++)                                        \
-                for (int s = 0; s < P; s++)                                    \
-                    __builtin_memcpy(c + r * NR + h + s * W, &acc[r][s], V);   \
-        }                                                                      \
-        for (ptrdiff_t r = 0; r < mr; r++)                                     \
-            for (ptrdiff_t j = 0; j < m; j++)                                  \
-                out[(i + r) * so0 + j] = c[r * NR + j];                        \
-    }                                                                          \
-}
-NARROW(64, TARGET("avx512f"))
-NARROW(32, TARGET("avx2"))
-NARROW(16, )
-#undef NARROW
 
 CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
@@ -220,13 +186,13 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
     $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
     $T edge[MR * NR] __attribute__((aligned(64))) = {0};
     const int v = CPU_HAS("avx512f") ? 64 : CPU_HAS("avx2") ? 32 : 16;
-    void (*const tile)(ptrdiff_t, const $T *, const $T *, $T *, ptrdiff_t, int) =
+    void (*const tile)(int, ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, ptrdiff_t,
+                       const $T *, $T *, ptrdiff_t, ptrdiff_t, int) =
         v == 64 ? tile64_$T : v == 32 ? tile32_$T : tile16_$T;
-    void (*const narrow)(ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, const $T *, $T *,
-                         ptrdiff_t, ptrdiff_t, ptrdiff_t, int) =
-        v == 64 ? narrow64_$T : v == 32 ? narrow32_$T : narrow16_$T;
-    /* A narrow product packs as much of b as packed_b holds. */
-    const ptrdiff_t kb = m <= NR ? KC * NC / NR : KC;
+    /* A narrow product reads a in place and packs as much of b as packed_b
+       holds. */
+    const int packed = m > NR;
+    const ptrdiff_t kb = packed ? KC : KC * NC / NR;
     for (ptrdiff_t jc = 0; jc < m; jc += NC) {
         const ptrdiff_t nc = m - jc < NC ? m - jc : NC;
         for (ptrdiff_t pc = 0; pc < inner; pc += kb) {
@@ -240,13 +206,9 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                     for (ptrdiff_t j = 0; j < NR; j++)
                         dst[k * NR + j] = j < nr ? src[k * sb0 + j * sb1] : 0;
             }
-            if (m <= NR) {
-                narrow(kc, a + pc * sa1, sa0, sa1, bpack, out, so0, n, m, first);
-                continue;
-            }
             for (ptrdiff_t ic = 0; ic < n; ic += MC) {
                 const ptrdiff_t mc = n - ic < MC ? n - ic : MC;
-                for (ptrdiff_t ir = 0; ir < mc; ir += MR) {
+                for (ptrdiff_t ir = 0; ir < mc && packed; ir += MR) {
                     const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
                     const $T *src = a + (ic + ir) * sa0 + pc * sa1;
                     $T *dst = apack + ir * kc;
@@ -258,17 +220,20 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                     const ptrdiff_t nr = nc - jr < NR ? nc - jr : NR;
                     for (ptrdiff_t ir = 0; ir < mc; ir += MR) {
                         const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
+                        const $T *ai = packed ? apack + ir * kc : a + (ic + ir) * sa0 + pc * sa1;
                         $T *c = out + (ic + ir) * so0 + jc + jr;
                         if (mr == MR && nr == NR) {
-                            tile(kc, apack + ir * kc, bpack + jr * kc, c, so0, first);
+                            tile(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);
                             continue;
                         }
-                        for (ptrdiff_t r = 0; r < mr; r++)
-                            for (ptrdiff_t j = 0; j < nr; j++)
+                        /* column by column: GCC turns a row copy into rep movsq,
+                           whose start-up outweighs a narrow product's tile */
+                        for (ptrdiff_t j = 0; j < nr; j++)
+                            for (ptrdiff_t r = 0; r < mr; r++)
                                 edge[r * NR + j] = c[r * so0 + j];
-                        tile(kc, apack + ir * kc, bpack + jr * kc, edge, NR, first);
-                        for (ptrdiff_t r = 0; r < mr; r++)
-                            for (ptrdiff_t j = 0; j < nr; j++)
+                        tile(packed, kc, ai, sa0, sa1, mr, bpack + jr * kc, edge, NR, nr, first);
+                        for (ptrdiff_t j = 0; j < nr; j++)
+                            for (ptrdiff_t r = 0; r < mr; r++)
                                 c[r * so0 + j] = edge[r * NR + j];
                     }
                 }

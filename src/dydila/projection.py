@@ -15,7 +15,8 @@ import numpy as np
 from .numerics import ContractViolation, ConfigError, _check_2d, matmul
 from .routing import RouteAssignment, Router, route_argmax
 
-__all__ = ["ProjectorBank", "project_shared", "dpm_keys", "dpm_queries", "dpm_forward"]
+__all__ = ["ProjectorBank", "project_shared", "dpm_keys", "dpm_values", "dpm_queries",
+           "dpm_forward"]
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,23 @@ def _routed_project(x: np.ndarray, weights: tuple, routes: RouteAssignment) -> n
 
 
 def dpm_keys(x: np.ndarray, bank: ProjectorBank):
-    """The key side of the dynamic projection: ``(k, v, k_routed, routes_k)``.
+    """The key side of the dynamic projection: ``(k, k_routed, routes_k)``.
 
     K' is routed and projected first, so the rows each projector gathers
-    are freed before the shared K and V exist.
+    are freed before the shared K exists.  V is not part of it
+    (:func:`dpm_values`), so a caller that never reads V does not project it.
     """
     _check_tokens(x, bank)
     routes_k = route_argmax(x, bank.router_k)
     k_routed = _routed_project(x, bank.w_k, routes_k)
-    return matmul(x, bank.w_k0), matmul(x, bank.w_v0), k_routed, routes_k
+    return matmul(x, bank.w_k0), k_routed, routes_k
+
+
+def dpm_values(x: np.ndarray, bank: ProjectorBank) -> np.ndarray:
+    """The value side of the dynamic projection: the shared V (V has no
+    routed stream)."""
+    _check_tokens(x, bank)
+    return matmul(x, bank.w_v0)
 
 
 def dpm_queries(x: np.ndarray, bank: ProjectorBank):
@@ -112,12 +121,14 @@ def dpm_forward(x: np.ndarray, bank: ProjectorBank):
     """Dynamic projection: shared Q/K/V plus routed Q'/K'.
 
     Returns ``(q, k, v, q_routed, k_routed, routes_q, routes_k)``: the key
-    side (:func:`dpm_keys`), then the query side (:func:`dpm_queries`).
+    side (:func:`dpm_keys`) and V (:func:`dpm_values`), then the query side
+    (:func:`dpm_queries`).
     Each token's routed row depends only on that token (its route and its
     projection), so the whole map is equivariant under token permutation.
     A block runs the two sides apart, so that K, K' and V are spent before
     Q and Q' exist.
     """
-    k, v, k_routed, routes_k = dpm_keys(x, bank)
+    k, k_routed, routes_k = dpm_keys(x, bank)
+    v = dpm_values(x, bank)
     q, q_routed, routes_q = dpm_queries(x, bank)
     return q, k, v, q_routed, k_routed, routes_q, routes_k

@@ -521,7 +521,8 @@ class TestStagesThroughPublicBindings:
         import dydila.attention
 
         log = []
-        for name in ("dpm_keys", "_key_half", "dwc_forward", "dpm_queries", "_query_half"):
+        for name in ("dpm_keys", "dpm_values", "_key_half", "dwc_forward", "dpm_queries",
+                     "_query_half"):
             self._spy(monkeypatch, dydila.attention, name, log)
         run()
         monkeypatch.undo()
@@ -537,8 +538,8 @@ class TestStagesThroughPublicBindings:
         block = make_block(350, 8, (4, 6), heads=heads, dwc=dwc, variant=variant)
         log = self._calls(monkeypatch, lambda: multihead_forward(mat(52, 24, 8), block))
         assert [name for name, _, _ in log] == [
-            "dpm_keys", *["_key_half"] * heads, *["dwc_forward"] * dwc, "dpm_queries",
-            *["_query_half"] * heads]
+            "dpm_keys", "dpm_values", *["_key_half"] * heads, *["dwc_forward"] * dwc,
+            "dpm_queries", *["_query_half"] * heads]
         for _, (q_t, *rest), _ in log[-heads:]:
             assert rest[-1] is q_t
 
@@ -562,6 +563,25 @@ class TestStagesThroughPublicBindings:
                     if name == "matmul" and any(b is w for w in query_weights)]
         assert len(products) == 2  # the shared Q and the one routed Q' projector
         assert all(a.shape[0] == 1 for a in products)
+
+    @pytest.mark.parametrize("impl", ["dydila", "mapwise"])
+    def test_attention_row_projects_no_v(self, monkeypatch, impl):
+        # a row of the map never reads V; the block projects it once
+        import dydila.attention
+        import dydila.differential
+        import dydila.projection
+        import dydila.routing
+
+        block, x = make_block(352, 8, (4, 6), heads=2), mat(54, 24, 8)
+        for run, want in ((lambda: extract_attention_row(x, block, 5, impl, head=1), 0),
+                          (lambda: multihead_forward(x, block), 1)):
+            log = []
+            for module in (dydila.attention, dydila.differential, dydila.projection,
+                           dydila.routing):
+                self._spy(monkeypatch, module, "matmul", log)
+            run()
+            monkeypatch.undo()
+            assert sum(args[1] is block.proj.w_v0 for _, args, _ in log) == want
 
 
 class TestStack:

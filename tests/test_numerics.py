@@ -36,9 +36,13 @@ with np.errstate(invalid="ignore"):
 def _layouts(a, b):
     """(name, a, b) with the values of a and b in the operand layouts matmul
     meets: C- and F-ordered a and b (F order is how a k.T view arrives),
-    transposed views with no unit stride, and a non-contiguous b."""
+    transposed views with no unit stride, a non-contiguous b, and an a whose
+    column stride is MR, the stride of a packed strip of a."""
     a_strided = np.empty((a.shape[1], 2 * a.shape[0]), dtype=a.dtype)[:, ::2].T
     a_strided[...] = a
+    mr = numerics._MATMUL_BLOCKS["MR"]
+    a_stride_mr = np.empty((a.shape[0], mr * a.shape[1]), dtype=a.dtype)[:, ::mr]
+    a_stride_mr[...] = a
     b_strided = np.empty((b.shape[0], 2 * b.shape[1]), dtype=b.dtype)[:, ::2]
     b_strided[...] = b
     b_strided_t = np.empty((b.shape[1], 2 * b.shape[0]), dtype=b.dtype)[:, ::2].T
@@ -50,6 +54,7 @@ def _layouts(a, b):
         ("strided_b", a, b_strided),
         ("f_order_b", a, np.asfortranarray(b)),
         ("strided_transposed_b", a_strided, b_strided_t),
+        ("a_column_stride_mr", a_stride_mr, b),
     ]
 
 
@@ -399,13 +404,15 @@ class TestMatmulCompiled(TestMatmul):
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_narrow_products(self, precision):
-        # m <= NR runs the narrow path, which reads the rows of a in place,
-        # MR_NARROW at a time; m runs up to and one past NR, n ends off a
-        # multiple of MR_NARROW, inner one short of, onto and past KC
+        # m <= NR runs the tile on the rows of a read in place, MR at a time;
+        # m runs up to and one past NR, n ends off a multiple of MR, inner
+        # one short of, onto and past KC.  At m == NR a whole group of MR
+        # rows runs the tile straight into out, and the a_column_stride_mr
+        # layout reads a with the stride of a packed strip there
         nr, kc = _nr(precision), _BLOCKS["KC"]
         for m in (1, 3, nr - 1, nr, nr + 1):
             for inner in (kc - 1, kc, kc + 1, 2 * kc + 3):
-                a, b = mat(m, 2 * _BLOCKS["MR_NARROW"] - 1, inner, precision), mat(inner, inner, m, precision)
+                a, b = mat(m, 2 * _BLOCKS["MR"] - 1, inner, precision), mat(inner, inner, m, precision)
                 want = _want(a, b)
                 for name, a_l, b_l in _layouts(a, b):
                     assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (m, inner, name)
@@ -438,10 +445,10 @@ class TestMatmulCompiled(TestMatmul):
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_narrow_one_vector_products(self, precision):
-        # products as narrow as one vector run the narrow pass of two
-        # vectors over MR_NARROW rows; n crosses one and two of those row
-        # groups, m runs past one vector of every width
-        r = 2 * _BLOCKS["MR_NARROW"]
+        # products as narrow as one vector run the tile's passes of two
+        # vectors over MR rows; n crosses one and two of those row groups, m
+        # runs past one vector of every width
+        r = _BLOCKS["MR"]
         for m in (1, 2, 3, 4, 5, 8, 9, 16, 17):
             for n in (1, r - 1, r, r + 1, 2 * r + 3):
                 a, b = mat(n, n, 37, precision), mat(m, 37, m, precision)
@@ -597,11 +604,11 @@ class TestCompiledBuild:
             source = source.replace(f'CPU_HAS("{isa}")', "0")
         monkeypatch.setattr(numerics, "_C_SOURCE", source)
         assert numerics.matmul_backend() == "c"
-        kc, mr, nc, mrn = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"], _BLOCKS["MR_NARROW"]
+        kc, mr, nc = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"]
         for precision in ("f32", "f64"):
             nr, kb = _nr(precision), _narrow_kc(precision)
             for n, inner, m in [(mr + 1, kc + 1, nr + 3), (2, 3, nc + 1),
-                                (mrn + 1, kc + 1, nr), (mrn + 3, 7, nr - 1), (3, kb + 1, 1)]:
+                                (mr + 1, kc + 1, nr), (mr + 3, 7, nr - 1), (3, kb + 1, 1)]:
                 a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
                 want = _want(a, b)
                 for name, a_l, b_l in _layouts(a, b):
