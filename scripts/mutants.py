@@ -176,9 +176,15 @@ MUTANTS = (
            BLOCK_TESTS),
     Mutant("tdo_forward_writes_into_the_callers_routed_streams",
            (("src/dydila/differential.py",
-             "_differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, \"token-wise\"",
-             "_differential(q_t, q_routed, k_t, k_routed, bank, \"token-wise\""),),
+             "q_routed, k_routed = q_routed.copy(), k_routed.copy()",
+             "q_routed, k_routed = q_routed, k_routed"),),
            BLOCK_TESTS),
+    Mutant("tdo_forward_ignores_variant",
+           (("src/dydila/differential.py",
+             "    q_routed, k_routed = q_routed.copy(), k_routed.copy()\n",
+             "    q_routed, k_routed = q_routed.copy(), k_routed.copy()\n"
+             "    variant = \"token-wise\"\n"),),
+           ("tests/test_differential.py",)),
     # the attention row's query-first product, on its one query row
     Mutant("query_first_product_never_normalized",
            (("src/dydila/differential.py",

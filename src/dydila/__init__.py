@@ -15,12 +15,7 @@ from .numerics import (
 from .routing import RouteAssignment, Router, route_argmax
 from .projection import ProjectorBank, dpm_forward, project_shared
 from .kernels import KernelBank, dmk_forward, focused_rows
-from .differential import (
-    DifferentialBank,
-    expand_tokenwise,
-    mapwise_forward,
-    tdo_forward,
-)
+from .differential import DifferentialBank, expand_tokenwise, tdo_forward
 from .attention import (
     AttentionStack,
     BlockDiagnostics,

@@ -19,7 +19,9 @@ columns of Q, which are spent by then, so a pass peaks at about three
 n x d arrays: Q, Q' and the DWC output.  A head's diagnostics record only
 the lambdas its variant routed.  An attention row projects the key side
 and, since every query-side step is row-local, the query side of its one
-query row only, and runs the head's differential on them query first.
+query row only, and runs the head's key half on them query first, then its
+query half.  Both call the halves that ``differential.tdo_forward``, the one
+public operator, composes, so a head's output is that call's bit for bit.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .differential import (DifferentialBank, _apply_state, _differential, _key_half,
-                           _key_state, _query_half)
+from .differential import (VARIANTS, DifferentialBank, _apply_state, _key_half, _key_state,
+                           _query_half)
 from .kernels import KernelBank, dmk_forward, focused_rows
 from .numerics import (
     ConfigError,
@@ -53,7 +55,6 @@ __all__ = [
     "AttentionStack",
     "HeadDiagnostics",
     "BlockDiagnostics",
-    "VARIANTS",
     "softmax_attention",
     "linear_attention",
     "dwc_forward",
@@ -62,9 +63,6 @@ __all__ = [
     "stack_forward",
     "extract_attention_row",
 ]
-
-VARIANTS = ("token-wise", "map-wise")
-
 
 def _impl_variant(impl: str) -> str:
     """The variant a differential ``impl`` runs ("dydila" is token-wise)."""
@@ -428,8 +426,10 @@ def extract_attention_row(
 
     k, kp, _ = dpm_keys(x, params.proj)
     q, qp, _ = dpm_queries(x[sel], params.proj)
-    hp, d_h = params.head_params[head], params.head_dim
-    streams = [_mapped(m, head, d_h, bank)[0] for m, bank in
-               ((q, hp.kernel_q), (qp, hp.kernel_qp), (k, hp.kernel_k), (kp, hp.kernel_kp))]
-    row, _ = _differential(*streams, hp.diff, _impl_variant(impl), None, params.normalize)
+    hp, d_h, variant = params.head_params[head], params.head_dim, _impl_variant(impl)
+    q_t, qp_t, k_t, kp_t = (_mapped(m, head, d_h, bank)[0] for m, bank in
+                            ((q, hp.kernel_q), (qp, hp.kernel_qp), (k, hp.kernel_k),
+                             (kp, hp.kernel_kp)))
+    states, _ = _key_half(k_t, kp_t, hp.diff, variant, None, params.normalize)
+    row, _ = _query_half(q_t, qp_t, hp.diff, variant, states)
     return row[0]

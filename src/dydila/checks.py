@@ -9,9 +9,10 @@ the same config print identical bytes.
 
 The float32 tolerances are deliberately coarse (calibrated empirically,
 roughly 1e-4 relative); float64 tolerances match the acceptance thresholds.
-With ``inject_fault`` set, one weight copy inside the token-differential
-reordering check is perturbed, which must flip that check to FAIL; it
-exists to prove the suite can fail.
+With ``inject_fault`` set, the token-differential reordering check adds
+1e-3 to ``q_t[0, 0]`` of a copy of the query stream it passes to
+``tdo_forward``, which must flip that check to FAIL; it exists to prove the
+suite can fail.
 """
 
 from __future__ import annotations

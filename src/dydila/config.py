@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .attention import AttentionStack, VARIANTS
-from .fileio import assemble_stack
+from .attention import AttentionStack
+from .differential import VARIANTS
+from .fileio import _load_json, assemble_stack
 from .numerics import PRECISIONS, ConfigError, SeededRng
 
 __all__ = [
@@ -213,12 +214,7 @@ def _object(value, where: str) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(_load_json(path, "config", ConfigError))
 
 
 def save_config(cfg: RunConfig, path) -> None:

@@ -19,7 +19,9 @@ attention), or ``(b^T, ones @ b)`` query first, for rows of the n x n map.
 The query half (:func:`_query_half`) routes the query-side lambda,
 differences the queries and applies the state: ``a @ kv``, divided by the
 floored ``a @ col_sums^T``.  Once the key half has run, no key or value
-row is needed again.
+row is needed again.  The one public operator, :func:`tdo_forward`,
+composes the two halves for either variant in ``VARIANTS``; the block and
+an attention row call the halves directly.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from .routing import Router, route_pair
 
 __all__ = [
     "DifferentialBank",
+    "VARIANTS",
     "tdo_forward",
     "expand_tokenwise",
-    "mapwise_forward",
     "DENOM_FLOOR",
 ]
+
+VARIANTS = ("token-wise", "map-wise")
 
 # Sign-preserving magnitude floor for the optional normalizing denominator.
 DENOM_FLOOR = 1e-6
@@ -187,18 +191,6 @@ def _query_half(q_t, q_routed, bank: DifferentialBank, variant, states, out=None
     return out, {"map": (lam_map, routes_map)}
 
 
-def _differential(q_t, q_routed, k_t, k_routed, bank: DifferentialBank, variant, v, normalize):
-    """The key half, then the query half: ``(out, lambdas)`` of one variant.
-
-    Keys first with ``v``, query first (rows of the map) with ``v`` None.
-    Token-wise consumes the routed streams, forming the differences in them;
-    its lambdas are ``{"q": ..., "k": ...}`` in that order.
-    """
-    states, key_lambdas = _key_half(k_t, k_routed, bank, variant, v, normalize)
-    out, query_lambdas = _query_half(q_t, q_routed, bank, variant, states)
-    return out, {**query_lambdas, **key_lambdas}
-
-
 def tdo_forward(
     q_t: np.ndarray,
     q_routed: np.ndarray,
@@ -207,17 +199,26 @@ def tdo_forward(
     v: np.ndarray,
     bank: DifferentialBank,
     normalize: bool = False,
+    variant: str = "token-wise",
 ):
-    """Token-wise differential attention, keys-first (never builds n x n).
+    """Differential attention of one variant, keys first (never builds n x n).
 
-    Returns ``(out, lambdas)``, where ``lambdas`` maps "q" and "k" to the
-    routed ``(per-token values, RouteAssignment)``.  With ``normalize=True``
-    each output row is divided by the matching differential row-sum
-    similarity, floored at ``DENOM_FLOOR`` in magnitude.
+    token-wise: ``(q_t - lam_q ⊙ q_routed) @ ((k_t - lam_k ⊙ k_routed)^T @ v)``,
+    lambdas "q" and "k"; map-wise: ``q_t (k_t^T v) - lam_map ⊙ q_routed
+    (k_routed^T v)``, lambda "map" routed from the query-stream pair.  Returns
+    ``(out, lambdas)``, each name mapped to its ``(per-token values,
+    RouteAssignment)``.  With ``normalize=True`` each map is divided by its
+    own similarity row sums, floored at ``DENOM_FLOOR`` in magnitude.  The
+    differences are formed in copies, so no argument is written to; an
+    unknown variant raises ``ConfigError``.
     """
+    if variant not in VARIANTS:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     _check_streams(q_t, q_routed, k_t, k_routed, v)
-    return _differential(q_t, q_routed.copy(), k_t, k_routed.copy(), bank, "token-wise", v,
-                         normalize)
+    q_routed, k_routed = q_routed.copy(), k_routed.copy()
+    states, key_lambdas = _key_half(k_t, k_routed, bank, variant, v, normalize)
+    out, query_lambdas = _query_half(q_t, q_routed, bank, variant, states)
+    return out, {**query_lambdas, **key_lambdas}
 
 
 def expand_tokenwise(
@@ -251,25 +252,3 @@ def expand_tokenwise(
     t3 = matmul(q_scaled, kv)
     t4 = matmul(q_scaled, kv_scaled)
     return t1, t2, t3, t4
-
-
-def mapwise_forward(
-    q_t: np.ndarray,
-    q_routed: np.ndarray,
-    k_t: np.ndarray,
-    k_routed: np.ndarray,
-    v: np.ndarray,
-    bank: DifferentialBank,
-    normalize: bool = False,
-):
-    """Map-wise variant: difference the two attention outputs directly.
-
-    ``out = q_t (k_t^T v) - lam_map ⊙ q_routed (k_routed^T v)`` where each
-    token's lam_map is routed from its concatenated query-stream pair.  With
-    ``normalize=True`` each map is divided by its own floored denominator
-    first, ``shared / den(q_t, k_t) - lam_map ⊙ (routed / den(q_routed,
-    k_routed))``: the difference of two separately normalized maps.
-    Returns ``(out, {"map": (lam_map, RouteAssignment)})``.
-    """
-    _check_streams(q_t, q_routed, k_t, k_routed, v)
-    return _differential(q_t, q_routed, k_t, k_routed, bank, "map-wise", v, normalize)

@@ -64,14 +64,28 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path):
-    """Returns (header, rows) with every cell still a string."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ContractViolation(f"{path} is empty, expected a CSV header") from None
-        return header, [row for row in reader]
+    """Returns (header, rows) with every cell still a string.
+
+    A file that is empty or not UTF-8 raises ``ContractViolation`` naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            lines = list(csv.reader(f))
+    except UnicodeDecodeError as e:
+        raise ContractViolation(f"{path} is not UTF-8 text: {e}") from None
+    if not lines:
+        raise ContractViolation(f"{path} is empty, expected a CSV header")
+    return lines[0], lines[1:]
+
+
+def _load_json(path, what: str, error=ContractViolation):
+    """The JSON value in a UTF-8 file; a file that is not UTF-8 JSON raises
+    ``error`` naming it as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
 
 
 def write_tokens_csv(path, tokens: np.ndarray) -> None:
@@ -271,15 +285,14 @@ def save_weights_blob(stack: AttentionStack, base_path) -> str:
 def load_weights_blob(manifest_path) -> dict:
     """Read a manifest + blob pair back into a name -> array dict.
 
-    A manifest that is not an object with a blob name and an entries list,
-    or an entry without a name, raises ``ContractViolation`` naming the
-    manifest (and the entry's index).  An entry whose dtype is not f32 or
-    f64, whose shape is not a list of non-negative integers, whose
-    byte_offset is not an integer or whose bytes do not lie inside the blob
-    raises ``ContractViolation`` naming it.
+    A manifest that is not UTF-8 JSON, not an object with a blob name and
+    an entries list, or an entry without a name, raises ``ContractViolation``
+    naming the manifest (and the entry's index).  An entry whose dtype is
+    not f32 or f64, whose shape is not a list of non-negative integers,
+    whose byte_offset is not an integer or whose bytes do not lie inside the
+    blob raises ``ContractViolation`` naming it.
     """
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = _load_json(manifest_path, "weights manifest")
     if (not isinstance(manifest, dict) or not isinstance(manifest.get("blob"), str)
             or not isinstance(manifest.get("entries"), list)):
         raise ContractViolation(f"weights manifest {manifest_path} must be an object with a "

@@ -754,12 +754,16 @@ def _check_out(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
     The kernel declares its operands ``restrict`` and reads a and b after it
     has begun to write out, so an out that may overlap either is refused.
+    An empty out of the right shape and dtype is taken whatever its strides
+    (numpy gives a (0, m) array strides (0, 0)): nothing is written to it.
     """
     n, m = a.shape[0], b.shape[1]
     _check_float(out, "matmul out")
     if out.shape != (n, m) or out.dtype != a.dtype:
         raise ContractViolation(f"matmul out must be a ({n}, {m}) {a.dtype} array, "
                                 f"got {out.dtype} {out.shape}")
+    if out.size == 0:
+        return
     if (not out.flags.writeable or not out.flags.aligned or out.strides[1] != out.itemsize
             or n > 1 and abs(out.strides[0]) < m * out.itemsize):
         raise ContractViolation("matmul out must be writeable and aligned, with contiguous "

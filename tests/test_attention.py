@@ -371,23 +371,30 @@ class TestDydilaForward:
             multihead_forward(mat(0, 20, 8), params)
 
 
+# Every (variant, normalize) a block can run.
+_VARIANT_CASES = [(variant, normalize) for variant in ("token-wise", "map-wise")
+                  for normalize in (False, True)]
+
+
 class TestMultihead:
     def test_single_head_is_byte_identical_to_dydila(self):
         # one head through the multi-head path is the DyDiLA pipeline
-        # composed from its public stages
+        # composed from its public stages, for either variant
         from dydila.differential import tdo_forward
         from dydila.kernels import dmk_forward
         from dydila.projection import dpm_forward
 
-        params = make_block(300, 8, (4, 6))
         x = mat(34, 24, 8)
-        out, _ = multihead_forward(x, params)
-        q, k, v, qp, kp, _, _ = dpm_forward(x, params.proj)
-        hp = params.head_params[0]
-        q_t, k_t, qp_t, kp_t = (dmk_forward(z, bank)[0] for z, bank in (
-            (q, hp.kernel_q), (k, hp.kernel_k), (qp, hp.kernel_qp), (kp, hp.kernel_kp)))
-        want = tdo_forward(q_t, qp_t, k_t, kp_t, v, hp.diff)[0] + dwc_forward(v, (4, 6), params.dwc)
-        assert out.tobytes() == want.tobytes()
+        for variant, normalize in _VARIANT_CASES:
+            params = make_block(300, 8, (4, 6), variant=variant, normalize=normalize)
+            out, _ = multihead_forward(x, params)
+            q, k, v, qp, kp, _, _ = dpm_forward(x, params.proj)
+            hp = params.head_params[0]
+            q_t, k_t, qp_t, kp_t = (dmk_forward(z, bank)[0] for z, bank in (
+                (q, hp.kernel_q), (k, hp.kernel_k), (qp, hp.kernel_qp), (kp, hp.kernel_kp)))
+            head = tdo_forward(q_t, qp_t, k_t, kp_t, v, hp.diff, normalize, variant)[0]
+            want = head + dwc_forward(v, (4, 6), params.dwc)
+            assert out.tobytes() == want.tobytes(), (variant, normalize)
 
     @pytest.mark.parametrize("heads", [2, 4])
     def test_matches_per_head_loop(self, heads):
@@ -396,24 +403,35 @@ class TestMultihead:
         from dydila.projection import dpm_forward
 
         d = 8
-        params = make_block(301 + heads, d, (4, 6), heads=heads)
         x = mat(35, 24, d)
-        out, diag = multihead_forward(x, params)
-        assert len(diag.heads) == heads
-
-        q, k, v, qp, kp, _, _ = dpm_forward(x, params.proj)
         d_h = d // heads
-        pieces = []
-        for h in range(heads):
-            sl = slice(h * d_h, (h + 1) * d_h)
-            hp = params.head_params[h]
-            q_t, _ = dmk_forward(q[:, sl], hp.kernel_q)
-            k_t, _ = dmk_forward(k[:, sl], hp.kernel_k)
-            qp_t, _ = dmk_forward(qp[:, sl], hp.kernel_qp)
-            kp_t, _ = dmk_forward(kp[:, sl], hp.kernel_kp)
-            pieces.append(tdo_forward(q_t, qp_t, k_t, kp_t, v[:, sl], hp.diff)[0])
-        want = np.hstack(pieces) + dwc_forward(v, (4, 6), params.dwc)
-        assert np.array_equal(out, want)
+        for variant, normalize in _VARIANT_CASES:
+            params = make_block(301 + heads, d, (4, 6), heads=heads, variant=variant,
+                                normalize=normalize)
+            out, diag = multihead_forward(x, params)
+            assert len(diag.heads) == heads
+
+            q, k, v, qp, kp, _, _ = dpm_forward(x, params.proj)
+            pieces = []
+            for h in range(heads):
+                sl = slice(h * d_h, (h + 1) * d_h)
+                hp = params.head_params[h]
+                q_t, _ = dmk_forward(q[:, sl], hp.kernel_q)
+                k_t, _ = dmk_forward(k[:, sl], hp.kernel_k)
+                qp_t, _ = dmk_forward(qp[:, sl], hp.kernel_qp)
+                kp_t, _ = dmk_forward(kp[:, sl], hp.kernel_kp)
+                pieces.append(tdo_forward(q_t, qp_t, k_t, kp_t, v[:, sl], hp.diff, normalize,
+                                          variant)[0])
+            want = np.hstack(pieces) + dwc_forward(v, (4, 6), params.dwc)
+            assert np.array_equal(bits(out), bits(want)), (variant, normalize)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("variant", ["token-wise", "map-wise"])
+    def test_zero_tokens_give_an_empty_output(self, variant, heads):
+        # as softmax_attention and linear_attention do for no tokens
+        params = make_block(330 + heads, 8, (4, 6), heads=heads, dwc=False, variant=variant)
+        out, diag = multihead_forward(np.zeros((0, 8)), params)
+        assert out.shape == (0, 8) and len(diag.heads) == heads
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_kernel_routes_read_the_raw_projections(self, monkeypatch, heads):

@@ -552,3 +552,18 @@ class TestErrors:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
         assert str(missing) in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--config", "{bad}"),
+        ("forward", "--config", "{tiny}", "--input", "{bad}", "--out", "{out}.csv"),
+        ("dump-attn", "--config", "{tiny}", "--input", "{bad}", "--out", "{out}"),
+    ], ids=["check_config", "forward_input", "dump_attn_input"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, tiny_config, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("c0\n0.5\n\u00e9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        proc = run_cli(*(a.format(bad=bad, tiny=tiny_config, out=out) for a in argv))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+        assert str(bad) in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.txt", "tiny.json"]

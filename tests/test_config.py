@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,12 @@ class TestRunConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"preset": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))} is not valid JSON"):
             load_config(path)
 
     def test_with_overrides_keeps_preset_for_free_fields(self):

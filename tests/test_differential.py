@@ -4,11 +4,11 @@ import pytest
 from dydila.differential import (
     DENOM_FLOOR,
     DifferentialBank,
-    _differential,
     _floor_denominator,
+    _key_half,
     _key_state,
+    _query_half,
     expand_tokenwise,
-    mapwise_forward,
     tdo_forward,
 )
 from dydila.numerics import ContractViolation, ConfigError, matmul
@@ -115,7 +115,7 @@ class TestTdoForward:
         assert wide.tobytes() == before
         want = explicit_tdo(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k, normalize=normalize)
         assert_close(got, want, 1e-10, "tdo on head slices")
-        mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=normalize)
+        tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=normalize, variant="map-wise")
         assert wide.tobytes() == before
 
     def test_lambda_continuity(self):
@@ -136,6 +136,12 @@ class TestTdoForward:
             tdo_forward(q_t[:4], qp_t, k_t, kp_t, v, bank)
         with pytest.raises(ContractViolation, match="keys"):
             tdo_forward(q_t, qp_t, k_t, kp_t, v[:3], bank)
+
+    def test_unknown_variant_rejected(self):
+        q_t, qp_t, k_t, kp_t, v = _streams(7, 8, 4)
+        bank = make_diff_bank(8, 4, [0.1, 0.5])
+        with pytest.raises(ConfigError, match="'mapwise'"):
+            tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, variant="mapwise")
 
 
 class TestExpansion:
@@ -158,14 +164,14 @@ class TestMapwise:
     def test_zero_lambda_is_shared_attention(self):
         q_t, qp_t, k_t, kp_t, v = _streams(60, 16, 6)
         bank = make_diff_bank(61, 6, [0.0])
-        out, _ = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        out, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, variant="map-wise")
         assert np.array_equal(out, matmul(q_t, matmul(k_t.T, v)))
 
     def test_matches_explicit_map(self):
         for seed in range(4):
             q_t, qp_t, k_t, kp_t, v = _streams(seed + 70, 20, 6)
             bank = make_diff_bank(seed + 170, 6, [0.01, 0.05, 0.1])
-            out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+            out, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, variant="map-wise")
             assert list(lambdas) == ["map"]
             lam_map = lambdas["map"][0]
             want = explicit_mapwise(q_t, qp_t, k_t, kp_t, v, lam_map)
@@ -174,7 +180,7 @@ class TestMapwise:
     def test_unnormalized_bits_are_the_unfused_combine(self):
         q_t, qp_t, k_t, kp_t, v = _streams(72, 20, 6)
         bank = make_diff_bank(172, 6, [0.01, 0.05, 0.1])
-        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        out, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, variant="map-wise")
         lam_map = lambdas["map"][0]
         shared = matmul(q_t, matmul(k_t.T, v))
         routed = matmul(qp_t, matmul(kp_t.T, v))
@@ -184,7 +190,8 @@ class TestMapwise:
     def test_normalized_divides_each_map_by_its_own_denominator(self, seed):
         q_t, qp_t, k_t, kp_t, v = _streams(seed + 74, 20, 6)
         bank = make_diff_bank(seed + 174, 6, [0.01, 0.05, 0.1])
-        out, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
+        out, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True,
+                                   variant="map-wise")
         lam_map = lambdas["map"][0]
         shared = matmul(q_t, matmul(k_t.T, v)) / _denominator(q_t, k_t)
         routed = matmul(qp_t, matmul(kp_t.T, v)) / _denominator(qp_t, kp_t)
@@ -198,7 +205,7 @@ class TestMapwise:
         q_t, qp_t, k_t, kp_t, v = _streams(76, 12, 4)
         q_t[3] = qp_t[3] = 0.0
         bank = make_diff_bank(176, 4, [0.1, 0.3])
-        out, _ = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True)
+        out, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize=True, variant="map-wise")
         assert np.array_equal(out[3], np.zeros(4)) and np.all(np.isfinite(out))
 
     def test_differs_from_tokenwise_by_cross_terms(self):
@@ -207,7 +214,7 @@ class TestMapwise:
         bank = make_diff_bank(81, 6, [0.03, 0.09])
         lam_q, lam_k = _oracle_lambdas(q_t, qp_t, k_t, kp_t, bank)
         tdo, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank)
-        mapw, lambdas = mapwise_forward(q_t, qp_t, k_t, kp_t, v, bank)
+        mapw, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, variant="map-wise")
         lam_map = lambdas["map"][0]
         _, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v, lam_q, lam_k)
         routed_full = matmul(qp_t, matmul(kp_t.T, v))
@@ -217,8 +224,9 @@ class TestMapwise:
 
 class TestQuerySubset:
     """The key half over every key, then the query half on query rows
-    ``sel``, gives those rows of the call on every query row, bit for bit:
-    ``extract_attention_row`` takes one row of a head this way, query first."""
+    ``sel``, gives those rows of the query half on every query row, bit for
+    bit: ``extract_attention_row`` takes one row of a head this way, query
+    first.  Keys first, the whole call is ``tdo_forward``'s."""
 
     @pytest.mark.parametrize("product", ["keys_first", "query_first"])
     @pytest.mark.parametrize("normalize", [False, True])
@@ -226,14 +234,17 @@ class TestQuerySubset:
     def test_rows_are_those_of_the_whole_call(self, variant, normalize, product):
         q_t, qp_t, k_t, kp_t, v = _streams(90, 24, 6)
         bank = make_diff_bank(91, 6, [0.0, 0.3, 0.7, 1.0])
-        args = (v if product == "keys_first" else None, normalize)
-        # token-wise consumes the routed streams it is given
-        whole, lam_whole = _differential(q_t, qp_t.copy(), k_t, kp_t.copy(), bank, variant, *args)
+        keys_v = v if product == "keys_first" else None
+        # token-wise forms its differences in the routed streams it is given
+        states, _ = _key_half(k_t, kp_t.copy(), bank, variant, keys_v, normalize)
+        whole, lam_whole = _query_half(q_t, qp_t.copy(), bank, variant, states)
+        if keys_v is not None:
+            call, _ = tdo_forward(q_t, qp_t, k_t, kp_t, v, bank, normalize, variant)
+            assert np.array_equal(call.view(np.uint64), whole.view(np.uint64))
         query_side = "q" if variant == "token-wise" else "map"
         assert len(set(lam_whole[query_side][0])) > 1  # the rows route apart
         for sel in (slice(7, 8), slice(0, 24, 5), [23, 2, 11]):
-            rows, lam_rows = _differential(q_t[sel], qp_t[sel].copy(), k_t, kp_t.copy(), bank,
-                                           variant, *args)
+            rows, lam_rows = _query_half(q_t[sel], qp_t[sel].copy(), bank, variant, states)
             assert np.array_equal(rows.view(np.uint64), whole[sel].view(np.uint64)), sel
             assert np.array_equal(lam_rows[query_side][0], lam_whole[query_side][0][sel])
 

@@ -85,6 +85,12 @@ class TestCsv:
         with pytest.raises(ContractViolation, match="empty"):
             read_csv(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("c0\n0.5\n\u00e9\n".encode("latin-1"))
+        with pytest.raises(ContractViolation, match=re.escape(str(path))):
+            read_csv(path)
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "no_rows.csv"
         path.write_text("c0,c1\n", encoding="utf-8")
@@ -225,6 +231,14 @@ class TestWeightsBlob:
             named = str(manifest_path)
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ContractViolation, match=re.escape(named)):
+            load_weights_blob(manifest_path)
+
+    @pytest.mark.parametrize("text", [b'{"blob": "caf\xe9.bin"}', b'{"blob": '],
+                             ids=["not_utf8", "not_json"])
+    def test_unreadable_manifest_names_it(self, tmp_path, text):
+        manifest_path = tmp_path / "w.json"
+        manifest_path.write_bytes(text)
+        with pytest.raises(ContractViolation, match=re.escape(str(manifest_path))):
             load_weights_blob(manifest_path)
 
 

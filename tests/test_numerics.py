@@ -236,6 +236,13 @@ class TestMatmul:
         with pytest.raises(ContractViolation, match="start or out"):
             matmul(a, b, start=np.zeros((4, 2)), out=np.zeros((4, 2)))
 
+    def test_empty_out_accepted(self):
+        # numpy gives a (0, m) array strides (0, 0); nothing is written to it
+        out = np.empty((0, 4))
+        assert matmul(np.zeros((0, 3)), mat(1, 3, 4), out=out) is out
+        with pytest.raises(ContractViolation, match=r"\(0, 4\)"):
+            matmul(np.zeros((0, 3)), mat(1, 3, 4), out=np.empty((0, 5)))
+
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)])
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_zero_size(self, shape, precision):
