@@ -254,10 +254,10 @@ class BlockDiagnostics:
         return means
 
 
-# Query rows per block of the softmax map: two of matmul's MC row blocks, so
-# the map-times-values product packs each block of V once for two full row
-# blocks, and the map of n keys holds 512 n elements instead of n^2.
-_SOFTMAX_ROWS = 2 * _MATMUL_BLOCKS["MC"]
+# Query rows per block of the softmax map: one of matmul's MC row blocks, so
+# the map of n keys holds 256 n elements instead of n^2 and stays nearer the
+# cache at large n; 512 rows packed V half as often but ran slower at n=16384.
+_SOFTMAX_ROWS = _MATMUL_BLOCKS["MC"]
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -268,7 +268,9 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray
     so a pass never holds the whole n x n map.  Every step is row-local
     (matmul sums each element in ascending k whatever the row subset; the
     scale, row max, ``exp`` and row sum each read one row), so the bits are
-    those of the whole map and no online rescaling is needed.
+    those of the whole map and no online rescaling is needed.  Query rows
+    over an empty key set have no softmax: :func:`softmax_rows` raises
+    :class:`ContractViolation`; zero queries give zero rows.
     """
     _check_shared_shapes(q, k, v)
     out = np.empty((q.shape[0], v.shape[1]), dtype=q.dtype)

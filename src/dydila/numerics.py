@@ -67,11 +67,12 @@ class ConfigError(ValueError):
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 _NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
-# Row-block sizing for the numpy fallback of matmul: target ~1 MiB of
-# accumulator per block, and keep blocks small enough that strided column
-# reads of the left operand stay cache-resident once the inner dimension
-# gets long.  The compiled kernel ignores these.
-_BLOCK_TARGET_BYTES = 1 << 20
+# Row-block sizing for the numpy fallbacks of matmul and the DWC: target
+# ~512 KiB per block (matmul's multiply buffer is then a quarter of a 256-row
+# f32 softmax map block at n=2048), and keep matmul's blocks small enough that
+# strided column reads of the left operand stay cache-resident once the inner
+# dimension gets long.  The compiled kernels ignore these.
+_BLOCK_TARGET_BYTES = 1 << 19
 _STRIDED_INNER_LIMIT = 2048
 _STRIDED_BLOCK_CAP = 256
 
@@ -1040,9 +1041,12 @@ def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     or ``m`` itself, which keeps an n x n map in the one array its caller
     made.  Either way the steps are those of the unfused expression: minus
     the row max, numpy's ``exp``, over numpy's (pairwise) row sum, so the
-    bits do not depend on ``out``.
+    bits do not depend on ``out``.  A matrix of zero width (an empty key
+    set) has no softmax and raises :class:`ContractViolation`.
     """
     _check_2d(m, "softmax_rows operand")
+    if m.shape[1] == 0:
+        raise ContractViolation(f"softmax_rows of a {m.shape} matrix: the key set is empty")
     e = np.subtract(m, np.max(m, axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     return np.divide(e, np.sum(e, axis=1, keepdims=True), out=e)
@@ -1065,7 +1069,7 @@ class SeededRng:
 
     def uniform(self, shape, low: float, high: float, precision="f64") -> np.ndarray:
         dt = resolve_dtype(precision)
-        return self._gen.uniform(low, high, size=shape).astype(dt)
+        return self._gen.uniform(low, high, size=shape).astype(dt, copy=False)
 
     def init_weight(self, fan_in: int, fan_out: int, precision="f64") -> np.ndarray:
         """Dense weight of shape (fan_in, fan_out), U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""

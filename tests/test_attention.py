@@ -61,6 +61,18 @@ class TestSoftmaxAttention:
         with pytest.raises(ContractViolation):
             softmax_attention(mat(0, 4, 3), mat(0, 4, 4), mat(0, 4, 4))
 
+    def test_zero_keys_name_the_empty_key_set(self):
+        with pytest.raises(ContractViolation, match="key set is empty"):
+            softmax_attention(mat(0, 4, 3), np.zeros((0, 3)), np.zeros((0, 5)))
+
+    def test_zero_tokens_give_zero_rows(self):
+        # no query rows, so there is no softmax to take; linear attention
+        # returns zero rows for zero keys as well
+        empty = np.zeros((0, 3))
+        assert softmax_attention(empty, empty, np.zeros((0, 5))).shape == (0, 5)
+        assert np.array_equal(linear_attention(mat(0, 4, 3), empty, np.zeros((0, 5))),
+                              np.zeros((4, 5)))
+
 
 def _softmax_rows_reference(m):
     """The unfused row softmax: a fresh array for every step."""
@@ -83,6 +95,8 @@ class TestSoftmaxMapInPlace:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     @pytest.mark.parametrize("n_q,n_k,d,d_v", [
         (1, 1, 4, 4), (37, 53, 5, 11), (64, 64, 16, 16),
+        (_SOFTMAX_ROWS, 53, 5, 11),  # exactly one full block of query rows
+        (_SOFTMAX_ROWS + 1, 53, 5, 11),  # one full block and a one-row block
         (2 * _SOFTMAX_ROWS + 37, 53, 5, 11),  # two full blocks of query rows and a partial one
     ])
     def test_bit_identical_to_unfused(self, precision, n_q, n_k, d, d_v):
@@ -139,9 +153,10 @@ class TestSoftmaxMapInPlace:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_one_n_by_n_buffer(self, backend, precision):
         # The unfused form holds up to four n x n arrays at once.  The numpy
-        # fallback of matmul keeps one multiply buffer of up to 1 MiB (its row
-        # block), half the map at n=512 in f64, so that backend runs at
-        # n=1024 (two blocks of query rows), where it is at most a quarter.
+        # fallback of matmul keeps one multiply buffer of up to 512 KiB (its
+        # row block), a quarter of the map at n=512 in f64, so that backend
+        # runs at n=1024 (four blocks of query rows), where it is at most a
+        # sixteenth.
         n = 512 if backend == "c" else 1024
         peak = self._peak_elements(n, precision, (27, 28, 29))
         assert peak < 1.5 * n * n, f"peak {peak} elements at n={n}"

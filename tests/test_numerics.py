@@ -2,6 +2,7 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -716,6 +717,11 @@ class TestElementwise:
         out = softmax_rows(np.array([[700.0, 710.0, 0.0]], dtype=np.float64))
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_softmax_of_zero_width_names_the_empty_key_set(self, shape):
+        with pytest.raises(ContractViolation, match="key set is empty"):
+            softmax_rows(np.zeros(shape))
+
 
 class TestSeededRng:
     def test_reproducible(self):
@@ -738,6 +744,18 @@ class TestSeededRng:
         w64 = SeededRng(5).init_weight(8, 8, "f64")
         w32 = SeededRng(5).init_weight(8, 8, "f32")
         assert np.array_equal(w32, w64.astype(np.float32))
+
+    def test_f64_draw_is_not_copied(self):
+        # the f64 stream is returned as drawn; a second copy would peak at two arrays
+        n, d = 4096, 384
+        tracemalloc.start()
+        try:
+            x = SeededRng(0).tokens(n, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.dtype == np.float64
+        assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} arrays"
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True, "x"])
     def test_bad_seed(self, bad):
