@@ -98,6 +98,7 @@ class TestSoftmaxMapInPlace:
         (_SOFTMAX_ROWS, 53, 5, 11),  # exactly one full block of query rows
         (_SOFTMAX_ROWS + 1, 53, 5, 11),  # one full block and a one-row block
         (2 * _SOFTMAX_ROWS + 37, 53, 5, 11),  # two full blocks of query rows and a partial one
+        (1061, 53, 5, 11),  # several full blocks of query rows and a partial one
     ])
     def test_bit_identical_to_unfused(self, precision, n_q, n_k, d, d_v):
         q, k = mat(20, n_q, d, precision, -3.0, 3.0), mat(21, n_k, d, precision, -3.0, 3.0)
