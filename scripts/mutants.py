@@ -123,6 +123,12 @@ MUTANTS = (
        "                    for (int t = 0; t < 9; t++)\n                        s = s + p[t][c]",
        "                    for (int t = 8; t >= 0; t--)\n                        s = s + p[t][c]",
        DWC_TESTS),
+    # the seeded weights: the same seed must rebuild every weight
+    Mutant("init_params_dwc_kernels_unseeded",
+           (("src/dydila/config.py", "return rng.uniform(shape, -1.0 / 3.0, 1.0 / 3.0, prec)",
+             "return SeededRng(int(np.random.default_rng().integers(2**31)))"
+             ".uniform(shape, -1.0 / 3.0, 1.0 / 3.0, prec)"),),
+           ("tests/test_pinned_hashes.py",)),
     # the owned pow
     _c("pow_table_index_off_by_one", "const uint64_t i = u >> 45 & 127;",
        "const uint64_t i = (u >> 45) + 1 & 127;", MAP_TESTS),

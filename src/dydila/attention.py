@@ -45,7 +45,7 @@ from .numerics import (
     require_finite,
     softmax_rows,
 )
-from .projection import ProjectorBank, dpm_keys, dpm_queries, dpm_values, project_shared
+from .projection import ProjectorBank, dpm_keys, dpm_queries, dpm_values
 from .routing import RouteAssignment
 
 __all__ = [
@@ -403,9 +403,11 @@ def extract_attention_row(
     softmax: softmaxed scaled similarity row.  linear/focused: normalized
     kernel similarity row.  dydila/mapwise: the chosen head's differential
     row, the head's own algebra taken query first.  A row's dot with V (the
-    head's V slice) gives that output row within rounding.  Baselines use the
-    shared full-width projections; focused takes gamma from the head's query
-    kernel bank.
+    head's V slice) gives that output row within rounding.  Every row projects
+    the query side of its one query row and the key side, never V.  Baselines
+    are single-head over the shared full-width projections, as ``bench`` runs
+    them, so ``head`` does not change their row: focused takes gamma from
+    head 0's query kernel bank.
     """
     _check_2d(x, "input tokens")
     n = x.shape[0]
@@ -416,11 +418,11 @@ def extract_attention_row(
 
     sel = slice(query_index, query_index + 1)
     if impl in ("softmax", "linear", "focused"):
-        q, k, _ = project_shared(x, params.proj)
+        q, k = matmul(x[sel], params.proj.w_q0), matmul(x, params.proj.w_k0)
         if impl == "softmax":
-            return _softmax_map(q[sel], k)[0]
-        gamma = params.head_params[head].kernel_q.gammas[0] if impl == "focused" else None
-        phi_q, phi_k = _feature_map(q[sel], gamma), _feature_map(k, gamma)
+            return _softmax_map(q, k)[0]
+        gamma = params.head_params[0].kernel_q.gammas[0] if impl == "focused" else None
+        phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
         return _apply_state(phi_q, _key_state(phi_k, None, normalize=True))[0]
 
     if impl not in ("dydila", "mapwise"):

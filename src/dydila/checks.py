@@ -7,12 +7,19 @@ config still checks in well under a second (one last check runs the
 configured depth, at desk width).  Output contains no timings, so two runs of
 the same config print identical bytes.
 
+Every comparison row goes through :func:`_compared`, and its tolerance
+alone decides the rule.  Tolerance 0 is bit-exact: same dtype, shape and
+bits, so ``-0.0`` differs from ``+0.0``, and no NaN in the candidate.  The
+f64 ``matmul`` and ``projection`` rows read their 0 from ``TOLERANCES``;
+``kernel_gamma1_is_relu`` and ``determinism`` (a repeated forward and every
+weight of a stack rebuilt from the seed) compare at 0 in both precisions.
+Any other tolerance bounds :func:`oracle.compare`'s normwise relative error.
 The float32 tolerances are deliberately coarse (calibrated empirically,
 roughly 1e-4 relative); float64 tolerances match the acceptance thresholds.
 With ``inject_fault`` set, the token-differential reordering check adds
 1e-3 to ``q_t[0, 0]`` of a copy of the query stream it passes to
-``tdo_forward``, which must flip that check to FAIL; it exists to prove the
-suite can fail.
+``tdo_forward``, which must flip that check to FAIL (its detail then starts
+with ``[fault injected]``); it exists to prove the suite can fail.
 """
 
 from __future__ import annotations
@@ -124,12 +131,26 @@ def _desk_stack(cfg: RunConfig, rng: SeededRng) -> AttentionStack:
     return stack_from_weights(cfg, weights)
 
 
-def _result(name: str, report) -> CheckResult:
-    return CheckResult(name=name, passed=report.passed, detail=str(report))
+def _compared(name: str, reference, candidate, tolerance: float, also: bool = True,
+              note: str = "") -> CheckResult:
+    """The one comparison row: a candidate against its reference at one tolerance.
 
-
-def _exact(name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=ok, detail=detail)
+    Tolerance 0 means bit-exact: the dtype and shape agree, every entry has
+    the same bits (so ``-0.0`` is not ``+0.0``), and the candidate holds no
+    NaN.  Any other tolerance reports :func:`oracle.compare`'s normwise
+    error.  The row passes only if the comparison does and ``also`` holds;
+    ``note`` leads the detail text.
+    """
+    if tolerance == 0:
+        reference, candidate = np.asarray(reference), np.asarray(candidate)
+        passed = (reference.dtype == candidate.dtype and reference.shape == candidate.shape
+                  and reference.tobytes() == candidate.tobytes()
+                  and not np.isnan(candidate).any())
+        text = "bit-exact" if passed else "FAIL: not bit-exact"
+    else:
+        report = compare(reference, candidate, tolerance)
+        passed, text = report.passed, str(report)
+    return CheckResult(name, passed and also, f"{note} {text}" if note else text)
 
 
 def run_checks(cfg: RunConfig) -> list:
@@ -149,23 +170,12 @@ def run_checks(cfg: RunConfig) -> list:
     # --- numerics -------------------------------------------------------
     a = rng.tokens(12, 7, cfg.precision)
     b = rng.tokens(7, 9, cfg.precision)
-    want = naive_matmul(a, b)
-    got = matmul(a, b)
-    if cfg.precision == "f64":
-        results.append(
-            _exact("matmul_vs_triple_loop", bool(np.array_equal(want, got)),
-                   "bit-exact" if np.array_equal(want, got) else "differs from triple loop")
-        )
-    else:
-        results.append(_result("matmul_vs_triple_loop", compare(want, got, tol["matmul"])))
+    results.append(_compared("matmul_vs_triple_loop", naive_matmul(a, b), matmul(a, b),
+                             tol["matmul"]))
 
     c = rng.tokens(9, 5, cfg.precision)
-    results.append(
-        _result(
-            "matmul_associativity",
-            compare(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), tol["matmul_assoc"]),
-        )
-    )
+    results.append(_compared("matmul_associativity", matmul(matmul(a, b), c),
+                             matmul(a, matmul(b, c)), tol["matmul_assoc"]))
 
     logits = rng.uniform((16, 11), -40.0, 40.0, cfg.precision)
     sm = softmax_rows(logits)
@@ -175,10 +185,8 @@ def run_checks(cfg: RunConfig) -> list:
         and bool(np.all(sm >= 0))
         and bool(np.all(sm <= 1))
     )
-    results.append(
-        _exact("softmax_rows_normalized", ok,
-               f"max |row sum - 1| = {float(np.max(np.abs(sums - 1.0))):.3e}")
-    )
+    results.append(CheckResult("softmax_rows_normalized", ok,
+                               f"max |row sum - 1| = {float(np.max(np.abs(sums - 1.0))):.3e}"))
 
     # --- kernels --------------------------------------------------------
     z = rng.tokens(512, d, cfg.precision)
@@ -193,15 +201,11 @@ def run_checks(cfg: RunConfig) -> list:
             rel = np.abs(n_out[alive] - n_in[alive]) / n_in[alive]
             worst = max(worst, float(np.max(rel)))
         dead_ok = dead_ok and bool(np.all(out[~alive] == 0))
-    results.append(
-        _exact("kernel_norm_preservation", worst <= tol["kernel_norm"] and dead_ok,
-               f"worst rel norm drift {worst:.3e}, dead rows exact: {dead_ok}")
-    )
+    results.append(CheckResult("kernel_norm_preservation", worst <= tol["kernel_norm"] and dead_ok,
+                               f"worst rel norm drift {worst:.3e}, dead rows exact: {dead_ok}"))
 
-    results.append(
-        _exact("kernel_gamma1_is_relu", bool(np.array_equal(focused_rows(z, 1.0), relu(z))),
-               "gamma=1 reduces to relu")
-    )
+    results.append(_compared("kernel_gamma1_is_relu", relu(z), focused_rows(z, 1.0), 0.0,
+                             note="gamma=1 against relu:"))
 
     # --- projection vs per-token oracle ---------------------------------
     xs = x[:24]
@@ -210,32 +214,14 @@ def run_checks(cfg: RunConfig) -> list:
     routes_match = bool(
         np.array_equal(routes_q.indices, oiq) and np.array_equal(routes_k.indices, oik)
     )
-    if cfg.precision == "f64":
-        vals_match = all(
-            np.array_equal(got_m, want_m)
-            for got_m, want_m in ((q, oq), (k, ok_), (v, ov), (qr, oqr), (kr, okr))
-        )
-        results.append(
-            _exact("projection_per_token", routes_match and vals_match,
-                   f"routes exact: {routes_match}, values bit-exact: {vals_match}")
-        )
-    else:
-        rep = compare(np.hstack([oq, ok_, ov, oqr, okr]),
-                      np.hstack([q, k, v, qr, kr]).astype(np.float64), tol["projection"])
-        results.append(
-            _exact("projection_per_token", routes_match and rep.passed,
-                   f"routes exact: {routes_match}, {rep}")
-        )
+    results.append(_compared("projection_per_token", np.hstack([oq, ok_, ov, oqr, okr]),
+                             np.hstack([q, k, v, qr, kr]), tol["projection"], also=routes_match,
+                             note=f"routes exact: {routes_match},"))
 
     # --- reordering vs explicit maps -------------------------------------
     ql, kl, vl = (rng.tokens(48, d, cfg.precision) for _ in range(3))
-    results.append(
-        _result(
-            "linear_reorder_vs_explicit",
-            compare(explicit_linear_attention(ql, kl, vl),
-                    linear_attention(ql, kl, vl), tol["linear_reorder"]),
-        )
-    )
+    results.append(_compared("linear_reorder_vs_explicit", explicit_linear_attention(ql, kl, vl),
+                             linear_attention(ql, kl, vl), tol["linear_reorder"]))
 
     hp = block.head_params[0]
     d_h = block.head_dim
@@ -246,23 +232,18 @@ def run_checks(cfg: RunConfig) -> list:
     v_t = rng.tokens(48, d_h, cfg.precision)
     clean, lambdas = tdo_forward(q_t, qp_t, k_t, kp_t, v_t, hp.diff)
     lam_q, lam_k = lambdas["q"][0], lambdas["k"][0]
-    got_tdo, detail_suffix = clean, ""
+    got_tdo = clean
     if inject:
         q_prod = q_t.copy()
         q_prod[0, 0] += np.asarray(1e-3, dtype=dt)
         got_tdo, _ = tdo_forward(q_prod, qp_t, k_t, kp_t, v_t, hp.diff)
-        detail_suffix = " [fault injected]"
-    want_tdo = explicit_tdo(q_t, qp_t, k_t, kp_t, v_t, lam_q, lam_k)
-    rep = compare(want_tdo, got_tdo, tol["tdo_reorder"])
-    results.append(_exact("tdo_reorder_vs_explicit", rep.passed, str(rep) + detail_suffix))
+    results.append(_compared("tdo_reorder_vs_explicit",
+                             explicit_tdo(q_t, qp_t, k_t, kp_t, v_t, lam_q, lam_k), got_tdo,
+                             tol["tdo_reorder"], note="[fault injected]" if inject else ""))
 
     t1, t2, t3, t4 = expand_tokenwise(q_t, qp_t, k_t, kp_t, v_t, lam_q, lam_k)
-    results.append(
-        _result(
-            "tdo_expansion_identity",
-            compare(clean, t1 - t2 - t3 + t4, tol["expansion"]),
-        )
-    )
+    results.append(_compared("tdo_expansion_identity", clean, t1 - t2 - t3 + t4,
+                             tol["expansion"]))
 
     # --- degeneracies -----------------------------------------------------
     results.append(_degeneracy_check(cfg, rng, tol))
@@ -271,38 +252,33 @@ def run_checks(cfg: RunConfig) -> list:
     if block.dwc is not None:
         branch = dwc_forward(v, (4, 6), replace(block.dwc, use_merged=False))
         fused = dwc_forward(v, (4, 6), reparam_merge(block.dwc))
-        results.append(_result("dwc_reparam_merge", compare(branch, fused, tol["reparam"])))
+        results.append(_compared("dwc_reparam_merge", branch, fused, tol["reparam"]))
 
     # --- permutation equivariance (conv off: it is grid-, not set-, local) --
     results.append(_permutation_check(cfg, block, rng, tol))
 
     # --- composed pipeline vs stage-by-stage oracle ----------------------
-    results.append(
-        _result(
-            "composed_pipeline_vs_oracle",
-            compare(pipeline_oracle(x, block), multihead_forward(x, block)[0],
-                    tol["composed"]),
-        )
-    )
+    results.append(_compared("composed_pipeline_vs_oracle", pipeline_oracle(x, block),
+                             multihead_forward(x, block)[0], tol["composed"]))
 
     # --- residual stack and determinism ----------------------------------
-    out1, _ = stack_forward(x, stack)
-    out2, _ = stack_forward(x, stack)
-    stack_b = _desk_stack(cfg, SeededRng(cfg.seed))
-    # same seed must rebuild the same weights
-    rebuilt = all(
-        np.array_equal(pa.proj.w_q0, pb.proj.w_q0)
-        for pa, pb in zip(stack.blocks, stack_b.blocks)
-    )
-    results.append(
-        _exact(
-            "determinism",
-            bool(np.array_equal(out1, out2)) and rebuilt,
-            "forward and re-init byte-stable",
-        )
-    )
+    # a repeated forward and a stack rebuilt from the same seed must
+    # reproduce the output and every weight bit for bit
+    rebuilt = _desk_stack(cfg, SeededRng(cfg.seed))
+    results.append(_compared("determinism", _forward_and_weights(x, stack),
+                             _forward_and_weights(x, rebuilt), 0.0,
+                             note="forward and re-init:"))
     results.append(_depth_check(deep_cfg))
     return results
+
+
+def _forward_and_weights(x: np.ndarray, stack: AttentionStack) -> np.ndarray:
+    """The stack's output on x and every weight in ``stack_entries``, as one flat array.
+
+    In f32 the float64 gammas and lambdas widen it to float64, which keeps
+    every f32 bit pattern apart."""
+    out, _ = stack_forward(x, stack)
+    return np.concatenate([out.ravel()] + [w.ravel() for _, w in stack_entries(stack)])
 
 
 def _degeneracy_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
@@ -330,9 +306,8 @@ def _degeneracy_check(cfg: RunConfig, rng: SeededRng, tol) -> CheckResult:
     p = params.proj
     q, k, v = matmul(x, p.w_q0), matmul(x, p.w_k0), matmul(x, p.w_v0)
     want = matmul(relu(q), matmul(relu(k).T, v))
-    rep = compare(want, got, tol["degeneracy"])
-    return _exact("degeneracy_lattice", rep.passed,
-                  f"lambda=0, gamma=1, single banks -> relu linear numerator; {rep}")
+    return _compared("degeneracy_lattice", want, got, tol["degeneracy"],
+                     note="lambda=0, gamma=1, single banks -> relu linear numerator;")
 
 
 def _depth_check(cfg: RunConfig) -> CheckResult:
@@ -341,8 +316,8 @@ def _depth_check(cfg: RunConfig) -> CheckResult:
     try:
         stack_forward(x, stack)
     except ContractViolation as e:
-        return _exact("configured_depth_finite", False, str(e))
-    return _exact("configured_depth_finite", True, f"{cfg.blocks} blocks, output finite")
+        return CheckResult("configured_depth_finite", False, str(e))
+    return CheckResult("configured_depth_finite", True, f"{cfg.blocks} blocks, output finite")
 
 
 def _permutation_check(cfg: RunConfig, block, rng: SeededRng, tol) -> CheckResult:
@@ -355,9 +330,8 @@ def _permutation_check(cfg: RunConfig, block, rng: SeededRng, tol) -> CheckResul
         np.array_equal(diag.routes_proj_q.indices[perm], diag_p.routes_proj_q.indices)
         and np.array_equal(diag.routes_proj_k.indices[perm], diag_p.routes_proj_k.indices)
     )
-    rep = compare(out[perm], out_p, tol["permutation"])
-    return _exact("permutation_equivariance", routes_ok and rep.passed,
-                  f"routes exact: {routes_ok}, {rep}")
+    return _compared("permutation_equivariance", out[perm], out_p, tol["permutation"],
+                     also=routes_ok, note=f"routes exact: {routes_ok},")
 
 
 def format_results(results) -> str:

@@ -828,6 +828,8 @@ def _focused_map(z: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None
           or not out.flags.aligned):
         raise ContractViolation(f"focused map out must be a writeable aligned ({n}, {d}) "
                                 f"{z.dtype} array, got {out.dtype} {out.shape}")
+    elif out is not z and np.may_share_memory(out, z):
+        raise ContractViolation("focused map out may share memory with z without being z")
     if n == 0 or d == 0:
         return out
     kernel = _kernels().get(("focused", z.dtype))

@@ -577,7 +577,7 @@ class TestStagesThroughPublicBindings:
         for _, (q_t, *rest), _ in log[-heads:]:
             assert rest[-1] is q_t
 
-    @pytest.mark.parametrize("impl", ["dydila", "mapwise"])
+    @pytest.mark.parametrize("impl", ["dydila", "mapwise", "softmax", "linear", "focused"])
     def test_attention_row_projects_only_its_query_row(self, monkeypatch, impl):
         # routing, the routed projection and matmul are row-local, so the
         # query side of one row needs that row of x and nothing more
@@ -587,18 +587,23 @@ class TestStagesThroughPublicBindings:
         block, x, index = make_block(351, 8, (4, 6), heads=2), mat(53, 24, 8), 5
         log = []
         self._spy(monkeypatch, dydila.attention, "dpm_queries", log)
-        self._spy(monkeypatch, dydila.projection, "matmul", log)
+        for module in (dydila.attention, dydila.projection):
+            self._spy(monkeypatch, module, "matmul", log)
         extract_attention_row(x, block, index, impl, head=1)
         monkeypatch.undo()
-        (rows, _), = [args for name, args, _ in log if name == "dpm_queries"]
-        assert rows.shape == (1, 8) and np.array_equal(bits(rows), bits(x[index:index + 1]))
         query_weights = (block.proj.w_q0, *block.proj.w_q)
         products = [a for name, (a, b), _ in log
                     if name == "matmul" and any(b is w for w in query_weights)]
-        assert len(products) == 2  # the shared Q and the one routed Q' projector
+        if impl in ("dydila", "mapwise"):
+            (rows, _), = [args for name, args, _ in log if name == "dpm_queries"]
+            assert rows.shape == (1, 8) and np.array_equal(bits(rows), bits(x[index:index + 1]))
+            assert len(products) == 2  # the shared Q and the one routed Q' projector
+        else:
+            assert len(products) == 1  # the shared Q only
+            assert np.array_equal(bits(products[0]), bits(x[index:index + 1]))
         assert all(a.shape[0] == 1 for a in products)
 
-    @pytest.mark.parametrize("impl", ["dydila", "mapwise"])
+    @pytest.mark.parametrize("impl", ["dydila", "mapwise", "softmax", "linear", "focused"])
     def test_attention_row_projects_no_v(self, monkeypatch, impl):
         # a row of the map never reads V; the block projects it once
         import dydila.attention
@@ -711,6 +716,23 @@ class TestExtractAttentionRow:
         for i in (0, 7, 23):
             row = extract_attention_row(x, params, i, impl=impl)
             assert_close(row @ v, want[i], 1e-10, f"{impl} row {i}")
+
+    def test_focused_row_takes_head_0s_gamma(self):
+        # the baselines are single-head over the full width, as bench runs
+        # them: every head's row is head 0's, whatever head 1's gammas are
+        params = make_block(606, 8, (4, 6), heads=2, gammas=(3.0, 3.0, 3.0))
+        head0, head1 = params.head_params
+        other = KernelBank(gammas=(0.5, 0.5, 0.5), router=head1.kernel_q.router)
+        params = dataclasses.replace(
+            params, head_params=(head0, dataclasses.replace(head1, kernel_q=other)))
+        x = mat(46, 24, 8)
+        q, k, v = (matmul(x, w) for w in (params.proj.w_q0, params.proj.w_k0, params.proj.w_v0))
+        want = linear_attention(q, k, v, gamma=3.0)
+        for i in (0, 7, 23):
+            row = extract_attention_row(x, params, i, impl="focused", head=1)
+            assert np.array_equal(bits(row),
+                                  bits(extract_attention_row(x, params, i, impl="focused")))
+            assert_close(row @ v, want[i], 1e-10, f"focused row {i}")
 
     @pytest.mark.parametrize("heads,normalize,head", [
         (1, False, 0), (1, True, 0),

@@ -1,12 +1,15 @@
-"""The self-check suite's desk stack, and that the suite notices a gamma or lambda
-routed to the wrong candidate."""
+"""The self-check suite's one comparison rule, its desk stack, and that the suite
+notices a gamma or lambda routed to the wrong candidate or a weight that is not rebuilt."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import dydila.attention
+import dydila.checks
 import dydila.differential
-from dydila.checks import _desk_stack, run_checks
+from dydila.checks import _compared, _desk_stack, run_checks
 from dydila.cli import main
 from dydila.config import RunConfig, init_params, lambda_for_block
 from dydila.fileio import stack_entries
@@ -79,3 +82,54 @@ def test_desk_stack_spreads_only_gammas_and_lambdas(precision):
     for (name, want), (_, got) in zip(stack_entries(drawn), stack_entries(desk), strict=True):
         if not name.endswith(("/gammas", "/lambdas")):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+class TestCompared:
+    """Tolerance 0 is bit-exact: same dtype, shape and bits, and no NaN."""
+
+    def test_equal_arrays_pass(self):
+        a = np.array([[1.5, -0.0], [np.inf, 2.0**-1074]])
+        row = _compared("row", a, a.copy(), 0.0)
+        assert row.passed and row.detail == "bit-exact"
+
+    @pytest.mark.parametrize("reference, candidate", [
+        (np.array([0.0, 1.0]), np.array([-0.0, 1.0])),
+        (np.array([1.0, np.nan]), np.array([1.0, np.nan])),
+        (np.array([1.0, 2.0]), np.array([1.0, 2.0], dtype=np.float32)),
+        (np.array([1.0, 2.0]), np.array([[1.0, 2.0]])),
+    ], ids=["signed_zero", "same_nan", "dtype", "shape"])
+    def test_bit_exact_fails(self, reference, candidate):
+        assert np.array_equal(reference.ravel(), candidate.ravel(), equal_nan=True)
+        row = _compared("row", reference, candidate, 0.0)
+        assert not row.passed and "not bit-exact" in row.detail
+
+    def test_nonzero_tolerance_is_normwise(self):
+        a = np.array([1.0, -1.0])
+        assert _compared("row", a, -a, 1e-3, note="sign:").detail.startswith("sign: FAIL: ")
+        near = _compared("row", a, a + 1e-6, 1e-3)
+        assert near.passed and "max_rel=1.000e-06" in near.detail
+        assert not _compared("row", a, a, 1e-3, also=False).passed
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_determinism_sees_every_rebuilt_weight(monkeypatch, precision):
+    # the rebuilt stack differs from the first only in the last bit of one
+    # DWC tap; every other row, and the same run unperturbed, must pass
+    real, calls = _desk_stack, []
+
+    def perturbed(cfg, rng):
+        stack = real(cfg, rng)
+        calls.append(stack)
+        if len(calls) < 2:
+            return stack
+        block = stack.blocks[0]
+        kernels = block.dwc.kernels.copy()
+        kernels[0, 0, 0] = np.nextafter(kernels[0, 0, 0], np.inf)
+        block = dataclasses.replace(block, dwc=dataclasses.replace(block.dwc, kernels=kernels))
+        return dataclasses.replace(stack, blocks=(block, *stack.blocks[1:]))
+
+    cfg = RunConfig.from_dict({"preset": "small", "precision": precision})
+    assert all(r.passed for r in run_checks(cfg))
+    monkeypatch.setattr(dydila.checks, "_desk_stack", perturbed)
+    failed = [r.name for r in run_checks(cfg) if not r.passed]
+    assert len(calls) == 2 and failed == ["determinism"]

@@ -320,6 +320,12 @@ class TestFocusedMap:
         frozen.flags.writeable = False
         with pytest.raises(ContractViolation, match="focused map out"):
             numerics._focused_map(z, gamma, out=frozen)
+        # an out that overlaps z without being z: reversed columns, and a
+        # view one row further along z's own buffer
+        buffer = mat(18, 5, 3)
+        for out in (buffer[:4, ::-1], buffer[1:]):
+            with pytest.raises(ContractViolation, match="focused map out"):
+                numerics._focused_map(buffer[:4], gamma, out=out)
 
     @pytest.mark.parametrize("gamma", [1.0, 3.0])
     def test_nan_row_stays_non_finite(self, gamma):
