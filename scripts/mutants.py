@@ -114,14 +114,14 @@ MUTANTS = (
            LEDGER_TESTS),
     # the DWC
     _c("dwc_skips_taps_outside_the_grid",
-       "s = s + p[t][c] * k[t * d + c0 + c];",
-       "s = tap[t] ? s + p[t][c] * k[t * d + c0 + c] : s;", DWC_TESTS),
+       "s = s + p[t][c] * k[t * d + c];",
+       "s = p[t] != zero ? s + p[t][c] * k[t * d + c] : s;", DWC_TESTS),
     Mutant("dwc_forward_ignores_the_merged_kernel",
            (("src/dydila/attention.py", "    if dwc.use_merged:\n", "    if False:\n"),),
            DWC_TESTS),
     _c("dwc_taps_descending",
-       "                    for (int t = 0; t < 9; t++)\n                        s = s + p[t][c]",
-       "                    for (int t = 8; t >= 0; t--)\n                        s = s + p[t][c]",
+       "                for (int t = 0; t < 9; t++)\n                    s = s + p[t][c]",
+       "                for (int t = 8; t >= 0; t--)\n                    s = s + p[t][c]",
        DWC_TESTS),
     # the seeded weights: the same seed must rebuild every weight
     Mutant("init_params_dwc_kernels_unseeded",
@@ -145,8 +145,8 @@ MUTANTS = (
            MAP_TESTS, after=("scripts/pow_tables.py", "--write")),
     # the focused map
     _c("focused_n1_not_rescaled_by_peak",
-       "const $T scale = peak[r] * ($T)sqrt(sx[r]) / ($T)sqrt(st[r])",
-       "const $T scale = ($T)sqrt(sx[r]) / ($T)sqrt(st[r])", MAP_TESTS),
+       "const $T scale = peak * ($T)sqrt(sx) / ($T)sqrt(st)",
+       "const $T scale = ($T)sqrt(sx) / ($T)sqrt(st)", MAP_TESTS),
     # the normalizer's column sums
     Mutant("normalizer_column_sum_by_numpy",
            (("src/dydila/differential.py",
@@ -168,8 +168,7 @@ MUTANTS = (
            SOFTMAX_TESTS),
     # each head's streams kept in the projection buffers
     _c("focused_in_place_rows_at_z_width",
-       "$T *o = orow[r] = out + (i0 + r) * so0;", "$T *o = orow[r] = out + (i0 + r) * d;",
-       MAP_TESTS),
+       "$T *o = out + i * so0, peak = 0;", "$T *o = out + i * d, peak = 0;", MAP_TESTS),
     Mutant("kernel_stream_routed_after_its_in_place_map",
            (("src/dydila/kernels.py",
              "    routes = route_argmax(z, bank.router)\n"

@@ -10,9 +10,10 @@ the same config print identical bytes.
 Every comparison row goes through :func:`_compared`, and its tolerance
 alone decides the rule.  Tolerance 0 is bit-exact: same dtype, shape and
 bits, so ``-0.0`` differs from ``+0.0``, and no NaN in the candidate.  The
-f64 ``matmul`` and ``projection`` rows read their 0 from ``TOLERANCES``;
-``kernel_gamma1_is_relu`` and ``determinism`` (a repeated forward and every
-weight of a stack rebuilt from the seed) compare at 0 in both precisions.
+f64 ``matmul``, ``projection``, focused-map and DWC oracle rows read their 0
+from ``TOLERANCES``; ``kernel_gamma1_is_relu`` and ``determinism`` (a
+repeated forward and every weight of a stack rebuilt from the seed) compare
+at 0 in both precisions.
 Any other tolerance bounds :func:`oracle.compare`'s normwise relative error.
 The float32 tolerances are deliberately coarse (calibrated empirically,
 roughly 1e-4 relative); float64 tolerances match the acceptance thresholds.
@@ -52,8 +53,10 @@ from .numerics import (
 )
 from .oracle import (
     compare,
+    explicit_dwc,
     explicit_linear_attention,
     explicit_tdo,
+    naive_focused_row,
     naive_matmul,
     per_token_projection,
     pipeline_oracle,
@@ -71,12 +74,14 @@ TOLERANCES = {
         "matmul_assoc": 1e-10,
         "softmax_sum": 1e-12,
         "kernel_norm": 1e-12,
+        "focused_oracle": 0.0,  # the oracle follows the map's order
         "projection": 0.0,  # same arithmetic order as the per-token oracle
         "linear_reorder": 1e-10,
         "tdo_reorder": 1e-10,
         "expansion": 1e-12,
         "degeneracy": 1e-12,
         "reparam": 1e-12,
+        "dwc_oracle": 0.0,  # the oracle follows the taps' order
         "permutation": 1e-12,
         "composed": 1e-10,
     },
@@ -85,12 +90,14 @@ TOLERANCES = {
         "matmul_assoc": 1e-4,
         "softmax_sum": 1e-6,
         "kernel_norm": 1e-5,
+        "focused_oracle": 1e-5,
         "projection": 1e-5,
         "linear_reorder": 1e-4,
         "tdo_reorder": 1e-4,
         "expansion": 1e-4,
         "degeneracy": 1e-5,
         "reparam": 1e-5,
+        "dwc_oracle": 1e-5,
         "permutation": 1e-4,
         "composed": 1e-4,
     },
@@ -207,6 +214,17 @@ def run_checks(cfg: RunConfig) -> list:
     results.append(_compared("kernel_gamma1_is_relu", relu(z), focused_rows(z, 1.0), 0.0,
                              note="gamma=1 against relu:"))
 
+    # a dead row, a live one, one of subnormal entries, and one whose scaled
+    # entries reach the pow's subnormal inputs and (in f64) results
+    rows = z[6:10].copy()
+    tiny = np.finfo(dt).tiny
+    rows[2] *= tiny
+    rows[3] *= np.resize(np.array([1.0, 2.0**-340, 2.0**-345, 2.0**-350, tiny / 3], dt), d)
+    gammas = (0.5, 1.0, 3.0)
+    want = np.vstack([[naive_focused_row(row, g) for row in rows] for g in gammas])
+    got = np.vstack([focused_rows(rows, g) for g in gammas])
+    results.append(_compared("focused_map_vs_oracle", want, got, tol["focused_oracle"]))
+
     # --- projection vs per-token oracle ---------------------------------
     xs = x[:24]
     q, k, v, qr, kr, routes_q, routes_k = dpm_forward(xs, block.proj)
@@ -253,6 +271,10 @@ def run_checks(cfg: RunConfig) -> list:
         branch = dwc_forward(v, (4, 6), replace(block.dwc, use_merged=False))
         fused = dwc_forward(v, (4, 6), reparam_merge(block.dwc))
         results.append(_compared("dwc_reparam_merge", branch, fused, tol["reparam"]))
+        want = np.vstack([explicit_dwc(v, (4, 6), block.dwc.kernels, block.dwc.identity_branch),
+                          explicit_dwc(v, (4, 6), block.dwc.merged, False)])
+        results.append(_compared("dwc_vs_explicit", want, np.vstack([branch, fused]),
+                                 tol["dwc_oracle"]))
 
     # --- permutation equivariance (conv off: it is grid-, not set-, local) --
     results.append(_permutation_check(cfg, block, rng, tol))

@@ -327,18 +327,17 @@ static inline double pow01(double x, double g)
 """
 
 # The compiled focused map, one copy per element type; _focused_numpy is its
-# reference.  Rows run in groups of FOCUSED_ROWS.  One pass per row forms
-# relu (NaN kept, -0 made +0, as np.maximum does), the row max peak (NaN if
-# the row holds one, as np.max), in $T, and packs the nonzero relu entries
-# with their columns into a list without a branch (k += r != 0).  A row
-# whose gamma is 1 keeps relu, and a row whose peak is 0 is all +0 already.
-# Otherwise the list is padded to a multiple of POW_PAD with peak; one
-# vectorised pass over it forms x = r / peak in $T and t = pow01(x, gamma)
-# rounded to $T, and a second one sets t = +0 where x underflowed to 0 (a
-# select inside the first would stop GCC vectorising it on AVX2 and 16-byte
-# units).  Then, with four rows interleaved as independent chains, each
-# row's sums of x^2 and t^2 in ascending list order from +0 ($T): the sums
-# over the whole row, since the skipped entries are +0.
+# reference.  Rows run one at a time.  One pass over the row forms relu (NaN
+# kept, -0 made +0, as np.maximum does), the row max peak (NaN if the row
+# holds one, as np.max), in $T, and packs the nonzero relu entries with their
+# columns into a list without a branch (k += r != 0).  A row whose gamma is 1
+# keeps relu, and a row whose peak is 0 is all +0 already.  Otherwise the
+# list is padded to a multiple of POW_PAD with peak; one vectorised pass over
+# it forms x = r / peak in $T and t = pow01(x, gamma) rounded to $T, and a
+# second one sets t = +0 where x underflowed to 0 (a select inside the first
+# would stop GCC vectorising it on AVX2 and 16-byte units).  Then the row's
+# sums of x^2 and t^2 in ascending list order from +0 ($T): the sums over the
+# whole row, since the skipped entries are +0.
 # n1 = peak * sqrt(sum x^2) and ng = sqrt(sum t^2), so a row of tiny
 # entries gets no subnormal squares; every listed entry becomes
 # t * (n1 / ng) and every other +0 * (n1 / ng), which is the +0 relu left
@@ -347,8 +346,7 @@ static inline double pow01(double x, double g)
 # through n1.  z is read and out written through their element strides, so
 # a head slice needs no copy and can be mapped in place: out may be z
 # itself (hence no restrict on either), since each entry is read before it
-# is written and never read again.  work holds FOCUSED_ROWS rows of x, t
-# and column lists.
+# is written and never read again.  work holds one row of x, t and columns.
 _FOCUSED_KERNEL = r"""
 /* x = x / p and t = pow01(x, g) over a padded list of kp, then t = +0 where
    x is 0 among the first k; restrict parameters spare GCC an alias check. */
@@ -369,61 +367,42 @@ void focused_$T(const $T *z, ptrdiff_t sz0, ptrdiff_t sz1,
                 const double *restrict gamma, $T *out, ptrdiff_t so0, ptrdiff_t so1,
                 ptrdiff_t n, ptrdiff_t d, void *restrict work)
 {
-    enum { R = FOCUSED_ROWS };
     const ptrdiff_t dp = (d + POW_PAD - 1) / POW_PAD * POW_PAD;
-    $T *const xs = ($T *)work, *const ts = xs + R * dp;
-    ptrdiff_t *const cols = (ptrdiff_t *)(ts + R * dp);
-    for (ptrdiff_t i0 = 0; i0 < n; i0 += R) {
-        const ptrdiff_t rows = n - i0 < R ? n - i0 : R;
-        $T peak[R], sx[R] = {0}, st[R] = {0}, *orow[R];
-        ptrdiff_t live[R] = {0}, m = 0;
-        for (ptrdiff_t r = 0; r < rows; r++) {
-            const $T *zi = z + (i0 + r) * sz0;
-            $T *o = orow[r] = out + (i0 + r) * so0;
-            $T *x = xs + r * dp, top = 0;
-            ptrdiff_t *c = cols + r * dp, k = 0;
-            for (ptrdiff_t j = 0; j < d; j++) {
-                const $T v = zi[j * sz1];
-                $T q = v > 0 ? v : 0;
-                if (v != v)
-                    q = top = v;
-                o[j * so1] = q;
-                top = q > top ? q : top;
-                x[k] = q;
-                c[k] = j;
-                k += q != 0;
-            }
-            peak[r] = top;
-            const double g = gamma[i0 + r];
-            if (g == 1 || top == 0)
-                continue;
-            const ptrdiff_t kp = (k + POW_PAD - 1) / POW_PAD * POW_PAD;
-            for (ptrdiff_t s = k; s < kp; s++)
-                x[s] = top;
-            pow_list_$T(x, ts + r * dp, top, g, k, kp);
-            live[r] = k;
-            m = kp > m ? kp : m;
+    $T *const x = ($T *)work, *const t = x + dp;
+    ptrdiff_t *const cols = (ptrdiff_t *)(t + dp);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const $T *zi = z + i * sz0;
+        $T *o = out + i * so0, peak = 0;
+        ptrdiff_t k = 0;
+        for (ptrdiff_t j = 0; j < d; j++) {
+            const $T v = zi[j * sz1];
+            $T q = v > 0 ? v : 0;
+            if (v != v)
+                q = peak = v;
+            o[j * so1] = q;
+            peak = q > peak ? q : peak;
+            x[k] = q;
+            cols[k] = j;
+            k += q != 0;
         }
-        for (ptrdiff_t r = 0; r < R; r++)
-            for (ptrdiff_t s = live[r]; s < m; s++)
-                xs[r * dp + s] = ts[r * dp + s] = 0;
-        for (ptrdiff_t s = 0; s < m; s++)
-            for (ptrdiff_t r = 0; r < R; r++) {
-                const $T x = xs[r * dp + s], t = ts[r * dp + s];
-                sx[r] = sx[r] + x * x;
-                st[r] = st[r] + t * t;
-            }
-        for (ptrdiff_t r = 0; r < rows; r++) {
-            if (!live[r])
-                continue;
-            $T *o = orow[r];
-            const $T scale = peak[r] * ($T)sqrt(sx[r]) / ($T)sqrt(st[r]), zero = 0 * scale;
-            if (zero != zero)  /* off the list, o holds relu's +0 */
-                for (ptrdiff_t j = 0; j < d; j++)
-                    o[j * so1] = zero;
-            for (ptrdiff_t s = 0; s < live[r]; s++)
-                o[cols[r * dp + s] * so1] = ts[r * dp + s] * scale;
+        const double g = gamma[i];
+        if (g == 1 || peak == 0)
+            continue;
+        const ptrdiff_t kp = (k + POW_PAD - 1) / POW_PAD * POW_PAD;
+        for (ptrdiff_t s = k; s < kp; s++)
+            x[s] = peak;
+        pow_list_$T(x, t, peak, g, k, kp);
+        $T sx = 0, st = 0;
+        for (ptrdiff_t s = 0; s < k; s++) {
+            sx = sx + x[s] * x[s];
+            st = st + t[s] * t[s];
         }
+        const $T scale = peak * ($T)sqrt(sx) / ($T)sqrt(st), zero = 0 * scale;
+        if (zero != zero)  /* off the list, o holds relu's +0 */
+            for (ptrdiff_t j = 0; j < d; j++)
+                o[j * so1] = zero;
+        for (ptrdiff_t s = 0; s < k; s++)
+            o[cols[s] * so1] = t[s] * scale;
     }
 }
 
@@ -439,42 +418,36 @@ void pow01_$T(const $T *restrict x, const double *restrict g, $T *restrict out, 
 # The compiled DWC, one copy per element type; _dwc_numpy is its reference.
 # Each output element is one sum in $T: from +0, the nine taps in ascending
 # (row, col) order, each product rounded before the add.  A tap outside the
-# grid adds +0 * weight, as the numpy loop's zero padding does, so an inf or
-# NaN weight makes the border NaN on both backends.  The identity branch, if
-# on, is added last.  v is read through its row stride with unit channel
-# stride; k is the (9, d) tap-major weight matrix; out is C-contiguous.  The
-# channels run in chunks of DWC_CHANNELS so that a tap outside the grid can
-# read a static row of zeros; the chunk loop vectorises over channels.
+# grid reads zero, a row of d +0s from the caller, so it adds +0 * weight,
+# as the numpy loop's zero padding does, and an inf or NaN weight makes the
+# border NaN on both backends.  The identity branch, if on, is added last.
+# v is read through its row stride with unit channel stride; k is the (9, d)
+# tap-major weight matrix; out is C-contiguous.  The channel loop
+# vectorises.
 _DWC_KERNEL = r"""
 CLONES
 void dwc_$T(const $T *restrict v, ptrdiff_t sv0, const $T *restrict k,
-            $T *restrict out, ptrdiff_t h, ptrdiff_t w, ptrdiff_t d, int identity)
+            const $T *restrict zero, $T *restrict out, ptrdiff_t h, ptrdiff_t w,
+            ptrdiff_t d, int identity)
 {
-    static const $T zero[DWC_CHANNELS];
     for (ptrdiff_t y = 0; y < h; y++)
         for (ptrdiff_t x = 0; x < w; x++) {
-            const $T *tap[9];
+            const $T *p[9];
             for (int t = 0; t < 9; t++) {
                 const ptrdiff_t yy = y + t / 3 - 1, xx = x + t % 3 - 1;
                 const int inside = 0 <= yy && yy < h && 0 <= xx && xx < w;
-                tap[t] = inside ? v + (yy * w + xx) * sv0 : 0;
+                p[t] = inside ? v + (yy * w + xx) * sv0 : zero;
             }
             $T *o = out + (y * w + x) * d;
-            for (ptrdiff_t c0 = 0; c0 < d; c0 += DWC_CHANNELS) {
-                const ptrdiff_t cn = d - c0 < DWC_CHANNELS ? d - c0 : DWC_CHANNELS;
-                const $T *p[9];
+            for (ptrdiff_t c = 0; c < d; c++) {
+                $T s = 0;
                 for (int t = 0; t < 9; t++)
-                    p[t] = tap[t] ? tap[t] + c0 : zero;
-                for (ptrdiff_t c = 0; c < cn; c++) {
-                    $T s = 0;
-                    for (int t = 0; t < 9; t++)
-                        s = s + p[t][c] * k[t * d + c0 + c];
-                    o[c0 + c] = s;
-                }
+                    s = s + p[t][c] * k[t * d + c];
+                o[c] = s;
             }
             if (identity)
                 for (ptrdiff_t c = 0; c < d; c++)
-                    o[c] = o[c] + tap[4][c];
+                    o[c] = o[c] + p[4][c];
         }
 }
 """
@@ -485,7 +458,7 @@ _I = ctypes.c_int
 _C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _S, _I),
                  "focused": (_P, _S, _S, _P, _P, _S, _S, _S, _S, _P),
                  "pow01": (_P, _P, _P, _S),
-                 "dwc": (_P, _S, _P, _P, _S, _S, _S, _I)}
+                 "dwc": (_P, _S, _P, _P, _P, _S, _S, _S, _I)}
 # __GLIBC__ comes from a libc header, hence <limits.h>.
 _C_PRELUDE = r"""#include <limits.h>
 #include <math.h>
@@ -507,14 +480,11 @@ static _Thread_local union { double d[MC * KC]; float f[MC * KC]; }
 static _Thread_local union { double d[KC * NC]; float f[KC * NC]; }
     packed_b __attribute__((aligned(64)));
 """
-_DWC_CHANNELS = 64  # channels per chunk of the compiled DWC
 _SHIFT = 1.5 * 2.0**52  # x + _SHIFT rounds x to an integer held in the low bits
-_FOCUSED_ROWS = 4  # rows per group of the compiled focused map
 _POW_PAD = 8  # the focused map's pow lists are padded to a multiple of this
 _FOCUSED_NUMPY_ENTRIES = 1 << 14  # entries per row block of the focused map's numpy fallback
 _C_BLOCKS = "enum { %s };" % ", ".join(
-    f"{k} = {v}" for k, v in {**_MATMUL_BLOCKS, "DWC_CHANNELS": _DWC_CHANNELS,
-                              "FOCUSED_ROWS": _FOCUSED_ROWS, "POW_PAD": _POW_PAD}.items())
+    f"{k} = {v}" for k, v in {**_MATMUL_BLOCKS, "POW_PAD": _POW_PAD}.items())
 
 
 def _c_pow_constants() -> str:
@@ -842,7 +812,7 @@ def _focused_map(z: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None
         return out
     z = np.require(z, requirements="A")
     padded = -(-d // _POW_PAD) * _POW_PAD
-    work = np.empty(_FOCUSED_ROWS * padded * (2 * z.itemsize + 8), dtype=np.uint8)
+    work = np.empty(padded * (2 * z.itemsize + 8), dtype=np.uint8)
     size = z.itemsize
     kernel(z.ctypes.data, z.strides[0] // size, z.strides[1] // size, gamma.ctypes.data,
            out.ctypes.data, out.strides[0] // size, out.strides[1] // size, n, d,
@@ -866,9 +836,10 @@ def _dwc(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) -> np.
     if not v.flags.aligned or v.strides[1] != v.itemsize:
         v = np.ascontiguousarray(v)
     taps = np.ascontiguousarray(kernels.reshape(d, 9).T)
+    zero = np.zeros(d, dtype=v.dtype)
     out = np.empty((n, d), dtype=v.dtype)
-    kernel(v.ctypes.data, v.strides[0] // v.itemsize, taps.ctypes.data, out.ctypes.data,
-           h, w, d, identity)
+    kernel(v.ctypes.data, v.strides[0] // v.itemsize, taps.ctypes.data, zero.ctypes.data,
+           out.ctypes.data, h, w, d, identity)
     return out
 
 

@@ -79,8 +79,10 @@ def project_shared(x: np.ndarray, bank: ProjectorBank):
 def _routed_project(x: np.ndarray, weights: tuple, routes: RouteAssignment) -> np.ndarray:
     # Gather rows per projector and run one matmul per used projector.  The
     # per-element accumulation order is identical to projecting each row on
-    # its own, so this batching is bit-exact against a per-token loop.
-    out = np.zeros((x.shape[0], weights[0].shape[1]), dtype=x.dtype)
+    # its own, so this batching is bit-exact against a per-token loop.  Every
+    # route names one of the projectors (a router has one choice per
+    # projector), so every row of out is written exactly once.
+    out = np.empty((x.shape[0], weights[0].shape[1]), dtype=x.dtype)
     for p, w in enumerate(weights):
         rows = np.flatnonzero(routes.indices == p)
         if rows.size:

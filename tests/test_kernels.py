@@ -383,9 +383,10 @@ class TestFocusedMapCompiled(TestFocusedMap):
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_row_groups_and_list_padding(self, precision):
-        # rows run in groups of four and each pow list is padded to a
-        # multiple of eight; every row count and width around those edges,
-        # with dead and gamma-1 rows inside a group, keeps the fallback's bits
+        # each pow list is padded to a multiple of eight; every width around
+        # that edge, at each row count up to nine, with a dead row among rows
+        # that cycle through the test gammas (1 included), keeps the
+        # fallback's bits
         for n in range(1, 10):
             for d in (1, 7, 8, 9, 17):
                 z, gamma = mat(n * d, n, d, precision), np.resize(np.array(_GAMMAS), n)
