@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMERICS = "src/dydila/numerics.py"
 STEP_TIMEOUT_S = 1800
 
-MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles")
+MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_builds")
 MAP_TESTS = ("tests/test_kernels.py", "tests/test_pow.py", "tests/test_pinned_hashes.py",
-             "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_vector")
+             "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_builds")
 SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
 BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
                "Multihead or TdoForward or WorkingSet")
@@ -84,20 +84,20 @@ MUTANTS = (
     _c("matmul_b_packed_with_unit_column_stride",
        "src[k * sb0 + j * sb1] : 0;", "src[k * sb0 + j] : 0;"),
     _c("matmul_out_row_stride_taken_as_m",
-       "tile(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);",
-       "tile(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, m, NR, first);"),
+       "tile_$T(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);",
+       "tile_$T(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, m, NR, first);"),
     _c("matmul_no_reload_in_the_32_byte_tile",
        "                if (!first)                                                    \\",
        "                if (!first && V != 32)                                         \\"),
     # the narrow product (m <= NR): the tile on a's own rows
     _c("narrow_no_reload",
-       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
-       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, 1);"),
+       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
+       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, 1);"),
     _c("matmul_acc_ignored",
        "const int first = pc == 0 && !acc;", "const int first = pc == 0;"),
     _c("narrow_no_reload_at_32_bytes",
-       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
-       "tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first || V == 32);"),
+       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
+       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first || V == 32);"),
     # routing
     Mutant("dmk_forward_next_gamma",
            (("src/dydila/kernels.py", "[routes.indices]",

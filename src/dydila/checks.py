@@ -3,17 +3,19 @@
 Each check pits a production path against an independent oracle (or an
 algebraic identity) at the tolerance for the configured precision, at desk
 scale: the config's model dim is capped at 32 and depth at 2 so a preset
-config still checks in well under a second (one last check runs the
-configured depth, at desk width).  Output contains no timings, so two runs of
-the same config print identical bytes.
+config still checks in well under a second (``backends_bit_equal`` runs one
+block at the configured width, ``configured_depth_finite`` the configured
+depth at desk width).  Output contains no timings, so two runs of the same
+config print identical bytes.
 
 Every comparison row goes through :func:`_compared`, and its tolerance
 alone decides the rule.  Tolerance 0 is bit-exact: same dtype, shape and
 bits, so ``-0.0`` differs from ``+0.0``, and no NaN in the candidate.  The
 f64 ``matmul``, ``projection``, focused-map and DWC oracle rows read their 0
-from ``TOLERANCES``; ``kernel_gamma1_is_relu`` and ``determinism`` (a
-repeated forward and every weight of a stack rebuilt from the seed) compare
-at 0 in both precisions.
+from ``TOLERANCES``; ``kernel_gamma1_is_relu``, ``backends_bit_equal`` (the
+compiled kernels against the numpy loops) and ``determinism`` (a repeated
+forward and every weight of a stack rebuilt from the seed) compare at 0 in
+both precisions.
 Any other tolerance bounds :func:`oracle.compare`'s normwise relative error.
 The float32 tolerances are deliberately coarse (calibrated empirically,
 roughly 1e-4 relative); float64 tolerances match the acceptance thresholds.
@@ -45,7 +47,9 @@ from .kernels import focused_rows
 from .numerics import (
     ContractViolation,
     SeededRng,
+    _numpy_loops,
     matmul,
+    matmul_backend,
     relu,
     resolve_dtype,
     row_l2_norm,
@@ -163,6 +167,7 @@ def _compared(name: str, reference, candidate, tolerance: float, also: bool = Tr
 def run_checks(cfg: RunConfig) -> list:
     """Run the whole suite for one config; returns CheckResults in order."""
     inject = cfg.inject_fault
+    own_cfg = cfg
     deep_cfg = _desk_config(cfg, cfg.blocks)
     cfg = _desk_config(cfg, min(cfg.blocks, 2))
     tol = TOLERANCES[cfg.precision]
@@ -194,6 +199,13 @@ def run_checks(cfg: RunConfig) -> list:
     )
     results.append(CheckResult("softmax_rows_normalized", ok,
                                f"max |row sum - 1| = {float(np.max(np.abs(sums - 1.0))):.3e}"))
+    # a product at the small preset's d=384 reaches the kernel's second k block
+    _, own, x_own = seeded_run(own_cfg.with_overrides(blocks=1, grid_h=8, grid_w=8))
+    got, _ = multihead_forward(x_own, own.blocks[0])
+    with _numpy_loops():
+        want, _ = multihead_forward(x_own, own.blocks[0])
+    results.append(_compared("backends_bit_equal", want, got, 0.0, note=(
+        f"d={own_cfg.dim}, heads={own_cfg.heads}, {matmul_backend()} against numpy:")))
 
     # --- kernels --------------------------------------------------------
     z = rng.tokens(512, d, cfg.precision)

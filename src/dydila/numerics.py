@@ -19,17 +19,19 @@ in one call is an error rather than a silent promotion.
 
 All three run small C kernels whose source lives in this module, so the
 module that owns the order contracts also owns the code that keeps them.
-The kernels are compiled into one shared object at the first call of any
-(never at import) with ``cc -O3 -ffp-contract=off`` (no FMA contraction)
-and cached under ``${XDG_CACHE_HOME:-~/.cache}/dydila``, keyed by the
-sha256 of the source, the flags and the compiler version.  When no compiler
-is present or the build or load fails, one ``RuntimeWarning`` is issued and
-all use numpy loops with the same per-element order; those loops are also
-the in-process references the tests compare the kernels with.
+The kernels are compiled for the host that runs them, into one shared
+object at the first call of any (never at import), with ``cc -O3
+-march=native -ffp-contract=off`` (no FMA contraction), and cached under
+``${XDG_CACHE_HOME:-~/.cache}/dydila``, keyed by the source, the flags and
+the macros they predefine.  When no compiler is present or the build or
+load fails, one ``RuntimeWarning`` is issued and all use numpy loops with
+the same per-element order; those loops are also the in-process references
+the tests compare the kernels with.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -72,7 +74,7 @@ _NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 # f32 softmax map block at n=2048), and keep matmul's blocks small enough that
 # strided column reads of the left operand stay cache-resident once the inner
 # dimension gets long.  The compiled kernels ignore these.
-_BLOCK_TARGET_BYTES = 1 << 19
+_BLOCK_BYTES = 1 << 19
 _STRIDED_INNER_LIMIT = 2048
 _STRIDED_BLOCK_CAP = 256
 
@@ -95,14 +97,13 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
 # registers.  Tiles that stick out of out run in a local copy, so out is
 # written only inside the matrix.  Out's rows are so0 elements apart (m for
 # a fresh product, the full width for a column slice of a wider array) and
-# its columns are contiguous.  The tile is written with GCC vector types
-# once per vector width: 64 bytes with AVX-512, whose 32 registers hold all
-# 16 accumulators; 32 bytes with AVX2, whose 16 registers hold one vector
-# per row, so the tile runs as four column passes; 16 bytes elsewhere (SSE2,
-# NEON), in four passes of two.  target_clones cannot pick it: a vector type
-# wider than the target turns into scalar moves through memory, 15-40x
-# slower.  The packing buffers are static and thread-local (ctypes releases
-# the GIL while a kernel runs), so a call allocates nothing.
+# its columns are contiguous.  The tile is written with GCC vector types of
+# the widest unit the build targets: 64 bytes with AVX-512, whose 32
+# registers hold all 16 accumulators; 32 bytes with AVX2, whose 16 registers
+# hold one vector per row, so the tile runs as four column passes; 16 bytes
+# elsewhere (SSE2, NEON), in four passes of two.  The packing buffers are
+# static and thread-local (ctypes releases the GIL while a kernel runs), so a
+# call allocates nothing.
 #
 # One tile serves every product.  A narrow product (m <= NR: routing
 # logits, the normalizer's one column) runs it without packing a: it reads MR rows of a in place through their strides,
@@ -133,11 +134,11 @@ enum { NR_$T = 2 * 64 / sizeof($T) };
    constants) or on a's own rows, sa0 apart and sa1 apart in k, the first mr
    of them; the caller says which.  GCC unrolls the row loops only when told
    to, and otherwise keeps the packed copy's accumulators in memory. */
-#define TILE(V, P, ATTR)                                                       \
-static inline __attribute__((always_inline)) ATTR void                         \
-tile_body##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t mr,       \
-                  ptrdiff_t sk, const $T *restrict bp, $T *restrict c,         \
-                  ptrdiff_t ldc, ptrdiff_t nc, int first)                      \
+#define TILE(V, P)                                                             \
+static inline __attribute__((always_inline)) void                              \
+tile_body_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t mr,            \
+             ptrdiff_t sk, const $T *restrict bp, $T *restrict c,              \
+             ptrdiff_t ldc, ptrdiff_t nc, int first)                           \
 {                                                                              \
     typedef $T vec __attribute__((vector_size(V)));                            \
     enum { W = V / sizeof($T), NR = NR_$T };                                   \
@@ -162,22 +163,24 @@ tile_body##V##_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t mr,       \
                 __builtin_memcpy(c + r * ldc + h + s * W, &acc[r][s], V);      \
     }                                                                          \
 }                                                                              \
-static ATTR void tile##V##_$T(int packed, ptrdiff_t kc, const $T *a,           \
-                              ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t mr,      \
-                              const $T *restrict bp, $T *restrict c,           \
-                              ptrdiff_t ldc, ptrdiff_t nc, int first)          \
+static void tile_$T(int packed, ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
+                    ptrdiff_t sa1, ptrdiff_t mr, const $T *restrict bp,        \
+                    $T *restrict c, ptrdiff_t ldc, ptrdiff_t nc, int first)    \
 {                                                                              \
     if (packed)                                                                \
-        tile_body##V##_$T(kc, a, 1, MR, MR, bp, c, ldc, NR_$T, first);         \
+        tile_body_$T(kc, a, 1, MR, MR, bp, c, ldc, NR_$T, first);              \
     else                                                                       \
-        tile_body##V##_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);         \
+        tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);              \
 }
-TILE(64, 2, TARGET("avx512f"))
-TILE(32, 1, TARGET("avx2"))
-TILE(16, 2, )
+#if defined(__AVX512F__)
+TILE(64, 2)
+#elif defined(__AVX2__)
+TILE(32, 1)
+#else
+TILE(16, 2)
+#endif
 #undef TILE
 
-CLONES
 void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                const $T *restrict b, ptrdiff_t sb0, ptrdiff_t sb1,
                $T *restrict out, ptrdiff_t so0, ptrdiff_t n, ptrdiff_t inner, ptrdiff_t m,
@@ -186,10 +189,6 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
     enum { NR = NR_$T };
     $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
     $T edge[MR * NR] __attribute__((aligned(64))) = {0};
-    const int v = CPU_HAS("avx512f") ? 64 : CPU_HAS("avx2") ? 32 : 16;
-    void (*const tile)(int, ptrdiff_t, const $T *, ptrdiff_t, ptrdiff_t, ptrdiff_t,
-                       const $T *, $T *, ptrdiff_t, ptrdiff_t, int) =
-        v == 64 ? tile64_$T : v == 32 ? tile32_$T : tile16_$T;
     /* A narrow product reads a in place and packs as much of b as packed_b
        holds. */
     const int packed = m > NR;
@@ -224,7 +223,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                         const $T *ai = packed ? apack + ir * kc : a + (ic + ir) * sa0 + pc * sa1;
                         $T *c = out + (ic + ir) * so0 + jc + jr;
                         if (mr == MR && nr == NR) {
-                            tile(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);
+                            tile_$T(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);
                             continue;
                         }
                         /* column by column: GCC turns a row copy into rep movsq,
@@ -232,7 +231,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                         for (ptrdiff_t j = 0; j < nr; j++)
                             for (ptrdiff_t r = 0; r < mr; r++)
                                 edge[r * NR + j] = c[r * so0 + j];
-                        tile(packed, kc, ai, sa0, sa1, mr, bpack + jr * kc, edge, NR, nr, first);
+                        tile_$T(packed, kc, ai, sa0, sa1, mr, bpack + jr * kc, edge, NR, nr, first);
                         for (ptrdiff_t j = 0; j < nr; j++)
                             for (ptrdiff_t r = 0; r < mr; r++)
                                 c[r * so0 + j] = edge[r * NR + j];
@@ -362,7 +361,6 @@ static inline void pow_list_$T($T *restrict x, $T *restrict t, $T p, double g,
         t[s] = x[s] != 0 ? t[s] : 0;
 }
 
-CLONES
 void focused_$T(const $T *z, ptrdiff_t sz0, ptrdiff_t sz1,
                 const double *restrict gamma, $T *out, ptrdiff_t so0, ptrdiff_t so1,
                 ptrdiff_t n, ptrdiff_t d, void *restrict work)
@@ -408,7 +406,6 @@ void focused_$T(const $T *z, ptrdiff_t sz0, ptrdiff_t sz1,
 
 /* pow01 over an array, rounded to $T: the owned pow on its own, for the
    tests and the accuracy measurement. */
-CLONES
 void pow01_$T(const $T *restrict x, const double *restrict g, $T *restrict out, ptrdiff_t n)
 {
     for (ptrdiff_t s = 0; s < n; s++)
@@ -425,7 +422,6 @@ void pow01_$T(const $T *restrict x, const double *restrict g, $T *restrict out, 
 # tap-major weight matrix; out is C-contiguous.  The channel loop
 # vectorises.
 _DWC_KERNEL = r"""
-CLONES
 void dwc_$T(const $T *restrict v, ptrdiff_t sv0, const $T *restrict k,
             const $T *restrict zero, $T *restrict out, ptrdiff_t h, ptrdiff_t w,
             ptrdiff_t d, int identity)
@@ -459,20 +455,9 @@ _C_SIGNATURES = {"matmul": (_P, _S, _S, _P, _S, _S, _P, _S, _S, _S, _S, _I),
                  "focused": (_P, _S, _S, _P, _P, _S, _S, _S, _S, _P),
                  "pow01": (_P, _P, _P, _S),
                  "dwc": (_P, _S, _P, _P, _P, _S, _S, _S, _I)}
-# __GLIBC__ comes from a libc header, hence <limits.h>.
-_C_PRELUDE = r"""#include <limits.h>
-#include <math.h>
+_C_PRELUDE = r"""#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#if defined(__x86_64__) && defined(__GLIBC__)
-#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#define TARGET(isa) __attribute__((target(isa)))
-#define CPU_HAS(isa) __builtin_cpu_supports(isa)
-#else
-#define CLONES
-#define TARGET(isa)
-#define CPU_HAS(isa) 0
-#endif
 $BLOCKS
 /* Packing buffers for one (MC, KC) block of a and one (KC, NC) block of b. */
 static _Thread_local union { double d[MC * KC]; float f[MC * KC]; }
@@ -512,7 +497,7 @@ _C_SOURCE = (_C_PRELUDE.replace("$BLOCKS", _C_BLOCKS) + _c_pow_constants() + _PO
                        for kernel in (_MATMUL_KERNEL, _FOCUSED_KERNEL, _DWC_KERNEL)
                        for t in _C_TYPES.values()))
 _CC = "cc"
-_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 _LDLIBS = ("-lm",)  # after the source, so --as-needed linkers keep it
 _DIGEST_BYTES = 32
 
@@ -590,8 +575,8 @@ def _run_cc(*args, stdin: str = "") -> str:
     return proc.stdout
 
 
-def _build(path: Path) -> None:
-    """Compile the kernel to a temp file beside `path`, seal it, move it in.
+def _build(path: Path, flags: tuple) -> None:
+    """Compile the kernel with `flags` to a temp file beside `path`, seal it, move it in.
 
     ``os.replace`` swaps the directory entry atomically, so a process that
     already loaded an older copy keeps its mapping and concurrent builders
@@ -601,7 +586,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        _run_cc(*_CFLAGS, "-x", "c", "-", "-o", tmp, *_LDLIBS, stdin=_C_SOURCE)
+        _run_cc(*flags, "-x", "c", "-", "-o", tmp, *_LDLIBS, stdin=_C_SOURCE)
         body = Path(tmp).read_bytes()
         with open(tmp, "ab") as f:
             f.write(hashlib.sha256(body).digest())
@@ -611,24 +596,31 @@ def _build(path: Path) -> None:
             os.unlink(tmp)
 
 
-def _cache_path() -> Path:
-    """Where the build of this source, with these flags and this compiler, lives.
+def _cache_path() -> tuple:
+    """``(path, flags)``: where this host's build lives, and its flags.
 
-    Asking ``cc --version`` costs about 10 ms per process, well inside the
-    run-to-run spread of a first pass, and means a cached build is used only
-    while the compiler is on PATH.
+    The key holds the macros ``cc <flags> -dM -E`` predefines: the compiler
+    version and every instruction set the build may use, so a cache shared
+    by different CPUs never loads another host's build.  A compiler that
+    rejects ``-march=native`` builds without it.  The probe costs about
+    10 ms per process; a cached build is used only while cc is on PATH.
     """
-    version = _run_cc("--version")
-    key = hashlib.sha256("\0".join((_C_SOURCE, *_CFLAGS, *_LDLIBS, version)).encode()).hexdigest()
+    flags = _CFLAGS
+    try:
+        macros = _run_cc(*flags, "-dM", "-E", "-x", "c", "-")
+    except OSError:
+        flags = tuple(f for f in flags if f != "-march=native")
+        macros = _run_cc(*flags, "-dM", "-E", "-x", "c", "-")
+    key = hashlib.sha256("\0".join((_C_SOURCE, *flags, *_LDLIBS, macros)).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "dydila"
-    return cache / f"{key}.so"
+    return cache / f"{key}.so", flags
 
 
 def _load_kernels() -> dict:
     """Build (or reuse the cached build of) the kernels and bind them per dtype."""
-    path = _cache_path()
+    path, flags = _cache_path()
     if not _sealed(path):
-        _build(path)
+        _build(path, flags)
     lib = ctypes.CDLL(str(path))
     kernels = {}
     for name, argtypes in _C_SIGNATURES.items():
@@ -652,6 +644,17 @@ def _kernels() -> dict:
             warnings.warn(f"compiled kernels unavailable, using the numpy loops: {_c_unavailable}",
                           RuntimeWarning, stacklevel=3)
     return _c_kernels
+
+
+@contextlib.contextmanager
+def _numpy_loops():
+    """Run the numpy loops in place of the compiled kernels, in every thread, inside the block."""
+    global _c_kernels
+    kernels, _c_kernels = _kernels(), {}
+    try:
+        yield
+    finally:
+        _c_kernels = kernels
 
 
 def matmul_backend() -> str:
@@ -759,7 +762,7 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
         out = np.zeros((n, m), dtype=a.dtype)
     elif not acc:
         out[...] = 0
-    ib = _BLOCK_TARGET_BYTES // max(1, a.dtype.itemsize * m)
+    ib = _BLOCK_BYTES // max(1, a.dtype.itemsize * m)
     if inner >= _STRIDED_INNER_LIMIT and not a.flags.f_contiguous:
         ib = min(ib, _STRIDED_BLOCK_CAP)
     ib = max(16, min(n, ib))
@@ -855,7 +858,7 @@ def _dwc_numpy(v: np.ndarray, grid: tuple, kernels: np.ndarray, identity: bool) 
     n, d = v.shape
     img = v.reshape(h, w, d)
     out = np.zeros((h, w, d), dtype=v.dtype)
-    rows = max(1, min(h, _BLOCK_TARGET_BYTES // max(1, w * d * v.itemsize)))
+    rows = max(1, min(h, _BLOCK_BYTES // max(1, w * d * v.itemsize)))
     padded = np.zeros((rows + 2, w + 2, d), dtype=v.dtype)
     tmp = np.empty((rows, w, d), dtype=v.dtype)
     for y0 in range(0, h, rows):

@@ -331,6 +331,7 @@ def explicit_mapwise(
     each divided by its own floored row sum when ``normalize`` is set."""
     n = np.asarray(q_t).shape[0]
     _cap(n, "explicit_mapwise")
+    _cap(np.asarray(k_t).shape[0], "explicit_mapwise")
     q_t, q_routed, k_t, k_routed, v, lam = (
         np.asarray(m, dtype=np.float64)
         for m in (q_t, q_routed, k_t, k_routed, v, lambda_map)

@@ -39,6 +39,13 @@ def needs_compiler():
         pytest.skip(f"compiled kernels did not build: {numerics._c_unavailable}")
 
 
+def fresh_backend(monkeypatch, cache_dir):
+    """Make the next kernel call resolve its backend again, building into cache_dir."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_dir))
+    monkeypatch.setattr(numerics, "_c_kernels", None)
+    monkeypatch.setattr(numerics, "_c_unavailable", "")
+
+
 @pytest.fixture(params=["c", "numpy"])
 def backend(request, monkeypatch):
     """Run the test on the compiled kernels ("c", skipped when they did not

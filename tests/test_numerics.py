@@ -25,7 +25,8 @@ from dydila.attention import DwcParams, dwc_forward
 from dydila.kernels import dmk_forward
 from dydila.oracle import ORACLE_CAP, explicit_dwc, naive_matmul, per_token_kernel
 
-from conftest import assert_close, bits, cli_env, make_kernel_bank, mat, needs_compiler
+from conftest import (assert_close, bits, cli_env, fresh_backend, make_kernel_bank, mat,
+                      needs_compiler)
 
 # The NaN that 0 * inf yields on this platform.  IEEE 754 leaves open which
 # NaN an operation returns when two different NaNs meet (numpy's own loop
@@ -90,13 +91,6 @@ def _want(a, b):
         return numerics._matmul_numpy(a, b)
     with mock.patch.object(oracle, "ORACLE_CAP", max(ORACLE_CAP, *a.shape, b.shape[1])):
         return naive_matmul(a, b)
-
-
-def _naive_wide(a, b):
-    """naive_matmul for any number of columns: the oracle caps each dimension,
-    and each output column depends only on its own column of b."""
-    return np.hstack([naive_matmul(a, b[:, j:j + ORACLE_CAP])
-                      for j in range(0, b.shape[1], ORACLE_CAP)])
 
 
 class TestMatmul:
@@ -266,7 +260,7 @@ class TestMatmul:
         b = mat(8, 48, 600)
         want = matmul(a, b)
         for target in (1, 1024, 1 << 14, 1 << 22):
-            monkeypatch.setattr(numerics, "_BLOCK_TARGET_BYTES", target)
+            monkeypatch.setattr(numerics, "_BLOCK_BYTES", target)
             assert np.array_equal(matmul(a, b), want)
 
     def test_transposed_view_operand(self):
@@ -515,20 +509,14 @@ class TestMatmulCompiled(TestMatmul):
             assert len(got) == 4 and all(np.array_equal(bits(g), bits(w)) for g in got), i
 
 
-def _fresh_backend(monkeypatch, cache_dir):
-    """Make the next matmul resolve its backend again, building into cache_dir."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_dir))
-    monkeypatch.setattr(numerics, "_c_kernels", None)
-    monkeypatch.setattr(numerics, "_c_unavailable", "")
-
-
 class TestCompiledBuild:
     @pytest.mark.parametrize("compiler", ["missing", "failing"])
     def test_no_build_falls_back_with_one_warning(self, monkeypatch, tmp_path, compiler):
-        _fresh_backend(monkeypatch, tmp_path)
+        fresh_backend(monkeypatch, tmp_path)
         cc = tmp_path / "cc"
         if compiler == "failing":
-            cc.write_text('#!/bin/sh\n[ "$1" = --version ] && echo fake-cc && exit 0\n'
+            # it answers the macro probe and fails the build
+            cc.write_text('#!/bin/sh\ncase "$*" in *-dM*) echo "#define __VERSION__ 1"; exit 0;; esac\n'
                           'echo "fake-cc: cannot compile" >&2\nexit 1\n')
             cc.chmod(0o755)
         monkeypatch.setattr(numerics, "_CC", str(cc))
@@ -554,9 +542,9 @@ class TestCompiledBuild:
     @pytest.mark.parametrize("damage", ["garbage", "truncated", "digest_only"])
     def test_damaged_cache_is_rebuilt(self, monkeypatch, tmp_path, damage):
         needs_compiler()
-        _fresh_backend(monkeypatch, tmp_path)
-        path = numerics._cache_path()
-        numerics._build(path)
+        fresh_backend(monkeypatch, tmp_path)
+        path, flags = numerics._cache_path()
+        numerics._build(path, flags)
         data = path.read_bytes()
         path.write_bytes({"garbage": b"\x7fELF not a shared object",
                           "truncated": data[: len(data) // 2],
@@ -578,39 +566,30 @@ class TestCompiledBuild:
         assert all(name in built for name in (b"matmul_double", b"focused_double",
                                               b"dwc_double", b"dwc_float"))
 
-    def test_build_without_target_clones(self, monkeypatch, tmp_path):
-        # the build of a host that is not x86-64 glibc: one plain copy per dtype
+    def test_cache_is_keyed_on_flags_and_macros(self, monkeypatch):
         needs_compiler()
-        _fresh_backend(monkeypatch, tmp_path)
-        condition = "#if defined(__x86_64__) && defined(__GLIBC__)"
-        assert numerics._C_SOURCE.count(condition) == 1
-        monkeypatch.setattr(numerics, "_C_SOURCE", numerics._C_SOURCE.replace(condition, "#if 0"))
-        assert numerics.matmul_backend() == "c"
-        built = numerics._cache_path().read_bytes()
-        assert b"matmul_double.default" not in built and b"focused_double.default" not in built
-        assert b"dwc_double.default" not in built
-        for n, inner, m in [(1, 4, 3), (9, 7, 11), (5, 3, 513)]:
-            a, b = mat(n, n, inner), mat(m, inner, m)
-            assert np.array_equal(bits(matmul(a, b)), bits(_naive_wide(a, b)))
-        z, bank = mat(6, 9, 4), make_kernel_bank(7, 4, (0.5, 1.0, 3.0))
-        assert np.array_equal(bits(dmk_forward(z, bank)[0]), bits(per_token_kernel(z, bank)[0]))
-        v, dwc = mat(8, 12, 5), DwcParams(kernels=mat(9, 5, 9).reshape(5, 3, 3))
-        assert np.array_equal(bits(dwc_forward(v, (4, 3), dwc)),
-                              bits(explicit_dwc(v, (4, 3), dwc.kernels, True)))
+        path, _ = numerics._cache_path()
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_CFLAGS", numerics._CFLAGS + ("-O2",))
+            assert numerics._cache_path()[0] != path
+        # the same flags on a host whose probe names other instruction sets
+        monkeypatch.setattr(numerics, "_run_cc", lambda *args, stdin="": "#define __AVX2__ 1\n")
+        assert numerics._cache_path()[0] != path
 
-    @pytest.mark.parametrize("disabled", [("avx512f",), ("avx512f", "avx2")])
-    def test_narrower_tiles(self, monkeypatch, tmp_path, disabled):
-        # the tile width each call picks from the CPU: with AVX-512 (and
-        # AVX2) reported missing, the 32-byte (16-byte) tile and narrow
-        # product must give the same bits at the block edges; on a host
-        # without those units this reruns the width it has
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="-mno-avx512f is an x86 flag")
+    @pytest.mark.parametrize("narrower", [("-mno-avx512f",), ("-mno-avx512f", "-mno-avx2")],
+                             ids=["32_bytes", "16_bytes"])
+    def test_narrower_builds(self, monkeypatch, tmp_path, narrower):
+        # the 32-byte and the 16-byte build, as a host without AVX-512 (and
+        # AVX2) compiles them: the tile at the block edges, the narrow
+        # product, the owned pow, the focused map and the DWC give the numpy
+        # loops' bits at every width
         needs_compiler()
-        _fresh_backend(monkeypatch, tmp_path)
-        source = numerics._C_SOURCE
-        for isa in disabled:
-            assert source.count(f'CPU_HAS("{isa}")') == 2  # one dispatch per dtype
-            source = source.replace(f'CPU_HAS("{isa}")', "0")
-        monkeypatch.setattr(numerics, "_C_SOURCE", source)
+        fresh_backend(monkeypatch, tmp_path)
+        monkeypatch.setattr(numerics, "_CFLAGS", numerics._CFLAGS + narrower)
+        assert numerics._cache_path()[1] == numerics._CFLAGS
+        macros = numerics._run_cc(*numerics._CFLAGS, "-dM", "-E", "-x", "c", "-")
+        assert not any(f"__{flag[5:].upper()}__" in macros for flag in narrower)
         assert numerics.matmul_backend() == "c"
         kc, mr, nc = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"]
         for precision in ("f32", "f64"):
@@ -618,27 +597,13 @@ class TestCompiledBuild:
             for n, inner, m in [(mr + 1, kc + 1, nr + 3), (2, 3, nc + 1),
                                 (mr + 1, kc + 1, nr), (mr + 3, 7, nr - 1), (3, kb + 1, 1)]:
                 a, b = mat(n, n, inner, precision), mat(m, inner, m, precision)
-                want = _want(a, b)
+                want = numerics._matmul_numpy(a, b)
                 for name, a_l, b_l in _layouts(a, b):
                     assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (precision, n, name)
-
-    @pytest.mark.parametrize("clones", ['"avx2", "default"', None])
-    def test_focused_map_at_narrower_vector_widths(self, monkeypatch, tmp_path, clones):
-        # the owned pow and the focused map vectorise at every width: a build
-        # whose clones stop at AVX2, or a plain build (16-byte vectors on
-        # x86-64), gives the numpy fallback's bits; on a host without
-        # target_clones this reruns its plain build
-        needs_compiler()
-        _fresh_backend(monkeypatch, tmp_path)
-        attr = '__attribute__((target_clones("avx512f", "avx2", "default")))'
-        assert numerics._C_SOURCE.count(attr) == 1
-        narrower = f"__attribute__((target_clones({clones})))" if clones else ""
-        monkeypatch.setattr(numerics, "_C_SOURCE", numerics._C_SOURCE.replace(attr, narrower))
-        assert numerics.matmul_backend() == "c"
-        assert b"focused_double.avx512f" not in numerics._cache_path().read_bytes()
+            k = mat(1, 300, 40, precision)
+            assert np.array_equal(bits(matmul(k.T, k)), bits(numerics._matmul_numpy(k.T, k)))
         rng = np.random.default_rng(5)
         x = np.concatenate([rng.uniform(0, 1, 3000), np.exp2(-rng.uniform(0, 1074, 3000)), [1.0]])
-        x[x == 0] = 1.0
         g = 16 - rng.uniform(0, 16, x.size)
         for dtype in (np.float64, np.float32):
             xs = x.astype(dtype)
@@ -653,16 +618,10 @@ class TestCompiledBuild:
             gamma = np.resize(np.array([0.5, 1.0, 3.0, 8.0, 15.5]), 41)
             assert np.array_equal(bits(numerics._focused_map(z, gamma)),
                                   bits(numerics._focused_numpy(z, gamma))), precision
-
-    @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
-                        reason="target_clones is built only on x86-64 glibc hosts")
-    def test_x86_64_glibc_build_has_clones(self):
-        needs_compiler()
-        built = numerics._cache_path().read_bytes()
-        for name in ("matmul_double", "matmul_float", "focused_double", "focused_float",
-                     "dwc_double", "dwc_float"):
-            for target in ("avx512f", "avx2", "default"):
-                assert f"{name}.{target}".encode() in built
+            v, taps = mat(8, 12, 37, precision), mat(9, 37, 9, precision).reshape(37, 3, 3)
+            for identity in (True, False):
+                assert np.array_equal(bits(numerics._dwc(v, (4, 3), taps, identity)),
+                                      bits(numerics._dwc_numpy(v, (4, 3), taps, identity)))
 
     def test_concurrent_cold_builds(self, tmp_path):
         needs_compiler()

@@ -8,6 +8,7 @@ from dydila.oracle import (
     compare,
     explicit_dwc,
     explicit_linear_attention,
+    explicit_mapwise,
     explicit_routes,
     explicit_tdo,
     naive_focused_row,
@@ -115,6 +116,11 @@ class TestExplicitMaps:
         lam = np.zeros(ORACLE_CAP + 1)
         with pytest.raises(OracleCapError):
             explicit_tdo(big, big, big, big, big, lam, lam)
+
+    def test_mapwise_caps_the_keys(self):
+        q, keys = np.zeros((2, 2)), np.zeros((ORACLE_CAP + 1, 2))
+        with pytest.raises(OracleCapError):
+            explicit_mapwise(q, q, keys, keys, keys, np.zeros(2))
 
     def test_dwc_hand_example(self):
         # 1x2 grid, kernel all zeros except right neighbor tap

@@ -16,6 +16,7 @@ attention rows, so a lambda or gamma routed by the wrong router shows.
 """
 
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from dydila import (
     stack_forward,
 )
 
-from conftest import make_block, mat, needs_compiler
+from conftest import fresh_backend, make_block, mat, needs_compiler
 
 PINNED = {
     "small": {
@@ -203,3 +204,19 @@ def test_spread_bank_block_bits_are_pinned(backend, cell):
 @pytest.mark.parametrize("cell", list(PINNED_SPREAD_ROWS), ids=lambda c: "-".join(map(str, c)))
 def test_spread_bank_attention_row_bits_are_pinned(backend, cell):
     assert _spread_row_digest(*cell) == PINNED_SPREAD_ROWS[cell]
+
+
+def test_compiler_without_native_gets_the_pinned_bits(monkeypatch, tmp_path):
+    # a compiler that rejects -march=native (older Apple Clang on arm64 is
+    # one) builds without it; on x86-64 that build runs the 16-byte tile
+    needs_compiler()
+    cc = tmp_path / "cc"
+    cc.write_text('#!/bin/sh\nfor a; do [ "$a" = -march=native ] && echo "cc: unknown" >&2 && exit 1; done\n'
+                  f'exec {shutil.which(numerics._CC)} "$@"\n')
+    cc.chmod(0o755)
+    fresh_backend(monkeypatch, tmp_path)
+    monkeypatch.setattr(numerics, "_CC", str(cc))
+    assert "-march=native" not in numerics._cache_path()[1]
+    assert numerics.matmul_backend() == "c"
+    for precision, pinned in PINNED["small"].items():
+        assert _forward_sha256(precision) == pinned
