@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMERICS = "src/dydila/numerics.py"
 STEP_TIMEOUT_S = 1800
 
-MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_builds")
+MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles")
 MAP_TESTS = ("tests/test_kernels.py", "tests/test_pow.py", "tests/test_pinned_hashes.py",
-             "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_builds")
+             "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_vector")
 SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
 BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
                "Multihead or TdoForward or WorkingSet")

@@ -576,21 +576,26 @@ class TestCompiledBuild:
         monkeypatch.setattr(numerics, "_run_cc", lambda *args, stdin="": "#define __AVX2__ 1\n")
         assert numerics._cache_path()[0] != path
 
-    @pytest.mark.skipif(platform.machine() != "x86_64", reason="-mno-avx512f is an x86 flag")
-    @pytest.mark.parametrize("narrower", [("-mno-avx512f",), ("-mno-avx512f", "-mno-avx2")],
-                             ids=["32_bytes", "16_bytes"])
-    def test_narrower_builds(self, monkeypatch, tmp_path, narrower):
-        # the 32-byte and the 16-byte build, as a host without AVX-512 (and
-        # AVX2) compiles them: the tile at the block edges, the narrow
-        # product, the owned pow, the focused map and the DWC give the numpy
-        # loops' bits at every width
+    @staticmethod
+    def _narrower_build(monkeypatch, tmp_path, disabled):
+        # build as a host without the disabled instruction sets compiles:
+        # -mno-<isa> appended to the production flags
         needs_compiler()
         fresh_backend(monkeypatch, tmp_path)
-        monkeypatch.setattr(numerics, "_CFLAGS", numerics._CFLAGS + narrower)
+        flags = tuple(f"-mno-{isa}" for isa in disabled)
+        monkeypatch.setattr(numerics, "_CFLAGS", numerics._CFLAGS + flags)
         assert numerics._cache_path()[1] == numerics._CFLAGS
         macros = numerics._run_cc(*numerics._CFLAGS, "-dM", "-E", "-x", "c", "-")
-        assert not any(f"__{flag[5:].upper()}__" in macros for flag in narrower)
+        assert not any(f"__{isa.upper()}__" in macros for isa in disabled)
         assert numerics.matmul_backend() == "c"
+
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="-mno-avx512f is an x86 flag")
+    @pytest.mark.parametrize("disabled", [("avx512f",), ("avx512f", "avx2")])
+    def test_narrower_tiles(self, monkeypatch, tmp_path, disabled):
+        # the 32-byte and the 16-byte build, as a host without AVX-512 (and
+        # AVX2) compiles them: the tile at the block edges, the narrow
+        # product and the DWC give the numpy loops' bits at every width
+        self._narrower_build(monkeypatch, tmp_path, disabled)
         kc, mr, nc = _BLOCKS["KC"], _BLOCKS["MR"], _BLOCKS["NC"]
         for precision in ("f32", "f64"):
             nr, kb = _nr(precision), _narrow_kc(precision)
@@ -602,6 +607,19 @@ class TestCompiledBuild:
                     assert np.array_equal(bits(matmul(a_l, b_l)), bits(want)), (precision, n, name)
             k = mat(1, 300, 40, precision)
             assert np.array_equal(bits(matmul(k.T, k)), bits(numerics._matmul_numpy(k.T, k)))
+            v, taps = mat(8, 12, 37, precision), mat(9, 37, 9, precision).reshape(37, 3, 3)
+            for identity in (True, False):
+                assert np.array_equal(bits(numerics._dwc(v, (4, 3), taps, identity)),
+                                      bits(numerics._dwc_numpy(v, (4, 3), taps, identity)))
+
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="-mno-avx512f is an x86 flag")
+    @pytest.mark.parametrize("disabled", [("avx512f",), ("avx512f", "avx2")],
+                             ids=['"avx2", "default"', "None"])
+    def test_focused_map_at_narrower_vector_widths(self, monkeypatch, tmp_path, disabled):
+        # the owned pow and the focused map vectorise at every width: a build
+        # whose widest vectors are AVX2's, or the default 16-byte ones, gives
+        # the numpy fallback's bits
+        self._narrower_build(monkeypatch, tmp_path, disabled)
         rng = np.random.default_rng(5)
         x = np.concatenate([rng.uniform(0, 1, 3000), np.exp2(-rng.uniform(0, 1074, 3000)), [1.0]])
         g = 16 - rng.uniform(0, 16, x.size)
@@ -618,10 +636,6 @@ class TestCompiledBuild:
             gamma = np.resize(np.array([0.5, 1.0, 3.0, 8.0, 15.5]), 41)
             assert np.array_equal(bits(numerics._focused_map(z, gamma)),
                                   bits(numerics._focused_numpy(z, gamma))), precision
-            v, taps = mat(8, 12, 37, precision), mat(9, 37, 9, precision).reshape(37, 3, 3)
-            for identity in (True, False):
-                assert np.array_equal(bits(numerics._dwc(v, (4, 3), taps, identity)),
-                                      bits(numerics._dwc_numpy(v, (4, 3), taps, identity)))
 
     def test_concurrent_cold_builds(self, tmp_path):
         needs_compiler()
