@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMERICS = "src/dydila/numerics.py"
 STEP_TIMEOUT_S = 1800
 
-MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles")
+MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles or under_asan")
 MAP_TESTS = ("tests/test_kernels.py", "tests/test_pow.py", "tests/test_pinned_hashes.py",
              "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_vector")
 SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
@@ -73,31 +73,24 @@ MUTANTS = (
        "                if (0)                                                         \\"),
     _c("matmul_tiles_start_from_minus_zero",
        "acc[r][s] = (vec){0};    ", "acc[r][s] = -(vec){0};   "),
-    Mutant("matmul_packing_buffers_shared_by_threads",
-           ((NUMERICS, "static _Thread_local union { double d[MC * KC]",
-             "static union { double d[MC * KC]"),
-            (NUMERICS, "static _Thread_local union { double d[KC * NC]",
-             "static union { double d[KC * NC]")),
-           MATMUL_TESTS),
+    _c("matmul_packing_buffers_shared_by_threads",
+       "static _Thread_local union { double d[KC * NC]", "static union { double d[KC * NC]"),
     _c("matmul_full_tiles_stored_at_the_edge",
        "if (mr == MR && nr == NR) {", "if (1) {"),
     _c("matmul_b_packed_with_unit_column_stride",
        "src[k * sb0 + j * sb1] : 0;", "src[k * sb0 + j] : 0;"),
     _c("matmul_out_row_stride_taken_as_m",
-       "tile_$T(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);",
-       "tile_$T(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, m, NR, first);"),
+       "tile_$T(kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);",
+       "tile_$T(kc, ai, sa0, sa1, MR, bpack + jr * kc, c, m, NR, first);"),
     _c("matmul_no_reload_in_the_32_byte_tile",
        "                if (!first)                                                    \\",
        "                if (!first && V != 32)                                         \\"),
-    # the narrow product (m <= NR): the tile on a's own rows
-    _c("narrow_no_reload",
-       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
-       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, 1);"),
     _c("matmul_acc_ignored",
        "const int first = pc == 0 && !acc;", "const int first = pc == 0;"),
-    _c("narrow_no_reload_at_32_bytes",
-       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);",
-       "tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first || V == 32);"),
+    # an over-read whose values land only in the edge copy: the rows past
+    # the last row of a group of fewer than MR
+    _c("matmul_row_clamp_dropped",
+       "a[(r < mr ? r : mr - 1) * s0 + k * sk]", "a[r * s0 + k * sk]"),
     # routing
     Mutant("dmk_forward_next_gamma",
            (("src/dydila/kernels.py", "[routes.indices]",

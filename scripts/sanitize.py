@@ -6,15 +6,16 @@ Builds the kernels with the production flags, ``-O3`` swapped for
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all
 -fno-omit-frame-pointer`` (``-march=native`` and ``-ffp-contract=off``
 kept), into a private ``XDG_CACHE_HOME``, and runs the numerics, kernels,
-pow and pinned-hash test modules on them in a subprocess, with the ASan
-runtime that ``cc -print-file-name=libasan.so`` names preloaded.  Reports
-go to log files, since pytest's output capture swallows a report when the
-process aborts.  It then prints one digest of kernel outputs (edge, narrow,
-F-ordered and KC-crossing products, focused maps, DWCs and a block at the
-small preset's width, in f64 and f32) from the sanitized build beside the
-production build's: the optimization level moves no bit, so they must be
-equal.  Exits 1 on a test failure, a sanitizer report or differing
-digests.  It is not part of the Tier-1 suite: it takes a few minutes.
+pow, pinned-hash and attention test modules on them in a subprocess, with
+the ASan runtime that ``cc -print-file-name=libasan.so`` names preloaded.
+Reports go to log files, since pytest's output capture swallows a report
+when the process aborts.  It then prints one digest of kernel outputs
+(edge, narrow, F-ordered and KC-crossing products, focused maps, DWCs and
+a block at the small preset's width, in f64 and f32) from the sanitized
+build beside the production build's: the optimization level moves no bit,
+so they must be equal.  Exits 1 on a test failure, a sanitizer report or
+differing digests.  It is not part of the Tier-1 suite: it takes a few
+minutes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_numerics.py", "tests/test_kernels.py", "tests/test_pow.py",
-         "tests/test_pinned_hashes.py")
+         "tests/test_pinned_hashes.py", "tests/test_attention.py")
 SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer")
 TIMEOUT_S = 3600

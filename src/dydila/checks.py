@@ -185,6 +185,17 @@ def run_checks(cfg: RunConfig) -> list:
     results.append(_compared("matmul_vs_triple_loop", naive_matmul(a, b), matmul(a, b),
                              tol["matmul"]))
 
+    # the tiles' edge rows on an F-ordered a and a k.T view of b, and a narrow
+    # product on a strided a; its own generator leaves the later draws as they were
+    lay = SeededRng(cfg.seed + 1)
+    a_f = np.asfortranarray(lay.tokens(13, 200, cfg.precision))
+    k_t = lay.tokens(33, 200, cfg.precision).T
+    a_s, w = lay.tokens(13, 400, cfg.precision)[:, ::2], lay.tokens(200, 3, cfg.precision)
+    results.append(_compared(
+        "matmul_layouts_vs_triple_loop",
+        np.concatenate([naive_matmul(a_f, k_t).ravel(), naive_matmul(a_s, w).ravel()]),
+        np.concatenate([matmul(a_f, k_t).ravel(), matmul(a_s, w).ravel()]), tol["matmul"]))
+
     c = rng.tokens(9, 5, cfg.precision)
     results.append(_compared("matmul_associativity", matmul(matmul(a, b), c),
                              matmul(a, matmul(b, c)), tol["matmul_assoc"]))

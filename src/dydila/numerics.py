@@ -85,35 +85,33 @@ _MATMUL_BLOCKS = {"MR": 8, "KC": 256, "MC": 256, "NC": 512}
 # The compiled matmul kernel, one copy per element type, blocked as in Goto &
 # van de Geijn (2008); the block sizes are _MATMUL_BLOCKS, in elements.  The
 # loops run over blocks of NC output columns, then blocks of KC inner
-# indices, then blocks of MC output rows.  For each (KC, NC) block of b and
-# (MC, KC) block of a, both are packed: b into strips of KC x NR, a into
-# strips of MR x KC, each laid out in the order the tile reads it and padded
-# with zeros at the matrix edge.  Packing reads a and b through their element
-# strides, so transposed and strided views (k.T on either side) need no
-# copy.  Within a row block the loop over b strips is the outer one: a b
-# strip (32 KiB) stays in L1 while every a strip of the block (up to 512
-# KiB, in L2) passes it.  Each a strip and b strip make one MR x NR tile of
-# out, NR being two 64-byte vectors (8 x 16 f64, 8 x 32 f32), accumulated in
-# registers.  Tiles that stick out of out run in a local copy, so out is
-# written only inside the matrix.  Out's rows are so0 elements apart (m for
-# a fresh product, the full width for a column slice of a wider array) and
-# its columns are contiguous.  The tile is written with GCC vector types of
-# the widest unit the build targets: 64 bytes with AVX-512, whose 32
-# registers hold all 16 accumulators; 32 bytes with AVX2, whose 16 registers
-# hold one vector per row, so the tile runs as four column passes; 16 bytes
-# elsewhere (SSE2, NEON), in four passes of two.  The packing buffers are
-# static and thread-local (ctypes releases the GIL while a kernel runs), so a
-# call allocates nothing.
+# indices, then blocks of MC output rows.  Each (KC, NC) block of b is packed
+# into strips of KC x NR, laid out in the order the tile reads it and padded
+# with zeros at the matrix edge.  a is never copied: a tile reads its MR rows
+# of a in place.  Both are read through their element strides, so transposed
+# and strided views (k.T on either side) need no copy.  Within a row block
+# the loop over b strips is the outer one: a b strip (32 KiB) stays in L1
+# while every group of MR rows of the block passes it.  Each group and strip
+# make one MR x NR tile of out, NR being two 64-byte vectors (8 x 16 f64,
+# 8 x 32 f32), accumulated in registers.  Tiles that stick out of out run in
+# a local copy, so out is written only inside the matrix; a group of fewer
+# than MR rows reads its last row again in place of the rows it lacks, and
+# those sums stay in the copy.  Out's rows are so0 elements apart (m for a
+# fresh product, the full width for a column slice of a wider array) and its
+# columns are contiguous.  The tile is written with GCC vector types of the
+# widest unit the build targets: 64 bytes with AVX-512, whose 32 registers
+# hold all 16 accumulators; 32 bytes with AVX2, whose 16 registers hold one
+# vector per row, so the tile runs as four column passes; 16 bytes elsewhere
+# (SSE2, NEON), in four passes of two.  The packing buffer is static and
+# thread-local (ctypes releases the GIL while a kernel runs), so a call
+# allocates nothing.
 #
-# One tile serves every product.  A narrow product (m <= NR: routing
-# logits, the normalizer's one column) runs it without packing a: it reads MR rows of a in place through their strides,
-# and its column passes stop at m.  Its one b strip is packed for as many k
-# as packed_b holds (KC * NC / NR), and, as m < NR leaves the tile sticking
-# out of out, it runs through the edge copy.  The caller, not the operands'
-# strides, chooses between the packed strip and a's own rows: a column
-# stride of MR would otherwise pass for a packed strip.  A product with
-# fewer than MR rows (the normalizer's column sums ones @ k, a single query
-# row) runs all of its tiles through the edge copy.
+# A narrow product (m <= NR: routing logits, the normalizer's one column)
+# has one b strip.  It is packed for as many k as packed_b holds
+# (KC * NC / NR), and, as m < NR leaves the tile sticking out of out, the
+# tile runs through the edge copy with column passes that stop at m.  A
+# product with fewer than MR rows (the normalizer's column sums ones @ k, a
+# single query row) runs all of its tiles through the edge copy.
 #
 # The order is the triple loop's.  The first k block starts every tile from
 # +0, never from its first product, unless acc is set: then it starts from
@@ -129,16 +127,14 @@ enum { NR_$T = 2 * 64 / sizeof($T) };
 
 /* One MR x NR tile: c = (first ? +0 : c) + a @ bp over kc inner indices, in
    column passes of P vectors of V bytes per row that stop at nc.  Row r of a
-   is read at a + min(r, mr - 1) * s0, k * sk apart.  The entry runs the body
-   on a packed strip (packed: s0 = 1, mr = MR, sk = MR, nc = NR, all
-   constants) or on a's own rows, sa0 apart and sa1 apart in k, the first mr
-   of them; the caller says which.  GCC unrolls the row loops only when told
-   to, and otherwise keeps the packed copy's accumulators in memory. */
+   is read at a + min(r, mr - 1) * s0, k * sk apart.  GCC unrolls the row
+   loops only when told to, and otherwise keeps the accumulators in
+   memory. */
 #define TILE(V, P)                                                             \
 static inline __attribute__((always_inline)) void                              \
-tile_body_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t mr,            \
-             ptrdiff_t sk, const $T *restrict bp, $T *restrict c,              \
-             ptrdiff_t ldc, ptrdiff_t nc, int first)                           \
+tile_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t sk, ptrdiff_t mr,   \
+        const $T *restrict bp, $T *restrict c, ptrdiff_t ldc, ptrdiff_t nc,    \
+        int first)                                                             \
 {                                                                              \
     typedef $T vec __attribute__((vector_size(V)));                            \
     enum { W = V / sizeof($T), NR = NR_$T };                                   \
@@ -162,15 +158,6 @@ tile_body_$T(ptrdiff_t kc, const $T *a, ptrdiff_t s0, ptrdiff_t mr,            \
             for (int s = 0; s < P; s++)                                        \
                 __builtin_memcpy(c + r * ldc + h + s * W, &acc[r][s], V);      \
     }                                                                          \
-}                                                                              \
-static void tile_$T(int packed, ptrdiff_t kc, const $T *a, ptrdiff_t sa0,      \
-                    ptrdiff_t sa1, ptrdiff_t mr, const $T *restrict bp,        \
-                    $T *restrict c, ptrdiff_t ldc, ptrdiff_t nc, int first)    \
-{                                                                              \
-    if (packed)                                                                \
-        tile_body_$T(kc, a, 1, MR, MR, bp, c, ldc, NR_$T, first);              \
-    else                                                                       \
-        tile_body_$T(kc, a, sa0, mr, sa1, bp, c, ldc, nc, first);              \
 }
 #if defined(__AVX512F__)
 TILE(64, 2)
@@ -187,12 +174,10 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                int acc)
 {
     enum { NR = NR_$T };
-    $T *const apack = ($T *)&packed_a, *const bpack = ($T *)&packed_b;
+    $T *const bpack = ($T *)&packed_b;
     $T edge[MR * NR] __attribute__((aligned(64))) = {0};
-    /* A narrow product reads a in place and packs as much of b as packed_b
-       holds. */
-    const int packed = m > NR;
-    const ptrdiff_t kb = packed ? KC : KC * NC / NR;
+    /* A narrow product packs as much of b as packed_b holds. */
+    const ptrdiff_t kb = m > NR ? KC : KC * NC / NR;
     for (ptrdiff_t jc = 0; jc < m; jc += NC) {
         const ptrdiff_t nc = m - jc < NC ? m - jc : NC;
         for (ptrdiff_t pc = 0; pc < inner; pc += kb) {
@@ -208,22 +193,14 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
             }
             for (ptrdiff_t ic = 0; ic < n; ic += MC) {
                 const ptrdiff_t mc = n - ic < MC ? n - ic : MC;
-                for (ptrdiff_t ir = 0; ir < mc && packed; ir += MR) {
-                    const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
-                    const $T *src = a + (ic + ir) * sa0 + pc * sa1;
-                    $T *dst = apack + ir * kc;
-                    for (ptrdiff_t k = 0; k < kc; k++)
-                        for (ptrdiff_t r = 0; r < MR; r++)
-                            dst[k * MR + r] = r < mr ? src[r * sa0 + k * sa1] : 0;
-                }
                 for (ptrdiff_t jr = 0; jr < nc; jr += NR) {
                     const ptrdiff_t nr = nc - jr < NR ? nc - jr : NR;
                     for (ptrdiff_t ir = 0; ir < mc; ir += MR) {
                         const ptrdiff_t mr = mc - ir < MR ? mc - ir : MR;
-                        const $T *ai = packed ? apack + ir * kc : a + (ic + ir) * sa0 + pc * sa1;
+                        const $T *ai = a + (ic + ir) * sa0 + pc * sa1;
                         $T *c = out + (ic + ir) * so0 + jc + jr;
                         if (mr == MR && nr == NR) {
-                            tile_$T(packed, kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);
+                            tile_$T(kc, ai, sa0, sa1, MR, bpack + jr * kc, c, so0, NR, first);
                             continue;
                         }
                         /* column by column: GCC turns a row copy into rep movsq,
@@ -231,7 +208,7 @@ void matmul_$T(const $T *restrict a, ptrdiff_t sa0, ptrdiff_t sa1,
                         for (ptrdiff_t j = 0; j < nr; j++)
                             for (ptrdiff_t r = 0; r < mr; r++)
                                 edge[r * NR + j] = c[r * so0 + j];
-                        tile_$T(packed, kc, ai, sa0, sa1, mr, bpack + jr * kc, edge, NR, nr, first);
+                        tile_$T(kc, ai, sa0, sa1, mr, bpack + jr * kc, edge, NR, nr, first);
                         for (ptrdiff_t j = 0; j < nr; j++)
                             for (ptrdiff_t r = 0; r < mr; r++)
                                 c[r * so0 + j] = edge[r * NR + j];
@@ -459,9 +436,7 @@ _C_PRELUDE = r"""#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 $BLOCKS
-/* Packing buffers for one (MC, KC) block of a and one (KC, NC) block of b. */
-static _Thread_local union { double d[MC * KC]; float f[MC * KC]; }
-    packed_a __attribute__((aligned(64)));
+/* The packing buffer for one (KC, NC) block of b. */
 static _Thread_local union { double d[KC * NC]; float f[KC * NC]; }
     packed_b __attribute__((aligned(64)));
 """

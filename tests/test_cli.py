@@ -142,7 +142,7 @@ class TestCheck:
         # check runs at most 2 blocks, and 9 in its last check
         proc = run_cli("check", "--config", schedule_config)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "18 checks, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "19 checks, 0 failed"
 
     def test_f32_passes(self, tiny_config):
         proc = run_cli("check", "--config", tiny_config, "--precision", "f32")

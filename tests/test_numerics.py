@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,8 @@ def _layouts(a, b):
     """(name, a, b) with the values of a and b in the operand layouts matmul
     meets: C- and F-ordered a and b (F order is how a k.T view arrives),
     transposed views with no unit stride, a non-contiguous b, and an a whose
-    column stride is MR, the stride of a packed strip of a."""
+    columns are MR apart.  Every tile reads its MR rows of a in place through
+    a's strides, so each layout of a is a different walk of the same tile."""
     a_strided = np.empty((a.shape[1], 2 * a.shape[0]), dtype=a.dtype)[:, ::2].T
     a_strided[...] = a
     mr = numerics._MATMUL_BLOCKS["MR"]
@@ -58,6 +60,56 @@ def _layouts(a, b):
         ("strided_transposed_b", a_strided, b_strided_t),
         ("a_column_stride_mr", a_stride_mr, b),
     ]
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# Run in a child process by test_edge_shapes_under_asan, with the scripts
+# directory as its argument: build the sanitized kernels, print the backend,
+# run each edge case on them and on the numpy loops, and print "ok" when
+# every pair has the same bits.
+_ASAN_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import dydila.numerics as numerics
+from sanitize import sanitized_flags
+numerics._CFLAGS = sanitized_flags(numerics._CFLAGS)
+print(numerics.matmul_backend(), flush=True)
+blocks = numerics._MATMUL_BLOCKS
+rng = numerics.SeededRng(11)
+cases = []
+for precision in ("f64", "f32"):
+    nr = 128 // numerics.resolve_dtype(precision).itemsize
+    kb = blocks["KC"] * blocks["NC"] // nr
+    for n, inner, m in [(13, 300, 35), (1, 5, nr + 3), (7, 9, 2 * nr + 1), (9, 3, nr),
+                        (13, 20, 3), (5, 7, nr), (3, kb + 1, 1), (2, 3, blocks["NC"] + 1)]:
+        a, b = rng.tokens(n, inner, precision), rng.tokens(inner, m, precision)
+        a_strided = np.empty((n, 2 * inner), dtype=a.dtype)[:, ::2]
+        a_strided[...] = a
+        b_t = rng.tokens(m, inner, precision).T
+        for x in (a, np.asfortranarray(a), a_strided):
+            for y in (b, b_t):
+                cases.append(lambda x=x, y=y: numerics.matmul(x, y))
+        cases.append(lambda a=a, b=b: numerics.matmul(a[:, 2:], b[2:],
+                                                      start=numerics.matmul(a[:, :2], b[:2])))
+    v, taps = rng.tokens(6, 5, precision), rng.uniform((5, 3, 3), -1, 1, precision)
+    for grid in ((1, 1), (2, 3)):
+        for identity in (True, False):
+            cases.append(lambda v=v[:grid[0] * grid[1]], taps=taps, grid=grid, identity=identity:
+                         numerics._dwc(v, grid, taps, identity))
+    for d in (1, 13):
+        z = rng.tokens(11, d, precision)
+        z[[0, 4, 10]] = -np.abs(z[[0, 4, 10]])
+        gamma = np.resize(np.array([0.5, 1.0, 3.0]), 11)
+        cases.append(lambda z=z, gamma=gamma: numerics._focused_map(z, gamma))
+for i, run in enumerate(cases):
+    got = run()
+    with numerics._numpy_loops():
+        want = run()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+print("ok")
+"""
 
 
 def _with_nonfinite(seed, arr):
@@ -406,11 +458,10 @@ class TestMatmulCompiled(TestMatmul):
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_narrow_products(self, precision):
-        # m <= NR runs the tile on the rows of a read in place, MR at a time;
+        # m <= NR packs one b strip, which the rows of a pass MR at a time;
         # m runs up to and one past NR, n ends off a multiple of MR, inner
         # one short of, onto and past KC.  At m == NR a whole group of MR
-        # rows runs the tile straight into out, and the a_column_stride_mr
-        # layout reads a with the stride of a packed strip there
+        # rows runs the tile straight into out
         nr, kc = _nr(precision), _BLOCKS["KC"]
         for m in (1, 3, nr - 1, nr, nr + 1):
             for inner in (kc - 1, kc, kc + 1, 2 * kc + 3):
@@ -636,6 +687,22 @@ class TestCompiledBuild:
             gamma = np.resize(np.array([0.5, 1.0, 3.0, 8.0, 15.5]), 41)
             assert np.array_equal(bits(numerics._focused_map(z, gamma)),
                                   bits(numerics._focused_numpy(z, gamma))), precision
+
+    def test_edge_shapes_under_asan(self, tmp_path):
+        # the kernels built as scripts/sanitize.py builds them, in a child
+        # that preloads the ASan runtime: an over-read whose values never
+        # reach an output (a tile row read past the rows of a, a tap past
+        # the zero row) passes every bit test, but ASan stops the child at
+        # the first one; each case must also give the numpy loops' bits
+        needs_compiler()
+        libasan = numerics._run_cc("-print-file-name=libasan.so").strip()
+        if not Path(libasan).is_absolute():
+            pytest.skip(f"cc names no ASan runtime ({libasan!r})")
+        env = {**cli_env(), "XDG_CACHE_HOME": str(tmp_path), "LD_PRELOAD": libasan,
+               "ASAN_OPTIONS": "detect_leaks=0", "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-c", _ASAN_CHILD, str(SCRIPTS)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0 and proc.stdout.split() == ["c", "ok"], proc.stderr[-3000:]
 
     def test_concurrent_cold_builds(self, tmp_path):
         needs_compiler()
