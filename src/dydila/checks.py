@@ -196,6 +196,19 @@ def run_checks(cfg: RunConfig) -> list:
         np.concatenate([naive_matmul(a_f, k_t).ravel(), naive_matmul(a_s, w).ravel()]),
         np.concatenate([matmul(a_f, k_t).ravel(), matmul(a_s, w).ravel()]), tol["matmul"]))
 
+    # fewer rows than a tile, so every tile is an edge tile; the same sum
+    # resumed from a first call over its first 120 k; and terms that are all
+    # -0, whose triple-loop sum from +0 is +0
+    a5, b20 = lay.tokens(5, 200, cfg.precision), lay.tokens(200, 20, cfg.precision)
+    whole = naive_matmul(a5, b20)
+    resumed = matmul(a5[:, 120:], b20[120:], start=matmul(a5[:, :120], b20[:120]))
+    zeros, negative = np.zeros((13, 4), dt), np.full((4, 33), -1.0, dt)
+    results.append(_compared(
+        "matmul_edges_vs_triple_loop",
+        np.concatenate([whole.ravel(), whole.ravel(), naive_matmul(zeros, negative).ravel()]),
+        np.concatenate([matmul(a5, b20).ravel(), resumed.ravel(),
+                        matmul(zeros, negative).ravel()]), tol["matmul"]))
+
     c = rng.tokens(9, 5, cfg.precision)
     results.append(_compared("matmul_associativity", matmul(matmul(a, b), c),
                              matmul(a, matmul(b, c)), tol["matmul_assoc"]))

@@ -84,10 +84,6 @@ class DifferentialBank:
     def dim(self) -> int:
         return self.router_q.in_dim // 2
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.lambdas)
-
 
 def _routed_lambdas(a: np.ndarray, b: np.ndarray, router: Router, lambdas: tuple):
     routes = route_pair(a, b, router)

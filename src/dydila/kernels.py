@@ -55,10 +55,6 @@ class KernelBank:
                 f"router has {self.router.n_choices} choices for {len(self.gammas)} gammas"
             )
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.gammas)
-
 
 def focused_rows(z: np.ndarray, gamma: float) -> np.ndarray:
     """Focused map applied to every row of a matrix with one shared gamma.
@@ -81,8 +77,9 @@ def dmk_forward(z: np.ndarray, bank: KernelBank, out: np.ndarray | None = None):
     with each row's routed gamma; the map is row-local, so row i of the
     output is ``focused_rows(z[i:i+1], gamma_i)``.  ``z`` may be a strided
     view, such as one head's columns.  ``out`` is None, which makes a fresh
-    array and leaves ``z`` as it was, or ``z`` itself, which maps z in place
-    once its rows are routed.
+    array and leaves ``z`` as it was, or ``z`` itself (writeable), which
+    maps z in place once its rows are routed; any other ``out`` raises
+    ``ContractViolation``.
     """
     routes = route_argmax(z, bank.router)
     gamma = np.asarray(bank.gammas, dtype=np.float64)[routes.indices]

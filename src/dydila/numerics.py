@@ -71,12 +71,8 @@ _NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 # Row-block sizing for the numpy fallbacks of matmul and the DWC: target
 # ~512 KiB per block (matmul's multiply buffer is then a quarter of a 256-row
-# f32 softmax map block at n=2048), and keep matmul's blocks small enough that
-# strided column reads of the left operand stay cache-resident once the inner
-# dimension gets long.  The compiled kernels ignore these.
+# f32 softmax map block at n=2048).  The compiled kernels ignore it.
 _BLOCK_BYTES = 1 << 19
-_STRIDED_INNER_LIMIT = 2048
-_STRIDED_BLOCK_CAP = 256
 
 # Block sizes of the compiled matmul, in elements: MR-row register tiles,
 # KC inner indices, MC rows and NC columns per block (see _MATMUL_KERNEL).
@@ -737,10 +733,7 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
         out = np.zeros((n, m), dtype=a.dtype)
     elif not acc:
         out[...] = 0
-    ib = _BLOCK_BYTES // max(1, a.dtype.itemsize * m)
-    if inner >= _STRIDED_INNER_LIMIT and not a.flags.f_contiguous:
-        ib = min(ib, _STRIDED_BLOCK_CAP)
-    ib = max(16, min(n, ib))
+    ib = max(16, min(n, _BLOCK_BYTES // max(1, a.dtype.itemsize * m)))
 
     tmp = np.empty((min(ib, n), m), dtype=a.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -756,15 +749,16 @@ def _matmul_numpy(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
 
 
 def _focused_map(z: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Focused map of every row of `z`, row i with exponent ``gamma[i]``, written to `out`.
+    """Focused map of every row of `z`, row i with exponent ``gamma[i]``.
 
     `z` must be a validated 2-D float matrix and `gamma` must hold one value
     > 0 per row of `z`.  ``out`` is None, which makes a fresh C-contiguous
-    array, or a writeable (n, d) array of z's dtype that is `z` itself
-    (mapping a strided head slice in place) or shares no memory with it;
-    either way the bits are the same.  The order is the one described above
-    ``_FOCUSED_KERNEL``; the compiled kernel runs when it built, otherwise
-    :func:`_focused_numpy` over blocks of rows, with the same bits.
+    array, or `z` itself, writeable and aligned, which maps z in place (a
+    strided head slice too); either way the bits are the same, and any other
+    ``out`` raises :class:`ContractViolation`.  The order is the one
+    described above ``_FOCUSED_KERNEL``; the compiled kernel runs when it
+    built, otherwise :func:`_focused_numpy` over blocks of rows, with the
+    same bits.
     """
     n, d = z.shape
     gamma = np.require(gamma, dtype=np.float64, requirements="CA")
@@ -772,12 +766,8 @@ def _focused_map(z: np.ndarray, gamma: np.ndarray, out: np.ndarray | None = None
         raise ContractViolation(f"{gamma.shape} gammas for {n} rows")
     if out is None:
         out = np.empty((n, d), dtype=z.dtype)
-    elif (out.shape != (n, d) or out.dtype != z.dtype or not out.flags.writeable
-          or not out.flags.aligned):
-        raise ContractViolation(f"focused map out must be a writeable aligned ({n}, {d}) "
-                                f"{z.dtype} array, got {out.dtype} {out.shape}")
-    elif out is not z and np.may_share_memory(out, z):
-        raise ContractViolation("focused map out may share memory with z without being z")
+    elif out is not z or not z.flags.writeable or not z.flags.aligned:
+        raise ContractViolation("focused map out must be None or z itself, writeable and aligned")
     if n == 0 or d == 0:
         return out
     kernel = _kernels().get(("focused", z.dtype))

@@ -22,7 +22,7 @@ def _dmk_next_gamma(z, bank, out=None):
     """kernels.dmk_forward, but each routed row gets the next candidate's gamma."""
     routes = route_argmax(z, bank.router)
     mapped = np.zeros_like(z)
-    n = bank.n_factors
+    n = len(bank.gammas)
     for f in range(n):
         rows = np.flatnonzero(routes.indices == f)
         if rows.size:
