@@ -64,10 +64,6 @@ __all__ = [
     "extract_attention_row",
 ]
 
-def _impl_variant(impl: str) -> str:
-    """The variant a differential ``impl`` runs ("dydila" is token-wise)."""
-    return "map-wise" if impl == "mapwise" else "token-wise"
-
 
 @dataclass(frozen=True)
 class DwcParams:
@@ -401,13 +397,13 @@ def extract_attention_row(
     """The length-n attention row of one query under a chosen implementation.
 
     softmax: softmaxed scaled similarity row.  linear/focused: normalized
-    kernel similarity row.  dydila/mapwise: the chosen head's differential
-    row, the head's own algebra taken query first.  A row's dot with V (the
-    head's V slice) gives that output row within rounding.  Every row projects
-    the query side of its one query row and the key side, never V.  Baselines
-    are single-head over the shared full-width projections, as ``bench`` runs
-    them, so ``head`` does not change their row: focused takes gamma from
-    head 0's query kernel bank.
+    kernel similarity row.  dydila: the chosen head's differential row in the
+    block's variant, the head's own algebra taken query first.  A row's dot
+    with V (the head's V slice) gives that output row within rounding.  Every
+    row projects the query side of its one query row and the key side, never
+    V.  Baselines are single-head over the shared full-width projections, as
+    ``bench`` runs them, so ``head`` does not change their row: focused takes
+    gamma from head 0's query kernel bank.
     """
     _check_2d(x, "input tokens")
     n = x.shape[0]
@@ -425,12 +421,12 @@ def extract_attention_row(
         phi_q, phi_k = _feature_map(q, gamma), _feature_map(k, gamma)
         return _apply_state(phi_q, _key_state(phi_k, None, normalize=True))[0]
 
-    if impl not in ("dydila", "mapwise"):
+    if impl != "dydila":
         raise ConfigError(f"unknown impl {impl!r}")
 
     k, kp, _ = dpm_keys(x, params.proj)
     q, qp, _ = dpm_queries(x[sel], params.proj)
-    hp, d_h, variant = params.head_params[head], params.head_dim, _impl_variant(impl)
+    hp, d_h, variant = params.head_params[head], params.head_dim, params.variant
     q_t, qp_t, k_t, kp_t = (_mapped(m, head, d_h, bank)[0] for m, bank in
                             ((q, hp.kernel_q), (qp, hp.kernel_qp), (k, hp.kernel_k),
                              (kp, hp.kernel_kp)))

@@ -13,7 +13,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .attention import _impl_variant, linear_attention, multihead_forward, softmax_attention
+from .attention import linear_attention, multihead_forward, softmax_attention
 from .config import RunConfig, seeded_run
 from .flops import IMPLEMENTATIONS, config_flops, impl_heads
 from .numerics import ConfigError
@@ -46,15 +46,15 @@ class BenchRecord:
 def build_forward(cfg: RunConfig, impl: str, n: int):
     """Returns a zero-argument forward callable with all state prebuilt.
 
-    Every impl runs one block of ``seeded_run`` over n tokens; the baselines
-    attend over that block's shared projections, focused with the gamma of
-    its first head's query kernel bank.
+    Every impl runs one block of ``seeded_run`` over n tokens, dydila in the
+    config's variant; the baselines attend over that block's shared
+    projections, focused with the gamma of its first head's query kernel bank.
     """
     if impl not in IMPLEMENTATIONS:
         raise ConfigError(f"unknown impl {impl!r}")
-    _, stack, x = seeded_run(cfg.with_overrides(blocks=1, variant=_impl_variant(impl)), n)
+    _, stack, x = seeded_run(cfg.with_overrides(blocks=1), n)
     params = stack.blocks[0]
-    if impl in ("dydila", "mapwise"):
+    if impl == "dydila":
         return lambda: multihead_forward(x, params)[0]
     if impl == "softmax":
         return lambda: softmax_attention(*project_shared(x, params.proj))

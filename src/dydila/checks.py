@@ -12,10 +12,11 @@ Every comparison row goes through :func:`_compared`, and its tolerance
 alone decides the rule.  Tolerance 0 is bit-exact: same dtype, shape and
 bits, so ``-0.0`` differs from ``+0.0``, and no NaN in the candidate.  The
 f64 ``matmul``, ``projection``, focused-map and DWC oracle rows read their 0
-from ``TOLERANCES``; ``kernel_gamma1_is_relu``, ``backends_bit_equal`` (the
-compiled kernels against the numpy loops) and ``determinism`` (a repeated
-forward and every weight of a stack rebuilt from the seed) compare at 0 in
-both precisions.
+from ``TOLERANCES``; ``kernel_gamma1_is_relu``, ``softmax_blocks_vs_whole_map``
+(257 query rows, past one block of the softmax map, against the whole map),
+``backends_bit_equal`` (the compiled kernels against the numpy loops) and
+``determinism`` (a repeated forward and every weight of a stack rebuilt from
+the seed) compare at 0 in both precisions.
 Any other tolerance bounds :func:`oracle.compare`'s normwise relative error.
 The float32 tolerances are deliberately coarse (calibrated empirically,
 roughly 1e-4 relative); float64 tolerances match the acceptance thresholds.
@@ -32,8 +33,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import (
+    _SOFTMAX_ROWS,
     AttentionStack,
+    _softmax_map,
     dwc_forward,
+    extract_attention_row,
     linear_attention,
     multihead_forward,
     reparam_merge,
@@ -214,15 +218,26 @@ def run_checks(cfg: RunConfig) -> list:
                              matmul(a, matmul(b, c)), tol["matmul_assoc"]))
 
     logits = rng.uniform((16, 11), -40.0, 40.0, cfg.precision)
+    before = logits.tobytes()
     sm = softmax_rows(logits)
     sums = np.sum(sm, axis=1)
+    unchanged = logits.tobytes() == before
     ok = (
         bool(np.all(np.abs(sums - 1.0) <= tol["softmax_sum"]))
         and bool(np.all(sm >= 0))
         and bool(np.all(sm <= 1))
+        and unchanged
     )
     results.append(CheckResult("softmax_rows_normalized", ok,
-                               f"max |row sum - 1| = {float(np.max(np.abs(sums - 1.0))):.3e}"))
+                               f"max |row sum - 1| = {float(np.max(np.abs(sums - 1.0))):.3e}, "
+                               f"input unchanged: {unchanged}"))
+
+    # one query row past a block of the softmax map: the blocks' rows must be
+    # those of the whole map
+    qs, ks, vs = (lay.tokens(m, d, cfg.precision) for m in (_SOFTMAX_ROWS + 1, n, n))
+    results.append(_compared("softmax_blocks_vs_whole_map", matmul(_softmax_map(qs, ks), vs),
+                             softmax_attention(qs, ks, vs), 0.0,
+                             note=f"{_SOFTMAX_ROWS + 1} query rows:"))
     # a product at the small preset's d=384 reaches the kernel's second k block
     _, own, x_own = seeded_run(own_cfg.with_overrides(blocks=1, grid_h=8, grid_w=8))
     got, _ = multihead_forward(x_own, own.blocks[0])
@@ -318,6 +333,16 @@ def run_checks(cfg: RunConfig) -> list:
     # --- composed pipeline vs stage-by-stage oracle ----------------------
     results.append(_compared("composed_pipeline_vs_oracle", pipeline_oracle(x, block),
                              multihead_forward(x, block)[0], tol["composed"]))
+
+    # each head's row of the last query, taken query first, times its V: the
+    # keys-first block's output row in that head's columns
+    bare = replace(block, dwc=None)
+    v_all = matmul(x, block.proj.w_v0)
+    results.append(_compared(
+        "attention_row_vs_block_output", multihead_forward(x, bare)[0][-1:],
+        np.hstack([matmul(extract_attention_row(x, bare, n - 1, "dydila", h)[None],
+                          v_all[:, h * d_h:(h + 1) * d_h]) for h in range(block.heads)]),
+        tol["tdo_reorder"]))
 
     # --- residual stack and determinism ----------------------------------
     # a repeated forward and a stack rebuilt from the same seed must

@@ -123,11 +123,12 @@ def _cmd_bench(args) -> int:
     # the backend and the summaries go to stderr, so stdout stays a CSV
     print(f"matmul backend: {matmul_backend()}", file=sys.stderr)
     records = bench_run(cfg, args.impl, n_list, args.iters)
+    variant = f", {cfg.variant}" if args.impl == "dydila" else ""
     for r in records:
         print(
             f"{r.impl} N={r.n} d={r.d} heads={r.heads}: "
             f"median {r.median_s:.6f}s mean {r.mean_s:.6f}s std {r.std_s:.6f}s "
-            f"({r.flops} flops)",
+            f"({r.flops} flops{variant})",
             file=sys.stderr,
         )
     rows = [(r.impl, r.n, r.d, r.heads, r.mean_s, r.std_s, r.flops) for r in records]

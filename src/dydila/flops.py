@@ -12,7 +12,7 @@ component so the crossover claim can be checked against the cores alone.
 
 The baselines run single-head: softmax, linear and focused attend over the
 shared full-width projections, so :func:`config_flops` counts them at one
-head whatever the config's ``heads``.  Only dydila and map-wise run heads.
+head whatever the config's ``heads``.  Only dydila runs heads.
 The components that are matmul products (projections, routings, cores,
 normalizer) equal the products a pass makes, FLOP for FLOP; the feature
 and kernel maps, the row softmax, the differential combine and the DWC are
@@ -21,11 +21,12 @@ estimates.
 
 from __future__ import annotations
 
+from .differential import VARIANTS
 from .numerics import ConfigError
 
 __all__ = ["IMPLEMENTATIONS", "flops_estimate", "impl_heads", "config_flops", "core_crossover"]
 
-IMPLEMENTATIONS = ("softmax", "linear", "focused", "dydila", "mapwise")
+IMPLEMENTATIONS = ("softmax", "linear", "focused", "dydila")
 
 # Per-entry cost of the focused feature map: relu, squared-norm, peak
 # rescale, power, renormalize (documented approximation).
@@ -44,10 +45,14 @@ def flops_estimate(
     n_lambda_factors: int = 9,
     dwc: bool = True,
     normalize: bool = False,
+    variant: str = "token-wise",
 ) -> dict:
-    """Component-wise FLOP estimate; the 'total' key sums the rest."""
+    """Component-wise FLOP estimate; the 'total' key sums the rest.  Baselines
+    ignore dydila's ``variant``, as they ignore its bank sizes."""
     if impl not in IMPLEMENTATIONS:
         raise ConfigError(f"unknown impl {impl!r}; expected one of {IMPLEMENTATIONS}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     for name, val in (("n", n), ("d", d), ("heads", heads)):
         if not isinstance(val, int) or val < 1:
             raise ConfigError(f"{name} must be a positive integer, got {val!r}")
@@ -68,18 +73,14 @@ def flops_estimate(
         parts["projection_routing"] = 4 * n * d * n_projectors
         parts["kernel_map"] = 4 * _FOCUSED_MAP_COST * n * d
         parts["kernel_routing"] = 8 * n * d * n_kernel_factors
-        if impl == "dydila":
-            parts["lambda_routing"] = 8 * n * d * n_lambda_factors  # lambda_q and lambda_k
-            parts["diff_combine"] = 4 * n * d
-            parts["attention_core"] = 4 * n * d * d // heads
-            if normalize:
-                parts["normalizer"] = 4 * n * d
-        else:  # mapwise differences two full attention outputs
-            parts["lambda_routing"] = 4 * n * d * n_lambda_factors  # lambda_map only
-            parts["diff_combine"] = 2 * n * d
-            parts["attention_core"] = 8 * n * d * d // heads
-            if normalize:
-                parts["normalizer"] = 8 * n * d  # one per map
+        # token-wise routes lambda_q and lambda_k and differences the streams;
+        # map-wise routes lambda_map and differences two full attention outputs
+        maps = 1 if variant == "token-wise" else 2
+        parts["lambda_routing"] = 8 // maps * n * d * n_lambda_factors
+        parts["diff_combine"] = 4 // maps * n * d
+        parts["attention_core"] = 4 * maps * n * d * d // heads
+        if normalize:
+            parts["normalizer"] = 4 * maps * n * d  # one per map
         if dwc:
             parts["dwc"] = _DWC_COST * n * d
     parts["total"] = sum(parts.values())
@@ -87,19 +88,19 @@ def flops_estimate(
 
 
 def impl_heads(cfg, impl: str) -> int:
-    """The heads ``impl`` runs a ``RunConfig`` at: the config's for dydila and
-    map-wise, one for the baselines."""
-    return cfg.heads if impl in ("dydila", "mapwise") else 1
+    """The heads ``impl`` runs a ``RunConfig`` at: the config's for dydila,
+    one for the baselines."""
+    return cfg.heads if impl == "dydila" else 1
 
 
 def config_flops(cfg, impl: str, n: int) -> dict:
     """``flops_estimate`` of one block of a ``RunConfig`` running ``impl`` over n tokens,
-    at :func:`impl_heads`."""
+    at :func:`impl_heads` and in the config's variant."""
     return flops_estimate(impl, n, cfg.dim, heads=impl_heads(cfg, impl),
                           n_projectors=cfg.n_projectors,
                           n_kernel_factors=cfg.n_kernel_factors,
                           n_lambda_factors=cfg.n_lambda_factors,
-                          dwc=cfg.dwc_enabled, normalize=cfg.normalize)
+                          dwc=cfg.dwc_enabled, normalize=cfg.normalize, variant=cfg.variant)
 
 
 def core_crossover(d: int, heads: int = 1) -> float:

@@ -488,6 +488,13 @@ class TestMultihead:
             )
 
 
+# (impl, variant) of every attention row; the map-wise dydila row's id is "mapwise"
+ROW_CASES = [pytest.param("dydila", "token-wise", id="dydila"),
+             pytest.param("dydila", "map-wise", id="mapwise"),
+             *(pytest.param(impl, "token-wise", id=impl)
+               for impl in ("softmax", "linear", "focused"))]
+
+
 class TestStagesThroughPublicBindings:
     """The block reaches each stage through the public function that the
     tests hold against the oracles, looked up at the calling module's
@@ -577,14 +584,14 @@ class TestStagesThroughPublicBindings:
         for _, (q_t, *rest), _ in log[-heads:]:
             assert rest[-1] is q_t
 
-    @pytest.mark.parametrize("impl", ["dydila", "mapwise", "softmax", "linear", "focused"])
-    def test_attention_row_projects_only_its_query_row(self, monkeypatch, impl):
+    @pytest.mark.parametrize("impl, variant", ROW_CASES)
+    def test_attention_row_projects_only_its_query_row(self, monkeypatch, impl, variant):
         # routing, the routed projection and matmul are row-local, so the
         # query side of one row needs that row of x and nothing more
         import dydila.attention
         import dydila.projection
 
-        block, x, index = make_block(351, 8, (4, 6), heads=2), mat(53, 24, 8), 5
+        block, x, index = make_block(351, 8, (4, 6), heads=2, variant=variant), mat(53, 24, 8), 5
         log = []
         self._spy(monkeypatch, dydila.attention, "dpm_queries", log)
         for module in (dydila.attention, dydila.projection):
@@ -594,7 +601,7 @@ class TestStagesThroughPublicBindings:
         query_weights = (block.proj.w_q0, *block.proj.w_q)
         products = [a for name, (a, b), _ in log
                     if name == "matmul" and any(b is w for w in query_weights)]
-        if impl in ("dydila", "mapwise"):
+        if impl == "dydila":
             (rows, _), = [args for name, args, _ in log if name == "dpm_queries"]
             assert rows.shape == (1, 8) and np.array_equal(bits(rows), bits(x[index:index + 1]))
             assert len(products) == 2  # the shared Q and the one routed Q' projector
@@ -603,15 +610,15 @@ class TestStagesThroughPublicBindings:
             assert np.array_equal(bits(products[0]), bits(x[index:index + 1]))
         assert all(a.shape[0] == 1 for a in products)
 
-    @pytest.mark.parametrize("impl", ["dydila", "mapwise", "softmax", "linear", "focused"])
-    def test_attention_row_projects_no_v(self, monkeypatch, impl):
+    @pytest.mark.parametrize("impl, variant", ROW_CASES)
+    def test_attention_row_projects_no_v(self, monkeypatch, impl, variant):
         # a row of the map never reads V; the block projects it once
         import dydila.attention
         import dydila.differential
         import dydila.projection
         import dydila.routing
 
-        block, x = make_block(352, 8, (4, 6), heads=2), mat(54, 24, 8)
+        block, x = make_block(352, 8, (4, 6), heads=2, variant=variant), mat(54, 24, 8)
         for run, want in ((lambda: extract_attention_row(x, block, 5, impl, head=1), 0),
                           (lambda: multihead_forward(x, block), 1)):
             log = []
@@ -760,7 +767,7 @@ class TestExtractAttentionRow:
         cols = slice(head * 8 // heads, (head + 1) * 8 // heads)
         v = matmul(x, params.proj.w_v0)[:, cols]
         for i in (0, 11, 23):
-            row = extract_attention_row(x, params, i, impl="mapwise", head=head)
+            row = extract_attention_row(x, params, i, impl="dydila", head=head)
             assert_close(row @ v, out[i, cols], 1e-12, f"mapwise head {head} row {i}")
 
     def test_mapwise_row_reproduces_head_output(self):
@@ -768,7 +775,7 @@ class TestExtractAttentionRow:
         x = mat(42, 24, 8)
         out, _ = multihead_forward(x, params)
         v = matmul(x, params.proj.w_v0)
-        row = extract_attention_row(x, params, 3, impl="mapwise")
+        row = extract_attention_row(x, params, 3, impl="dydila")
         assert_close(row @ v, out[3], 1e-12, "mapwise row")
 
     def test_bounds_and_impl_validation(self):
@@ -778,8 +785,10 @@ class TestExtractAttentionRow:
             extract_attention_row(x, params, 24)
         with pytest.raises(ContractViolation, match="head"):
             extract_attention_row(x, params, 0, head=1)
-        with pytest.raises(ConfigError, match="impl"):
-            extract_attention_row(x, params, 0, impl="exact")
+        # the variant is the block's; "mapwise" is no impl
+        for impl in ("exact", "mapwise"):
+            with pytest.raises(ConfigError, match="impl"):
+                extract_attention_row(x, params, 0, impl=impl)
 
 
 class TestBlockWorkingSet:

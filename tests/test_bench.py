@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dydila import cli
+from dydila.attention import multihead_forward
 from dydila.bench import BENCH_CSV_HEADER, bench_run, build_forward
-from dydila.config import RunConfig, grid_for, save_config
+from dydila.config import RunConfig, grid_for, save_config, seeded_run
 from dydila.fileio import read_csv
 from dydila.numerics import ConfigError
 
@@ -34,18 +35,31 @@ class TestGridFor:
 
 
 class TestBuildForward:
-    @pytest.mark.parametrize("impl", ["softmax", "linear", "focused", "dydila", "mapwise"])
-    def test_forward_shape_and_determinism(self, impl):
-        cfg = _bench_cfg()
+    @pytest.mark.parametrize("impl, variant", [
+        *(pytest.param(impl, "token-wise", id=impl)
+          for impl in ("softmax", "linear", "focused", "dydila")),
+        pytest.param("dydila", "map-wise", id="mapwise"),
+    ])
+    def test_forward_shape_and_determinism(self, impl, variant):
+        cfg = _bench_cfg(variant=variant)
         out_a = build_forward(cfg, impl, 12)()
         out_b = build_forward(cfg, impl, 12)()
         assert out_a.shape == (12, 8)
         assert np.all(np.isfinite(out_a))
         assert out_a.tobytes() == out_b.tobytes()
 
+    def test_dydila_runs_the_configs_variant(self):
+        # the block is seeded_run's, in the variant the config names
+        for variant in ("token-wise", "map-wise"):
+            cfg = _bench_cfg(variant=variant)
+            _, stack, x = seeded_run(cfg, 12)
+            want, _ = multihead_forward(x, stack.blocks[0])
+            assert build_forward(cfg, "dydila", 12)().tobytes() == want.tobytes()
+
     def test_unknown_impl(self):
-        with pytest.raises(ConfigError, match="unknown impl"):
-            build_forward(_bench_cfg(), "exact", 8)
+        for impl in ("exact", "mapwise"):
+            with pytest.raises(ConfigError, match="unknown impl"):
+                build_forward(_bench_cfg(), impl, 8)
 
 
 class TestBenchRun:

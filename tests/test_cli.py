@@ -142,7 +142,7 @@ class TestCheck:
         # check runs at most 2 blocks, and 9 in its last check
         proc = run_cli("check", "--config", schedule_config)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "20 checks, 0 failed"
+        assert proc.stdout.splitlines()[-1] == "22 checks, 0 failed"
 
     def test_f32_passes(self, tiny_config):
         proc = run_cli("check", "--config", tiny_config, "--precision", "f32")
@@ -325,10 +325,10 @@ class TestDumpAttn:
 
 # sha256 of the CSV and PGM that `dump-attn --block 2 --head 1` writes on the
 # small preset with 2 heads, keyed by (variant, normalize, precision, impl,
-# --seq-len).  The row is made of IEEE + - * /, sqrt, the owned pow and
-# fixed-order sums, so its bits do not depend on the backend.  The softmax
-# row follows numpy's exp and pairwise row sums, like every softmax output,
-# so it is not pinned.
+# --seq-len); the dydila row is the head's row in the config's variant.  The
+# row is made of IEEE + - * /, sqrt, the owned pow and fixed-order sums, so
+# its bits do not depend on the backend.  The softmax row follows numpy's exp
+# and pairwise row sums, like every softmax output, so it is not pinned.
 PINNED_DUMP = {
     ("token-wise", True, "f64", "linear", None): (
         "54d7e9c2a40f1bbe22896b081ebc72a86590a45513a3a849b5801d17b687aef6",
@@ -342,10 +342,6 @@ PINNED_DUMP = {
         "867320c1e81107c8e826bd49888f467e58e70fe5512f1767bc2948a9a10a1740",
         "b2bf919d5cf54d89987781c9e3da6f74fa6d76fcd05350f4d3bd72a691a88974",
     ),
-    ("token-wise", True, "f64", "mapwise", None): (
-        "089469cbd04c931152dd82bdd13b29086b277426992863ba165967ffdd901027",
-        "3518ad6af5c51fe6d791b86a182f7a5c77945bc06ee7b9242635f0c1a571baa6",
-    ),
     ("map-wise", True, "f64", "linear", None): (
         "7cecc62a6dfad1150abbccb0b60537d60245be132735fddbd16eafe415cab862",
         "df19e9619ddc8b6187ea2e762dfe7ebcfea17b29f82f0afd9a8f4b4ea8aaf4e3",
@@ -355,10 +351,6 @@ PINNED_DUMP = {
         "513694adeb52403201106958d33e46e2f2ce312ecfb0f217a6aba273d80cfefe",
     ),
     ("map-wise", True, "f64", "dydila", None): (
-        "5f4c77899f76f0c75e9c93a575640cbe1ee818ad556dd13d6b0e12d47713bd7c",
-        "fa388c347c8ad8b217893db95d603d416d668a7348550394fff30c41dee446f8",
-    ),
-    ("map-wise", True, "f64", "mapwise", None): (
         "6aae425bb80ef8e3054bcc97753d317c48c32df7ce05fc08549726e992e7dc87",
         "d055438f13617e39b0d3bd7318d59c75c9237633c530454e086e904198821cf0",
     ),
@@ -366,11 +358,11 @@ PINNED_DUMP = {
         "1bb8e0c60016665e205a599b27592875c2f3947cc1c18e738b70ddc6bd887570",
         "f43dcc0a81992b7c5041b428789245fc2456699ae7ee9197b45b617a1e754f38",
     ),
-    ("map-wise", False, "f64", "mapwise", None): (
+    ("map-wise", False, "f64", "dydila", None): (
         "e2c19dad6bf7929d1d2fbcee5be333fe5e3be99e1a0f426c94b85399b92bbdf5",
         "8c96096fbf614a5250ce4348fc7c950545e58de3a9cb6d007df648aba72829a0",
     ),
-    ("map-wise", True, "f32", "mapwise", 30): (
+    ("map-wise", True, "f32", "dydila", 30): (
         "46e355e6546a3d8a82e0bbb9f7b5f03b449f46b6ddde8348b504d50bde904000",
         "9ff58bf1ff09867381772aaf718aa2fe7348e95e7ec653f02e2c39a39ab7ceb8",
     ),
@@ -454,6 +446,27 @@ class TestFlops:
         assert proc.stdout.startswith("impl,N,component,flops")
         assert "attention_core" in proc.stdout
 
+    def test_dydila_counts_the_configs_variant(self, tmp_path):
+        # map-wise differences two full attention outputs: a doubled core
+        cfg = tmp_path / "mapwise.json"
+        cfg.write_text(json.dumps({"preset": "small", "heads": 2, "variant": "map-wise"}),
+                       encoding="utf-8")
+        proc = run_cli("flops", "--config", str(cfg), "--impl", "dydila", "--seq-len", "64")
+        assert proc.returncode == 0, proc.stderr
+        n, d, heads = 64, 384, 2
+        assert f"dydila,64,attention_core,{8 * n * d * d // heads}" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", [("bench", "--iters", "3"), ("flops",),
+                                     ("dump-attn", "--out", "attn")], ids=lambda c: c[0])
+def test_mapwise_is_no_impl(tmp_path, tiny_config, command):
+    # the variant is the config's; --impl names one of flops.IMPLEMENTATIONS
+    proc = run_cli(command[0], "--config", tiny_config, "--impl", "mapwise", "--seq-len", "6",
+                   *command[1:], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "invalid choice: 'mapwise'" in proc.stderr
+    assert not (tmp_path / "attn.csv").exists()
+
 
 class TestBench:
     def test_csv_and_stdout(self, tmp_path, tiny_config):
@@ -490,6 +503,14 @@ class TestBench:
         assert [r[:2] for r in rows] == [[impl, n]]
         assert int(rows[0][-1]) == config_flops(load_config(path), impl, int(n))["total"]
         assert f"{impl} N={n} " in proc.stderr
+
+    def test_summary_names_the_variant(self, mapwise_config):
+        proc = run_cli("bench", "--config", mapwise_config, "--impl", "dydila",
+                       "--seq-len", "6", "--iters", "3")
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [line for line in proc.stderr.splitlines() if line.startswith("dydila N=6 ")]
+        want = config_flops(load_config(mapwise_config), "dydila", 6)["total"]
+        assert line.endswith(f"({want} flops, map-wise)")
 
     def test_reports_matmul_backend_on_stderr(self, tiny_config):
         proc = run_cli("bench", "--config", tiny_config, "--impl", "linear",

@@ -10,6 +10,10 @@ from dydila.config import RunConfig
 from dydila.flops import IMPLEMENTATIONS, config_flops, core_crossover, flops_estimate
 from dydila.numerics import ConfigError
 
+# (impl, variant) of every estimate; the map-wise dydila one's id is "mapwise"
+CASES = [*(pytest.param(impl, "token-wise", id=impl) for impl in IMPLEMENTATIONS),
+         pytest.param("dydila", "map-wise", id="mapwise")]
+
 
 class TestCores:
     @pytest.mark.parametrize("n,d", [(64, 16), (1024, 64), (4096, 64), (16384, 64)])
@@ -24,7 +28,7 @@ class TestCores:
 
     def test_mapwise_core_doubles(self):
         one = flops_estimate("dydila", 256, 32)["attention_core"]
-        two = flops_estimate("mapwise", 256, 32)["attention_core"]
+        two = flops_estimate("dydila", 256, 32, variant="map-wise")["attention_core"]
         assert two == 2 * one
 
     def test_cores_cross_exactly_at_crossover(self):
@@ -47,9 +51,9 @@ class TestCores:
 
 
 class TestTotals:
-    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
-    def test_total_sums_components(self, impl):
-        parts = flops_estimate(impl, 128, 32)
+    @pytest.mark.parametrize("impl, variant", CASES)
+    def test_total_sums_components(self, impl, variant):
+        parts = flops_estimate(impl, 128, 32, variant=variant)
         assert parts["total"] == sum(v for k, v in parts.items() if k != "total")
 
     def test_all_counts_positive_ints(self):
@@ -68,8 +72,8 @@ class TestTotals:
         assert parts["kernel_routing"] == 8 * n * d * n_f
         assert parts["lambda_routing"] == 8 * n * d * n_d
         assert parts["dwc"] == 19 * n * d
-        mapwise = flops_estimate("mapwise", n, d, n_projectors=n_p,
-                                 n_kernel_factors=n_f, n_lambda_factors=n_d)
+        mapwise = flops_estimate("dydila", n, d, n_projectors=n_p, n_kernel_factors=n_f,
+                                 n_lambda_factors=n_d, variant="map-wise")
         assert mapwise["lambda_routing"] == 4 * n * d * n_d
 
     def test_dwc_and_normalize_toggles(self):
@@ -79,8 +83,8 @@ class TestTotals:
         assert normed["normalizer"] == 4 * 64 * 16
 
     def test_mapwise_normalizes_each_map(self):
-        assert "normalizer" not in flops_estimate("mapwise", 64, 16)
-        normed = flops_estimate("mapwise", 64, 16, normalize=True)
+        assert "normalizer" not in flops_estimate("dydila", 64, 16, variant="map-wise")
+        normed = flops_estimate("dydila", 64, 16, normalize=True, variant="map-wise")
         assert normed["normalizer"] == 2 * 4 * 64 * 16
 
     def test_baselines_have_no_routing(self):
@@ -92,8 +96,15 @@ class TestTotals:
 
 class TestValidation:
     def test_unknown_impl(self):
-        with pytest.raises(ConfigError, match="unknown impl"):
-            flops_estimate("exact", 64, 16)
+        for impl in ("exact", "mapwise"):
+            with pytest.raises(ConfigError, match="unknown impl"):
+                flops_estimate(impl, 64, 16)
+
+    def test_unknown_variant(self):
+        # the baselines ignore the variant, but not an unknown one
+        for impl in IMPLEMENTATIONS:
+            with pytest.raises(ConfigError, match="variant"):
+                flops_estimate(impl, 64, 16, variant="mapwise")
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 0, "d": 16}, {"n": 64, "d": -1}, {"n": 64, "d": 16, "heads": 0},
@@ -134,31 +145,39 @@ class TestLedger:
     def _counted(cls, monkeypatch, forward):
         return sum(2 * m * k * n for _, m, k, n in cls._products(monkeypatch, forward))
 
-    @pytest.mark.parametrize("impl,heads,normalize,n", [
-        *((impl, heads, normalize, 48) for impl in IMPLEMENTATIONS for heads in (1, 3)
-          for normalize in ((False, True) if impl in ("dydila", "mapwise") else (True,))),
-        ("softmax", 1, True, 2 * _SOFTMAX_ROWS + 37),  # the row blocks add no FLOPs
+    @pytest.mark.parametrize("impl,variant,heads,normalize,n", [
+        *(pytest.param(*case.values, heads, normalize, 48,
+                       id=f"{case.id}-{heads}-{normalize}-48")
+          for case in CASES for heads in (1, 3)
+          for normalize in ((False, True) if case.values[0] == "dydila" else (True,))),
+        # the row blocks add no FLOPs
+        pytest.param("softmax", "token-wise", 1, True, 2 * _SOFTMAX_ROWS + 37,
+                     id=f"softmax-1-True-{2 * _SOFTMAX_ROWS + 37}"),
     ])
-    def test_matmul_components_are_the_products_of_a_pass(self, monkeypatch, impl, heads,
-                                                          normalize, n):
+    def test_matmul_components_are_the_products_of_a_pass(self, monkeypatch, impl, variant,
+                                                          heads, normalize, n):
         cfg = RunConfig.from_dict({"preset": "custom", "dim": 12, "heads": heads, "blocks": 1,
                                    "n_projectors": 2, "n_kernel_factors": 3,
-                                   "n_lambda_factors": 2, "normalize": normalize, "seed": 7})
+                                   "n_lambda_factors": 2, "normalize": normalize,
+                                   "variant": variant, "seed": 7})
         parts = config_flops(cfg, impl, n)
         want = sum(parts.get(name, 0) for name in _MATMUL_COMPONENTS)
         assert self._counted(monkeypatch, build_forward(cfg, impl, n)) == want
 
-    @pytest.mark.parametrize("impl,sizes,ratio", [
-        *((impl, (4096, 16384), 4) for impl in ("linear", "focused", "dydila", "mapwise")),
-        ("softmax", (1024, 4096), 16),  # 4096 and 16384 take seconds
+    @pytest.mark.parametrize("impl,variant,sizes,ratio", [
+        *(pytest.param(*case.values, (4096, 16384), 4, id=f"{case.id}-sizes{i}-4")
+          for i, case in enumerate(CASES[1:])),
+        # 4096 and 16384 take seconds
+        pytest.param("softmax", "token-wise", (1024, 4096), 16, id="softmax-sizes4-16"),
     ])
-    def test_attention_core_scales_with_n(self, monkeypatch, impl, sizes, ratio):
+    def test_attention_core_scales_with_n(self, monkeypatch, impl, variant, sizes, ratio):
         # the count-based sibling of c08's timed bands: the core's products
         # are those of the attention and differential modules, less the
         # normalizer's (a ones row, or a single denominator column)
         cfg = RunConfig.from_dict({"preset": "custom", "dim": 12, "heads": 3, "blocks": 1,
                                    "n_projectors": 2, "n_kernel_factors": 3,
-                                   "n_lambda_factors": 2, "normalize": True, "seed": 7})
+                                   "n_lambda_factors": 2, "normalize": True,
+                                   "variant": variant, "seed": 7})
         cores = []
         for n in sizes:
             products = self._products(monkeypatch, build_forward(cfg, impl, n))

@@ -122,7 +122,8 @@ def test_forward_stdout_is_pinned(capsys, backend, precision):
 # and its routed lambdas (names, values and routes, in the order the
 # diagnostics hold them), which the normalizer and the DWC cannot move, keyed
 # by (heads, variant).  The rows are those of query 5, head 2 of 3, keyed by
-# (impl, normalize).
+# (row, normalize): "dydila" is the token-wise block's row, "mapwise" the
+# map-wise block's.
 SPREAD_SEED, SPREAD_DIM, SPREAD_GRID = 2020, 12, (8, 8)
 
 PINNED_SPREAD_OUTPUTS = {
@@ -187,10 +188,10 @@ def _spread_block_digests(heads, variant, normalize, dwc):
     return _sha256(out), _sha256(*routes)
 
 
-def _spread_row_digest(impl, normalize):
-    row = extract_attention_row(_spread_tokens(), _spread_block(3, normalize=normalize), 5,
-                                impl=impl, head=2)
-    return _sha256(row)
+def _spread_row_digest(row, normalize):
+    variant = {"dydila": "token-wise", "mapwise": "map-wise"}[row]
+    block = _spread_block(3, variant, normalize)
+    return _sha256(extract_attention_row(_spread_tokens(), block, 5, head=2))
 
 
 @pytest.mark.parametrize("cell", list(PINNED_SPREAD_OUTPUTS),
