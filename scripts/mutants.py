@@ -44,6 +44,7 @@ STEP_TIMEOUT_S = 1800
 MATMUL_TESTS = ("tests/test_numerics.py", "-k", "Matmul or narrower_tiles or under_asan")
 MAP_TESTS = ("tests/test_kernels.py", "tests/test_pow.py", "tests/test_pinned_hashes.py",
              "tests/test_numerics.py", "-k", "Focused or Pow or pinned or narrower_vector")
+MAP_ASAN_TESTS = (*MAP_TESTS[:-1], MAP_TESTS[-1] + " or under_asan")
 SOFTMAX_TESTS = ("tests/test_attention.py", "-k", "SoftmaxMapInPlace")
 BLOCK_TESTS = ("tests/test_attention.py", "tests/test_differential.py", "-k",
                "Multihead or TdoForward or WorkingSet")
@@ -116,6 +117,10 @@ MUTANTS = (
        "                for (int t = 0; t < 9; t++)\n                    s = s + p[t][c]",
        "                for (int t = 8; t >= 0; t--)\n                    s = s + p[t][c]",
        DWC_TESTS),
+    # an over-read of the zero row at the grid's edge (DWC_TESTS runs the ASan
+    # child through TestCompiledBuild)
+    _c("dwc_zero_row_one_short", "zero = np.zeros(d, dtype=v.dtype)",
+       "zero = np.zeros(d - 1, dtype=v.dtype)", DWC_TESTS),
     # the seeded weights: the same seed must rebuild every weight
     Mutant("init_params_dwc_kernels_unseeded",
            (("src/dydila/config.py", "return rng.uniform(shape, -1.0 / 3.0, 1.0 / 3.0, prec)",
@@ -140,6 +145,9 @@ MUTANTS = (
     _c("focused_n1_not_rescaled_by_peak",
        "const $T scale = peak * ($T)sqrt(sx) / ($T)sqrt(st)",
        "const $T scale = ($T)sqrt(sx) / ($T)sqrt(st)", MAP_TESTS),
+    # pow lists run past their work buffer when d is not a multiple of _POW_PAD
+    _c("focused_work_lists_not_padded", "padded = -(-d // _POW_PAD) * _POW_PAD", "padded = d",
+       MAP_ASAN_TESTS),
     # the normalizer's column sums
     Mutant("normalizer_column_sum_by_numpy",
            (("src/dydila/differential.py",

@@ -45,7 +45,7 @@ from .attention import (
     stack_forward,
 )
 from .config import RunConfig, init_params, seeded_run
-from .differential import expand_tokenwise, tdo_forward
+from .differential import _key_state, expand_tokenwise, tdo_forward
 from .fileio import assemble_stack, stack_entries, stack_from_weights
 from .kernels import focused_rows
 from .numerics import (
@@ -238,6 +238,12 @@ def run_checks(cfg: RunConfig) -> list:
     results.append(_compared("softmax_blocks_vs_whole_map", matmul(_softmax_map(qs, ks), vs),
                              softmax_attention(qs, ks, vs), 0.0,
                              note=f"{_SOFTMAX_ROWS + 1} query rows:"))
+    # the normalizer's column sums of an F-ordered b of more than 128 rows
+    # (where numpy's own sum goes pairwise) must add in ascending row order
+    b = np.asfortranarray(lay.tokens(200, d, cfg.precision))
+    results.append(_compared("key_state_column_sums_vs_triple_loop",
+                             naive_matmul(np.ones((1, 200)), b), _key_state(b, None, True)[1],
+                             tol["matmul"]))
     # a product at the small preset's d=384 reaches the kernel's second k block
     _, own, x_own = seeded_run(own_cfg.with_overrides(blocks=1, grid_h=8, grid_w=8))
     got, _ = multihead_forward(x_own, own.blocks[0])

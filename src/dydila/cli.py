@@ -45,6 +45,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", choices=("f32", "f64"), help="precision override")
 
 
+def _add_inputs(p: argparse.ArgumentParser) -> None:
+    """The ``--seq-len`` and ``--input`` that :func:`_build_inputs` reads."""
+    p.add_argument("--seq-len", help="token count (default: grid area)")
+    p.add_argument("--input", help="token CSV (default: seeded random tokens)")
+
+
 def _load_cfg(args) -> RunConfig:
     if args.config:
         cfg = load_config(args.config)
@@ -233,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="run the residual stack on tokens")
     _add_common(p)
-    p.add_argument("--seq-len", help="token count (default: grid area)")
-    p.add_argument("--input", help="token CSV (default: seeded random tokens)")
+    _add_inputs(p)
     p.add_argument("--out", help="write output tokens CSV")
     p.add_argument("--routes-out", help="write per-block projector routes CSV")
     p.add_argument("--save-weights", metavar="BASE",
@@ -243,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-attn", help="export one query's attention row")
     _add_common(p)
-    p.add_argument("--seq-len", help="token count (default: grid area)")
-    p.add_argument("--input", help="token CSV (default: seeded random tokens)")
+    _add_inputs(p)
     p.add_argument("--block", type=int, default=0, help="block index")
     p.add_argument("--query-index", type=int, default=0)
     p.add_argument("--impl", default="dydila", choices=IMPLEMENTATIONS)
@@ -254,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats-lambda", help="per-block mean routed lambda factors")
     _add_common(p)
-    p.add_argument("--seq-len", help="token count (default: grid area)")
-    p.add_argument("--input", help="token CSV (default: seeded random tokens)")
+    _add_inputs(p)
     p.add_argument("--out", help="CSV path (default: print)")
     p.set_defaults(func=_cmd_stats_lambda)
     return parser

@@ -1,10 +1,12 @@
 """Slow, explicit reference implementations and the comparison report.
 
 Everything here is written for obviousness, not speed: per-token Python
-loops, explicit n x n similarity maps, naive triple-loop matrix products.
-All oracle arithmetic runs in float64 regardless of the candidate's
-precision.  To keep accidental quadratic blowups out of test runs, the
-explicit-map oracles refuse token counts above :data:`ORACLE_CAP`.
+loops, naive triple-loop matrix products and one explicit n x n attention
+map (:func:`_explicit_map`) that the linear, token-wise and map-wise
+references compose.  All oracle arithmetic runs in float64 regardless of
+the candidate's precision, and none of it is imported from the package.
+To keep accidental quadratic blowups out of test runs, the explicit-map
+oracles refuse token counts above :data:`ORACLE_CAP`.
 """
 
 from __future__ import annotations
@@ -270,24 +272,18 @@ def _phi(z: np.ndarray, kernel: str, gamma) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros_like(z)
 
 
-def explicit_linear_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, kernel: str = "relu", gamma=None
-) -> np.ndarray:
-    """Linear attention through the explicit n x n kernel similarity map."""
-    _cap(q.shape[0], "explicit_linear_attention")
-    _cap(k.shape[0], "explicit_linear_attention")
-    phi_q, phi_k = _phi(q, kernel, gamma), _phi(k, kernel, gamma)
-    v = np.asarray(v, dtype=np.float64)
-    n, nk = phi_q.shape[0], phi_k.shape[0]
-    out = np.zeros((n, v.shape[1]), dtype=np.float64)
-    for i in range(n):
+def _explicit_map(q, k, v, normalize: bool) -> np.ndarray:
+    """``q k^T v`` row by row in float64: each ``s = q_i . k_j``, over ascending j, adds
+    into ``den`` and ``num += s * v_j``; under ``normalize`` the row is num / floored den."""
+    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.float64)
+    for i in range(q.shape[0]):
         den = 0.0
         num = np.zeros(v.shape[1], dtype=np.float64)
-        for j in range(nk):
-            s = float(np.dot(phi_q[i], phi_k[j]))
+        for j in range(k.shape[0]):
+            s = float(np.dot(q[i], k[j]))
             den += s
             num += s * v[j]
-        out[i] = num / _floored(den)
+        out[i] = num / _floored(den) if normalize else num
     return out
 
 
@@ -298,30 +294,29 @@ def _floored(den: float) -> float:
     return den
 
 
+def explicit_linear_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, kernel: str = "relu", gamma=None
+) -> np.ndarray:
+    """Linear attention through the explicit n x n kernel similarity map."""
+    _cap(q.shape[0], "explicit_linear_attention")
+    _cap(k.shape[0], "explicit_linear_attention")
+    return _explicit_map(_phi(q, kernel, gamma), _phi(k, kernel, gamma),
+                         np.asarray(v, dtype=np.float64), True)
+
+
 def explicit_tdo(
     q_t, q_routed, k_t, k_routed, v, lambda_q, lambda_k, normalize: bool = False
 ) -> np.ndarray:
     """Token-wise differential attention through the explicit n x n map."""
-    n = np.asarray(q_t).shape[0]
-    _cap(n, "explicit_tdo")
-    _cap(np.asarray(k_t).shape[0], "explicit_tdo")
+    # C order: np.dot sums a strided differenced row in another order
     q_t, q_routed, k_t, k_routed, v, lam_q, lam_k = (
-        np.asarray(m, dtype=np.float64)
+        np.asarray(m, dtype=np.float64, order="C")
         for m in (q_t, q_routed, k_t, k_routed, v, lambda_q, lambda_k)
     )
-    nk = k_t.shape[0]
-    out = np.zeros((n, v.shape[1]), dtype=np.float64)
-    for i in range(n):
-        qd = q_t[i] - lam_q[i] * q_routed[i]
-        den = 0.0
-        num = np.zeros(v.shape[1], dtype=np.float64)
-        for j in range(nk):
-            kd = k_t[j] - lam_k[j] * k_routed[j]
-            s = float(np.dot(qd, kd))
-            den += s
-            num += s * v[j]
-        out[i] = num / _floored(den) if normalize else num
-    return out
+    _cap(q_t.shape[0], "explicit_tdo")
+    _cap(k_t.shape[0], "explicit_tdo")
+    return _explicit_map(q_t - lam_q[:, None] * q_routed, k_t - lam_k[:, None] * k_routed, v,
+                         normalize)
 
 
 def explicit_mapwise(
@@ -329,30 +324,14 @@ def explicit_mapwise(
 ) -> np.ndarray:
     """Map-wise differential attention through two explicit n x n maps,
     each divided by its own floored row sum when ``normalize`` is set."""
-    n = np.asarray(q_t).shape[0]
-    _cap(n, "explicit_mapwise")
-    _cap(np.asarray(k_t).shape[0], "explicit_mapwise")
     q_t, q_routed, k_t, k_routed, v, lam = (
         np.asarray(m, dtype=np.float64)
         for m in (q_t, q_routed, k_t, k_routed, v, lambda_map)
     )
-    out = np.zeros((n, v.shape[1]), dtype=np.float64)
-    for i in range(n):
-        shared = np.zeros(v.shape[1], dtype=np.float64)
-        routed = np.zeros(v.shape[1], dtype=np.float64)
-        den_shared = den_routed = 0.0
-        for j in range(k_t.shape[0]):
-            s = float(np.dot(q_t[i], k_t[j]))
-            r = float(np.dot(q_routed[i], k_routed[j]))
-            shared += s * v[j]
-            routed += r * v[j]
-            den_shared += s
-            den_routed += r
-        if normalize:
-            shared /= _floored(den_shared)
-            routed /= _floored(den_routed)
-        out[i] = shared - lam[i] * routed
-    return out
+    _cap(q_t.shape[0], "explicit_mapwise")
+    _cap(k_t.shape[0], "explicit_mapwise")
+    return (_explicit_map(q_t, k_t, v, normalize)
+            - lam[:, None] * _explicit_map(q_routed, k_routed, v, normalize))
 
 
 def explicit_dwc(v, grid, kernels, identity_branch: bool) -> np.ndarray:
@@ -391,15 +370,14 @@ def per_token_projection(x: np.ndarray, bank) -> tuple:
     _cap(n, "per_token_projection")
     idx_q = explicit_routes(x64, bank.router_q)
     idx_k = explicit_routes(x64, bank.router_k)
-    q = np.zeros((n, d)); k = np.zeros((n, d)); v = np.zeros((n, d))
+    q, k, v = (naive_matmul(x64, np.asarray(w, dtype=np.float64))
+               for w in (bank.w_q0, bank.w_k0, bank.w_v0))
+    w_q, w_k = ([np.asarray(w, dtype=np.float64) for w in ws] for ws in (bank.w_q, bank.w_k))
     qr = np.zeros((n, d)); kr = np.zeros((n, d))
     for i in range(n):
         row = x64[i : i + 1]
-        q[i] = naive_matmul(row, np.asarray(bank.w_q0, dtype=np.float64))[0]
-        k[i] = naive_matmul(row, np.asarray(bank.w_k0, dtype=np.float64))[0]
-        v[i] = naive_matmul(row, np.asarray(bank.w_v0, dtype=np.float64))[0]
-        qr[i] = naive_matmul(row, np.asarray(bank.w_q[idx_q[i]], dtype=np.float64))[0]
-        kr[i] = naive_matmul(row, np.asarray(bank.w_k[idx_k[i]], dtype=np.float64))[0]
+        qr[i] = naive_matmul(row, w_q[idx_q[i]])[0]
+        kr[i] = naive_matmul(row, w_k[idx_k[i]])[0]
     return q, k, v, qr, kr, idx_q, idx_k
 
 
@@ -457,11 +435,8 @@ def pipeline_oracle(x: np.ndarray, params) -> np.ndarray:
                 explicit_mapwise(q_t, qp_t, k_t, kp_t, v_h, lam_map, normalize=params.normalize)
             )
     out = np.hstack(pieces)
-    if params.dwc is not None:
-        if params.dwc.use_merged:
-            out = out + explicit_dwc(v, params.grid, params.dwc.merged, identity_branch=False)
-        else:
-            out = out + explicit_dwc(
-                v, params.grid, params.dwc.kernels, identity_branch=params.dwc.identity_branch
-            )
+    dwc = params.dwc
+    if dwc is not None:
+        out = out + explicit_dwc(v, params.grid, dwc.merged if dwc.use_merged else dwc.kernels,
+                                 identity_branch=dwc.identity_branch and not dwc.use_merged)
     return out

@@ -14,23 +14,17 @@ from dydila.attention import DwcParams, DydilaParams, HeadParams
 from dydila.differential import DifferentialBank
 from dydila.kernels import KernelBank
 from dydila.numerics import SeededRng
+from dydila.oracle import compare
 from dydila.projection import ProjectorBank
 from dydila.routing import Router
 
 
 def assert_close(actual, expected, tol, msg=""):
-    """Max-abs vs scale-relative comparison with a readable failure message."""
-    a = np.asarray(actual, dtype=np.float64)
-    e = np.asarray(expected, dtype=np.float64)
-    assert a.shape == e.shape, f"{msg} shape {a.shape} != {e.shape}"
-    diff = np.abs(a - e)
-    max_abs = float(diff.max()) if diff.size else 0.0
-    scale = max(float(np.abs(e).max()) if e.size else 0.0, 1e-30)
-    rel = max_abs / scale
-    assert max_abs <= 1e-30 or rel <= tol, (
-        f"{msg} max_abs={max_abs:.3e} rel={rel:.3e} > tol={tol:.1e} "
-        f"at {np.unravel_index(int(np.argmax(diff)), diff.shape)}"
-    )
+    """``oracle.compare``'s normwise rule, with expected as the reference, as an assert."""
+    assert np.shape(actual) == np.shape(expected), (
+        f"{msg} shape {np.shape(actual)} != {np.shape(expected)}")
+    report = compare(expected, actual, tol)
+    assert report.passed, f"{msg} {report}"
 
 
 def needs_compiler():

@@ -133,3 +133,15 @@ def test_determinism_sees_every_rebuilt_weight(monkeypatch, precision):
     monkeypatch.setattr(dydila.checks, "_desk_stack", perturbed)
     failed = [r.name for r in run_checks(cfg) if not r.passed]
     assert len(calls) == 2 and failed == ["determinism"]
+
+
+def test_column_sum_row_sees_numpys_pairwise_sum(monkeypatch):
+    # np.sum of an F-ordered array adds pairwise, not in ascending row order:
+    # a last-bit difference only the bit-exact f64 row must see
+    def numpy_sums(b, v, normalize):
+        return (b.T, np.sum(b, axis=0)[None, :])
+
+    cfg = RunConfig.from_dict({"preset": "small"})
+    monkeypatch.setattr(dydila.checks, "_key_state", numpy_sums)
+    failed = [r.name for r in run_checks(cfg) if not r.passed]
+    assert failed == ["key_state_column_sums_vs_triple_loop"]

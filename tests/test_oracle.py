@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dydila.oracle
 from dydila.numerics import ContractViolation
 from dydila.oracle import (
     ORACLE_CAP,
@@ -133,3 +137,18 @@ class TestExplicitMaps:
     def test_dwc_grid_mismatch(self):
         with pytest.raises(ContractViolation):
             explicit_dwc(np.zeros((5, 1)), (2, 2), np.zeros((1, 3, 3)), identity_branch=False)
+
+
+def test_imports_nothing_that_computes_from_production_code():
+    # the oracles are the independent side of every comparison: of the
+    # package they take only the pow's tables, the error type and the Router
+    # type (whose weights they read); an absolute import counts as well
+    tree = ast.parse(Path(dydila.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dydila")):
+            module = (node.module or "").removeprefix("dydila").lstrip(".")
+            imported |= {f"{module}.{a.name}" if module else a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".")[0] == "dydila"}
+    assert imported == {"_pow_tables", "numerics.ContractViolation", "routing.Router"}
